@@ -5,14 +5,16 @@
 // Three-way ablation of the prepass pipeline on the SDV-like corpus:
 //
 //   off  — no prepass at all;
-//   base — the original reduction pipeline (constprop,slice,splice,deadproc);
-//   full — the default pipeline, which adds GVN/copy-propagation and
-//          assume-redundancy elimination (constprop,gvn,assumeelim,...).
+//   base — the structural reductions alone (slice,splice,deadproc);
+//   full — the default pipeline, which runs value numbering first
+//          (gvn,slice,splice,deadproc).
 //
 // For each configuration we report the program size the engine sees and the
 // size of the fully inlined VC (hash-consed term count); end-to-end DI verify
 // time is measured for off vs full. The base→full delta isolates what the
-// value-numbering passes buy on top of the established reductions. Knobs:
+// value-numbering pass buys on top of the structural reductions. A pipeline
+// that fails to run (an unknown pass name, a --verify-each violation) makes
+// the bench exit nonzero instead of measuring an unreduced program. Knobs:
 // RMT_BENCH_TIMEOUT, RMT_BENCH_COUNT (see BenchCommon.h).
 //
 //===----------------------------------------------------------------------===//
@@ -34,8 +36,11 @@ using namespace rmt::bench;
 
 namespace {
 
-/// The reduction pipeline as it stood before the value-numbering passes.
-const char *BaselinePasses = "constprop,slice,splice,deadproc";
+/// The default pipeline without value numbering.
+const char *BaselinePasses = "slice,splice,deadproc";
+
+/// Set when any prepass pipeline reports an error; main() then fails.
+bool PipelineFailed = false;
 
 struct VcSize {
   size_t Labels = 0;
@@ -57,7 +62,12 @@ VcSize inlinedVcSize(const SdvParams &Params, const char *Passes) {
   if (Passes) {
     PrepassOptions PO;
     PO.Passes = Passes;
-    runPrepass(Ctx, Cfg, Root, Inst.ErrVar, PO);
+    PrepassReport R = runPrepass(Ctx, Cfg, Root, Inst.ErrVar, PO);
+    if (!R.ok()) {
+      std::fprintf(stderr, "error: prepass '%s' failed: %s\n", Passes,
+                   R.PipelineErrors.front().c_str());
+      PipelineFailed = true;
+    }
   }
 
   TermArena Arena;
@@ -112,6 +122,11 @@ TimedRun timedVerify(const SdvParams &Params, const char *Passes,
   Opts.Engine.TimeoutSeconds = Timeout;
   Stopwatch W;
   VerifierRunResult R = verifyProgram(Ctx, Prog, Ctx.sym("main"), Opts);
+  if (!R.Prepass.ok()) {
+    std::fprintf(stderr, "error: prepass '%s' failed: %s\n", Passes,
+                 R.Prepass.PipelineErrors.front().c_str());
+    PipelineFailed = true;
+  }
   return {R.Result.Outcome, W.seconds()};
 }
 
@@ -128,8 +143,8 @@ int main() {
 
   std::printf("Prepass ablation — %u SDV-like instances, DI (First), "
               "bound 1, timeout %.0fs\n"
-              "base = %s\nfull = default pipeline (adds gvn,assumeelim)\n\n",
-              Count, Timeout, BaselinePasses);
+              "base = %s\nfull = %s\n\n",
+              Count, Timeout, BaselinePasses, DefaultPrepassPasses);
 
   Table T({"Instance", "Terms off", "Terms base", "Terms full", "Labels full",
            "Time off(s)", "Time full(s)", "Verdict"});
@@ -141,10 +156,10 @@ int main() {
   for (const SdvInstance &I : Corpus) {
     VcSize Off = inlinedVcSize(I.Params, nullptr);
     VcSize Base = inlinedVcSize(I.Params, BaselinePasses);
-    VcSize Full = inlinedVcSize(I.Params, ""); // "" = default pipeline
+    VcSize Full = inlinedVcSize(I.Params, DefaultPrepassPasses);
     TimedRun ROff = timedVerify(I.Params, nullptr, Timeout);
     TimedRun RBase = timedVerify(I.Params, BaselinePasses, Timeout);
-    TimedRun RFull = timedVerify(I.Params, "", Timeout);
+    TimedRun RFull = timedVerify(I.Params, DefaultPrepassPasses, Timeout);
 
     // All configurations that answer must answer alike.
     Verdict Ref = Verdict::Unknown;
@@ -210,7 +225,10 @@ int main() {
        {"time_full_s", std::to_string(TimeFull)},
        {"disagreements", std::to_string(Disagreements)}});
 
-  return Disagreements == 0 && TermsFull <= TermsBase && TermsBase <= TermsOff
+  if (PipelineFailed)
+    std::printf("prepass pipeline errors: see stderr\n");
+  return !PipelineFailed && Disagreements == 0 && TermsFull <= TermsBase &&
+                 TermsBase <= TermsOff
              ? 0
              : 1;
 }

@@ -91,265 +91,7 @@ std::vector<ProcEffects> rmt::computeProcEffects(const CfgProgram &Prog) {
   return FX;
 }
 
-//===----------------------------------------------------------------------===//
-// Constant environment and folding
-//===----------------------------------------------------------------------===//
-
-bool ConstEnv::joinWith(const ConstEnv &O) {
-  if (O.Bottom)
-    return false;
-  if (Bottom) {
-    *this = O;
-    return true;
-  }
-  bool Changed = false;
-  for (auto It = Known.begin(); It != Known.end();) {
-    auto OIt = O.Known.find(It->first);
-    if (OIt == O.Known.end() || !(OIt->second == It->second)) {
-      It = Known.erase(It);
-      Changed = true;
-    } else {
-      ++It;
-    }
-  }
-  return Changed;
-}
-
 namespace {
-
-/// SMT-LIB Euclidean division/remainder; the divisor must be nonzero.
-int64_t euclideanMod(int64_t A, int64_t B) {
-  int64_t R = A % B;
-  if (R < 0)
-    R += (B > 0) ? B : -B;
-  return R;
-}
-
-int64_t euclideanDiv(int64_t A, int64_t B) {
-  return (A - euclideanMod(A, B)) / B;
-}
-
-} // namespace
-
-std::optional<ConstVal> rmt::evalConstExpr(const Expr *E,
-                                           const ConstEnv &Env) {
-  if (Env.isBottom())
-    return std::nullopt;
-  const Type *Ty = E->type();
-  // Bitvectors carry modular semantics we leave to the solver; arrays never
-  // fold.
-  if (!Ty || (!Ty->isInt() && !Ty->isBool()))
-    return std::nullopt;
-
-  switch (E->kind()) {
-  case ExprKind::IntLit:
-    return ConstVal::ofInt(E->intValue());
-  case ExprKind::BoolLit:
-    return ConstVal::ofBool(E->boolValue());
-  case ExprKind::Var:
-    return Env.get(E->var());
-  case ExprKind::Unary: {
-    std::optional<ConstVal> V = evalConstExpr(E->op0(), Env);
-    if (!V)
-      return std::nullopt;
-    switch (E->unOp()) {
-    case UnOp::Not:
-      return ConstVal::ofBool(!V->V);
-    case UnOp::Neg:
-      if (V->V == INT64_MIN)
-        return std::nullopt;
-      return ConstVal::ofInt(-V->V);
-    }
-    return std::nullopt;
-  }
-  case ExprKind::Binary: {
-    std::optional<ConstVal> L = evalConstExpr(E->op0(), Env);
-    std::optional<ConstVal> R = evalConstExpr(E->op1(), Env);
-    switch (E->binOp()) {
-    // Short-circuit folds are exact: expressions are total, so an unknown
-    // operand cannot block evaluation.
-    case BinOp::And:
-      if ((L && !L->V) || (R && !R->V))
-        return ConstVal::ofBool(false);
-      if (L && L->V && R && R->V)
-        return ConstVal::ofBool(true);
-      return std::nullopt;
-    case BinOp::Or:
-      if ((L && L->V) || (R && R->V))
-        return ConstVal::ofBool(true);
-      if (L && !L->V && R && !R->V)
-        return ConstVal::ofBool(false);
-      return std::nullopt;
-    case BinOp::Implies:
-      if ((L && !L->V) || (R && R->V))
-        return ConstVal::ofBool(true);
-      if (L && L->V && R && !R->V)
-        return ConstVal::ofBool(false);
-      return std::nullopt;
-    default:
-      break;
-    }
-    if (!L || !R)
-      return std::nullopt;
-    int64_t Out;
-    switch (E->binOp()) {
-    case BinOp::Add:
-      if (__builtin_add_overflow(L->V, R->V, &Out))
-        return std::nullopt;
-      return ConstVal::ofInt(Out);
-    case BinOp::Sub:
-      if (__builtin_sub_overflow(L->V, R->V, &Out))
-        return std::nullopt;
-      return ConstVal::ofInt(Out);
-    case BinOp::Mul:
-      if (__builtin_mul_overflow(L->V, R->V, &Out))
-        return std::nullopt;
-      return ConstVal::ofInt(Out);
-    case BinOp::Div:
-      // x div 0 is uninterpreted in SMT; never fold it.
-      if (R->V == 0 || (L->V == INT64_MIN && R->V == -1))
-        return std::nullopt;
-      return ConstVal::ofInt(euclideanDiv(L->V, R->V));
-    case BinOp::Mod:
-      if (R->V == 0)
-        return std::nullopt;
-      return ConstVal::ofInt(euclideanMod(L->V, R->V));
-    case BinOp::Eq:
-      return ConstVal::ofBool(L->V == R->V);
-    case BinOp::Ne:
-      return ConstVal::ofBool(L->V != R->V);
-    case BinOp::Lt:
-      return ConstVal::ofBool(L->V < R->V);
-    case BinOp::Le:
-      return ConstVal::ofBool(L->V <= R->V);
-    case BinOp::Gt:
-      return ConstVal::ofBool(L->V > R->V);
-    case BinOp::Ge:
-      return ConstVal::ofBool(L->V >= R->V);
-    case BinOp::Iff:
-      return ConstVal::ofBool((L->V != 0) == (R->V != 0));
-    case BinOp::And:
-    case BinOp::Or:
-    case BinOp::Implies:
-      break; // handled above
-    }
-    return std::nullopt;
-  }
-  case ExprKind::Ite: {
-    std::optional<ConstVal> C = evalConstExpr(E->op0(), Env);
-    if (C)
-      return evalConstExpr(C->V ? E->op1() : E->op2(), Env);
-    std::optional<ConstVal> T = evalConstExpr(E->op1(), Env);
-    std::optional<ConstVal> F = evalConstExpr(E->op2(), Env);
-    if (T && F && *T == *F)
-      return T;
-    return std::nullopt;
-  }
-  case ExprKind::Select:
-  case ExprKind::Store:
-    return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-//===----------------------------------------------------------------------===//
-// Constant propagation with branch pruning
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Conditions an `assume` imposes refine the environment: walking the
-/// expression under the assumed polarity picks up equalities with constants
-/// and definite boolean variables.
-void refineEnv(ConstEnv &Env, const Expr *E, bool Positive) {
-  switch (E->kind()) {
-  case ExprKind::Var:
-    if (E->type() && E->type()->isBool())
-      Env.set(E->var(), ConstVal::ofBool(Positive));
-    return;
-  case ExprKind::Unary:
-    if (E->unOp() == UnOp::Not)
-      refineEnv(Env, E->op0(), !Positive);
-    return;
-  case ExprKind::Binary: {
-    BinOp Op = E->binOp();
-    if ((Op == BinOp::And && Positive) || (Op == BinOp::Or && !Positive)) {
-      refineEnv(Env, E->op0(), Positive);
-      refineEnv(Env, E->op1(), Positive);
-      return;
-    }
-    if ((Op == BinOp::Eq && Positive) || (Op == BinOp::Ne && !Positive)) {
-      for (auto [VarSide, ValSide] :
-           {std::pair(E->op0(), E->op1()), std::pair(E->op1(), E->op0())}) {
-        if (VarSide->kind() != ExprKind::Var || !VarSide->type() ||
-            (!VarSide->type()->isInt() && !VarSide->type()->isBool()))
-          continue;
-        if (std::optional<ConstVal> V = evalConstExpr(ValSide, Env))
-          Env.set(VarSide->var(), *V);
-      }
-    }
-    return;
-  }
-  default:
-    return;
-  }
-}
-
-/// Forward must-constant analysis over one procedure. Calls clobber their
-/// result bindings and the callee's transitive global mod-set.
-class ConstPropAnalysis {
-public:
-  using Value = ConstEnv;
-  static constexpr FlowDirection Direction = FlowDirection::Forward;
-
-  explicit ConstPropAnalysis(const std::vector<ProcEffects> &FX) : FX(FX) {}
-
-  Value bottom() const { return ConstEnv::bottomEnv(); }
-  Value boundary() const { return ConstEnv::topEnv(); }
-  bool join(Value &Into, const Value &From) const {
-    return Into.joinWith(From);
-  }
-
-  Value transfer(LabelId, const CfgStmt &S, const Value &In) const {
-    if (In.isBottom())
-      return In;
-    Value Out = In;
-    switch (S.Kind) {
-    case CfgStmtKind::Assume: {
-      std::optional<ConstVal> V = evalConstExpr(S.E, In);
-      if (V && !V->V)
-        return ConstEnv::bottomEnv();
-      refineEnv(Out, S.E, /*Positive=*/true);
-      break;
-    }
-    case CfgStmtKind::Assign: {
-      if (std::optional<ConstVal> V = evalConstExpr(S.E, In))
-        Out.set(S.Target, *V);
-      else
-        Out.forget(S.Target);
-      break;
-    }
-    case CfgStmtKind::Havoc:
-      for (Symbol V : S.Vars)
-        Out.forget(V);
-      break;
-    case CfgStmtKind::Call:
-      for (Symbol V : S.Vars)
-        Out.forget(V);
-      for (Symbol G : FX[S.Callee].ModGlobals)
-        Out.forget(G);
-      break;
-    }
-    return Out;
-  }
-
-private:
-  const std::vector<ProcEffects> &FX;
-};
-
-bool isLiteralExpr(const Expr *E) {
-  return E->kind() == ExprKind::IntLit || E->kind() == ExprKind::BoolLit;
-}
 
 bool isSkipLabel(const CfgLabel &L) {
   return L.Stmt.Kind == CfgStmtKind::Assume && L.Stmt.E &&
@@ -357,53 +99,6 @@ bool isSkipLabel(const CfgLabel &L) {
 }
 
 } // namespace
-
-void rmt::runConstPass(AstContext &Ctx, CfgProgram &Prog, PrepassReport &R) {
-  std::vector<ProcEffects> FX = computeProcEffects(Prog);
-  std::vector<bool> Keep(Prog.Labels.size(), true);
-  ConstPropAnalysis A(FX);
-
-  for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
-    ProcFlow Flow(Prog, P);
-    DataflowSolver<ConstPropAnalysis> Solver(Flow, A);
-    Solver.solve();
-
-    for (LabelId L : Prog.proc(P).Labels) {
-      if (Solver.pre(L).isBottom()) {
-        Keep[L] = false;
-        continue;
-      }
-      CfgStmt &S = Prog.Labels[L].Stmt;
-      switch (S.Kind) {
-      case CfgStmtKind::Assume: {
-        std::optional<ConstVal> V = evalConstExpr(S.E, Solver.pre(L));
-        if (!V)
-          break;
-        if (!isLiteralExpr(S.E)) {
-          S.E = Ctx.tBool(V->V != 0);
-          ++R.FoldedExprs;
-        }
-        // A blocked label never completes, so its out-edges are dead.
-        if (!V->V)
-          Prog.Labels[L].Targets.clear();
-        break;
-      }
-      case CfgStmtKind::Assign: {
-        std::optional<ConstVal> V = evalConstExpr(S.E, Solver.pre(L));
-        if (V && !isLiteralExpr(S.E)) {
-          S.E = V->IsBool ? Ctx.tBool(V->V != 0) : Ctx.tInt(V->V);
-          ++R.FoldedExprs;
-        }
-        break;
-      }
-      case CfgStmtKind::Havoc:
-      case CfgStmtKind::Call:
-        break;
-      }
-    }
-  }
-  R.PrunedLabels += compactLabels(Prog, Keep);
-}
 
 //===----------------------------------------------------------------------===//
 // Structural compaction
@@ -589,9 +284,7 @@ void PrepassReport::record(Stats &S) const {
   S.add("prepass.labels.after", static_cast<int64_t>(LabelsAfter));
   S.add("prepass.procs.before", static_cast<int64_t>(ProcsBefore));
   S.add("prepass.procs.after", static_cast<int64_t>(ProcsAfter));
-  S.add("prepass.labels.pruned", PrunedLabels);
   S.add("prepass.labels.spliced", SplicedLabels);
-  S.add("prepass.exprs.folded", FoldedExprs);
   S.add("prepass.stmts.sliced", SlicedStmts);
   S.add("prepass.calls.elided", ElidedCalls);
   S.add("prepass.procs.dead", DeadProcs);
@@ -609,10 +302,8 @@ std::string PrepassReport::str() const {
          std::to_string(LabelsAfter);
   Out += ", procs " + std::to_string(ProcsBefore) + " -> " +
          std::to_string(ProcsAfter);
-  Out += " (pruned " + std::to_string(PrunedLabels) + ", sliced " +
-         std::to_string(SlicedStmts) + ", spliced " +
-         std::to_string(SplicedLabels) + ", folded " +
-         std::to_string(FoldedExprs) + ", propagated " +
+  Out += " (sliced " + std::to_string(SlicedStmts) + ", spliced " +
+         std::to_string(SplicedLabels) + ", propagated " +
          std::to_string(PropagatedExprs) + ", redundant assumes " +
          std::to_string(RedundantAssumes + ContradictedAssumes) +
          ", elided calls " + std::to_string(ElidedCalls) + ", dead procs " +

@@ -29,10 +29,10 @@
 /// (boundary at exit labels, i.e. labels with no successors) and
 /// pre(L) = transfer(post(L)). Pre/post are always named in *program* order.
 ///
-/// On top of the framework this header exposes the verification prepass:
-/// constant propagation with assume-false branch pruning, cone-of-influence
-/// slicing (see Slicer.h), skip-chain compaction, and dead-procedure
-/// elimination, composed by runPrepass().
+/// On top of the framework this header exposes the verification prepass
+/// entry point runPrepass() and the structural passes it shares: skip-chain
+/// compaction and dead-procedure elimination. Value numbering lives in
+/// Gvn.h, cone-of-influence slicing in Slicer.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,6 +47,7 @@
 #include <deque>
 #include <optional>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -184,98 +185,21 @@ struct ProcEffects {
 std::vector<ProcEffects> computeProcEffects(const CfgProgram &Prog);
 
 //===----------------------------------------------------------------------===//
-// Constant propagation
-//===----------------------------------------------------------------------===//
-
-/// A known constant value (int, bool, or bitvector payload as int64).
-struct ConstVal {
-  bool IsBool = false;
-  int64_t V = 0;
-
-  static ConstVal ofInt(int64_t V) { return {false, V}; }
-  static ConstVal ofBool(bool B) { return {true, B ? 1 : 0}; }
-
-  friend bool operator==(const ConstVal &A, const ConstVal &B) {
-    return A.IsBool == B.IsBool && A.V == B.V;
-  }
-};
-
-/// Must-constant environment: missing variables are unknown (top); Bottom
-/// means the program point is unreachable.
-class ConstEnv {
-public:
-  static ConstEnv bottomEnv() {
-    ConstEnv E;
-    E.Bottom = true;
-    return E;
-  }
-  static ConstEnv topEnv() { return ConstEnv(); }
-
-  bool isBottom() const { return Bottom; }
-
-  std::optional<ConstVal> get(Symbol Var) const {
-    auto It = Known.find(Var);
-    return It == Known.end() ? std::nullopt : std::optional(It->second);
-  }
-  void set(Symbol Var, ConstVal V) {
-    if (!Bottom)
-      Known[Var] = V;
-  }
-  void forget(Symbol Var) { Known.erase(Var); }
-
-  /// Join: keep only bindings both sides agree on. Returns true on change.
-  bool joinWith(const ConstEnv &O);
-
-  friend bool operator==(const ConstEnv &A, const ConstEnv &B) {
-    if (A.Bottom || B.Bottom)
-      return A.Bottom == B.Bottom;
-    return A.Known == B.Known;
-  }
-
-  const std::unordered_map<Symbol, ConstVal> &values() const { return Known; }
-
-private:
-  bool Bottom = false;
-  std::unordered_map<Symbol, ConstVal> Known;
-};
-
-/// Evaluates \p E to a constant under \p Env when possible. Only int- and
-/// bool-typed expressions fold; division by a (possibly) zero constant and
-/// anything overflowing int64 stay unknown. Boolean connectives fold
-/// short-circuit style (false && unknown == false), which is exact because
-/// expressions are total.
-std::optional<ConstVal> evalConstExpr(const Expr *E, const ConstEnv &Env);
-
-//===----------------------------------------------------------------------===//
 // The verification prepass
 //===----------------------------------------------------------------------===//
 
-/// Pass toggles (all on by default) plus pipeline-level knobs. The toggles
-/// select passes of the default pipeline order
-///
-///   constprop → gvn → assumeelim → slice → splice → deadproc [→ inv]
-///
-/// while a nonempty Passes string replaces the toggles with an explicit
-/// pipeline (see PassManager.h).
+/// The default prepass pipeline (see PassManager.h for the passes).
+inline constexpr const char *DefaultPrepassPasses = "gvn,slice,splice,deadproc";
+
+/// Prepass configuration: one pipeline spec plus pipeline-level knobs.
 struct PrepassOptions {
-  /// Constant propagation, expression folding, assume-false branch pruning.
-  bool ConstantFold = true;
-  /// Value numbering + copy/expression propagation (Gvn.h).
-  bool Gvn = true;
-  /// Drop assumes entailed by value-numbered facts on all paths (Gvn.h).
-  bool AssumeElim = true;
-  /// Cone-of-influence slicing from the reachability query (Slicer.h).
-  bool Slice = true;
-  /// Splice out `assume true` skip labels.
-  bool SpliceSkips = true;
-  /// Drop procedures unreachable from the root in the call graph.
-  bool DeadProcElim = true;
-  /// Append interval-invariant injection (the paper's +Inv) last. Off by
-  /// default; the verifier sets it from VerifierOptions::UseInvariants.
+  /// Append interval-invariant injection (the paper's +Inv) as the last
+  /// pass. Off by default; the verifier sets it from
+  /// VerifierOptions::UseInvariants.
   bool Invariants = false;
-  /// Explicit pipeline, e.g. "constprop,gvn,slice". Overrides every toggle
-  /// above when nonempty.
-  std::string Passes;
+  /// Comma-separated pipeline spec, e.g. "gvn,slice". Empty runs no pass
+  /// (except `inv` under Invariants).
+  std::string Passes = DefaultPrepassPasses;
   /// Run the structural CFG verifier (VerifyCfg.h) on the input and after
   /// every pass; any violation aborts the pipeline. Also enabled by the
   /// RMT_VERIFY_EACH environment variable (CI runs Debug tests with it).
@@ -285,16 +209,16 @@ struct PrepassOptions {
   /// Optional event recorder (support/Trace.h): the pipeline runs under a
   /// "prepass.pipeline" span with per-pass child spans.
   Trace *Telemetry = nullptr;
+
+  /// The pipeline this configuration runs: Passes, then `inv` under
+  /// Invariants.
+  std::string spec() const;
 };
 
 /// What the prepass did, for Stats and reporting.
 struct PrepassReport {
   size_t LabelsBefore = 0, LabelsAfter = 0;
   size_t ProcsBefore = 0, ProcsAfter = 0;
-  /// Labels deleted because constant propagation proved them unreachable.
-  unsigned PrunedLabels = 0;
-  /// Expressions rewritten to literals.
-  unsigned FoldedExprs = 0;
   /// Statements the slicer reduced to skips (plus havoc lists shrunk).
   unsigned SlicedStmts = 0;
   /// Calls to effect-free procedures elided by the slicer.
@@ -303,11 +227,12 @@ struct PrepassReport {
   unsigned SplicedLabels = 0;
   /// Procedures removed by call-graph reachability.
   unsigned DeadProcs = 0;
-  /// Subexpressions replaced by a congruent leader (GVN copy propagation).
+  /// Subexpressions replaced by a congruent leader (a literal or a copy).
   unsigned PropagatedExprs = 0;
   /// `assume e` labels proven entailed and reduced to skips.
   unsigned RedundantAssumes = 0;
-  /// `assume e` labels proven contradictory and sharpened to assume false.
+  /// `assume e` labels no execution passes, sharpened to `assume false`
+  /// with their successors cut.
   unsigned ContradictedAssumes = 0;
   /// Invariant conjuncts injected by the inv pass (0 without +Inv).
   unsigned InvariantConjuncts = 0;
@@ -329,12 +254,6 @@ struct PrepassReport {
   std::string str() const;
 };
 
-/// Runs constant propagation over every procedure: folds expressions to
-/// literals, cuts the successors of definitely-false assumes, and deletes
-/// labels no execution reaches. Accumulates into R.PrunedLabels and
-/// R.FoldedExprs.
-void runConstPass(AstContext &Ctx, CfgProgram &Prog, PrepassReport &R);
-
 /// Deletes labels with KeepLabel[L] == false, renumbering labels and
 /// filtering target lists. Entry labels of every procedure must be kept.
 /// Returns the number of labels removed.
@@ -350,16 +269,15 @@ unsigned dropDeadProcs(CfgProgram &Prog, ProcId &Root);
 /// Returns the number of labels removed.
 unsigned spliceSkips(CfgProgram &Prog);
 
-/// Runs the prepass pipeline on \p Prog rooted at \p Root. The pipeline is
-/// assembled from \p Opts (see PrepassOptions; the default is
+/// Runs the prepass pipeline Opts.spec() on \p Prog rooted at \p Root. The
+/// default is
 ///
-///   constant folding + branch pruning  →  GVN/copy propagation
-///   →  assume-redundancy elimination  →  query slicing  →  skip splicing
-///   →  dead-procedure elimination)
+///   GVN (propagation, assume pruning)  →  query slicing  →  skip splicing
+///   →  dead-procedure elimination
 ///
-/// and executed through the pass manager (PassManager.h), which times each
-/// pass into \p S (when given) and re-verifies the structural invariants
-/// after each pass when Opts.VerifyEach is set.
+/// executed through the pass manager (PassManager.h), which times each pass
+/// into \p S (when given) and re-verifies the structural invariants after
+/// each pass when Opts.VerifyEach is set.
 ///
 /// \p ErrGlobal is the reachability query variable ($err); when nullopt the
 /// query is plain termination reachability and only control-flow-relevant

@@ -3,6 +3,7 @@
 #include "analysis/Gvn.h"
 
 #include "analysis/Dataflow.h"
+#include "ast/Ops.h"
 
 #include <array>
 #include <cassert>
@@ -51,19 +52,6 @@ struct VKey {
     return A.Extra < B.Extra;
   }
 };
-
-/// SMT-LIB Euclidean division/remainder, mirrored from evalConstExpr so the
-/// two folders can never disagree.
-int64_t euclideanMod(int64_t A, int64_t B) {
-  int64_t R = A % B;
-  if (R < 0)
-    R += (B > 0) ? B : -B;
-  return R;
-}
-
-int64_t euclideanDiv(int64_t A, int64_t B) {
-  return (A - euclideanMod(A, B)) / B;
-}
 
 /// The per-procedure value table: hash-consed value numbers with literal
 /// tracking and algebraic simplification at allocation time. Because every
@@ -133,8 +121,9 @@ public:
         return static_cast<VN>(Keys[A].Ops[1]); // !!v == v
       break;
     case UnOp::Neg:
-      if (isIntLit(A, I) && I != INT64_MIN)
-        return intLit(-I);
+      if (isIntLit(A, I))
+        if (std::optional<int64_t> V = foldIntNeg(I))
+          return intLit(*V);
       if (Keys[A].Tag == VTag::Unary &&
           static_cast<UnOp>(Keys[A].Ops[0]) == UnOp::Neg &&
           Ty->isInt()) // -(-v) == v over unbounded ints
@@ -329,33 +318,13 @@ private:
       break;
     }
 
-    // Literal folding over the mathematical integers (bitvectors carry
-    // modular semantics we leave to the solver, mirroring evalConstExpr).
+    // Literal folding over the mathematical integers through the shared
+    // kernel (bitvectors carry modular semantics we leave to the solver).
     if (!isIntLit(A, IA) || !isIntLit(B, IB))
       return std::nullopt;
-    int64_t Out;
+    if (std::optional<int64_t> V = foldIntArith(Op, IA, IB))
+      return intLit(*V);
     switch (Op) {
-    case BinOp::Add:
-      if (!__builtin_add_overflow(IA, IB, &Out))
-        return intLit(Out);
-      return std::nullopt;
-    case BinOp::Sub:
-      if (!__builtin_sub_overflow(IA, IB, &Out))
-        return intLit(Out);
-      return std::nullopt;
-    case BinOp::Mul:
-      if (!__builtin_mul_overflow(IA, IB, &Out))
-        return intLit(Out);
-      return std::nullopt;
-    case BinOp::Div:
-      // x div 0 is uninterpreted in SMT; never fold it.
-      if (IB == 0 || (IA == INT64_MIN && IB == -1))
-        return std::nullopt;
-      return intLit(euclideanDiv(IA, IB));
-    case BinOp::Mod:
-      if (IB == 0)
-        return std::nullopt;
-      return intLit(euclideanMod(IA, IB));
     case BinOp::Lt:
       return boolLit(IA < IB);
     case BinOp::Le:
@@ -765,8 +734,9 @@ private:
 // Drivers
 //===----------------------------------------------------------------------===//
 
-GvnReport runGvnImpl(AstContext &Ctx, CfgProgram &Prog, bool Propagate,
-                     bool ElimAssumes) {
+} // namespace
+
+GvnReport rmt::runGvn(AstContext &Ctx, CfgProgram &Prog) {
   GvnReport R;
   std::vector<ProcEffects> FX = computeProcEffects(Prog);
 
@@ -779,72 +749,48 @@ GvnReport runGvnImpl(AstContext &Ctx, CfgProgram &Prog, bool Propagate,
     Solver.solve();
 
     for (LabelId L : Flow.topo()) {
+      // Unreachable: every path in runs through an assume cut below, so the
+      // splicer's entry-reachability sweep reclaims the label.
       if (Solver.pre(L).Bottom)
-        continue; // unreachable; constprop's pruning owns these
-      CfgStmt &S = Prog.Labels[L].Stmt;
+        continue;
+      CfgLabel &Lbl = Prog.Labels[L];
+      CfgStmt &S = Lbl.Stmt;
+      if (S.Kind == CfgStmtKind::Assume) {
+        if (Solver.post(L).Bottom) {
+          // No execution passes this assume: block here and cut the dead
+          // region.
+          if (isLiteralExpr(S.E) && !S.E->boolValue() && Lbl.Targets.empty())
+            continue;
+          S.E = Ctx.tBool(false);
+          Lbl.Targets.clear();
+          ++R.ContradictedAssumes;
+          continue;
+        }
+        if (!isLiteralExpr(S.E)) {
+          // Entailed by facts that hold on every path in: the assume filters
+          // nothing. Reduce it to a skip for the splicer.
+          GvnEnv Env = Solver.pre(L);
+          Numberer N(VT, Proc);
+          if (N.entailed(N.vnOf(S.E, Env, L), Env)) {
+            S.E = Ctx.tBool(true);
+            ++R.RedundantAssumes;
+            continue;
+          }
+        }
+      }
+      if (S.Kind == CfgStmtKind::Havoc)
+        continue;
       // The solved states describe the original program; rewriting against
       // them stays valid because every rewrite preserves each statement's
       // value semantics.
-      GvnEnv Env = Solver.pre(L);
-      Numberer N(VT, Proc);
-      switch (S.Kind) {
-      case CfgStmtKind::Assume: {
-        if (ElimAssumes && !isLiteralExpr(S.E)) {
-          VN V = N.vnOf(S.E, Env, L);
-          if (N.refuted(V, Env)) {
-            // False on every path in: no execution passes this assume, so
-            // blocking here (and cutting the dead region) changes nothing.
-            S.E = Ctx.tBool(false);
-            Prog.Labels[L].Targets.clear();
-            ++R.ContradictedAssumes;
-            break;
-          }
-          if (N.entailed(V, Env)) {
-            // Entailed by facts that hold on every path in: the assume
-            // filters nothing. Reduce to a skip for the splicer.
-            S.E = Ctx.tBool(true);
-            ++R.RedundantAssumes;
-            break;
-          }
-        }
-        if (Propagate) {
-          Rewriter RW(Ctx, VT, Proc, Solver.pre(L));
-          S.E = RW.rewrite(S.E, L);
-          R.PropagatedExprs += RW.replaced();
-        }
-        break;
-      }
-      case CfgStmtKind::Assign: {
-        if (Propagate) {
-          Rewriter RW(Ctx, VT, Proc, Solver.pre(L));
-          S.E = RW.rewrite(S.E, L);
-          R.PropagatedExprs += RW.replaced();
-        }
-        break;
-      }
-      case CfgStmtKind::Call: {
-        if (Propagate) {
-          Rewriter RW(Ctx, VT, Proc, Solver.pre(L));
-          for (const Expr *&Arg : S.Args)
-            Arg = RW.rewrite(Arg, L);
-          R.PropagatedExprs += RW.replaced();
-        }
-        break;
-      }
-      case CfgStmtKind::Havoc:
-        break;
-      }
+      Rewriter RW(Ctx, VT, Proc, Solver.pre(L));
+      if (S.Kind == CfgStmtKind::Call)
+        for (const Expr *&Arg : S.Args)
+          Arg = RW.rewrite(Arg, L);
+      else
+        S.E = RW.rewrite(S.E, L);
+      R.PropagatedExprs += RW.replaced();
     }
   }
   return R;
-}
-
-} // namespace
-
-GvnReport rmt::runGvn(AstContext &Ctx, CfgProgram &Prog) {
-  return runGvnImpl(Ctx, Prog, /*Propagate=*/true, /*ElimAssumes=*/false);
-}
-
-GvnReport rmt::runAssumeElim(AstContext &Ctx, CfgProgram &Prog) {
-  return runGvnImpl(Ctx, Prog, /*Propagate=*/false, /*ElimAssumes=*/true);
 }

@@ -1,12 +1,13 @@
-//===- Gvn.h - Value numbering, copy propagation, assume elim ---*- C++ -*-===//
+//===- Gvn.h - Value numbering, propagation, assume pruning -----*- C++ -*-===//
 //
 // Part of the daginline project, a reproduction of "DAG Inlining" (PLDI'15).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Global value numbering with copy propagation, plus assume-redundancy
-/// elimination, over the paper's label form.
+/// Global value numbering over the paper's label form: one forward dataflow
+/// solve per procedure, then one rewrite sweep that propagates copies and
+/// expressions, folds literals, and drops or sharpens assumes.
 ///
 /// The analysis is a forward MUST dataflow: the abstract state at a label
 /// maps each in-scope variable to a value number, and carries the set of
@@ -14,9 +15,12 @@
 /// numbers live in a per-procedure hash-consed value table keyed on
 /// (operator, operand VNs), with commutative operands normalized, so two
 /// expressions get the same number exactly when the analysis can prove they
-/// always evaluate to the same value. The meet intersects variable bindings
-/// and fact sets, which is what makes the propagation sound on merge-heavy
-/// graphs.
+/// always evaluate to the same value. Integer literals fold through the
+/// shared kernel in ast/Ops.h. The meet intersects variable bindings and fact
+/// sets, which is what makes the propagation sound on merge-heavy graphs.
+/// Bottom is "unreachable": an `assume` whose condition is refuted by, or
+/// whose recorded conditions clash with, the facts on every path in has a
+/// bottom post-state.
 ///
 /// On acyclic flow graphs (our programs are hierarchical, Section 3) the
 /// meet-over-all-paths solution this computes dominates the classic
@@ -27,22 +31,22 @@
 /// *current* variable binding map, so a redefinition of `y` automatically
 /// retires `y` as a leader without any renaming machinery.
 ///
-/// Two rewrites consume the solution:
+/// The rewrite sweep visits every reachable label once:
 ///
-///  * copy/expression propagation — every statement's expressions are
-///    rewritten bottom-up, replacing any subexpression whose value number has
-///    a cheaper leader (a literal, else the smallest in-scope variable bound
-///    to that number), which collapses `y := x; z := y + 1` chains and
-///    shrinks Gen_pVC term counts directly;
-///  * assume-redundancy elimination — `assume e` where vn(e) is entailed
-///    true on all incoming paths becomes a skip (to be spliced), and
-///    `assume e` where vn(e) is entailed false is sharpened to
-///    `assume false` with its successors cut, letting the slicer and splicer
-///    reclaim the dead region.
+///  * an `assume e` whose post-state is bottom becomes `assume false` with
+///    its successors cut; the labels behind it become unreachable from the
+///    entry, and the splicer's reachability sweep deletes them;
+///  * an `assume e` where vn(e) is entailed true on all incoming paths
+///    becomes a skip (to be spliced);
+///  * every other expression is rewritten bottom-up, replacing any
+///    subexpression whose value number has a cheaper leader (a literal, else
+///    the smallest in-scope variable bound to that number), which collapses
+///    `y := x; z := y + 1` chains and shrinks Gen_pVC term counts directly.
 ///
-/// Both rewrites are verdict-preserving: they replace expressions with
-/// provably-equal values and drop assumes that are implied by (or contradict)
-/// the path condition, so the set of feasible $err-executions is unchanged.
+/// Every rewrite is verdict-preserving: it replaces expressions with
+/// provably-equal values and drops assumes that are implied by (or
+/// contradict) the path condition, so the set of feasible $err-executions is
+/// unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +66,8 @@ struct GvnReport {
   unsigned PropagatedExprs = 0;
   /// `assume e` labels proven entailed and reduced to skips.
   unsigned RedundantAssumes = 0;
-  /// `assume e` labels proven contradictory and sharpened to assume false.
+  /// `assume e` labels no execution passes, sharpened to `assume false`
+  /// with their successors cut.
   unsigned ContradictedAssumes = 0;
 
   unsigned total() const {
@@ -70,15 +75,10 @@ struct GvnReport {
   }
 };
 
-/// Runs value numbering + copy propagation over every procedure of \p Prog,
-/// rewriting statements in place. Does not change the flow graph shape except
-/// for cutting successors of assumes sharpened to false.
+/// Runs value numbering over every procedure of \p Prog and rewrites
+/// statements in place. Changes the flow graph shape only by cutting the
+/// successors of assumes sharpened to false.
 GvnReport runGvn(AstContext &Ctx, CfgProgram &Prog);
-
-/// Runs only the assume-redundancy elimination (entailment via the same value
-/// numbering, but without rewriting non-assume statements). Exposed as its
-/// own pass so pipelines can order propagation and elimination independently.
-GvnReport runAssumeElim(AstContext &Ctx, CfgProgram &Prog);
 
 } // namespace rmt
 

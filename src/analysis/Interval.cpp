@@ -2,20 +2,9 @@
 
 #include "analysis/Interval.h"
 
+#include "ast/Ops.h"
+
 using namespace rmt;
-
-namespace {
-
-/// Saturating addition without UB.
-bool addOverflows(int64_t A, int64_t B, int64_t &Out) {
-  return __builtin_add_overflow(A, B, &Out);
-}
-
-bool mulOverflows(int64_t A, int64_t B, int64_t &Out) {
-  return __builtin_mul_overflow(A, B, &Out);
-}
-
-} // namespace
 
 Interval Interval::join(const Interval &O) const {
   if (Empty)
@@ -49,15 +38,16 @@ Interval Interval::add(const Interval &O) const {
   if (Empty || O.Empty)
     return bottom();
   Interval R;
-  int64_t V;
-  if (HasLo && O.HasLo && !addOverflows(Lo, O.Lo, V)) {
-    R.HasLo = true;
-    R.Lo = V;
-  }
-  if (HasHi && O.HasHi && !addOverflows(Hi, O.Hi, V)) {
-    R.HasHi = true;
-    R.Hi = V;
-  }
+  if (HasLo && O.HasLo)
+    if (std::optional<int64_t> V = foldIntArith(BinOp::Add, Lo, O.Lo)) {
+      R.HasLo = true;
+      R.Lo = *V;
+    }
+  if (HasHi && O.HasHi)
+    if (std::optional<int64_t> V = foldIntArith(BinOp::Add, Hi, O.Hi)) {
+      R.HasHi = true;
+      R.Hi = *V;
+    }
   return R;
 }
 
@@ -67,14 +57,16 @@ Interval Interval::neg() const {
   if (Empty)
     return bottom();
   Interval R;
-  if (HasHi && Hi != INT64_MIN) {
-    R.HasLo = true;
-    R.Lo = -Hi;
-  }
-  if (HasLo && Lo != INT64_MIN) {
-    R.HasHi = true;
-    R.Hi = -Lo;
-  }
+  if (HasHi)
+    if (std::optional<int64_t> V = foldIntNeg(Hi)) {
+      R.HasLo = true;
+      R.Lo = *V;
+    }
+  if (HasLo)
+    if (std::optional<int64_t> V = foldIntNeg(Lo)) {
+      R.HasHi = true;
+      R.Hi = *V;
+    }
   return R;
 }
 
@@ -86,9 +78,13 @@ Interval Interval::mul(const Interval &O) const {
     return top();
   int64_t Candidates[4];
   int64_t Pairs[4][2] = {{Lo, O.Lo}, {Lo, O.Hi}, {Hi, O.Lo}, {Hi, O.Hi}};
-  for (int I = 0; I < 4; ++I)
-    if (mulOverflows(Pairs[I][0], Pairs[I][1], Candidates[I]))
+  for (int I = 0; I < 4; ++I) {
+    std::optional<int64_t> V =
+        foldIntArith(BinOp::Mul, Pairs[I][0], Pairs[I][1]);
+    if (!V)
       return top();
+    Candidates[I] = *V;
+  }
   int64_t MinV = Candidates[0], MaxV = Candidates[0];
   for (int I = 1; I < 4; ++I) {
     MinV = std::min(MinV, Candidates[I]);

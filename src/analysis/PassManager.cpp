@@ -19,41 +19,15 @@ using namespace rmt;
 
 namespace {
 
-class ConstPropPass : public Pass {
-public:
-  std::string_view name() const override { return "constprop"; }
-  std::string_view description() const override {
-    return "constant propagation, folding, assume-false branch pruning";
-  }
-  bool run(PassContext &PC) override {
-    unsigned Pruned = PC.Report.PrunedLabels;
-    unsigned Folded = PC.Report.FoldedExprs;
-    runConstPass(PC.Ctx, PC.Prog, PC.Report);
-    return PC.Report.PrunedLabels != Pruned || PC.Report.FoldedExprs != Folded;
-  }
-};
-
 class GvnPass : public Pass {
 public:
   std::string_view name() const override { return "gvn"; }
   std::string_view description() const override {
-    return "value numbering with copy/expression propagation";
+    return "value numbering: propagation, literal folding, assume pruning";
   }
   bool run(PassContext &PC) override {
     GvnReport R = runGvn(PC.Ctx, PC.Prog);
     PC.Report.PropagatedExprs += R.PropagatedExprs;
-    return R.total() != 0;
-  }
-};
-
-class AssumeElimPass : public Pass {
-public:
-  std::string_view name() const override { return "assumeelim"; }
-  std::string_view description() const override {
-    return "drop assumes entailed by value-numbered facts on all paths";
-  }
-  bool run(PassContext &PC) override {
-    GvnReport R = runAssumeElim(PC.Ctx, PC.Prog);
     PC.Report.RedundantAssumes += R.RedundantAssumes;
     PC.Report.ContradictedAssumes += R.ContradictedAssumes;
     return R.total() != 0;
@@ -78,7 +52,7 @@ class SplicePass : public Pass {
 public:
   std::string_view name() const override { return "splice"; }
   std::string_view description() const override {
-    return "splice `assume true` skip labels out of the flow graph";
+    return "splice out `assume true` skips, sweep unreachable labels";
   }
   bool run(PassContext &PC) override {
     unsigned Removed = spliceSkips(PC.Prog);
@@ -226,9 +200,7 @@ PassRegistry &PassRegistry::instance() {
   static PassRegistry R = [] {
     PassRegistry Reg;
     // Registration order defines the default pipeline order.
-    Reg.registerPass("constprop", make<ConstPropPass>);
     Reg.registerPass("gvn", make<GvnPass>);
-    Reg.registerPass("assumeelim", make<AssumeElimPass>);
     Reg.registerPass("slice", make<SlicePass>);
     Reg.registerPass("splice", make<SplicePass>);
     Reg.registerPass("deadproc", make<DeadProcPass>);
@@ -308,22 +280,6 @@ std::optional<PassPipeline> PassPipeline::parse(std::string_view Spec,
   return PL;
 }
 
-PassPipeline PassPipeline::fromOptions(const PrepassOptions &Opts) {
-  PassPipeline PL;
-  auto Add = [&](bool On, const char *Name) {
-    if (On)
-      PL.append(PassRegistry::instance().create(Name));
-  };
-  Add(Opts.ConstantFold, "constprop");
-  Add(Opts.Gvn, "gvn");
-  Add(Opts.AssumeElim, "assumeelim");
-  Add(Opts.Slice, "slice");
-  Add(Opts.SpliceSkips, "splice");
-  Add(Opts.DeadProcElim, "deadproc");
-  Add(Opts.Invariants, "inv");
-  return PL;
-}
-
 std::vector<std::string> PassPipeline::run(PassContext &PC,
                                            const PipelineOptions &Opts,
                                            Stats *S) const {
@@ -367,6 +323,12 @@ std::vector<std::string> PassPipeline::run(PassContext &PC,
 // runPrepass — the options-driven entry point
 //===----------------------------------------------------------------------===//
 
+std::string PrepassOptions::spec() const {
+  if (!Invariants)
+    return Passes;
+  return Passes.empty() ? "inv" : Passes + ",inv";
+}
+
 PrepassReport rmt::runPrepass(AstContext &Ctx, CfgProgram &Prog, ProcId &Root,
                               std::optional<Symbol> ErrGlobal,
                               const PrepassOptions &Opts, Stats *S) {
@@ -374,20 +336,13 @@ PrepassReport rmt::runPrepass(AstContext &Ctx, CfgProgram &Prog, ProcId &Root,
   R.LabelsBefore = Prog.Labels.size();
   R.ProcsBefore = Prog.Procs.size();
 
-  PassPipeline PL;
-  if (!Opts.Passes.empty()) {
-    std::string Error;
-    std::optional<PassPipeline> Parsed = PassPipeline::parse(Opts.Passes,
-                                                             &Error);
-    if (!Parsed) {
-      R.PipelineErrors.push_back(Error);
-      R.LabelsAfter = R.LabelsBefore;
-      R.ProcsAfter = R.ProcsBefore;
-      return R;
-    }
-    PL = std::move(*Parsed);
-  } else {
-    PL = PassPipeline::fromOptions(Opts);
+  std::string Error;
+  std::optional<PassPipeline> PL = PassPipeline::parse(Opts.spec(), &Error);
+  if (!PL) {
+    R.PipelineErrors.push_back(Error);
+    R.LabelsAfter = R.LabelsBefore;
+    R.ProcsAfter = R.ProcsBefore;
+    return R;
   }
 
   PipelineOptions PO;
@@ -396,9 +351,9 @@ PrepassReport rmt::runPrepass(AstContext &Ctx, CfgProgram &Prog, ProcId &Root,
   PO.Telemetry = Opts.Telemetry;
 
   TraceSpan Span(PO.Telemetry, "prepass.pipeline",
-                 {{"passes", PL.str()}, {"labels", R.LabelsBefore}});
+                 {{"passes", PL->str()}, {"labels", R.LabelsBefore}});
   PassContext PC{Ctx, Prog, Root, ErrGlobal, R};
-  R.PipelineErrors = PL.run(PC, PO, S);
+  R.PipelineErrors = PL->run(PC, PO, S);
   Span.note({"labels_after", Prog.Labels.size()});
   Span.close();
 

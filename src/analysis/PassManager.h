@@ -7,26 +7,31 @@
 /// \file
 /// The pass-manager layer over the lowered label form. Every prepass
 /// transformation is a registered `Pass` with a stable name, so pipelines can
-/// be assembled from CLI strings (`--passes=constprop,gvn,slice`), timed and
+/// be assembled from CLI strings (`--passes gvn,slice,splice`), timed and
 /// counted per pass, printed after every step (`--print-after-all`), and
 /// re-verified against the Fig. 7 structural invariants after every step
 /// (`--verify-each`, see VerifyCfg.h) — the discipline LLVM's pass manager
 /// and Boogie's `/trace` stack apply to their own IRs.
 ///
-/// Builtin passes (registration order is the default pipeline order):
+/// Builtin passes (registration order; the first four, in this order, are
+/// the default pipeline DefaultPrepassPasses):
 ///
-///   constprop  — constant propagation, folding, assume-false branch pruning
-///   gvn        — value numbering + copy/expression propagation (Gvn.h)
-///   assumeelim — drop assumes entailed by value-numbered facts (Gvn.h)
-///   slice      — cone-of-influence query slicing (Slicer.h)
-///   splice     — splice `assume true` skip labels out of the flow graph
-///   deadproc   — drop procedures unreachable from the root
-///   lint       — read-only audit of residual dead stores and unreachable
-///                labels; not part of the default pipeline (the AST-level
-///                `--lint` hygiene checks live in Lint.h — this pass audits
-///                what the transforming passes left behind)
-///   inv        — interval-invariant injection (InvariantGen.h); not part of
-///                the default pipeline, appended by +Inv configurations
+///   gvn      — value numbering: copy/expression propagation, literal
+///              folding, entailed assumes to skips, and assumes no execution
+///              passes to `assume false` with their successors cut (Gvn.h)
+///   slice    — cone-of-influence query slicing (Slicer.h)
+///   splice   — splice `assume true` skip labels out of the flow graph and
+///              sweep labels unreachable from their procedure's entry
+///   deadproc — drop procedures unreachable from the root
+///   lint     — read-only audit of residual dead stores and unreachable
+///              labels; not part of the default pipeline (the AST-level
+///              `--lint` hygiene checks live in Lint.h — this pass audits
+///              what the transforming passes left behind)
+///   inv      — interval-invariant injection (InvariantGen.h); not part of
+///              the default pipeline, appended by +Inv configurations
+///
+/// The prepass is configured by one spec string (PrepassOptions::Passes):
+/// `--no-prepass` is the empty spec, and +Inv appends `inv`.
 ///
 /// Passes mutate the program through a PassContext and accumulate their
 /// reduction counters into the shared PrepassReport (Dataflow.h), which keeps
@@ -119,7 +124,7 @@ public:
   size_t size() const { return Passes.size(); }
   bool empty() const { return Passes.empty(); }
 
-  /// "constprop,gvn,slice" — parseable back via parse().
+  /// "gvn,slice,splice" — parseable back via parse().
   std::string str() const;
 
   /// Runs every pass in order. Per-pass wall time and change counters land in
@@ -134,10 +139,6 @@ public:
   /// nullopt and sets \p Error on an unknown pass name.
   static std::optional<PassPipeline> parse(std::string_view Spec,
                                            std::string *Error = nullptr);
-
-  /// The default pipeline implied by \p Opts' toggles (Opts.Passes is NOT
-  /// consulted — runPrepass resolves the override).
-  static PassPipeline fromOptions(const PrepassOptions &Opts);
 
 private:
   std::vector<std::unique_ptr<Pass>> Passes;

@@ -185,7 +185,7 @@ private:
         uint64_t V = static_cast<uint64_t>(Sub.asInt());
         return Value::ofInt(static_cast<int64_t>((~V + 1) & Mask));
       }
-      return Value::ofInt(-Sub.asInt());
+      return intResult(foldIntNeg(Sub.asInt()));
     }
     case ExprKind::Binary:
       return evalBinary(E);
@@ -255,15 +255,17 @@ private:
     }
     switch (Op) {
     case BinOp::Add:
-      return Value::ofInt(L.asInt() + R.asInt());
     case BinOp::Sub:
-      return Value::ofInt(L.asInt() - R.asInt());
     case BinOp::Mul:
-      return Value::ofInt(L.asInt() * R.asInt());
     case BinOp::Div:
-      return Value::ofInt(euclideanDiv(L.asInt(), R.asInt()));
     case BinOp::Mod:
-      return Value::ofInt(euclideanMod(L.asInt(), R.asInt()));
+      // x div 0 and x mod 0 are uninterpreted in SMT; we pick 0 so the
+      // oracle stays total. Engines and the oracle agree only on runs with
+      // nonzero divisors; the workload generators never emit division by a
+      // possibly-zero expression.
+      if ((Op == BinOp::Div || Op == BinOp::Mod) && R.asInt() == 0)
+        return Value::ofInt(0);
+      return intResult(foldIntArith(Op, L.asInt(), R.asInt()));
     case BinOp::Eq:
       return Value::ofBool(L.equals(R));
     case BinOp::Ne:
@@ -285,24 +287,24 @@ private:
     return Value();
   }
 
-  /// SMT-LIB semantics: the remainder is non-negative; x div 0 and x mod 0
-  /// are uninterpreted in SMT — we pick 0 so the oracle stays total. Engines
-  /// and the oracle agree only on runs with nonzero divisors; the workload
-  /// generators never emit division by a possibly-zero expression.
-  static int64_t euclideanDiv(int64_t A, int64_t B) {
-    if (B == 0)
-      return 0;
-    // q such that A == q*B + r with r in [0, |B|).
-    return (A - euclideanMod(A, B)) / B;
+  /// An int result from the kernel; nullopt (no int64 result) flags the
+  /// run as Overflow, which every statement checks before acting.
+  Value intResult(std::optional<int64_t> V) {
+    if (!V) {
+      Overflowed = true;
+      return Value::ofInt(0);
+    }
+    return Value::ofInt(*V);
   }
 
-  static int64_t euclideanMod(int64_t A, int64_t B) {
-    if (B == 0)
-      return 0;
-    int64_t R = A % B;
-    if (R < 0)
-      R += (B > 0) ? B : -B;
-    return R;
+  /// Evaluates a statement-level expression; false when an int operation
+  /// inside it overflowed, which ends the run.
+  bool evalChecked(const Expr *E, Value &Out) {
+    Out = eval(E);
+    if (!Overflowed)
+      return true;
+    Result.Outcome = EvalOutcome::Overflow;
+    return false;
   }
 
   Flow execBlock(const std::vector<const Stmt *> &Block) {
@@ -314,12 +316,27 @@ private:
     return Flow::Next;
   }
 
+  /// Resolves an if/while guard; `*` guards draw from the RNG.
+  bool guard(const Stmt *S, bool &Taken) {
+    if (!S->guard()) {
+      Taken = Gen.chance(1, 2);
+      return true;
+    }
+    Value C;
+    if (!evalChecked(S->guard(), C))
+      return false;
+    Taken = C.asBool();
+    return true;
+  }
+
   Flow exec(const Stmt *S) {
     if (!spendFuel())
       return Flow::Halt;
     switch (S->kind()) {
     case StmtKind::Assign: {
-      Value V = eval(S->assignValue());
+      Value V;
+      if (!evalChecked(S->assignValue(), V))
+        return Flow::Halt;
       Value *Slot = lookup(S->assignTarget());
       assert(Slot && "assignment to unbound variable");
       *Slot = V;
@@ -333,24 +350,33 @@ private:
       }
       return Flow::Next;
     }
-    case StmtKind::Assume:
-      if (!eval(S->condition()).asBool()) {
+    case StmtKind::Assume: {
+      Value C;
+      if (!evalChecked(S->condition(), C))
+        return Flow::Halt;
+      if (!C.asBool()) {
         Result.Outcome = EvalOutcome::Blocked;
         return Flow::Halt;
       }
       return Flow::Next;
-    case StmtKind::Assert:
-      if (!eval(S->condition()).asBool()) {
+    }
+    case StmtKind::Assert: {
+      Value C;
+      if (!evalChecked(S->condition(), C))
+        return Flow::Halt;
+      if (!C.asBool()) {
         Result.Outcome = EvalOutcome::AssertFailed;
         Result.FailedAssertLoc = S->loc();
         return Flow::Halt;
       }
       return Flow::Next;
+    }
     case StmtKind::Call:
       return execCall(S);
     case StmtKind::If: {
-      bool TakeThen =
-          S->guard() ? eval(S->guard()).asBool() : Gen.chance(1, 2);
+      bool TakeThen;
+      if (!guard(S, TakeThen))
+        return Flow::Halt;
       return execBlock(TakeThen ? S->thenBlock() : S->elseBlock());
     }
     case StmtKind::While: {
@@ -358,8 +384,9 @@ private:
       for (;;) {
         if (!spendFuel())
           return Flow::Halt;
-        bool Continue =
-            S->guard() ? eval(S->guard()).asBool() : Gen.chance(1, 2);
+        bool Continue;
+        if (!guard(S, Continue))
+          return Flow::Halt;
         if (!Continue)
           break;
         ++Iterations;
@@ -383,7 +410,8 @@ private:
     std::vector<Value> Args;
     Args.reserve(S->callArgs().size());
     for (const Expr *A : S->callArgs())
-      Args.push_back(eval(A));
+      if (!evalChecked(A, Args.emplace_back()))
+        return Flow::Halt;
 
     std::vector<Value> Rets;
     if (!callProc(*Callee, Args, Rets))
@@ -457,6 +485,7 @@ private:
   std::vector<const Procedure *> CurrentProc;
   std::unordered_map<Symbol, unsigned> RecursionDepth;
   unsigned Steps = 0;
+  bool Overflowed = false;
   EvalResult Result;
 };
 

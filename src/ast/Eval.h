@@ -8,7 +8,10 @@
 /// A small-step concrete interpreter over the structured AST. It resolves
 /// every source of nondeterminism (initial globals, locals, havoc, `*`
 /// guards) from a seeded RNG and reports whether the run violated an
-/// assertion, got blocked by an assume, or completed.
+/// assertion, got blocked by an assume, or completed. Integer arithmetic is
+/// the unbounded SMT-LIB semantics computed through the literal-fold kernel
+/// (ast/Ops.h); a result outside int64 ends the run as Overflow rather than
+/// wrapping, so the oracle never reports a verdict the solver would not.
 ///
 /// This is the differential-testing oracle: any concretely failing run whose
 /// loop iteration counts and recursion depth fit inside the engines' bound R
@@ -44,6 +47,7 @@ enum class EvalOutcome {
   AssertFailed, ///< some assertion evaluated to false
   Blocked,      ///< an assume evaluated to false (the run "does not exist")
   OutOfFuel,    ///< exceeded MaxSteps
+  Overflow,     ///< an int result left int64; the run abstains
 };
 
 /// Result of one interpreter run, including the bound profile of the trace.

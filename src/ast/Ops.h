@@ -6,12 +6,18 @@
 ///
 /// \file
 /// Unary and binary operators shared by the AST, the evaluator, the type
-/// checker and the SMT term layer.
+/// checker and the SMT term layer, plus the literal-fold kernel: the one
+/// definition of SMT-LIB integer arithmetic on int64 values that the
+/// evaluator, the value-numbering folder, the interval domain and the term
+/// layer all call.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RMT_AST_OPS_H
 #define RMT_AST_OPS_H
+
+#include <cstdint>
+#include <optional>
 
 namespace rmt {
 
@@ -88,6 +94,16 @@ inline bool isLogicalOp(BinOp Op) {
     return false;
   }
 }
+
+/// The literal-fold kernel: \p Op (Add, Sub, Mul, Div or Mod) on int64
+/// operands under SMT-LIB semantics, with Euclidean `div`/`mod`
+/// (0 <= a mod b < |b|). Returns nullopt when the exact result is not an
+/// int64 (overflow) or is uninterpreted in SMT-LIB (`x div 0`, `x mod 0`),
+/// and for any other operator. Free of undefined behaviour for all inputs.
+std::optional<int64_t> foldIntArith(BinOp Op, int64_t A, int64_t B);
+
+/// Integer negation; nullopt when the result overflows (INT64_MIN).
+std::optional<int64_t> foldIntNeg(int64_t A);
 
 /// Surface-syntax spelling of \p Op.
 const char *spelling(UnOp Op);

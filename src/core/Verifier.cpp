@@ -2,7 +2,6 @@
 
 #include "core/Verifier.h"
 
-#include "analysis/InvariantGen.h"
 #include "ast/AstPrinter.h"
 #include "cfg/Lower.h"
 #include "transform/Transforms.h"
@@ -36,11 +35,12 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
 
   Out.NumProcsSolved = Out.NumProcs;
   Out.NumLabelsSolved = Out.NumLabels;
-  if (Opts.UsePrepass) {
-    // +Inv rides the pipeline as its last pass (unless an explicit
-    // --passes list took over the ordering).
-    PrepassOptions PO = Opts.Prepass;
-    PO.Invariants = PO.Invariants || Opts.UseInvariants;
+  // One pipeline spec: --no-prepass empties it, and +Inv appends `inv`.
+  PrepassOptions PO = Opts.Prepass;
+  if (!Opts.UsePrepass)
+    PO.Passes.clear();
+  PO.Invariants = PO.Invariants || Opts.UseInvariants;
+  if (!PO.spec().empty()) {
     if (!PO.Telemetry)
       PO.Telemetry = Opts.Telemetry;
     Out.Prepass = runPrepass(Ctx, Cfg, EntryProc, Instance.ErrVar, PO,
@@ -56,9 +56,6 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
       Out.Result.Outcome = Verdict::Unknown;
       return Out;
     }
-  } else if (Opts.UseInvariants) {
-    InvariantReport Report = injectInvariants(Ctx, Cfg, EntryProc);
-    Out.InvariantConjuncts = Report.Conjuncts;
   }
 
   EngineOptions EO = Opts.Engine;

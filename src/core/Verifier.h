@@ -31,18 +31,17 @@ struct VerifierOptions {
   unsigned Bound = 2;
   /// Run the interval-invariant prepass ("+Inv" of Section 4).
   bool UseInvariants = false;
-  /// Run the static-analysis prepass pipeline (constant folding, branch
-  /// pruning, GVN/copy propagation, assume-redundancy elimination, query
-  /// slicing, skip splicing, dead-procedure elimination) on the lowered
-  /// program before the engine. On by default; --no-prepass in the CLI. With
-  /// UseInvariants, invariant injection runs as the pipeline's last pass. A
+  /// Run the static-analysis prepass pipeline (Prepass.Passes, by default
+  /// GVN, query slicing, skip splicing, dead-procedure elimination) on the
+  /// lowered program before the engine. On by default; --no-prepass in the
+  /// CLI empties the pipeline spec. With UseInvariants, invariant injection
+  /// runs as the pipeline's last pass, with or without the prepass. A
   /// pipeline failure (--verify-each violation or a bad --passes spec) makes
   /// the run return Verdict::Unknown with diagnostics in
   /// Prepass.PipelineErrors rather than solve a possibly-miscompiled
   /// program.
   bool UsePrepass = true;
-  /// Fine-grained prepass toggles, explicit pass list, and pipeline knobs
-  /// (only consulted when UsePrepass).
+  /// Pipeline spec and knobs (Passes is ignored when !UsePrepass).
   PrepassOptions Prepass;
   /// Engine configuration (strategy, timeout, eager mode, limits).
   EngineOptions Engine;
@@ -61,11 +60,10 @@ struct VerifierRunResult {
   size_t NumProcs = 0;
   /// Labels after bounding.
   size_t NumLabels = 0;
-  /// Program size the engine actually saw (== the above with the prepass
-  /// off).
+  /// Program size the engine actually saw (== the above when no pass ran).
   size_t NumProcsSolved = 0;
   size_t NumLabelsSolved = 0;
-  /// What the prepass did (all zeros with the prepass off).
+  /// What the prepass did (all zeros when no pass ran).
   PrepassReport Prepass;
   /// Per-pass reduction counters under "prepass.*" keys.
   Stats PrepassStats;

@@ -2,6 +2,8 @@
 
 #include "smt/Term.h"
 
+#include "ast/Ops.h"
+
 #include <unordered_set>
 
 using namespace rmt;
@@ -173,7 +175,8 @@ TermRef TermArena::mkLe(TermRef A, TermRef B) {
 
 TermRef TermArena::mkNeg(TermRef A) {
   if (op(A) == TermOp::IntLit && isIntSort(sort(A)))
-    return intLit(-node(A).Payload);
+    if (std::optional<int64_t> V = foldIntNeg(node(A).Payload))
+      return intLit(*V);
   return makeApp(TermOp::Neg, sort(A), {A});
 }
 

@@ -143,6 +143,89 @@ std::optional<Program> parseOk(const char *Src, AstContext &Ctx) {
 
 } // namespace
 
+//===----------------------------------------------------------------------===//
+// The literal-fold kernel
+//===----------------------------------------------------------------------===//
+
+TEST(FoldKernel, SmtLibIntegerTable) {
+  constexpr int64_t Min = INT64_MIN, Max = INT64_MAX;
+  constexpr std::optional<int64_t> Refused;
+  struct Row {
+    BinOp Op;
+    int64_t A, B;
+    std::optional<int64_t> Want;
+  };
+  const Row Rows[] = {
+      {BinOp::Add, 6, 4, 10},
+      {BinOp::Sub, 6, 10, -4},
+      {BinOp::Mul, 6, -2, -12},
+      {BinOp::Add, Max, Min, -1},
+      // Euclidean signs: a == b * (a div b) + a mod b with 0 <= a mod b < |b|.
+      {BinOp::Div, 7, 2, 3},
+      {BinOp::Mod, 7, 2, 1},
+      {BinOp::Div, -7, 2, -4},
+      {BinOp::Mod, -7, 2, 1},
+      {BinOp::Div, 7, -2, -3},
+      {BinOp::Mod, 7, -2, 1},
+      {BinOp::Div, -7, -2, 4},
+      {BinOp::Mod, -7, -2, 1},
+      {BinOp::Div, -6, 3, -2},
+      {BinOp::Mod, -6, 3, 0},
+      // A dividend next to INT64_MIN: a - (a mod b) would overflow.
+      {BinOp::Div, Min + 1, 3, -3074457345618258603},
+      {BinOp::Mod, Min + 1, 3, 2},
+      // An INT64_MIN divisor, whose |b| is not an int64.
+      {BinOp::Mod, -5, Min, Max - 4},
+      {BinOp::Div, -5, Min, 1},
+      {BinOp::Mod, 5, Min, 5},
+      {BinOp::Div, 5, Min, 0},
+      {BinOp::Mod, Min, Min, 0},
+      {BinOp::Div, Min, Min, 1},
+      // Every remainder by -1 is 0, even INT64_MIN's.
+      {BinOp::Mod, Min, -1, 0},
+      {BinOp::Div, Max, -1, Min + 1},
+      // Refused: uninterpreted in SMT-LIB, or not an int64.
+      {BinOp::Div, 5, 0, Refused},
+      {BinOp::Mod, 5, 0, Refused},
+      {BinOp::Div, Min, -1, Refused},
+      {BinOp::Add, Max, 1, Refused},
+      {BinOp::Sub, Min, 1, Refused},
+      {BinOp::Mul, Min, -1, Refused},
+      {BinOp::Mul, 999999999999999999, 10, Refused},
+      // Predicates are not arithmetic.
+      {BinOp::Lt, 1, 2, Refused},
+  };
+  for (const Row &R : Rows)
+    EXPECT_EQ(foldIntArith(R.Op, R.A, R.B), R.Want)
+        << R.A << " " << spelling(R.Op) << " " << R.B;
+
+  EXPECT_EQ(foldIntNeg(5), -5);
+  EXPECT_EQ(foldIntNeg(Max), Min + 1);
+  EXPECT_EQ(foldIntNeg(Min), Refused);
+
+  // The Euclidean identity on a grid of extreme and small operands.
+  const int64_t Vals[] = {Min, Min + 1, -9, -2, -1, 0, 1, 2, 9, Max - 1, Max};
+  for (int64_t A : Vals)
+    for (int64_t B : Vals) {
+      std::optional<int64_t> Q = foldIntArith(BinOp::Div, A, B);
+      std::optional<int64_t> M = foldIntArith(BinOp::Mod, A, B);
+      if (B == 0) {
+        EXPECT_FALSE(Q || M);
+        continue;
+      }
+      ASSERT_TRUE(M) << A << " mod " << B;
+      __int128 AbsB = B < 0 ? -static_cast<__int128>(B) : B;
+      EXPECT_TRUE(*M >= 0 && *M < AbsB) << A << " mod " << B;
+      if (A == Min && B == -1) {
+        EXPECT_FALSE(Q);
+        continue;
+      }
+      ASSERT_TRUE(Q) << A << " div " << B;
+      EXPECT_EQ(static_cast<__int128>(*Q) * B + *M, static_cast<__int128>(A))
+          << A << " div " << B;
+    }
+}
+
 TEST(Eval, StraightLineArithmetic) {
   AstContext Ctx;
   auto P = parseOk(R"(
@@ -157,6 +240,36 @@ TEST(Eval, StraightLineArithmetic) {
   ASSERT_TRUE(P);
   EvalResult R = evaluate(Ctx, *P, Ctx.sym("main"), {});
   EXPECT_EQ(R.Outcome, EvalOutcome::Completed);
+}
+
+TEST(Eval, IntOverflowEndsTheRunInsteadOfWrapping) {
+  // Each program's int result leaves int64; a wrapped value would fail the
+  // assert, so only abstaining keeps the oracle honest. Literals have at
+  // most 18 digits, so INT64_MAX and INT64_MIN are built by arithmetic.
+  const char *Bodies[] = {
+      "g := 999999999999999999 * 10;",
+      "g := 922337203685477580 * 10 + 7; g := g + 1;",
+      "g := -922337203685477580 * 10 - 8; g := -g;",
+      "g := -922337203685477580 * 10 - 8; g := g div (-1);",
+      "g := 0; if (922337203685477580 * 10 + 7 + g + 1 > 0) { g := 1; }",
+  };
+  for (const char *Body : Bodies) {
+    AstContext Ctx;
+    std::string Src = std::string("var g: int; procedure main() { ") + Body +
+                      " assert g == 0; }";
+    auto P = parseOk(Src.c_str(), Ctx);
+    ASSERT_TRUE(P);
+    EvalResult R = evaluate(Ctx, *P, Ctx.sym("main"), {});
+    EXPECT_EQ(R.Outcome, EvalOutcome::Overflow) << Body;
+  }
+  // INT64_MIN mod -1 is representable (0): no overflow.
+  AstContext Ctx;
+  auto P = parseOk("var g: int; procedure main() { g := -922337203685477580 "
+                   "* 10 - 8; g := g mod (-1); assert g == 0; }",
+                   Ctx);
+  ASSERT_TRUE(P);
+  EXPECT_EQ(evaluate(Ctx, *P, Ctx.sym("main"), {}).Outcome,
+            EvalOutcome::Completed);
 }
 
 TEST(Eval, AssertFailureDetected) {

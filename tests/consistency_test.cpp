@@ -4,6 +4,7 @@
 #include "core/Consistency.h"
 #include "parser/Parser.h"
 #include "support/Rng.h"
+#include "transform/Transforms.h"
 #include "workload/RandomProg.h"
 
 #include <gtest/gtest.h>
@@ -259,7 +260,10 @@ TEST_P(ConsistencyProperty, IncrementalMatchesDefinition2) {
   Params.NumProcs = 5;
   Params.MaxStmts = 4;
   Params.MaxNesting = 2;
-  Program P = makeRandomProgram(Ctx, Params);
+  // Lowering expects asserts instrumented (loops are off by default).
+  Program P = instrumentAsserts(Ctx, makeRandomProgram(Ctx, Params),
+                                Ctx.sym("main"))
+                  .Prog;
   CfgProgram Cfg = lowerToCfg(Ctx, P);
   ASSERT_TRUE(Cfg.isHierarchical());
 

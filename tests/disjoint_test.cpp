@@ -3,6 +3,7 @@
 #include "cfg/Lower.h"
 #include "core/Disjoint.h"
 #include "parser/Parser.h"
+#include "transform/Transforms.h"
 #include "workload/RandomProg.h"
 
 #include <gtest/gtest.h>
@@ -222,7 +223,10 @@ TEST_P(Lemma1Property, AgreesWithBruteForceOnRandomPrograms) {
   Params.NumProcs = 4;
   Params.MaxStmts = 3;
   Params.MaxNesting = 1;
-  Program P = makeRandomProgram(Ctx, Params);
+  // Lowering expects asserts instrumented (loops are off by default).
+  Program P = instrumentAsserts(Ctx, makeRandomProgram(Ctx, Params),
+                                Ctx.sym("main"))
+                  .Prog;
   CfgProgram Cfg = lowerToCfg(Ctx, P);
   ASSERT_TRUE(Cfg.isHierarchical());
   DisjointAnalysis D(Cfg);

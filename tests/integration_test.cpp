@@ -267,7 +267,7 @@ namespace {
 
 void expectPrepassAgrees(AstContext &Ctx, const Program &P, unsigned Bound,
                          const std::string &What,
-                         const std::string &Passes = "") {
+                         const std::string &Passes = DefaultPrepassPasses) {
   VerifierOptions On = optsFor(MergeStrategyKind::First, Bound);
   // Re-check the Fig. 7 structural invariants after every pass: any pipeline
   // configuration that corrupts the label form fails here, not downstream.
@@ -351,12 +351,12 @@ TEST(PrepassDifferentialPipelines, PermutationsAgreeUnderVerifyEach) {
   // repetition) must agree with the no-prepass baseline; --verify-each keeps
   // each step honest about the label-form invariants along the way.
   const char *Specs[] = {
-      "gvn,assumeelim,splice,constprop,slice,deadproc", // gvn before constprop
-      "slice,deadproc,constprop,gvn,assumeelim,splice", // slice first
-      "assumeelim,gvn,assumeelim",                      // elim around gvn
-      "constprop,constprop,gvn,gvn,splice,splice",      // idempotence
-      "deadproc,splice",                                // reductions only
-      "gvn",                                            // a single pass
+      "gvn,splice,slice,deadproc", // splice before slice
+      "slice,deadproc,gvn,splice", // slice first
+      "splice,gvn,splice,gvn",     // gvn around splice, cuts left unswept
+      "gvn,gvn,splice,splice",     // idempotence
+      "deadproc,splice",           // reductions only
+      "gvn",                       // a single pass
   };
   for (const char *Spec : Specs) {
     for (unsigned N : {1u, 4u, 8u})

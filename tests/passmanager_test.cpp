@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 using namespace rmt;
 
 namespace {
@@ -340,6 +342,137 @@ TEST(Gvn, FoldsLiteralsThroughCopies) {
   EXPECT_TRUE(SawFoldedStore);
 }
 
+namespace {
+
+/// Runs GVN over \p Src and returns each local's last assigned right side.
+std::map<std::string, const Expr *> gvnRhs(AstContext &Ctx, const char *Src) {
+  std::map<std::string, const Expr *> Rhs;
+  auto P = parse(Src, Ctx);
+  if (!P)
+    return Rhs;
+  ProcId Root;
+  Symbol Err;
+  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
+  runGvn(Ctx, Cfg);
+  for (const CfgLabel &L : Cfg.Labels)
+    if (L.Stmt.Kind == CfgStmtKind::Assign)
+      Rhs[std::string(Ctx.name(L.Stmt.Target))] = L.Stmt.E;
+  return Rhs;
+}
+
+bool isIntLit(const Expr *E, int64_t V) {
+  return E && E->kind() == ExprKind::IntLit && E->intValue() == V;
+}
+
+} // namespace
+
+// Constant-expression evaluation under a known binding (x == 6) is GVN's
+// literal folding.
+TEST(EvalConstExpr, FoldsArithmeticAndComparisons) {
+  AstContext Ctx;
+  auto Rhs = gvnRhs(Ctx, R"(
+    procedure main() {
+      var x: int;
+      var a: int;
+      var b: int;
+      var c: bool;
+      var n: int;
+      var q: int;
+      var m: int;
+      var t: int;
+      x := 6;
+      a := x + 4;
+      b := x * (-2);
+      c := x < 7;
+      n := -x;
+      q := (-7) div 2;
+      m := (-7) mod 2;
+      t := (if x == 6 then 1 else 2);
+      assert c && a + b + n + q + m + t > 0;
+    }
+  )");
+  EXPECT_TRUE(isIntLit(Rhs["a"], 10));
+  EXPECT_TRUE(isIntLit(Rhs["b"], -12));
+  ASSERT_TRUE(Rhs["c"]);
+  EXPECT_EQ(Rhs["c"]->kind(), ExprKind::BoolLit);
+  EXPECT_TRUE(Rhs["c"]->boolValue());
+  EXPECT_TRUE(isIntLit(Rhs["n"], -6));
+  // Euclidean semantics: -7 div 2 = -4, -7 mod 2 = 1.
+  EXPECT_TRUE(isIntLit(Rhs["q"], -4));
+  EXPECT_TRUE(isIntLit(Rhs["m"], 1));
+  EXPECT_TRUE(isIntLit(Rhs["t"], 1));
+}
+
+TEST(EvalConstExpr, RefusesDivByZeroAndOverflow) {
+  // x div 0 is uninterpreted in SMT, and a wrapped int64 is not the
+  // mathematical result; folding either would change verdicts. Literals
+  // have at most 18 digits, so INT64_MAX and INT64_MIN are built by
+  // arithmetic (which does fold).
+  AstContext Ctx;
+  auto Rhs = gvnRhs(Ctx, R"(
+    procedure main() {
+      var d: int;
+      var r: int;
+      var hi: int;
+      var lo: int;
+      var o: int;
+      var p: int;
+      d := 5 div 0;
+      r := 5 mod 0;
+      hi := 922337203685477580 * 10 + 7;
+      lo := -922337203685477580 * 10 - 8;
+      o := hi + 1;
+      p := lo * (-1);
+      assert d + r + o + p >= 0;
+    }
+  )");
+  EXPECT_TRUE(isIntLit(Rhs["hi"], INT64_MAX));
+  EXPECT_TRUE(isIntLit(Rhs["lo"], INT64_MIN));
+  for (const char *V : {"d", "r", "o", "p"}) {
+    ASSERT_TRUE(Rhs[V]) << V;
+    EXPECT_NE(Rhs[V]->kind(), ExprKind::IntLit) << V;
+  }
+}
+
+TEST(Gvn, FoldsConnectivesThroughUnknowns) {
+  // Expressions are total, so an absorbing operand decides a connective
+  // whatever the other side holds; an identity operand leaves the other.
+  AstContext Ctx;
+  auto P = parse(R"(
+    procedure main() {
+      var u: bool;
+      var a: bool;
+      var b: bool;
+      var c: bool;
+      var d: bool;
+      havoc u;
+      a := false && u;
+      b := u || true;
+      c := false ==> u;
+      d := true && u;
+      assert (a || b) && (c || d);
+    }
+  )",
+                 Ctx);
+  ProcId Root;
+  Symbol Err;
+  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
+  runGvn(Ctx, Cfg);
+  std::map<std::string, const Expr *> Rhs;
+  for (const CfgLabel &L : Cfg.Labels)
+    if (L.Stmt.Kind == CfgStmtKind::Assign)
+      Rhs[std::string(Ctx.name(L.Stmt.Target))] = L.Stmt.E;
+  auto IsLit = [](const Expr *E, bool V) {
+    return E && E->kind() == ExprKind::BoolLit && E->boolValue() == V;
+  };
+  EXPECT_TRUE(IsLit(Rhs["a"], false));
+  EXPECT_TRUE(IsLit(Rhs["b"], true));
+  EXPECT_TRUE(IsLit(Rhs["c"], true));
+  ASSERT_TRUE(Rhs["d"]);
+  ASSERT_EQ(Rhs["d"]->kind(), ExprKind::Var);
+  EXPECT_EQ(Ctx.name(Rhs["d"]->var()), "u");
+}
+
 TEST(Gvn, EliminatesEntailedAssume) {
   AstContext Ctx;
   auto P = parse(R"(
@@ -355,7 +488,7 @@ TEST(Gvn, EliminatesEntailedAssume) {
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  GvnReport R = runAssumeElim(Ctx, Cfg);
+  GvnReport R = runGvn(Ctx, Cfg);
   EXPECT_GE(R.RedundantAssumes, 1u);
   EXPECT_TRUE(verifyCfg(Ctx, Cfg, Root, Err).empty());
 }
@@ -375,7 +508,7 @@ TEST(Gvn, SharpensContradictedAssume) {
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  GvnReport R = runAssumeElim(Ctx, Cfg);
+  GvnReport R = runGvn(Ctx, Cfg);
   EXPECT_GE(R.ContradictedAssumes, 1u);
   // The sharpened label is `assume false` with its successors cut.
   bool SawFalse = false;
@@ -389,15 +522,72 @@ TEST(Gvn, SharpensContradictedAssume) {
   EXPECT_TRUE(verifyCfg(Ctx, Cfg, Root, Err).empty());
 }
 
+TEST(Gvn, PrunesBranchWhoseRecordedConditionsClash) {
+  // `y == 1 && x > 0` is neither refuted nor folded on its own: only the
+  // conditions it records (x > 0 against the earlier !(x > 0)) clash, so the
+  // assume's post-state is bottom and the guarded call goes.
+  AstContext Ctx;
+  auto P = parse(R"(
+    var g: int;
+    procedure expensive() { g := g + 1; assert g < 100; }
+    procedure main() {
+      var x: int;
+      var y: int;
+      havoc x;
+      havoc y;
+      assume !(x > 0);
+      if (y == 1 && x > 0) { call expensive(); }
+    }
+  )",
+                 Ctx);
+  ProcId Root;
+  Symbol Err;
+  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
+  PrepassOptions Opts;
+  Opts.VerifyEach = true;
+  PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts);
+  ASSERT_TRUE(R.ok()) << joined(R.PipelineErrors);
+  EXPECT_GE(R.ContradictedAssumes, 1u);
+  EXPECT_EQ(Cfg.findProc(Ctx.sym("expensive")), InvalidProc);
+  EXPECT_EQ(R.ProcsAfter, 1u);
+  EXPECT_EQ(findLabel(Cfg, CfgStmtKind::Call), InvalidLabel);
+}
+
+TEST(Gvn, SecondRunChangesNothing) {
+  AstContext Ctx;
+  auto P = parse(R"(
+    procedure main() {
+      var x: int;
+      var y: int;
+      havoc x;
+      y := x;
+      assume y > 0;
+      assume x > 0;
+      if (x > 0) { y := y + 1; } else { y := 0; }
+      assert y > 1;
+    }
+  )",
+                 Ctx);
+  ProcId Root;
+  Symbol Err;
+  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
+  GvnReport First = runGvn(Ctx, Cfg);
+  EXPECT_GE(First.RedundantAssumes, 1u);
+  EXPECT_GE(First.ContradictedAssumes, 1u);
+  std::string After = Cfg.str(Ctx);
+  GvnReport Second = runGvn(Ctx, Cfg);
+  EXPECT_EQ(Second.total(), 0u);
+  EXPECT_EQ(Cfg.str(Ctx), After);
+}
+
 //===----------------------------------------------------------------------===//
 // Registry and pipelines
 //===----------------------------------------------------------------------===//
 
 TEST(PassRegistry, ListsBuiltinsInDefaultPipelineOrder) {
   std::vector<std::string> Names = PassRegistry::instance().names();
-  std::vector<std::string> Builtins = {"constprop", "gvn",  "assumeelim",
-                                       "slice",     "splice", "deadproc",
-                                       "lint",      "inv"};
+  std::vector<std::string> Builtins = {"gvn",      "slice", "splice",
+                                       "deadproc", "lint",  "inv"};
   // Tests may append more; the builtin prefix is stable.
   ASSERT_GE(Names.size(), Builtins.size());
   for (size_t I = 0; I < Builtins.size(); ++I)
@@ -412,30 +602,30 @@ TEST(PassRegistry, ListsBuiltinsInDefaultPipelineOrder) {
 }
 
 TEST(PassPipeline, ParsesSpecsAndRoundTrips) {
-  std::optional<PassPipeline> PL = PassPipeline::parse(" constprop , gvn ,");
+  std::optional<PassPipeline> PL = PassPipeline::parse(" gvn , slice ,");
   ASSERT_TRUE(PL);
   EXPECT_EQ(PL->size(), 2u);
-  EXPECT_EQ(PL->str(), "constprop,gvn");
+  EXPECT_EQ(PL->str(), "gvn,slice");
 
   std::string Error;
-  EXPECT_FALSE(PassPipeline::parse("constprop,bogus", &Error));
+  EXPECT_FALSE(PassPipeline::parse("gvn,bogus", &Error));
   EXPECT_NE(Error.find("unknown pass 'bogus'"), std::string::npos);
-  EXPECT_NE(Error.find("constprop"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("gvn"), std::string::npos) << Error;
 
   EXPECT_TRUE(PassPipeline::parse("")->empty());
 }
 
-TEST(PassPipeline, FromOptionsFollowsToggles) {
+TEST(PassPipeline, SpecIsPassesThenInv) {
   PrepassOptions Opts;
-  EXPECT_EQ(PassPipeline::fromOptions(Opts).str(),
-            "constprop,gvn,assumeelim,slice,splice,deadproc");
+  EXPECT_EQ(Opts.spec(), "gvn,slice,splice,deadproc");
+  EXPECT_EQ(PassPipeline::parse(Opts.spec())->str(), Opts.spec());
   Opts.Invariants = true;
-  EXPECT_EQ(PassPipeline::fromOptions(Opts).str(),
-            "constprop,gvn,assumeelim,slice,splice,deadproc,inv");
-  PrepassOptions Off;
-  Off.ConstantFold = Off.Gvn = Off.AssumeElim = Off.Slice = Off.SpliceSkips =
-      Off.DeadProcElim = false;
-  EXPECT_TRUE(PassPipeline::fromOptions(Off).empty());
+  EXPECT_EQ(Opts.spec(), "gvn,slice,splice,deadproc,inv");
+  // The empty spec is "no prepass"; +Inv still runs alone.
+  Opts.Passes.clear();
+  EXPECT_EQ(Opts.spec(), "inv");
+  Opts.Invariants = false;
+  EXPECT_TRUE(Opts.spec().empty());
 }
 
 TEST(PassPipeline, RecordsPerPassStats) {
@@ -448,8 +638,7 @@ TEST(PassPipeline, RecordsPerPassStats) {
   PrepassOptions Opts;
   PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts, &S);
   EXPECT_TRUE(R.ok());
-  for (const char *Name :
-       {"constprop", "gvn", "assumeelim", "slice", "splice", "deadproc"})
+  for (const char *Name : {"gvn", "slice", "splice", "deadproc"})
     EXPECT_EQ(S.get("pass." + std::string(Name) + ".runs"), 1)
         << Name;
   // The demo program has skip labels to splice, so at least one pass reports
@@ -498,7 +687,7 @@ TEST(PassPipeline, LintAuditCountsResidualDeadStores) {
     Symbol Err;
     CfgProgram Cfg = lower(Ctx, *P, Root, Err);
     PrepassOptions Opts;
-    Opts.Passes = "constprop,gvn,assumeelim,slice,splice,deadproc,lint";
+    Opts.Passes = "gvn,slice,splice,deadproc,lint";
     Opts.VerifyEach = true;
     PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts);
     ASSERT_TRUE(R.ok()) << joined(R.PipelineErrors);
@@ -541,8 +730,8 @@ TEST(PassPipeline, PassesOverrideRunsOnlyTheListedPasses) {
   PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts, &S);
   EXPECT_TRUE(R.ok());
   EXPECT_EQ(S.get("pass.splice.runs"), 2);
-  EXPECT_EQ(S.get("pass.constprop.runs"), 0);
   EXPECT_EQ(S.get("pass.gvn.runs"), 0);
+  EXPECT_EQ(S.get("pass.deadproc.runs"), 0);
 }
 
 TEST(PassPipeline, UnknownPassNameAbortsBeforeRunningAnything) {
@@ -553,7 +742,7 @@ TEST(PassPipeline, UnknownPassNameAbortsBeforeRunningAnything) {
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
   size_t LabelsBefore = Cfg.Labels.size();
   PrepassOptions Opts;
-  Opts.Passes = "constprop,bogus";
+  Opts.Passes = "gvn,bogus";
   PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts);
   EXPECT_FALSE(R.ok());
   ASSERT_EQ(R.PipelineErrors.size(), 1u);
@@ -595,7 +784,7 @@ TEST(PassPipeline, VerifyEachCatchesACorruptingPass) {
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
 
   PrepassOptions Opts;
-  Opts.Passes = "constprop,corrupt,splice";
+  Opts.Passes = "gvn,corrupt,splice";
   Opts.VerifyEach = true;
   Stats S;
   PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts, &S);
@@ -626,22 +815,24 @@ TEST(PassPipeline, VerifyEachChecksThePipelineInputToo) {
   EXPECT_NE(R.PipelineErrors[0].find("VerifyCfg after pipeline input"),
             std::string::npos)
       << R.PipelineErrors[0];
-  EXPECT_EQ(S.get("pass.constprop.runs"), 0);
+  EXPECT_EQ(S.get("pass.gvn.runs"), 0);
 }
 
 TEST(PassPipeline, WithoutVerifyEachCorruptionGoesUnnoticed) {
   // Sanity-check the control: the corrupting pass only trips the pipeline
   // when verification is requested (the verifier's Unknown-on-abort path
-  // depends on this distinction).
+  // depends on this distinction). The runner is called directly because
+  // runPrepass also turns verification on under RMT_VERIFY_EACH.
   PassRegistry::instance().registerPass("corrupt", makeCorruptingPass);
   AstContext Ctx;
   auto P = parse(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  PrepassOptions Opts;
-  Opts.Passes = "corrupt";
-  PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts);
-  EXPECT_TRUE(R.ok());
+  std::optional<PassPipeline> PL = PassPipeline::parse("corrupt");
+  ASSERT_TRUE(PL);
+  PrepassReport R;
+  PassContext PC{Ctx, Cfg, Root, Err, R};
+  EXPECT_TRUE(PL->run(PC).empty());
   EXPECT_FALSE(verifyCfg(Ctx, Cfg, Root, Err).empty());
 }

@@ -6,6 +6,7 @@
 #include "core/Verifier.h"
 #include "parser/Parser.h"
 #include "transform/Transforms.h"
+#include "workload/Chain.h"
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,30 @@ const char *DeepBugSrc = R"(
 )";
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Prepass configuration
+//===----------------------------------------------------------------------===//
+
+TEST(VerifierPrepass, InvariantsWithoutPrepassRunThroughThePipeline) {
+  // --no-prepass --inv is the one-pass spec `inv`: it is timed like any
+  // pass, and the engine solves the program with the injected labels.
+  AstContext Ctx;
+  Program P = makeChainProgram(Ctx, 3, /*Buggy=*/false);
+  VerifierOptions Opts;
+  Opts.Bound = 1;
+  Opts.UsePrepass = false;
+  Opts.UseInvariants = true;
+  Opts.Engine.Strategy.Kind = MergeStrategyKind::First;
+  VerifierRunResult R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
+  EXPECT_TRUE(R.Prepass.ok());
+  EXPECT_GT(R.InvariantConjuncts, 0u);
+  EXPECT_GT(R.NumLabelsSolved, R.NumLabels);
+  EXPECT_EQ(R.Prepass.LabelsAfter, R.NumLabelsSolved);
+  EXPECT_EQ(R.PrepassStats.get("pass.inv.runs"), 1);
+  EXPECT_EQ(R.PrepassStats.get("pass.gvn.runs"), 0);
+}
 
 //===----------------------------------------------------------------------===//
 // Iterative deepening

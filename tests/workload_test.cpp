@@ -93,7 +93,10 @@ TEST(RandomGen, AcyclicWithoutLoopsOption) {
     RandomProgParams Params;
     Params.Seed = Seed;
     Params.AllowLoops = false;
-    Program P = makeRandomProgram(Ctx, Params);
+    // Lowering expects asserts instrumented.
+    Program P = instrumentAsserts(Ctx, makeRandomProgram(Ctx, Params),
+                                  Ctx.sym("main"))
+                    .Prog;
     CfgProgram Cfg = lowerToCfg(Ctx, P);
     EXPECT_TRUE(Cfg.isHierarchical()) << "seed " << Seed;
   }
