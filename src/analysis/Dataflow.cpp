@@ -91,6 +91,24 @@ std::vector<ProcEffects> rmt::computeProcEffects(const CfgProgram &Prog) {
   return FX;
 }
 
+std::vector<bool> rmt::entryReachableLabels(const CfgProgram &Prog) {
+  std::vector<bool> Reached(Prog.Labels.size(), false);
+  for (const CfgProc &P : Prog.Procs) {
+    std::vector<LabelId> Work{P.Entry};
+    Reached[P.Entry] = true;
+    while (!Work.empty()) {
+      LabelId L = Work.back();
+      Work.pop_back();
+      for (LabelId T : Prog.label(L).Targets)
+        if (!Reached[T]) {
+          Reached[T] = true;
+          Work.push_back(T);
+        }
+    }
+  }
+  return Reached;
+}
+
 namespace {
 
 bool isSkipLabel(const CfgLabel &L) {
@@ -258,21 +276,7 @@ unsigned rmt::spliceSkips(CfgProgram &Prog) {
   }
 
   // Sweep everything the rewiring orphaned.
-  std::vector<bool> Keep(N, false);
-  for (const CfgProc &P : Prog.Procs) {
-    std::vector<LabelId> Work{P.Entry};
-    Keep[P.Entry] = true;
-    while (!Work.empty()) {
-      LabelId L = Work.back();
-      Work.pop_back();
-      for (LabelId T : Prog.label(L).Targets)
-        if (!Keep[T]) {
-          Keep[T] = true;
-          Work.push_back(T);
-        }
-    }
-  }
-  return compactLabels(Prog, Keep);
+  return compactLabels(Prog, entryReachableLabels(Prog));
 }
 
 //===----------------------------------------------------------------------===//

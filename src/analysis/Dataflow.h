@@ -184,6 +184,10 @@ struct ProcEffects {
 /// graph, indexed by ProcId.
 std::vector<ProcEffects> computeProcEffects(const CfgProgram &Prog);
 
+/// Indexed by LabelId: whether the label is reachable from its procedure's
+/// entry in the flow graph.
+std::vector<bool> entryReachableLabels(const CfgProgram &Prog);
+
 //===----------------------------------------------------------------------===//
 // The verification prepass
 //===----------------------------------------------------------------------===//

@@ -9,8 +9,9 @@
 /// embed as [0,1]). Used by the invariant-generation prepass that stands in
 /// for Corral's Houdini ("Corral uses invariant generation techniques as
 /// pre-pass; any inferred invariant is injected into the program as an
-/// assume statement", Section 4). Hierarchical programs are acyclic, so no
-/// widening is needed.
+/// assume statement", Section 4). Each procedure's flow graph is acyclic,
+/// but the interprocedural iteration over call contexts is not bounded, so
+/// IntervalAnalysis widens (AbsEnv::widen) after its first rounds.
 ///
 //===----------------------------------------------------------------------===//
 

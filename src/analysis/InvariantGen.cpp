@@ -2,32 +2,33 @@
 
 #include "analysis/InvariantGen.h"
 
-#include <algorithm>
-#include <cassert>
+#include "ast/Ops.h"
 
 using namespace rmt;
 
-void AbsEnv::joinWith(const AbsEnv &O) {
+bool AbsEnv::joinWith(const AbsEnv &O) {
   if (O.Bottom)
-    return;
+    return false;
   if (Bottom) {
     *this = O;
-    return;
+    return true;
   }
   // Missing keys are top; a key survives only if bounded on both sides.
+  bool Grew = false;
   for (auto It = Vals.begin(); It != Vals.end();) {
     auto OIt = O.Vals.find(It->first);
-    if (OIt == O.Vals.end()) {
+    Interval J =
+        OIt == O.Vals.end() ? Interval::top() : It->second.join(OIt->second);
+    if (J.isTop()) {
       It = Vals.erase(It);
+      Grew = true;
       continue;
     }
-    It->second = It->second.join(OIt->second);
-    if (It->second.isTop()) {
-      It = Vals.erase(It);
-      continue;
-    }
+    Grew |= !(J == It->second);
+    It->second = J;
     ++It;
   }
+  return Grew;
 }
 
 AbsEnv AbsEnv::widen(const AbsEnv &Old, const AbsEnv &New) {
@@ -53,8 +54,73 @@ AbsEnv AbsEnv::widen(const AbsEnv &Old, const AbsEnv &New) {
   return Out;
 }
 
+namespace {
+
+/// The per-statement transfer of the interval analysis over one procedure, a
+/// forward DataflowSolver client. Call post-states come from the callee
+/// summaries: a bottom summary means "no terminated execution of the callee
+/// is known (yet)", so the continuation is unreachable. During the ascending
+/// iteration this is the least-fixpoint reading; at the fixpoint it is exact
+/// (callees always terminate control-wise, so a reachable call's callee has
+/// a non-bottom summary).
+struct IntervalFlow {
+  using Value = AbsEnv;
+  static constexpr FlowDirection Direction = FlowDirection::Forward;
+
+  const CfgProgram &Prog;
+  const CfgProc &Proc;
+  /// Constrains globals and parameters only; returns and locals start
+  /// nondeterministic (which "top" already expresses).
+  const AbsEnv &Entry;
+  const std::vector<AbsEnv> &CallSummaries;
+
+  Value bottom() const { return AbsEnv::bottomEnv(); }
+  Value boundary() const { return Entry; }
+  bool join(Value &Into, const Value &From) const {
+    return Into.joinWith(From);
+  }
+
+  Value transfer(LabelId, const CfgStmt &S, const Value &In) const {
+    if (In.isBottom())
+      return In; // unreachable label or dead branch
+    AbsEnv Out = In;
+    switch (S.Kind) {
+    case CfgStmtKind::Assume:
+      Out.assume(S.E);
+      break;
+    case CfgStmtKind::Assign:
+      Out.set(S.Target, In.eval(S.E));
+      break;
+    case CfgStmtKind::Havoc:
+      for (Symbol V : S.Vars)
+        Out.set(V, Proc.typeOf(V) && Proc.typeOf(V)->isBool()
+                       ? Interval::boolTop()
+                       : Interval::top());
+      break;
+    case CfgStmtKind::Call: {
+      // Globals and results come from the callee's summary.
+      const AbsEnv &Summary = CallSummaries[S.Callee];
+      if (Summary.isBottom())
+        return Summary;
+      const CfgProc &Callee = Prog.proc(S.Callee);
+      for (const VarDecl &G : Prog.Globals)
+        Out.set(G.Name, Summary.get(G.Name));
+      for (size_t I = 0; I < S.Vars.size(); ++I)
+        Out.set(S.Vars[I], Summary.get(Callee.Returns[I].Name));
+      break;
+    }
+    }
+    return Out;
+  }
+};
+
+} // namespace
+
 IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
     : Prog(Prog) {
+  Flows.reserve(Prog.Procs.size());
+  for (ProcId P = 0; P < Prog.Procs.size(); ++P)
+    Flows.emplace_back(Prog, P);
   EntryEnvs.assign(Prog.Procs.size(), AbsEnv::bottomEnv());
   ExitSummaries.assign(Prog.Procs.size(), AbsEnv::bottomEnv());
   ContextExitSummaries.assign(Prog.Procs.size(), AbsEnv::bottomEnv());
@@ -62,8 +128,7 @@ IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
   // Phase 1: callees-first exit summaries under an unconstrained entry.
   std::vector<ProcId> BottomUp = Prog.bottomUpProcOrder();
   for (ProcId P : BottomUp)
-    ExitSummaries[P] =
-        analyzeProc(P, AbsEnv(), ExitSummaries, /*Record=*/false);
+    ExitSummaries[P] = solveProc(P, AbsEnv(), ExitSummaries, /*Record=*/false);
 
   // Phase 2: ascending Kleene iteration for entries + contextual exits.
   // Entries accumulate joins of call contexts; exits are recomputed from
@@ -79,14 +144,13 @@ IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
     // Callers first: propagate contexts (Record joins into EntryEnvs).
     for (auto It = BottomUp.rbegin(); It != BottomUp.rend(); ++It)
       if (!EntryEnvs[*It].isBottom())
-        analyzeProc(*It, EntryEnvs[*It], ContextExitSummaries,
-                    /*Record=*/true);
+        solveProc(*It, EntryEnvs[*It], ContextExitSummaries, /*Record=*/true);
     // Callees first: recompute contextual exits under the new entries.
     for (ProcId P : BottomUp)
       if (!EntryEnvs[P].isBottom())
         ContextExitSummaries[P] =
-            analyzeProc(P, EntryEnvs[P], ContextExitSummaries,
-                        /*Record=*/false);
+            solveProc(P, EntryEnvs[P], ContextExitSummaries,
+                      /*Record=*/false);
 
     if (Round >= WidenAfter) {
       for (size_t I = 0; I < EntryEnvs.size(); ++I) {
@@ -108,92 +172,45 @@ IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
   }
 }
 
-AbsEnv IntervalAnalysis::analyzeProc(ProcId P, const AbsEnv &Entry,
-                                     const std::vector<AbsEnv> &CallSummaries,
-                                     bool Record) {
+AbsEnv IntervalAnalysis::solveProc(ProcId P, const AbsEnv &Entry,
+                                   const std::vector<AbsEnv> &CallSummaries,
+                                   bool Record) {
   const CfgProc &Proc = Prog.proc(P);
-  std::unordered_map<LabelId, AbsEnv> Pre;
-  for (LabelId L : Proc.Labels)
-    Pre[L] = AbsEnv::bottomEnv();
-  // Entry env constrains globals and parameters only; returns and locals
-  // start nondeterministic (which "top" already expresses).
-  Pre[Proc.Entry] = Entry;
+  IntervalFlow A{Prog, Proc, Entry, CallSummaries};
+  DataflowSolver<IntervalFlow> Solver(Flows[P], A);
+  Solver.solve();
 
   AbsEnv Exit = AbsEnv::bottomEnv();
-  for (LabelId L : Prog.topoOrder(P)) {
-    const AbsEnv &In = Pre[L];
-    if (In.isBottom() && L != Proc.Entry) {
-      // Unreachable label (or dead branch).
-      continue;
-    }
-    AbsEnv Out = In;
-    const CfgStmt &S = Prog.label(L).Stmt;
-    switch (S.Kind) {
-    case CfgStmtKind::Assume:
-      refine(Out, S.E, /*Positive=*/true);
-      break;
-    case CfgStmtKind::Assign:
-      Out.set(S.Target, evalExpr(S.E, In));
-      break;
-    case CfgStmtKind::Havoc:
-      for (Symbol V : S.Vars)
-        Out.set(V, Proc.typeOf(V) && Proc.typeOf(V)->isBool()
-                       ? Interval::boolTop()
-                       : Interval::top());
-      break;
-    case CfgStmtKind::Call: {
+  for (LabelId L : Proc.Labels) {
+    const CfgLabel &Lbl = Prog.label(L);
+    const AbsEnv &In = Solver.pre(L);
+    if (Record && Lbl.Stmt.Kind == CfgStmtKind::Call && !In.isBottom()) {
+      // Contribute this context to the callee's entry invariant.
+      const CfgStmt &S = Lbl.Stmt;
       const CfgProc &Callee = Prog.proc(S.Callee);
-      if (Record) {
-        // Contribute this context to the callee's entry invariant.
-        AbsEnv Context;
-        for (const VarDecl &G : Prog.Globals)
-          Context.set(G.Name, In.get(G.Name));
-        for (size_t I = 0; I < Callee.Params.size(); ++I)
-          Context.set(Callee.Params[I].Name, evalExpr(S.Args[I], In));
-        if (!In.isBottom())
-          EntryEnvs[S.Callee].joinWith(Context);
-      }
-      // Post-state: globals and results come from the callee's summary. A
-      // bottom summary means "no terminated execution of the callee is
-      // known (yet)": the continuation is unreachable. During the ascending
-      // iteration this is the least-fixpoint reading; at the fixpoint it is
-      // exact (our callees always terminate control-wise, so a reachable
-      // call's callee has a non-bottom summary).
-      const AbsEnv &Summary = CallSummaries[S.Callee];
-      if (Summary.isBottom()) {
-        Out = AbsEnv::bottomEnv();
-        break;
-      }
+      AbsEnv Context;
       for (const VarDecl &G : Prog.Globals)
-        Out.set(G.Name, Summary.get(G.Name));
-      for (size_t I = 0; I < S.Vars.size(); ++I)
-        Out.set(S.Vars[I], Summary.get(Callee.Returns[I].Name));
-      break;
+        Context.set(G.Name, In.get(G.Name));
+      for (size_t I = 0; I < Callee.Params.size(); ++I)
+        Context.set(Callee.Params[I].Name, In.eval(S.Args[I]));
+      EntryEnvs[S.Callee].joinWith(Context);
     }
-    }
-
-    if (Prog.label(L).Targets.empty()) {
-      // Exit label: project onto globals and returns for the summary.
-      AbsEnv Projected;
-      if (Out.isBottom()) {
-        Projected = AbsEnv::bottomEnv();
-      } else {
-        for (const VarDecl &G : Prog.Globals)
-          Projected.set(G.Name, Out.get(G.Name));
-        for (const VarDecl &R : Proc.Returns)
-          Projected.set(R.Name, Out.get(R.Name));
-      }
-      Exit.joinWith(Projected);
-    } else {
-      for (LabelId T : Prog.label(L).Targets)
-        Pre[T].joinWith(Out);
-    }
+    const AbsEnv &Out = Solver.post(L);
+    if (!Lbl.Targets.empty() || Out.isBottom())
+      continue;
+    // Exit label: project onto globals and returns for the summary.
+    AbsEnv Projected;
+    for (const VarDecl &G : Prog.Globals)
+      Projected.set(G.Name, Out.get(G.Name));
+    for (const VarDecl &R : Proc.Returns)
+      Projected.set(R.Name, Out.get(R.Name));
+    Exit.joinWith(Projected);
   }
   return Exit;
 }
 
-Interval IntervalAnalysis::evalExpr(const Expr *E, const AbsEnv &Env) const {
-  if (Env.isBottom())
+Interval AbsEnv::eval(const Expr *E) const {
+  if (Bottom)
     return Interval::bottom();
   // Bitvector values wrap; the (mathematical-integer) interval domain does
   // not model them. Any bv-valued expression is top; comparisons over bv
@@ -206,21 +223,21 @@ Interval IntervalAnalysis::evalExpr(const Expr *E, const AbsEnv &Env) const {
   case ExprKind::BoolLit:
     return Interval::constant(E->boolValue() ? 1 : 0);
   case ExprKind::Var: {
-    Interval I = Env.get(E->var());
+    Interval I = get(E->var());
     if (E->type() && E->type()->isBool())
       return I.meet(Interval::boolTop());
     return I;
   }
   case ExprKind::Unary: {
-    Interval Sub = evalExpr(E->op0(), Env);
+    Interval Sub = eval(E->op0());
     if (E->unOp() == UnOp::Neg)
       return Sub.neg();
     // Boolean negation: 1 - x over [0,1].
     return Interval::constant(1).sub(Sub).meet(Interval::boolTop());
   }
   case ExprKind::Binary: {
-    Interval L = evalExpr(E->op0(), Env);
-    Interval R = evalExpr(E->op1(), Env);
+    Interval L = eval(E->op0());
+    Interval R = eval(E->op1());
     switch (E->binOp()) {
     case BinOp::Add:
       return L.add(R);
@@ -273,10 +290,10 @@ Interval IntervalAnalysis::evalExpr(const Expr *E, const AbsEnv &Env) const {
     return Interval::top();
   }
   case ExprKind::Ite: {
-    Interval C = evalExpr(E->op0(), Env);
+    Interval C = eval(E->op0());
     if (C.isConstant())
-      return evalExpr(C.lo() ? E->op1() : E->op2(), Env);
-    return evalExpr(E->op1(), Env).join(evalExpr(E->op2(), Env));
+      return eval(C.lo() ? E->op1() : E->op2());
+    return eval(E->op1()).join(eval(E->op2()));
   }
   case ExprKind::Select:
   case ExprKind::Store:
@@ -286,22 +303,20 @@ Interval IntervalAnalysis::evalExpr(const Expr *E, const AbsEnv &Env) const {
   return Interval::top();
 }
 
-void IntervalAnalysis::refine(AbsEnv &Env, const Expr *E,
-                              bool Positive) const {
-  if (Env.isBottom())
+void AbsEnv::assume(const Expr *E, bool Positive) {
+  if (Bottom)
     return;
   switch (E->kind()) {
   case ExprKind::BoolLit:
     if (E->boolValue() != Positive)
-      Env = AbsEnv::bottomEnv();
+      *this = bottomEnv();
     return;
   case ExprKind::Var:
-    Env.set(E->var(), Env.get(E->var()).meet(
-                          Interval::constant(Positive ? 1 : 0)));
+    set(E->var(), get(E->var()).meet(Interval::constant(Positive ? 1 : 0)));
     return;
   case ExprKind::Unary:
     if (E->unOp() == UnOp::Not)
-      refine(Env, E->op0(), !Positive);
+      assume(E->op0(), !Positive);
     return;
   case ExprKind::Binary:
     break;
@@ -311,13 +326,13 @@ void IntervalAnalysis::refine(AbsEnv &Env, const Expr *E,
 
   BinOp Op = E->binOp();
   if (Op == BinOp::And && Positive) {
-    refine(Env, E->op0(), true);
-    refine(Env, E->op1(), true);
+    assume(E->op0(), true);
+    assume(E->op1(), true);
     return;
   }
   if (Op == BinOp::Or && !Positive) {
-    refine(Env, E->op0(), false);
-    refine(Env, E->op1(), false);
+    assume(E->op0(), false);
+    assume(E->op1(), false);
     return;
   }
 
@@ -352,39 +367,39 @@ void IntervalAnalysis::refine(AbsEnv &Env, const Expr *E,
   if (!L->type() || !L->type()->isInt())
     return;
 
-  Interval LI = evalExpr(L, Env);
-  Interval RI = evalExpr(R, Env);
+  Interval LI = eval(L);
+  Interval RI = eval(R);
 
   auto Clamp = [&](const Expr *Side, const Interval &NewBound) {
     if (Side->kind() != ExprKind::Var)
       return;
-    Env.set(Side->var(), Env.get(Side->var()).meet(NewBound));
+    set(Side->var(), get(Side->var()).meet(NewBound));
+  };
+  // Side <= Bound.hi - Strict and Side >= Bound.lo + Strict. A shifted bound
+  // outside int64 is skipped, not bottom: `int` is the mathematical integer,
+  // so `g > 9223372036854775807` is satisfiable.
+  int64_t Strict = Op == BinOp::Lt || Op == BinOp::Gt ? 1 : 0;
+  auto AtMost = [&](const Expr *Side, const Interval &Bound) {
+    if (Bound.hasHi())
+      if (auto V = foldIntArith(BinOp::Sub, Bound.hi(), Strict))
+        Clamp(Side, Interval::atMost(*V));
+  };
+  auto AtLeast = [&](const Expr *Side, const Interval &Bound) {
+    if (Bound.hasLo())
+      if (auto V = foldIntArith(BinOp::Add, Bound.lo(), Strict))
+        Clamp(Side, Interval::atLeast(*V));
   };
 
   switch (Op) {
   case BinOp::Lt: // L < R
-    if (RI.hasHi())
-      Clamp(L, Interval::atMost(RI.hi() - 1));
-    if (LI.hasLo())
-      Clamp(R, Interval::atLeast(LI.lo() + 1));
-    break;
   case BinOp::Le:
-    if (RI.hasHi())
-      Clamp(L, Interval::atMost(RI.hi()));
-    if (LI.hasLo())
-      Clamp(R, Interval::atLeast(LI.lo()));
+    AtMost(L, RI);
+    AtLeast(R, LI);
     break;
   case BinOp::Gt: // L > R
-    if (RI.hasLo())
-      Clamp(L, Interval::atLeast(RI.lo() + 1));
-    if (LI.hasHi())
-      Clamp(R, Interval::atMost(LI.hi() - 1));
-    break;
   case BinOp::Ge:
-    if (RI.hasLo())
-      Clamp(L, Interval::atLeast(RI.lo()));
-    if (LI.hasHi())
-      Clamp(R, Interval::atMost(LI.hi()));
+    AtLeast(L, RI);
+    AtMost(R, LI);
     break;
   case BinOp::Eq:
     Clamp(L, RI);
@@ -393,7 +408,7 @@ void IntervalAnalysis::refine(AbsEnv &Env, const Expr *E,
   case BinOp::Ne:
     // Only the singleton-vs-singleton contradiction is caught.
     if (LI.isConstant() && RI.isConstant() && LI.lo() == RI.lo())
-      Env = AbsEnv::bottomEnv();
+      *this = bottomEnv();
     break;
   default:
     break;
@@ -406,11 +421,10 @@ void IntervalAnalysis::refine(AbsEnv &Env, const Expr *E,
 
 namespace {
 
-/// Interval constraints of \p D's variable under \p Env, appended to
+/// Interval constraints of variable \p Name under \p I, appended to
 /// \p Conjuncts. Only int and bool variables are expressible.
-void addVarConjuncts(AstContext &Ctx, const AbsEnv &Env, Symbol Name,
+void addVarConjuncts(AstContext &Ctx, const Interval &I, Symbol Name,
                      const Type *Ty, std::vector<const Expr *> &Conjuncts) {
-  Interval I = Env.get(Name);
   if (I.isTop() || !Ty || !(Ty->isInt() || Ty->isBool()))
     return;
   if (Ty->isBool()) {
@@ -425,6 +439,20 @@ void addVarConjuncts(AstContext &Ctx, const AbsEnv &Env, Symbol Name,
     Conjuncts.push_back(Ctx.tBinary(BinOp::Le, Ctx.tInt(I.lo()), V));
   if (I.hasHi())
     Conjuncts.push_back(Ctx.tBinary(BinOp::Le, V, Ctx.tInt(I.hi())));
+}
+
+/// Appends a label `assume /\ Conjuncts` of \p Owner flowing to \p Targets
+/// and returns it; the caller places it in the procedure's label list.
+LabelId appendAssume(AstContext &Ctx, CfgProgram &Prog, ProcId Owner,
+                     const std::vector<const Expr *> &Conjuncts,
+                     std::vector<LabelId> Targets) {
+  CfgLabel Lbl;
+  Lbl.Stmt.Kind = CfgStmtKind::Assume;
+  Lbl.Stmt.E = Ctx.tAnd(Conjuncts);
+  Lbl.Proc = Owner;
+  Lbl.Targets = std::move(Targets);
+  Prog.Labels.push_back(std::move(Lbl));
+  return static_cast<LabelId>(Prog.Labels.size() - 1);
 }
 
 } // namespace
@@ -443,21 +471,14 @@ InvariantReport rmt::injectInvariants(AstContext &Ctx, CfgProgram &Prog,
 
     std::vector<const Expr *> Conjuncts;
     for (const VarDecl &G : Prog.Globals)
-      addVarConjuncts(Ctx, Env, G.Name, G.Ty, Conjuncts);
+      addVarConjuncts(Ctx, Env.get(G.Name), G.Name, G.Ty, Conjuncts);
     for (const VarDecl &D : Proc.Params)
-      addVarConjuncts(Ctx, Env, D.Name, D.Ty, Conjuncts);
+      addVarConjuncts(Ctx, Env.get(D.Name), D.Name, D.Ty, Conjuncts);
     if (Conjuncts.empty())
       continue;
 
-    LabelId NewEntry = static_cast<LabelId>(Prog.Labels.size());
-    CfgLabel Lbl;
-    Lbl.Stmt.Kind = CfgStmtKind::Assume;
-    Lbl.Stmt.E = Ctx.tAnd(Conjuncts);
-    Lbl.Proc = P;
-    Lbl.Targets.push_back(Proc.Entry);
-    Prog.Labels.push_back(std::move(Lbl));
-    Proc.Labels.insert(Proc.Labels.begin(), NewEntry);
-    Proc.Entry = NewEntry;
+    Proc.Entry = appendAssume(Ctx, Prog, P, Conjuncts, {Proc.Entry});
+    Proc.Labels.insert(Proc.Labels.begin(), Proc.Entry);
 
     ++Report.ProcsAnnotated;
     Report.Conjuncts += static_cast<unsigned>(Conjuncts.size());
@@ -467,7 +488,7 @@ InvariantReport rmt::injectInvariants(AstContext &Ctx, CfgProgram &Prog,
   // These are what prune the engines' havoc summaries of open calls.
   size_t NumLabels = Prog.Labels.size(); // snapshot: we append below
   for (LabelId L = 0; L < NumLabels; ++L) {
-    CfgStmt &S = Prog.Labels[L].Stmt;
+    const CfgStmt &S = Prog.Labels[L].Stmt;
     if (S.Kind != CfgStmtKind::Call)
       continue;
     const AbsEnv &Summary = Analysis.contextExitSummary(S.Callee);
@@ -478,27 +499,18 @@ InvariantReport rmt::injectInvariants(AstContext &Ctx, CfgProgram &Prog,
 
     std::vector<const Expr *> Conjuncts;
     for (const VarDecl &G : Prog.Globals)
-      addVarConjuncts(Ctx, Summary, G.Name, G.Ty, Conjuncts);
+      addVarConjuncts(Ctx, Summary.get(G.Name), G.Name, G.Ty, Conjuncts);
     // Result bindings inherit the callee's return-variable intervals.
-    for (size_t I = 0; I < S.Vars.size(); ++I) {
-      Interval RI = Summary.get(Callee.Returns[I].Name);
-      const Type *Ty = Prog.proc(Owner).typeOf(S.Vars[I]);
-      AbsEnv Shim;
-      Shim.set(S.Vars[I], RI);
-      addVarConjuncts(Ctx, Shim, S.Vars[I], Ty, Conjuncts);
-    }
+    for (size_t I = 0; I < S.Vars.size(); ++I)
+      addVarConjuncts(Ctx, Summary.get(Callee.Returns[I].Name), S.Vars[I],
+                      Prog.proc(Owner).typeOf(S.Vars[I]), Conjuncts);
     if (Conjuncts.empty())
       continue;
 
-    LabelId NewLabel = static_cast<LabelId>(Prog.Labels.size());
-    CfgLabel Lbl;
-    Lbl.Stmt.Kind = CfgStmtKind::Assume;
-    Lbl.Stmt.E = Ctx.tAnd(Conjuncts);
-    Lbl.Proc = Owner;
-    Lbl.Targets = Prog.Labels[L].Targets;
-    Prog.Labels[L].Targets.assign(1, NewLabel);
-    Prog.Labels.push_back(std::move(Lbl));
-    Prog.Procs[Owner].Labels.push_back(NewLabel);
+    LabelId New =
+        appendAssume(Ctx, Prog, Owner, Conjuncts, Prog.Labels[L].Targets);
+    Prog.Labels[L].Targets.assign(1, New);
+    Prog.Procs[Owner].Labels.push_back(New);
 
     ++Report.Conjuncts; // count the site; conjunct detail is secondary
   }

@@ -34,11 +34,9 @@
 #ifndef RMT_ANALYSIS_INVARIANTGEN_H
 #define RMT_ANALYSIS_INVARIANTGEN_H
 
+#include "analysis/Dataflow.h"
 #include "analysis/Interval.h"
-#include "ast/AstContext.h"
-#include "cfg/Cfg.h"
 
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -77,7 +75,14 @@ public:
       Vals[Var] = I;
   }
 
-  void joinWith(const AbsEnv &O);
+  /// Joins \p O into this env; returns whether this env grew.
+  bool joinWith(const AbsEnv &O);
+
+  /// Abstract value of \p E (booleans as [0,1]); bottom in a bottom env.
+  Interval eval(const Expr *E) const;
+  /// Narrows the env to the states where \p E evaluates to \p Positive;
+  /// a condition no state satisfies makes the env bottom.
+  void assume(const Expr *E, bool Positive = true);
 
   friend bool operator==(const AbsEnv &A, const AbsEnv &B) {
     if (A.Bottom || B.Bottom)
@@ -90,14 +95,14 @@ public:
   /// forces the ascending iteration to converge.
   static AbsEnv widen(const AbsEnv &Old, const AbsEnv &New);
 
-  const std::unordered_map<Symbol, Interval> &values() const { return Vals; }
-
 private:
   bool Bottom = false;
   std::unordered_map<Symbol, Interval> Vals;
 };
 
-/// Whole-program interval analysis results.
+/// Whole-program interval analysis results. Each procedure is solved by the
+/// forward DataflowSolver (Dataflow.h) over AbsEnv; the two-phase driver in
+/// the file comment iterates those solves over the call DAG.
 class IntervalAnalysis {
 public:
   /// Analyzes \p Prog with \p Entry as the root context.
@@ -117,16 +122,14 @@ public:
   }
 
 private:
-  /// Runs the intraprocedural pass over \p P with \p Entry as the entry
-  /// state. Call post-states come from \p CallSummaries. When \p Record is
-  /// set, call-site contexts are accumulated into EntryEnvs of the callees.
-  AbsEnv analyzeProc(ProcId P, const AbsEnv &Entry,
-                     const std::vector<AbsEnv> &CallSummaries, bool Record);
-
-  Interval evalExpr(const Expr *E, const AbsEnv &Env) const;
-  void refine(AbsEnv &Env, const Expr *E, bool Positive) const;
+  /// Solves \p P from \p Entry, taking call post-states from
+  /// \p CallSummaries, and returns its exit summary. When \p Record is set,
+  /// each reachable call site's context is joined into its callee's entry.
+  AbsEnv solveProc(ProcId P, const AbsEnv &Entry,
+                   const std::vector<AbsEnv> &CallSummaries, bool Record);
 
   const CfgProgram &Prog;
+  std::vector<ProcFlow> Flows;
   std::vector<AbsEnv> EntryEnvs;
   std::vector<AbsEnv> ExitSummaries;
   std::vector<AbsEnv> ContextExitSummaries;

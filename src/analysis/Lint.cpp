@@ -257,20 +257,11 @@ LintReport rmt::lintProgram(AstContext &Ctx, const Program &Prog,
 
   std::set<Symbol> Globals = GlobalScope;
 
+  // Structural reachability from each procedure's entry.
+  std::vector<bool> Reachable = entryReachableLabels(Cfg);
+
   for (ProcId P = 0; P < Cfg.Procs.size(); ++P) {
     const CfgProc &Proc = Cfg.proc(P);
-
-    // Structural reachability from the entry.
-    std::set<LabelId> Reachable;
-    std::vector<LabelId> Work{Proc.Entry};
-    Reachable.insert(Proc.Entry);
-    while (!Work.empty()) {
-      LabelId L = Work.back();
-      Work.pop_back();
-      for (LabelId T : Cfg.label(L).Targets)
-        if (Reachable.insert(T).second)
-          Work.push_back(T);
-    }
 
     // --- Unreachable code: a source location is dead only when no copy of
     // it is reachable (loop copies and branch joins share locations).
@@ -279,7 +270,7 @@ LintReport rmt::lintProgram(AstContext &Ctx, const Program &Prog,
       SrcLoc Loc = Cfg.label(L).Loc;
       if (!Loc.isValid())
         continue;
-      AnyReachableAt[keyOf(Loc)] |= Reachable.count(L) != 0;
+      AnyReachableAt[keyOf(Loc)] |= Reachable[L];
     }
     for (LabelId L : Proc.Labels) {
       SrcLoc Loc = Cfg.label(L).Loc;
@@ -300,7 +291,7 @@ LintReport rmt::lintProgram(AstContext &Ctx, const Program &Prog,
       DataflowSolver<DefiniteAssignment> Solver(Flow, A);
       Solver.solve();
       for (LabelId L : Proc.Labels) {
-        if (!Reachable.count(L))
+        if (!Reachable[L])
           continue;
         const DefinedSet &In = Solver.pre(L);
         if (In.Universe)
@@ -330,7 +321,7 @@ LintReport rmt::lintProgram(AstContext &Ctx, const Program &Prog,
         const CfgStmt &S = Cfg.label(L).Stmt;
         SrcLoc Loc = Cfg.label(L).Loc;
         if (S.Kind != CfgStmtKind::Assign || !Loc.isValid() ||
-            !Tracked.count(S.Target) || !Reachable.count(L))
+            !Tracked.count(S.Target) || !Reachable[L])
           continue;
         AnyLiveStore[{keyOf(Loc), S.Target}] |=
             Solver.post(L).count(S.Target) != 0;

@@ -74,54 +74,6 @@ public:
   }
 };
 
-/// Backward live-variable lattice for the lint-audit pass. Liveness is
-/// over-approximated — calls keep their callee's transitive global reads
-/// live and never kill the globals they write, and every global and return
-/// variable is observable at exit — so a store flagged dead really is
-/// unobservable.
-struct AuditLiveness {
-  using Value = std::set<Symbol>;
-  static constexpr FlowDirection Direction = FlowDirection::Backward;
-
-  const std::vector<ProcEffects> &FX;
-  std::set<Symbol> Observable;
-
-  Value bottom() const { return {}; }
-  Value boundary() const { return Observable; }
-  bool join(Value &Into, const Value &From) const {
-    size_t N = Into.size();
-    Into.insert(From.begin(), From.end());
-    return Into.size() != N;
-  }
-  Value transfer(LabelId, const CfgStmt &S, const Value &Out) const {
-    Value In = Out;
-    switch (S.Kind) {
-    case CfgStmtKind::Assume:
-      collectExprVars(S.E, In);
-      break;
-    case CfgStmtKind::Assign:
-      // Strong update: the right-hand side only matters if someone later
-      // reads the target.
-      if (In.erase(S.Target))
-        collectExprVars(S.E, In);
-      break;
-    case CfgStmtKind::Havoc:
-      for (Symbol V : S.Vars)
-        In.erase(V);
-      break;
-    case CfgStmtKind::Call:
-      for (Symbol V : S.Vars)
-        In.erase(V);
-      for (const Expr *A : S.Args)
-        collectExprVars(A, In);
-      In.insert(FX[S.Callee].UseGlobals.begin(),
-                FX[S.Callee].UseGlobals.end());
-      break;
-    }
-    return In;
-  }
-};
-
 class LintAuditPass : public Pass {
 public:
   std::string_view name() const override { return "lint"; }
@@ -129,37 +81,21 @@ public:
     return "audit residual dead stores and unreachable labels (read-only)";
   }
   bool run(PassContext &PC) override {
+    // Liveness with everything relevant: every global and return variable is
+    // observable at exit, and calls keep their callee's transitive global
+    // reads live, so a store flagged dead really is unobservable.
     const CfgProgram &Prog = PC.Prog;
     std::vector<ProcEffects> FX = computeProcEffects(Prog);
-    std::set<Symbol> Globals;
-    for (const VarDecl &G : Prog.Globals)
-      Globals.insert(G.Name);
+    Relevance Rel = Relevance::all(Prog);
+    std::vector<bool> Reached = entryReachableLabels(Prog);
 
     for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
-      const CfgProc &Proc = Prog.proc(P);
-
-      // Entry-reachability sweep over the flow graph.
-      std::vector<char> Reached(Prog.Labels.size(), 0);
-      std::vector<LabelId> Work{Proc.Entry};
-      Reached[Proc.Entry] = 1;
-      while (!Work.empty()) {
-        LabelId L = Work.back();
-        Work.pop_back();
-        for (LabelId T : Prog.label(L).Targets)
-          if (!Reached[T]) {
-            Reached[T] = 1;
-            Work.push_back(T);
-          }
-      }
-
-      AuditLiveness A{FX, Globals};
-      for (const VarDecl &R : Proc.Returns)
-        A.Observable.insert(R.Name);
       ProcFlow Flow(Prog, P);
-      DataflowSolver<AuditLiveness> Solver(Flow, A);
+      QueryLiveness A(Prog, Rel, FX, P);
+      DataflowSolver<QueryLiveness> Solver(Flow, A);
       Solver.solve();
 
-      for (LabelId L : Proc.Labels) {
+      for (LabelId L : Prog.proc(P).Labels) {
         if (!Reached[L]) {
           ++PC.Report.AuditUnreachableLabels;
           continue; // don't double-count its statement as a dead store

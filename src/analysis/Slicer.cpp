@@ -2,11 +2,6 @@
 
 #include "analysis/Slicer.h"
 
-#include "analysis/Dataflow.h"
-
-#include <algorithm>
-#include <set>
-
 using namespace rmt;
 
 //===----------------------------------------------------------------------===//
@@ -71,72 +66,79 @@ Relevance::Relevance(const CfgProgram &Prog, std::optional<Symbol> ErrGlobal) {
   }
 }
 
+Relevance Relevance::all(const CfgProgram &Prog) {
+  Relevance Rel;
+  for (const VarDecl &G : Prog.Globals) {
+    Rel.GlobalSet.insert(G.Name);
+    Rel.RelGlobals.insert(G.Name);
+  }
+  Rel.RelLocals.resize(Prog.Procs.size());
+  for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
+    for (const VarDecl &V : Prog.proc(P).Params)
+      Rel.RelLocals[P].insert(V.Name);
+    for (const VarDecl &V : Prog.proc(P).Returns)
+      Rel.RelLocals[P].insert(V.Name);
+  }
+  return Rel;
+}
+
 //===----------------------------------------------------------------------===//
 // Strong liveness
 //===----------------------------------------------------------------------===//
 
-namespace {
+QueryLiveness::QueryLiveness(const CfgProgram &Prog, const Relevance &Rel,
+                             const std::vector<ProcEffects> &FX, ProcId P)
+    : Prog(Prog), Rel(Rel), FX(FX) {
+  for (const VarDecl &G : Prog.Globals)
+    if (Rel.relevantGlobal(G.Name))
+      ExitLive.insert(G.Name);
+  for (const VarDecl &R : Prog.proc(P).Returns)
+    if (Rel.relevant(P, R.Name))
+      ExitLive.insert(R.Name);
+}
 
-/// Backward strong liveness restricted to query-relevant variables. A
-/// variable is live when its current value can reach an assume or the query
-/// variable at procedure exit.
-class StrongLiveness {
-public:
-  using Value = std::set<Symbol>;
-  static constexpr FlowDirection Direction = FlowDirection::Backward;
+bool QueryLiveness::join(Value &Into, const Value &From) const {
+  bool Changed = false;
+  for (Symbol V : From)
+    Changed |= Into.insert(V).second;
+  return Changed;
+}
 
-  StrongLiveness(const CfgProgram &Prog, const Relevance &Rel,
-                 const std::vector<ProcEffects> &FX, Value ExitLive)
-      : Prog(Prog), Rel(Rel), FX(FX), ExitLive(std::move(ExitLive)) {}
-
-  Value bottom() const { return {}; }
-  Value boundary() const { return ExitLive; }
-  bool join(Value &Into, const Value &From) const {
-    bool Changed = false;
-    for (Symbol V : From)
-      Changed |= Into.insert(V).second;
-    return Changed;
-  }
-
-  Value transfer(LabelId, const CfgStmt &S, const Value &Post) const {
-    Value Pre = Post;
-    switch (S.Kind) {
-    case CfgStmtKind::Assume:
+QueryLiveness::Value QueryLiveness::transfer(LabelId, const CfgStmt &S,
+                                             const Value &Post) const {
+  Value Pre = Post;
+  switch (S.Kind) {
+  case CfgStmtKind::Assume:
+    collectExprVars(S.E, Pre);
+    break;
+  case CfgStmtKind::Assign:
+    // Strong: the RHS only matters if the target is live.
+    if (Pre.erase(S.Target))
       collectExprVars(S.E, Pre);
-      break;
-    case CfgStmtKind::Assign:
-      // Strong: the RHS only matters if the target is live.
-      if (Pre.erase(S.Target))
-        collectExprVars(S.E, Pre);
-      break;
-    case CfgStmtKind::Havoc:
-      for (Symbol V : S.Vars)
-        Pre.erase(V);
-      break;
-    case CfgStmtKind::Call: {
-      // Result bindings are definitely assigned on return; the callee may
-      // read relevant globals and any argument feeding a relevant parameter.
-      for (Symbol V : S.Vars)
-        Pre.erase(V);
-      const CfgProc &Q = Prog.proc(S.Callee);
-      for (unsigned I = 0; I < S.Args.size() && I < Q.Params.size(); ++I)
-        if (Rel.relevant(S.Callee, Q.Params[I].Name))
-          collectExprVars(S.Args[I], Pre);
-      for (Symbol G : FX[S.Callee].UseGlobals)
-        if (Rel.relevantGlobal(G))
-          Pre.insert(G);
-      break;
-    }
-    }
-    return Pre;
+    break;
+  case CfgStmtKind::Havoc:
+    for (Symbol V : S.Vars)
+      Pre.erase(V);
+    break;
+  case CfgStmtKind::Call: {
+    // Result bindings are definitely assigned on return; the callee may
+    // read relevant globals and any argument feeding a relevant parameter.
+    for (Symbol V : S.Vars)
+      Pre.erase(V);
+    const CfgProc &Q = Prog.proc(S.Callee);
+    for (unsigned I = 0; I < S.Args.size() && I < Q.Params.size(); ++I)
+      if (Rel.relevant(S.Callee, Q.Params[I].Name))
+        collectExprVars(S.Args[I], Pre);
+    for (Symbol G : FX[S.Callee].UseGlobals)
+      if (Rel.relevantGlobal(G))
+        Pre.insert(G);
+    break;
   }
+  }
+  return Pre;
+}
 
-private:
-  const CfgProgram &Prog;
-  const Relevance &Rel;
-  const std::vector<ProcEffects> &FX;
-  Value ExitLive;
-};
+namespace {
 
 void toSkip(AstContext &Ctx, CfgStmt &S) {
   S.Kind = CfgStmtKind::Assume;
@@ -172,18 +174,9 @@ SliceReport rmt::sliceForQuery(AstContext &Ctx, CfgProgram &Prog, ProcId Root,
 
   for (ProcId P : Prog.bottomUpProcOrder()) {
     const CfgProc &Proc = Prog.proc(P);
-
-    std::set<Symbol> ExitLive;
-    for (const VarDecl &G : Prog.Globals)
-      if (Rel.relevantGlobal(G.Name))
-        ExitLive.insert(G.Name);
-    for (const VarDecl &R : Proc.Returns)
-      if (Rel.relevant(P, R.Name))
-        ExitLive.insert(R.Name);
-
     ProcFlow Flow(Prog, P);
-    StrongLiveness A(Prog, Rel, FX, std::move(ExitLive));
-    DataflowSolver<StrongLiveness> Solver(Flow, A);
+    QueryLiveness A(Prog, Rel, FX, P);
+    DataflowSolver<QueryLiveness> Solver(Flow, A);
     Solver.solve();
 
     bool AllSkip = true;

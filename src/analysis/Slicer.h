@@ -35,10 +35,10 @@
 #ifndef RMT_ANALYSIS_SLICER_H
 #define RMT_ANALYSIS_SLICER_H
 
-#include "ast/AstContext.h"
-#include "cfg/Cfg.h"
+#include "analysis/Dataflow.h"
 
 #include <optional>
+#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -51,6 +51,10 @@ class Relevance {
 public:
   Relevance(const CfgProgram &Prog, std::optional<Symbol> ErrGlobal);
 
+  /// Every global, parameter and return variable relevant: liveness under
+  /// it observes everything a caller or the exit state can see.
+  static Relevance all(const CfgProgram &Prog);
+
   /// Is \p V (seen from procedure \p P) relevant to the query?
   bool relevant(ProcId P, Symbol V) const {
     if (GlobalSet.count(V))
@@ -62,9 +66,38 @@ public:
   size_t numRelevantGlobals() const { return RelGlobals.size(); }
 
 private:
+  Relevance() = default;
+
   std::unordered_set<Symbol> GlobalSet;
   std::unordered_set<Symbol> RelGlobals;
   std::vector<std::unordered_set<Symbol>> RelLocals;
+};
+
+/// Backward strong liveness restricted to relevant variables, a
+/// DataflowSolver client. A variable is live when its current value can
+/// reach an assume, or a relevant global or return at procedure exit. Calls
+/// read the arguments of relevant parameters and the callee's transitive
+/// relevant global reads, and never kill the globals they write, so a store
+/// whose target is dead is unobservable.
+class QueryLiveness {
+public:
+  using Value = std::set<Symbol>;
+  static constexpr FlowDirection Direction = FlowDirection::Backward;
+
+  /// Liveness over procedure \p P; \p FX comes from computeProcEffects().
+  QueryLiveness(const CfgProgram &Prog, const Relevance &Rel,
+                const std::vector<ProcEffects> &FX, ProcId P);
+
+  Value bottom() const { return {}; }
+  Value boundary() const { return ExitLive; }
+  bool join(Value &Into, const Value &From) const;
+  Value transfer(LabelId, const CfgStmt &S, const Value &Post) const;
+
+private:
+  const CfgProgram &Prog;
+  const Relevance &Rel;
+  const std::vector<ProcEffects> &FX;
+  Value ExitLive;
 };
 
 /// What the slicer removed.

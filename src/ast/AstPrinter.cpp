@@ -67,12 +67,12 @@ public:
           Sign = -Sign;
           Leaf = Leaf->op0();
         }
-        if (Leaf->kind() == ExprKind::IntLit) {
-          int64_t V = Sign * Leaf->intValue();
-          if (V < 0)
-            return "(" + std::to_string(V) + ")";
-          return std::to_string(V);
-        }
+        // -INT64_MIN is no literal: print it through the generic path.
+        std::optional<int64_t> V;
+        if (Leaf->kind() == ExprKind::IntLit)
+          V = Sign < 0 ? foldIntNeg(Leaf->intValue()) : Leaf->intValue();
+        if (V)
+          return *V < 0 ? "(" + std::to_string(*V) + ")" : std::to_string(*V);
       }
       std::string Sub = print(E->op0(), 100);
       // Avoid `--x`, which would lex as two minus tokens.

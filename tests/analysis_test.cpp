@@ -2,6 +2,7 @@
 
 #include "analysis/Interval.h"
 #include "analysis/InvariantGen.h"
+#include "ast/AstPrinter.h"
 #include "cfg/Lower.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
@@ -82,12 +83,17 @@ TEST(AbsEnvTest, JoinDropsOneSidedKeys) {
   A.set(X, Interval::constant(1));
   A.set(Y, Interval::constant(2));
   B.set(X, Interval::constant(3));
-  A.joinWith(B);
+  EXPECT_TRUE(A.joinWith(B)); // grew
   EXPECT_EQ(A.get(X), Interval::bounded(1, 3));
   EXPECT_TRUE(A.get(Y).isTop()); // missing in B => top
+  EXPECT_FALSE(A.joinWith(B)); // unchanged
+  EXPECT_FALSE(A.joinWith(AbsEnv::bottomEnv()));
   AbsEnv Bot = AbsEnv::bottomEnv();
-  Bot.joinWith(A);
+  EXPECT_TRUE(Bot.joinWith(A));
   EXPECT_EQ(Bot.get(X), Interval::bounded(1, 3));
+  AbsEnv Top;
+  EXPECT_TRUE(A.joinWith(Top)); // the last key goes to top
+  EXPECT_FALSE(A.joinWith(Top));
 }
 
 TEST(AbsEnvTest, BottomPropagation) {
@@ -292,6 +298,26 @@ TEST(IntervalAnalysis, DiamondSummariesJoin) {
   )");
   EXPECT_EQ(A.Analysis->entryEnv(A.proc("probe")).get(A.Ctx.sym("g")),
             Interval::bounded(1, 9));
+}
+
+TEST(IntervalAnalysis, DeadBranchCallAddsNoContext) {
+  // The then-branch cannot pass `assume g > 5`, so its call site is
+  // unreachable and its g == 100 context must not widen the callee's entry.
+  Analyzed A(R"(
+    var g: int;
+    procedure callee() { }
+    procedure main() {
+      g := 1;
+      if (*) { assume g > 5; g := 100; call callee(); } else { call callee(); }
+    }
+  )");
+  ProcId Callee = A.proc("callee");
+  EXPECT_EQ(A.Analysis->entryEnv(Callee).get(A.Ctx.sym("g")),
+            Interval::constant(1));
+  injectInvariants(A.Ctx, A.Cfg, A.proc("main"));
+  const CfgStmt &Entry = A.Cfg.label(A.Cfg.proc(Callee).Entry).Stmt;
+  ASSERT_EQ(Entry.Kind, CfgStmtKind::Assume);
+  EXPECT_EQ(printExpr(A.Ctx, Entry.E), "1 <= g && g <= 1");
 }
 
 //===----------------------------------------------------------------------===//

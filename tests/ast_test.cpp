@@ -128,6 +128,19 @@ TEST(Printer, NegativeLiterals) {
   EXPECT_EQ(printExpr(Ctx, Ctx.tInt(-3)), "(-3)");
 }
 
+TEST(Printer, NegatedInt64MinStaysUnfolded) {
+  // -INT64_MIN is no int64 literal, so the Neg chain is printed as is; the
+  // lexer cannot spell this literal, hence the AST API.
+  AstContext Ctx;
+  const Expr *Min = Ctx.tInt(INT64_MIN);
+  const Expr *Neg = Ctx.tUnary(UnOp::Neg, Min);
+  EXPECT_EQ(printExpr(Ctx, Neg), "-(-9223372036854775808)");
+  EXPECT_EQ(printExpr(Ctx, Ctx.tUnary(UnOp::Neg, Neg)),
+            "(-9223372036854775808)");
+  EXPECT_EQ(printExpr(Ctx, Ctx.tUnary(UnOp::Neg, Ctx.tInt(INT64_MAX))),
+            "(-9223372036854775807)");
+}
+
 //===----------------------------------------------------------------------===//
 // Evaluator
 //===----------------------------------------------------------------------===//

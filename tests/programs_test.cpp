@@ -95,11 +95,14 @@ TEST_P(SampleProgram, VerdictMatchesExpectation) {
     const char *Name;
     MergeStrategyKind Kind;
     PvcMode Pvc;
+    bool UseInvariants = false;
   };
   for (Config C : {Config{"SI", MergeStrategyKind::None, PvcMode::Paper},
                    Config{"DI", MergeStrategyKind::First, PvcMode::Paper},
                    Config{"DI/passified", MergeStrategyKind::First,
-                          PvcMode::Passified}}) {
+                          PvcMode::Passified},
+                   Config{"DI/+Inv", MergeStrategyKind::First, PvcMode::Paper,
+                          true}}) {
     AstContext Ctx;
     DiagEngine Diags;
     auto P = parseAndCheck(Source, Ctx, Diags);
@@ -108,6 +111,7 @@ TEST_P(SampleProgram, VerdictMatchesExpectation) {
     Opts.Bound = Expect->Bound;
     Opts.Engine.Strategy.Kind = C.Kind;
     Opts.Engine.Pvc = C.Pvc;
+    Opts.UseInvariants = C.UseInvariants;
     Opts.Engine.TimeoutSeconds = 120;
     auto R = verifyProgram(Ctx, *P, Ctx.sym("main"), Opts);
     EXPECT_EQ(R.Result.Outcome, Expect->Outcome)
