@@ -43,35 +43,11 @@ std::unique_ptr<Prepared> prepare(const SdvParams &Params) {
 size_t inlinedSize(Prepared &P, MergeStrategyKind Kind, uint64_t Seed,
                    size_t Cap) {
   TermArena Arena;
-  VcContext Vc(P.Ctx, P.Cfg, Arena);
-  DisjointAnalysis Disj(P.Cfg);
-  ConsistencyChecker Check(Vc, Disj);
   StrategyOptions Opts;
   Opts.Kind = Kind;
   Opts.Seed = Seed;
-  std::unique_ptr<MergeStrategy> Strategy =
-      createStrategy(Opts, P.Cfg, Disj, P.Root);
-
-  NodeId Root = Vc.genPvc(P.Root);
-  Check.onNewNode(Root);
-  Strategy->noteNewNode(Root, InvalidEdge);
-  while (!Vc.openEdges().empty()) {
-    if (Vc.numInlined() > Cap)
-      return 0;
-    EdgeId E = Vc.openEdges().front();
-    std::optional<NodeId> Pick = Strategy->pick(Vc, Check, E);
-    NodeId N;
-    if (Pick && Check.canBind(E, *Pick)) {
-      N = *Pick;
-    } else {
-      N = Vc.genPvc(Vc.edge(E).Callee);
-      Check.onNewNode(N);
-      Strategy->noteNewNode(N, E);
-    }
-    Vc.bindEdge(E, N);
-    Check.onBind(E, N);
-  }
-  return Vc.numInlined();
+  Inliner In(P.Ctx, P.Cfg, P.Root, Arena, Opts);
+  return In.inlineAll(Cap) ? In.vc().numInlined() : 0;
 }
 
 size_t treeSize(const Prepared &P) {

@@ -23,18 +23,22 @@ using namespace rmt::bench;
 
 namespace {
 
+/// Bounds, lowers and prepasses \p Params as the verifier does, then fully
+/// inlines with \p Kind. A result above \p MaxInlined means the cap hit.
 size_t fullyInlinedSize(const SdvParams &Params, MergeStrategyKind Kind,
                         size_t MaxInlined) {
   AstContext Ctx;
   Program P = makeSdvProgram(Ctx, Params);
-  VerifierOptions Opts;
-  Opts.Bound = 1;
-  Opts.Engine.Eager = true;
-  Opts.Engine.SkipSolve = true;
-  Opts.Engine.Strategy.Kind = Kind;
-  Opts.Engine.MaxInlined = MaxInlined;
-  auto R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
-  return R.Result.NumInlined;
+  BoundedInstance B = prepareBounded(Ctx, P, Ctx.sym("main"), 1);
+  CfgProgram Cfg = lowerToCfg(Ctx, B.Prog);
+  ProcId Root = Cfg.findProc(B.Entry);
+  runPrepass(Ctx, Cfg, Root, B.ErrVar);
+  TermArena Arena;
+  StrategyOptions Opts;
+  Opts.Kind = Kind;
+  Inliner In(Ctx, Cfg, Root, Arena, Opts);
+  In.inlineAll(MaxInlined);
+  return In.vc().numInlined();
 }
 
 } // namespace

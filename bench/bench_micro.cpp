@@ -15,8 +15,7 @@
 #include "ast/AstPrinter.h"
 #include "ast/Eval.h"
 #include "cfg/Lower.h"
-#include "core/Consistency.h"
-#include "core/Strategies.h"
+#include "core/Engine.h"
 #include "parser/Parser.h"
 #include "transform/Transforms.h"
 #include "workload/Chain.h"
@@ -27,6 +26,9 @@
 using namespace rmt;
 
 namespace {
+
+/// Instance cap for the full-inlining benchmarks (no driver reaches it).
+constexpr size_t MaxNodes = 1u << 20;
 
 struct Prepared {
   AstContext Ctx;
@@ -90,30 +92,9 @@ void BM_FullDagInline(benchmark::State &State) {
   auto P = prepareDriver(static_cast<unsigned>(State.range(0)));
   for (auto _ : State) {
     TermArena Arena;
-    VcContext Vc(P->Ctx, P->Cfg, Arena);
-    DisjointAnalysis Disj(P->Cfg);
-    ConsistencyChecker Check(Vc, Disj);
-    StrategyOptions Opts;
-    std::unique_ptr<MergeStrategy> S =
-        createStrategy(Opts, P->Cfg, Disj, P->Root);
-    NodeId Root = Vc.genPvc(P->Root);
-    Check.onNewNode(Root);
-    S->noteNewNode(Root, InvalidEdge);
-    while (!Vc.openEdges().empty()) {
-      EdgeId E = Vc.openEdges().front();
-      std::optional<NodeId> Pick = S->pick(Vc, Check, E);
-      NodeId N;
-      if (Pick) {
-        N = *Pick;
-      } else {
-        N = Vc.genPvc(Vc.edge(E).Callee);
-        Check.onNewNode(N);
-        S->noteNewNode(N, E);
-      }
-      Vc.bindEdge(E, N);
-      Check.onBind(E, N);
-    }
-    State.counters["nodes"] = static_cast<double>(Vc.numInlined());
+    Inliner In(P->Ctx, P->Cfg, P->Root, Arena, StrategyOptions());
+    In.inlineAll(MaxNodes);
+    State.counters["nodes"] = static_cast<double>(In.vc().numInlined());
   }
 }
 BENCHMARK(BM_FullDagInline)->Arg(3)->Arg(5);
@@ -121,30 +102,11 @@ BENCHMARK(BM_FullDagInline)->Arg(3)->Arg(5);
 void BM_ConsistencyFullCheck(benchmark::State &State) {
   auto P = prepareDriver(5);
   TermArena Arena;
-  VcContext Vc(P->Ctx, P->Cfg, Arena);
-  DisjointAnalysis Disj(P->Cfg);
-  ConsistencyChecker Check(Vc, Disj);
-  StrategyOptions Opts;
-  std::unique_ptr<MergeStrategy> S =
-      createStrategy(Opts, P->Cfg, Disj, P->Root);
-  NodeId Root = Vc.genPvc(P->Root);
-  Check.onNewNode(Root);
-  while (!Vc.openEdges().empty()) {
-    EdgeId E = Vc.openEdges().front();
-    std::optional<NodeId> Pick = S->pick(Vc, Check, E);
-    NodeId N = InvalidNode;
-    if (Pick) {
-      N = *Pick;
-    } else {
-      N = Vc.genPvc(Vc.edge(E).Callee);
-      Check.onNewNode(N);
-    }
-    Vc.bindEdge(E, N);
-    Check.onBind(E, N);
-  }
+  Inliner In(P->Ctx, P->Cfg, P->Root, Arena, StrategyOptions());
+  In.inlineAll(MaxNodes);
   for (auto _ : State)
-    benchmark::DoNotOptimize(Check.isConsistentFull());
-  State.SetLabel(std::to_string(Vc.numNodes()) + " nodes");
+    benchmark::DoNotOptimize(In.checker().isConsistentFull());
+  State.SetLabel(std::to_string(In.vc().numNodes()) + " nodes");
 }
 BENCHMARK(BM_ConsistencyFullCheck);
 

@@ -14,17 +14,15 @@
 // time is measured for off vs full. The base→full delta isolates what the
 // value-numbering pass buys on top of the structural reductions. A pipeline
 // that fails to run (an unknown pass name, a --verify-each violation) makes
-// the bench exit nonzero instead of measuring an unreduced program. Knobs:
-// RMT_BENCH_TIMEOUT, RMT_BENCH_COUNT (see BenchCommon.h).
+// the bench exit nonzero instead of measuring an unreduced program, and so
+// does a VC size cut short by the inlining cap. Knobs: RMT_BENCH_TIMEOUT,
+// RMT_BENCH_COUNT (see BenchCommon.h).
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "analysis/Dataflow.h"
 #include "cfg/Lower.h"
-#include "core/Consistency.h"
-#include "core/Strategies.h"
-#include "core/VcGen.h"
 #include "support/Table.h"
 #include "support/Timer.h"
 #include "transform/Transforms.h"
@@ -39,8 +37,9 @@ namespace {
 /// The default pipeline without value numbering.
 const char *BaselinePasses = "slice,splice,deadproc";
 
-/// Set when any prepass pipeline reports an error; main() then fails.
-bool PipelineFailed = false;
+/// Set when a prepass pipeline reports an error or inlining stops at the
+/// instance cap; main() then fails.
+bool BenchFailed = false;
 
 struct VcSize {
   size_t Labels = 0;
@@ -49,13 +48,18 @@ struct VcSize {
   size_t Inlined = 0;
 };
 
+/// Instances past which inlinedVcSize gives up (no corpus instance gets
+/// there).
+constexpr size_t MaxInlined = 20000;
+
 /// Fully inlines the instance (structure-only, DI/First strategy) and
 /// reports the hash-consed term count — the static formula footprint the
 /// solver would be handed if every open edge were expanded. \p Passes is the
-/// prepass pipeline spec; null runs no prepass.
-VcSize inlinedVcSize(const SdvParams &Params, const char *Passes) {
+/// prepass pipeline spec; null runs no prepass. Inlining that stops at the
+/// MaxInlined cap fails the bench like a pipeline error does.
+VcSize inlinedVcSize(const SdvInstance &I, const char *Passes) {
   AstContext Ctx;
-  Program Prog = makeSdvProgram(Ctx, Params);
+  Program Prog = makeSdvProgram(Ctx, I.Params);
   BoundedInstance Inst = prepareBounded(Ctx, Prog, Ctx.sym("main"), 1);
   CfgProgram Cfg = lowerToCfg(Ctx, Inst.Prog);
   ProcId Root = Cfg.findProc(Inst.Entry);
@@ -66,41 +70,27 @@ VcSize inlinedVcSize(const SdvParams &Params, const char *Passes) {
     if (!R.ok()) {
       std::fprintf(stderr, "error: prepass '%s' failed: %s\n", Passes,
                    R.PipelineErrors.front().c_str());
-      PipelineFailed = true;
+      BenchFailed = true;
     }
   }
 
   TermArena Arena;
-  VcContext Vc(Ctx, Cfg, Arena);
-  DisjointAnalysis Disj(Cfg);
-  ConsistencyChecker Check(Vc, Disj);
   StrategyOptions SOpts;
   SOpts.Kind = MergeStrategyKind::First;
-  std::unique_ptr<MergeStrategy> Strategy =
-      createStrategy(SOpts, Cfg, Disj, Root);
-  NodeId RootNode = Vc.genPvc(Root);
-  Check.onNewNode(RootNode);
-  Strategy->noteNewNode(RootNode, InvalidEdge);
-  while (!Vc.openEdges().empty() && Vc.numInlined() < 20000) {
-    EdgeId E = Vc.openEdges().front();
-    std::optional<NodeId> Pick = Strategy->pick(Vc, Check, E);
-    NodeId N;
-    if (Pick) {
-      N = *Pick;
-    } else {
-      N = Vc.genPvc(Vc.edge(E).Callee);
-      Check.onNewNode(N);
-      Strategy->noteNewNode(N, E);
-    }
-    Vc.bindEdge(E, N);
-    Check.onBind(E, N);
+  Inliner In(Ctx, Cfg, Root, Arena, SOpts);
+  if (!In.inlineAll(MaxInlined)) {
+    std::fprintf(stderr,
+                 "error: %s: inlining stopped past the %zu-instance cap; "
+                 "its VC size is not the fully inlined one\n",
+                 I.Name.c_str(), MaxInlined);
+    BenchFailed = true;
   }
 
   VcSize S;
   S.Labels = Cfg.Labels.size();
   S.Procs = Cfg.Procs.size();
   S.Terms = Arena.numTerms();
-  S.Inlined = Vc.numInlined();
+  S.Inlined = In.vc().numInlined();
   return S;
 }
 
@@ -125,7 +115,7 @@ TimedRun timedVerify(const SdvParams &Params, const char *Passes,
   if (!R.Prepass.ok()) {
     std::fprintf(stderr, "error: prepass '%s' failed: %s\n", Passes,
                  R.Prepass.PipelineErrors.front().c_str());
-    PipelineFailed = true;
+    BenchFailed = true;
   }
   return {R.Result.Outcome, W.seconds()};
 }
@@ -154,9 +144,9 @@ int main() {
   unsigned Disagreements = 0;
 
   for (const SdvInstance &I : Corpus) {
-    VcSize Off = inlinedVcSize(I.Params, nullptr);
-    VcSize Base = inlinedVcSize(I.Params, BaselinePasses);
-    VcSize Full = inlinedVcSize(I.Params, DefaultPrepassPasses);
+    VcSize Off = inlinedVcSize(I, nullptr);
+    VcSize Base = inlinedVcSize(I, BaselinePasses);
+    VcSize Full = inlinedVcSize(I, DefaultPrepassPasses);
     TimedRun ROff = timedVerify(I.Params, nullptr, Timeout);
     TimedRun RBase = timedVerify(I.Params, BaselinePasses, Timeout);
     TimedRun RFull = timedVerify(I.Params, DefaultPrepassPasses, Timeout);
@@ -225,9 +215,9 @@ int main() {
        {"time_full_s", std::to_string(TimeFull)},
        {"disagreements", std::to_string(Disagreements)}});
 
-  if (PipelineFailed)
-    std::printf("prepass pipeline errors: see stderr\n");
-  return !PipelineFailed && Disagreements == 0 && TermsFull <= TermsBase &&
+  if (BenchFailed)
+    std::printf("bench errors: see stderr\n");
+  return !BenchFailed && Disagreements == 0 && TermsFull <= TermsBase &&
                  TermsBase <= TermsOff
              ? 0
              : 1;

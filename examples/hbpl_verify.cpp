@@ -28,7 +28,6 @@
 #include "analysis/Lint.h"
 #include "analysis/PassManager.h"
 #include "cfg/Lower.h"
-#include "core/Consistency.h"
 #include "core/DotExport.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
@@ -239,29 +238,14 @@ int main(int argc, char **argv) {
     CfgProgram Cfg = lowerToCfg(Ctx, Inst.Prog);
     ProcId Root = Cfg.findProc(Ctx.sym(EntryName));
     TermArena Arena;
-    VcContext Vc(Ctx, Cfg, Arena);
-    DisjointAnalysis Disj(Cfg);
-    ConsistencyChecker Check(Vc, Disj);
-    std::unique_ptr<MergeStrategy> Strategy =
-        createStrategy(Opts.Engine.Strategy, Cfg, Disj, Root);
-    NodeId RootNode = Vc.genPvc(Root);
-    Check.onNewNode(RootNode);
-    Strategy->noteNewNode(RootNode, InvalidEdge);
-    while (!Vc.openEdges().empty() && Vc.numInlined() < 5000) {
-      EdgeId E = Vc.openEdges().front();
-      std::optional<NodeId> Pick = Strategy->pick(Vc, Check, E);
-      NodeId N;
-      if (Pick) {
-        N = *Pick;
-      } else {
-        N = Vc.genPvc(Vc.edge(E).Callee);
-        Check.onNewNode(N);
-        Strategy->noteNewNode(N, E);
-      }
-      Vc.bindEdge(E, N);
-      Check.onBind(E, N);
-    }
-    std::printf("%s", inliningDagToDot(Ctx, Vc).c_str());
+    Inliner In(Ctx, Cfg, Root, Arena, Opts.Engine.Strategy);
+    const size_t MaxDagNodes = 5000;
+    if (!In.inlineAll(MaxDagNodes))
+      std::fprintf(stderr,
+                   "warning: --dump-dag stopped past %zu instances; the DAG "
+                   "below is partial (dashed edges are still open)\n",
+                   MaxDagNodes);
+    std::printf("%s", inliningDagToDot(Ctx, In.vc()).c_str());
   }
 
   // Enable telemetry whenever any exporter wants it; span aggregates feed

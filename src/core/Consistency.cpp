@@ -6,25 +6,13 @@
 
 using namespace rmt;
 
-ConsistencyChecker::ConsistencyChecker(const VcContext &Vc,
-                                       const DisjointAnalysis &Disj)
-    : Vc(Vc), Disj(Disj) {
-  // Catch up with nodes that already exist (engines usually construct the
-  // checker right after the root's genPvc).
-  for (NodeId N = 0; N < Vc.numNodes(); ++N)
-    onNewNode(N);
-}
-
 void ConsistencyChecker::onNewNode(NodeId N) {
-  if (N < Desc.size())
-    return;
   assert(N == Desc.size() && "nodes must be registered in creation order");
   Desc.emplace_back();
   Desc.back().set(N);
 }
 
 bool ConsistencyChecker::canBind(EdgeId C, NodeId N) {
-  ++NumCanBind;
   const VcEdge &E = Vc.edge(C);
   NodeId S = E.Src;
   assert(E.isOpen() && "checking an already-bound edge");

@@ -37,11 +37,12 @@
 namespace rmt {
 
 /// Incrementally maintained consistency oracle over a VcContext's DAG.
-/// Drive it in lock-step with the VcContext: call onNewNode after genPvc and
-/// onBind after bindEdge.
+/// Build it over an empty VcContext and drive it in lock-step: call
+/// onNewNode after genPvc and onBind after bindEdge (Inliner does both).
 class ConsistencyChecker {
 public:
-  ConsistencyChecker(const VcContext &Vc, const DisjointAnalysis &Disj);
+  ConsistencyChecker(const VcContext &Vc, const DisjointAnalysis &Disj)
+      : Vc(Vc), Disj(Disj) {}
 
   /// Registers a freshly created node.
   void onNewNode(NodeId N);
@@ -62,8 +63,6 @@ public:
 
   /// Total Disj_blk lookups performed (merge-overhead accounting).
   uint64_t numDisjQueries() const { return NumDisjQueries; }
-  /// Total canBind calls.
-  uint64_t numCanBindCalls() const { return NumCanBind; }
 
 private:
   bool disjSites(LabelId A, LabelId B) {
@@ -76,7 +75,6 @@ private:
   /// Desc[N] = descendants of N in the bound DAG, including N itself.
   std::vector<Bitset> Desc;
   uint64_t NumDisjQueries = 0;
-  uint64_t NumCanBind = 0;
 };
 
 /// All configurations represented by node \p N: each is the node's entry

@@ -39,6 +39,48 @@ const char *rmt::verdictName(Verdict V) {
   return "?";
 }
 
+Inliner::Inliner(const AstContext &Ctx, const CfgProgram &Prog, ProcId Root,
+                 TermArena &Arena, const StrategyOptions &Opts,
+                 std::function<void(TermRef)> Sink, PvcMode Mode)
+    : Vc(Ctx, Prog, Arena, std::move(Sink), Mode), Disj(Prog),
+      Checker(Vc, Disj),
+      Strategy(createStrategy(Opts, Vc, Checker, Disj, Root)) {
+  NodeId N = Vc.genPvc(Root);
+  Checker.onNewNode(N);
+  Strategy->noteNewNode(N, InvalidEdge);
+}
+
+Inliner::Binding Inliner::resolve(EdgeId C) {
+  Binding B;
+  uint64_t DisjBefore = Checker.numDisjQueries();
+  Stopwatch PickWatch;
+  std::optional<NodeId> Picked = Strategy->pick(C);
+  B.LookupSeconds = PickWatch.seconds();
+  if (Picked) {
+    assert(Checker.canBind(C, *Picked) &&
+           "strategy returned an incompatible node");
+    B.Node = *Picked;
+    B.Merged = true;
+  } else {
+    B.Node = Vc.genPvc(Vc.edge(C).Callee);
+    Checker.onNewNode(B.Node);
+    Strategy->noteNewNode(B.Node, C);
+  }
+  B.DisjQueries = Checker.numDisjQueries() - DisjBefore;
+  Vc.bindEdge(C, B.Node);
+  Checker.onBind(C, B.Node);
+  return B;
+}
+
+bool Inliner::inlineAll(size_t MaxNodes) {
+  while (!Vc.openEdges().empty()) {
+    if (Vc.numInlined() > MaxNodes)
+      return false;
+    resolve(Vc.openEdges().front());
+  }
+  return true;
+}
+
 namespace {
 
 class Engine {
@@ -48,29 +90,25 @@ public:
       : Ctx(Ctx), Prog(Prog), Entry(Entry), ErrGlobal(ErrGlobal), Opts(Opts),
         Budget(Opts.TimeoutSeconds),
         Solver(createZ3Solver(Arena, Opts.Telemetry)),
-        Vc(Ctx, Prog, Arena, [this](TermRef T) { Solver->assertTerm(T); },
-           Opts.Pvc),
-        Disj(Prog), Checker(Vc, Disj),
-        Strategy(createStrategy(Opts.Strategy, Prog, Disj, Entry)) {}
+        In(Ctx, Prog, Entry, Arena, Opts.Strategy,
+           [this](TermRef T) { Solver->assertTerm(T); }, Opts.Pvc),
+        Vc(In.vc()) {}
 
   VerifyResult run() {
     TraceSpan RunSpan(Opts.Telemetry, "engine.run",
                       {{"entry", Ctx.name(Prog.proc(Entry).Name)},
                        {"mode", Opts.Eager ? "eager" : "stratified"},
                        {"strategy", strategyName(Opts.Strategy.Kind)}});
-    NodeId Root = Vc.genPvc(Entry);
-    Checker.onNewNode(Root);
-    Strategy->noteNewNode(Root, InvalidEdge);
-
-    // Line 28: Push(Control[Root]); plus the error-bit query.
-    Solver->assertTerm(Vc.node(Root).Control);
+    // Line 28: Push(Control[Root]); plus the error-bit query. The Inliner
+    // already pushed the root's pVC.
+    Solver->assertTerm(Vc.node(0).Control);
     if (ErrGlobal)
-      Solver->assertTerm(errOutTerm(Root));
+      Solver->assertTerm(errOutTerm(0));
 
     if (Opts.Eager)
-      runEager(Root);
+      runEager();
     else
-      runStratified(Root);
+      runStratified();
     RunSpan.note({"verdict", verdictName(Result.Outcome)});
     return finish();
   }
@@ -91,7 +129,7 @@ private:
     Result.Seconds = Budget.elapsed();
     Result.NumInlined = Vc.numInlined();
     Result.NumSolverChecks = Solver->numChecks();
-    Result.NumDisjQueries = Checker.numDisjQueries();
+    Result.NumDisjQueries = In.checker().numDisjQueries();
     if (Trace *T = Opts.Telemetry; T && T->enabled())
       T->instant("engine.verdict",
                  {{"verdict", verdictName(Result.Outcome)},
@@ -116,33 +154,17 @@ private:
     return true;
   }
 
-  /// Resolves open edge \p C: ask the strategy for a compatible node, else
-  /// inline a fresh copy; bind either way.
+  /// Resolves open edge \p C through the Inliner and accounts for it.
   void resolveEdge(EdgeId C) {
-    uint64_t DisjBefore = Checker.numDisjQueries();
-    Stopwatch PickWatch;
-    std::optional<NodeId> Picked = Strategy->pick(Vc, Checker, C);
-    double PickSeconds = PickWatch.seconds();
-    Result.MergeLookupSeconds += PickSeconds;
-
-    NodeId N;
-    if (Picked) {
-      assert(Checker.canBind(C, *Picked) &&
-             "strategy returned an incompatible node");
-      N = *Picked;
+    Inliner::Binding B = In.resolve(C);
+    Result.MergeLookupSeconds += B.LookupSeconds;
+    if (B.Merged)
       ++Result.NumMerged;
-    } else {
-      N = Vc.genPvc(Vc.edge(C).Callee);
-      Checker.onNewNode(N);
-      Strategy->noteNewNode(N, C);
-    }
     if (Trace *T = Opts.Telemetry; T && T->enabled())
-      T->instant(Picked ? "engine.merge" : "engine.inline",
+      T->instant(B.Merged ? "engine.merge" : "engine.inline",
                  {{"callee", Ctx.name(Prog.proc(Vc.edge(C).Callee).Name)},
-                  {"disj_queries", Checker.numDisjQueries() - DisjBefore},
-                  {"lookup_us", PickSeconds * 1e6}});
-    Vc.bindEdge(C, N);
-    Checker.onBind(C, N);
+                  {"disj_queries", B.DisjQueries},
+                  {"lookup_us", B.LookupSeconds * 1e6}});
   }
 
   /// One solver check with telemetry and the per-check stat split. \p Under
@@ -164,7 +186,7 @@ private:
     return R;
   }
 
-  void runEager(NodeId /*Root*/) {
+  void runEager() {
     // Fully unfold: FIFO over open edges.
     while (!Vc.openEdges().empty()) {
       if (outOfTime() || overInlineLimit())
@@ -172,8 +194,6 @@ private:
       resolveEdge(Vc.openEdges().front());
     }
     Result.NumIterations = 1;
-    if (Opts.SkipSolve)
-      return; // size-only run; Outcome stays Unknown by design
     switch (timedCheck({}, /*Under=*/true)) {
     case SolveResult::Sat:
       Result.Outcome = Verdict::Bug;
@@ -188,7 +208,7 @@ private:
     }
   }
 
-  void runStratified(NodeId /*Root*/) {
+  void runStratified() {
     for (;;) {
       ++Result.NumIterations;
       TraceSpan Iter(Opts.Telemetry, "engine.iteration",
@@ -322,10 +342,8 @@ private:
   Deadline Budget;
   TermArena Arena;
   std::unique_ptr<rmt::Solver> Solver;
-  VcContext Vc;
-  DisjointAnalysis Disj;
-  ConsistencyChecker Checker;
-  std::unique_ptr<MergeStrategy> Strategy;
+  Inliner In;
+  const VcContext &Vc;
   VerifyResult Result;
 };
 

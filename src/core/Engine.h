@@ -9,8 +9,7 @@
 ///
 ///  * Eager     — inline every open edge up front (tree unless a merging
 ///                strategy is given), then one solver call. This is the
-///                CBMC-style baseline of Fig. 3 and the full-inlining mode
-///                of Figs. 4/17.
+///                CBMC-style baseline of Fig. 3.
 ///  * Stratified— Corral's stratified inlining: keep open edges as havoc
 ///                summaries; alternate an under-approximate check (all open
 ///                edges blocked — SAT means a real bug) with an
@@ -20,10 +19,12 @@
 ///                merging strategy it is DI ("We implemented DAG inlining
 ///                using the framework of SI").
 ///
-/// The engine owns the TermArena, the solver, the VcContext, the
-/// DisjointAnalysis/ConsistencyChecker pair and the strategy, and reports
-/// the statistics the paper's tables use (#inlined, times, solver calls,
-/// merge-lookup overhead).
+/// Both engines, and every size-only caller (Figs. 4/17, --dump-dag), grow
+/// the inlining DAG through one Inliner: Gen_VC's "pick compatible n, else
+/// Gen_pVC, then bind" loop (Fig. 8 lines 17–30). The engine owns the
+/// TermArena, the solver and the Inliner, and reports the statistics the
+/// paper's tables use (#inlined, times, solver calls, merge-lookup
+/// overhead).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +41,51 @@
 #include <optional>
 
 namespace rmt {
+
+/// Gen_VC's bookkeeping (Fig. 8 lines 17–30) over one VcContext: owns the
+/// DisjointAnalysis, the ConsistencyChecker and the merging strategy, and
+/// keeps them in lock-step with genPvc/bindEdge. Building one creates the
+/// root instance (node 0).
+class Inliner {
+public:
+  /// How resolve() bound an open edge.
+  struct Binding {
+    NodeId Node = InvalidNode;
+    /// True when Node already existed (a merge), false for a fresh Gen_pVC.
+    bool Merged = false;
+    /// Disj_blk lookups the pick made.
+    uint64_t DisjQueries = 0;
+    /// Wall time of the strategy's pick.
+    double LookupSeconds = 0;
+  };
+
+  /// \p Sink and \p Mode are passed to the VcContext (see VcContext).
+  Inliner(const AstContext &Ctx, const CfgProgram &Prog, ProcId Root,
+          TermArena &Arena, const StrategyOptions &Opts,
+          std::function<void(TermRef)> Sink = {},
+          PvcMode Mode = PvcMode::Paper);
+  // The checker and the strategy refer to Vc: never copy or move.
+  Inliner(const Inliner &) = delete;
+  Inliner &operator=(const Inliner &) = delete;
+
+  /// Resolves open edge \p C (lines 20–25): binds it to the node the
+  /// strategy picks, else to a fresh instance of its callee.
+  Binding resolve(EdgeId C);
+
+  /// Resolves open edges first-in-first-out until none is left. Returns
+  /// false, leaving edges open, once more than \p MaxNodes instances exist
+  /// (the engine's MaxInlined rule).
+  bool inlineAll(size_t MaxNodes);
+
+  const VcContext &vc() const { return Vc; }
+  const ConsistencyChecker &checker() const { return Checker; }
+
+private:
+  VcContext Vc;
+  DisjointAnalysis Disj;
+  ConsistencyChecker Checker;
+  std::unique_ptr<MergeStrategy> Strategy;
+};
 
 /// Outcome of one engine run.
 enum class Verdict {
@@ -103,8 +149,6 @@ struct EngineOptions {
   double TimeoutSeconds = 0;
   /// Eager mode: fully inline before the single solver call.
   bool Eager = false;
-  /// Eager mode: skip solving (size-only experiments, Figs. 4/17).
-  bool SkipSolve = false;
   /// Abort with ResourceOut past this many inlined instances.
   size_t MaxInlined = 1u << 20;
   /// Optional event recorder (see support/Trace.h). The engine emits

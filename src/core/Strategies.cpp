@@ -49,12 +49,14 @@ const char *rmt::strategyName(MergeStrategyKind Kind) {
   return "?";
 }
 
-namespace {
+std::optional<NodeId> MergeStrategy::firstCompatible(EdgeId C) {
+  for (NodeId N : Vc.instancesOf(Vc.edge(C).Callee))
+    if (Checker.canBind(C, N))
+      return N;
+  return std::nullopt;
+}
 
-/// Candidates for edge \p C: instances of the callee that pass canBind, in
-/// chronological order (the paper's set M).
-std::vector<NodeId> compatibleNodes(const VcContext &Vc,
-                                    ConsistencyChecker &Checker, EdgeId C) {
+std::vector<NodeId> MergeStrategy::compatibleNodes(EdgeId C) {
   std::vector<NodeId> M;
   for (NodeId N : Vc.instancesOf(Vc.edge(C).Callee))
     if (Checker.canBind(C, N))
@@ -62,35 +64,31 @@ std::vector<NodeId> compatibleNodes(const VcContext &Vc,
   return M;
 }
 
+namespace {
+
 class NoneStrategy final : public MergeStrategy {
 public:
-  std::optional<NodeId> pick(const VcContext &, ConsistencyChecker &,
-                             EdgeId) override {
-    return std::nullopt;
-  }
+  using MergeStrategy::MergeStrategy;
+  std::optional<NodeId> pick(EdgeId) override { return std::nullopt; }
 };
 
 class FirstStrategy final : public MergeStrategy {
 public:
-  std::optional<NodeId> pick(const VcContext &Vc, ConsistencyChecker &Checker,
-                             EdgeId C) override {
-    for (NodeId N : Vc.instancesOf(Vc.edge(C).Callee))
-      if (Checker.canBind(C, N))
-        return N;
-    return std::nullopt;
-  }
+  using MergeStrategy::MergeStrategy;
+  std::optional<NodeId> pick(EdgeId C) override { return firstCompatible(C); }
 };
 
 class RandomStrategy final : public MergeStrategy {
 public:
-  RandomStrategy(uint64_t Seed, unsigned NoneChance, bool AlwaysPick)
-      : Gen(Seed), NoneChance(NoneChance), AlwaysPick(AlwaysPick) {}
+  RandomStrategy(const VcContext &Vc, ConsistencyChecker &Checker,
+                 uint64_t Seed, unsigned NoneChance, bool AlwaysPick)
+      : MergeStrategy(Vc, Checker), Gen(Seed), NoneChance(NoneChance),
+        AlwaysPick(AlwaysPick) {}
 
-  std::optional<NodeId> pick(const VcContext &Vc, ConsistencyChecker &Checker,
-                             EdgeId C) override {
+  std::optional<NodeId> pick(EdgeId C) override {
     if (!AlwaysPick && Gen.chance(NoneChance, 256))
       return std::nullopt;
-    std::vector<NodeId> M = compatibleNodes(Vc, Checker, C);
+    std::vector<NodeId> M = compatibleNodes(C);
     if (M.empty())
       return std::nullopt;
     return M[Gen.below(M.size())];
@@ -104,11 +102,11 @@ private:
 
 class MaxCStrategy final : public MergeStrategy {
 public:
-  std::optional<NodeId> pick(const VcContext &Vc, ConsistencyChecker &Checker,
-                             EdgeId C) override {
+  using MergeStrategy::MergeStrategy;
+  std::optional<NodeId> pick(EdgeId C) override {
     std::optional<NodeId> Best;
     size_t BestSize = 0;
-    for (NodeId N : compatibleNodes(Vc, Checker, C)) {
+    for (NodeId N : compatibleNodes(C)) {
       size_t Size = Checker.numDescendants(N);
       if (!Best || Size > BestSize) {
         Best = N;
@@ -129,8 +127,8 @@ struct OptDag {
   size_t TreeSize = 0;
   uint32_t RootDoNode = 0;
   size_t NumDoNodes = 0;
-  /// (DoSrc, call-site) -> DoDst. First writer wins; the engine-side canBind
-  /// re-validation keeps any residual ambiguity sound.
+  /// (DoSrc, call-site) -> DoDst. First writer wins; OptStrategy::pick's
+  /// canBind check keeps any residual ambiguity sound.
   std::unordered_map<uint64_t, uint32_t> Edge;
 
   static uint64_t key(uint32_t DoSrc, LabelId Site) {
@@ -299,21 +297,16 @@ OptDag buildOptDag(const CfgProgram &Prog, const DisjointAnalysis &Disj,
 
 class OptStrategy final : public MergeStrategy {
 public:
-  OptStrategy(OptDag Do) : Do(std::move(Do)) {
+  OptStrategy(const VcContext &Vc, ConsistencyChecker &Checker, OptDag Do)
+      : MergeStrategy(Vc, Checker), Do(std::move(Do)) {
     if (this->Do.Ok)
       Host.assign(this->Do.NumDoNodes, InvalidNode);
   }
 
-  std::optional<NodeId> pick(const VcContext &Vc, ConsistencyChecker &Checker,
-                             EdgeId C) override {
-    if (!Do.Ok) {
-      // Precompute overflowed: fall back to FIRST (documented behaviour).
-      for (NodeId N : Vc.instancesOf(Vc.edge(C).Callee))
-        if (Checker.canBind(C, N))
-          return N;
-      return std::nullopt;
-    }
-    std::optional<uint32_t> Target = imageOfEdgeTarget(Vc, C);
+  std::optional<NodeId> pick(EdgeId C) override {
+    if (!Do.Ok)
+      return firstCompatible(C); // precompute overflowed: FIRST behaviour
+    std::optional<uint32_t> Target = imageOfEdgeTarget(C);
     if (!Target)
       return std::nullopt;
     NodeId H = Host[*Target];
@@ -331,12 +324,12 @@ public:
       setImage(N, Do.RootDoNode);
       return;
     }
-    if (std::optional<uint32_t> Target = imageOfEdgeTarget(LastVc, Cause))
+    if (std::optional<uint32_t> Target = imageOfEdgeTarget(Cause))
       setImage(N, *Target);
   }
 
-  std::optional<uint32_t> imageOfEdgeTarget(const VcContext &Vc, EdgeId C) {
-    LastVc = &Vc;
+private:
+  std::optional<uint32_t> imageOfEdgeTarget(EdgeId C) const {
     const VcEdge &E = Vc.edge(C);
     auto ImgIt = Image.find(E.Src);
     if (ImgIt == Image.end())
@@ -345,14 +338,6 @@ public:
     if (It == Do.Edge.end())
       return std::nullopt;
     return It->second;
-  }
-
-private:
-  // noteNewNode has no VcContext parameter; remember the last one seen.
-  // Engines use a single VcContext per run, so this is stable.
-  std::optional<uint32_t> imageOfEdgeTarget(const VcContext *Vc, EdgeId C) {
-    assert(Vc && "noteNewNode before any pick");
-    return imageOfEdgeTarget(*Vc, C);
   }
 
   void setImage(NodeId N, uint32_t DoNode) {
@@ -364,33 +349,35 @@ private:
   OptDag Do;
   std::vector<NodeId> Host;                    // Do node -> hosting D node
   std::unordered_map<NodeId, uint32_t> Image;  // D node -> Do node
-  const VcContext *LastVc = nullptr;
 };
 
 } // namespace
 
-std::unique_ptr<MergeStrategy> rmt::createStrategy(const StrategyOptions &Opts,
-                                                   const CfgProgram &Prog,
-                                                   const DisjointAnalysis &Disj,
-                                                   ProcId Root) {
+std::unique_ptr<MergeStrategy>
+rmt::createStrategy(const StrategyOptions &Opts, const VcContext &Vc,
+                    ConsistencyChecker &Checker, const DisjointAnalysis &Disj,
+                    ProcId Root) {
   switch (Opts.Kind) {
   case MergeStrategyKind::None:
-    return std::make_unique<NoneStrategy>();
+    return std::make_unique<NoneStrategy>(Vc, Checker);
   case MergeStrategyKind::First:
-    return std::make_unique<FirstStrategy>();
+    return std::make_unique<FirstStrategy>(Vc, Checker);
   case MergeStrategyKind::Random:
-    return std::make_unique<RandomStrategy>(Opts.Seed, Opts.NoneChance,
+    return std::make_unique<RandomStrategy>(Vc, Checker, Opts.Seed,
+                                            Opts.NoneChance,
                                             /*AlwaysPick=*/false);
   case MergeStrategyKind::RandomPick:
-    return std::make_unique<RandomStrategy>(Opts.Seed, Opts.NoneChance,
+    return std::make_unique<RandomStrategy>(Vc, Checker, Opts.Seed,
+                                            Opts.NoneChance,
                                             /*AlwaysPick=*/true);
   case MergeStrategyKind::MaxC:
-    return std::make_unique<MaxCStrategy>();
+    return std::make_unique<MaxCStrategy>(Vc, Checker);
   case MergeStrategyKind::Opt:
     return std::make_unique<OptStrategy>(
-        buildOptDag(Prog, Disj, Root, Opts.MaxTreeNodes));
+        Vc, Checker,
+        buildOptDag(Vc.program(), Disj, Root, Opts.MaxTreeNodes));
   }
-  return std::make_unique<FirstStrategy>();
+  return std::make_unique<FirstStrategy>(Vc, Checker);
 }
 
 OptPrecomputeStats rmt::precomputeOptDag(const CfgProgram &Prog,

@@ -20,8 +20,9 @@
 ///                 inlined tree (conflict-graph colouring per procedure) and
 ///                 keeps the working DAG embedded in Do.
 ///
-/// Engines re-validate every pick with ConsistencyChecker::canBind before
-/// committing, so a strategy can never compromise soundness.
+/// A strategy is created over one Inliner's VcContext and checker, and is
+/// only driven by that Inliner (core/Engine.h). Every pick passes
+/// ConsistencyChecker::canBind; Debug builds re-check it before binding.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,21 +47,34 @@ std::optional<MergeStrategyKind> parseStrategyKind(const std::string &Name);
 /// Printable name of \p Kind.
 const char *strategyName(MergeStrategyKind Kind);
 
-/// A policy object answering line 20 of Fig. 8.
+/// A policy object answering line 20 of Fig. 8 over one VcContext.
 class MergeStrategy {
 public:
+  MergeStrategy(const VcContext &Vc, ConsistencyChecker &Checker)
+      : Vc(Vc), Checker(Checker) {}
+  MergeStrategy(const MergeStrategy &) = delete;
+  MergeStrategy &operator=(const MergeStrategy &) = delete;
   virtual ~MergeStrategy();
 
   /// Returns the node to merge open edge \p C into, or nullopt for None
   /// (inline a fresh copy). Implementations must only return nodes passing
   /// Checker.canBind(C, n).
-  virtual std::optional<NodeId> pick(const VcContext &Vc,
-                                     ConsistencyChecker &Checker,
-                                     EdgeId C) = 0;
+  virtual std::optional<NodeId> pick(EdgeId C) = 0;
 
   /// Notifies the strategy that a fresh node \p N was inlined to resolve
   /// edge \p Cause (InvalidEdge for the root).
   virtual void noteNewNode(NodeId N, EdgeId Cause);
+
+protected:
+  /// The first compatible instance of C's callee in chronological order
+  /// (FIRST's answer).
+  std::optional<NodeId> firstCompatible(EdgeId C);
+  /// Every compatible instance of C's callee in chronological order (the
+  /// paper's set M).
+  std::vector<NodeId> compatibleNodes(EdgeId C);
+
+  const VcContext &Vc;
+  ConsistencyChecker &Checker;
 };
 
 /// Configuration for strategy construction.
@@ -76,10 +90,12 @@ struct StrategyOptions {
   size_t MaxTreeNodes = 500000;
 };
 
-/// Creates a strategy. OPT needs the analysis and the root procedure to
-/// precompute Do; the others ignore those arguments.
+/// Creates a strategy picking nodes of \p Vc validated by \p Checker. OPT
+/// needs the analysis and the root procedure to precompute Do; the others
+/// ignore those arguments.
 std::unique_ptr<MergeStrategy> createStrategy(const StrategyOptions &Opts,
-                                              const CfgProgram &Prog,
+                                              const VcContext &Vc,
+                                              ConsistencyChecker &Checker,
                                               const DisjointAnalysis &Disj,
                                               ProcId Root);
 

@@ -258,19 +258,6 @@ TEST(Engine, EagerMatchesStratified) {
   EXPECT_EQ(run(Src, Eager).Result.Outcome, Verdict::Safe);
 }
 
-TEST(Engine, EagerSkipSolveReportsSizesOnly) {
-  AstContext Ctx;
-  Program P = makeChainProgram(Ctx, 5);
-  VerifierOptions Opts;
-  Opts.Engine.Eager = true;
-  Opts.Engine.SkipSolve = true;
-  Opts.Engine.Strategy.Kind = MergeStrategyKind::None;
-  auto R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
-  EXPECT_EQ(R.Result.Outcome, Verdict::Unknown);
-  EXPECT_EQ(R.Result.NumInlined, 127u); // full tree for N=5
-  EXPECT_EQ(R.Result.NumSolverChecks, 0u);
-}
-
 TEST(Engine, SdvDriverBugFoundByAllEngines) {
   SdvParams Params;
   Params.Seed = 11;

@@ -1,7 +1,7 @@
 //===- strategies_test.cpp - Merging strategies (Section 3.4) ---------------===//
 
 #include "cfg/Lower.h"
-#include "core/Strategies.h"
+#include "core/Engine.h"
 #include "parser/Parser.h"
 #include "transform/Transforms.h"
 #include "workload/Chain.h"
@@ -13,48 +13,17 @@ using namespace rmt;
 
 namespace {
 
-struct Inliner {
-  AstContext &Ctx;
-  CfgProgram &Cfg;
+/// Fully inlines from \p Root (the Fig. 17 regime: "keep inlining until
+/// all dynamic instances get inlined") and checks the DAG is consistent
+/// (Def. 2). Returns #nodes.
+size_t fullyInline(const AstContext &Ctx, const CfgProgram &Cfg, ProcId Root,
+                   const StrategyOptions &Opts) {
   TermArena Arena;
-  VcContext Vc;
-  DisjointAnalysis Disj;
-  ConsistencyChecker Check;
-  std::unique_ptr<MergeStrategy> Strategy;
-  size_t Merged = 0;
-
-  Inliner(AstContext &Ctx, CfgProgram &Cfg, const StrategyOptions &Opts,
-          ProcId Root)
-      : Ctx(Ctx), Cfg(Cfg), Vc(Ctx, Cfg, Arena), Disj(Cfg), Check(Vc, Disj),
-        Strategy(createStrategy(Opts, Cfg, Disj, Root)) {}
-
-  /// Fully inlines from \p Root (the Fig. 17 regime: "keep inlining until
-  /// all dynamic instances get inlined"). Returns #nodes.
-  size_t fullyInline(ProcId Root) {
-    NodeId R = Vc.genPvc(Root);
-    Check.onNewNode(R);
-    Strategy->noteNewNode(R, InvalidEdge);
-    while (!Vc.openEdges().empty()) {
-      EdgeId E = Vc.openEdges().front();
-      std::optional<NodeId> Pick = Strategy->pick(Vc, Check, E);
-      NodeId N;
-      if (Pick) {
-        EXPECT_TRUE(Check.canBind(E, *Pick))
-            << "strategy returned an incompatible candidate";
-        N = *Pick;
-        ++Merged;
-      } else {
-        N = Vc.genPvc(Vc.edge(E).Callee);
-        Check.onNewNode(N);
-        Strategy->noteNewNode(N, E);
-      }
-      Vc.bindEdge(E, N);
-      Check.onBind(E, N);
-    }
-    EXPECT_TRUE(Check.isConsistentFull());
-    return Vc.numInlined();
-  }
-};
+  Inliner In(Ctx, Cfg, Root, Arena, Opts);
+  EXPECT_TRUE(In.inlineAll(1u << 20));
+  EXPECT_TRUE(In.checker().isConsistentFull());
+  return In.vc().numInlined();
+}
 
 struct ChainFixture {
   AstContext Ctx;
@@ -97,10 +66,9 @@ TEST(NoneStrategy, ProducesTheFullTree) {
   ChainFixture F(4);
   StrategyOptions Opts;
   Opts.Kind = MergeStrategyKind::None;
-  Inliner I(F.Ctx, F.Cfg, Opts, F.Root);
-  size_t Nodes = I.fullyInline(F.Root);
-  EXPECT_EQ(Nodes, fullTreeSize(F.Cfg, F.Root));
-  EXPECT_EQ(I.Merged, 0u);
+  // A single merge would leave fewer nodes than the tree has.
+  EXPECT_EQ(fullyInline(F.Ctx, F.Cfg, F.Root, Opts),
+            fullTreeSize(F.Cfg, F.Root));
 }
 
 TEST(FirstStrategy, ChainCompressesToLinear) {
@@ -108,8 +76,7 @@ TEST(FirstStrategy, ChainCompressesToLinear) {
   ChainFixture F(6);
   StrategyOptions Opts;
   Opts.Kind = MergeStrategyKind::First;
-  Inliner I(F.Ctx, F.Cfg, Opts, F.Root);
-  size_t Nodes = I.fullyInline(F.Root);
+  size_t Nodes = fullyInline(F.Ctx, F.Cfg, F.Root, Opts);
   EXPECT_EQ(Nodes, 8u); // main, P0..P6
   EXPECT_GT(fullTreeSize(F.Cfg, F.Root), 100u);
 }
@@ -118,16 +85,14 @@ TEST(MaxCStrategy, AlsoLinearOnChain) {
   ChainFixture F(6);
   StrategyOptions Opts;
   Opts.Kind = MergeStrategyKind::MaxC;
-  Inliner I(F.Ctx, F.Cfg, Opts, F.Root);
-  EXPECT_EQ(I.fullyInline(F.Root), 8u);
+  EXPECT_EQ(fullyInline(F.Ctx, F.Cfg, F.Root, Opts), 8u);
 }
 
 TEST(OptStrategy, MatchesFirstOnChain) {
   ChainFixture F(5);
   StrategyOptions Opts;
   Opts.Kind = MergeStrategyKind::Opt;
-  Inliner I(F.Ctx, F.Cfg, Opts, F.Root);
-  EXPECT_EQ(I.fullyInline(F.Root), 7u);
+  EXPECT_EQ(fullyInline(F.Ctx, F.Cfg, F.Root, Opts), 7u);
 }
 
 TEST(OptStrategy, PrecomputeSizesOnChain) {
@@ -148,8 +113,7 @@ TEST(OptStrategy, OverflowFallsBackGracefully) {
   StrategyOptions Opts;
   Opts.Kind = MergeStrategyKind::Opt;
   Opts.MaxTreeNodes = 100;
-  Inliner I(F.Ctx, F.Cfg, Opts, F.Root);
-  EXPECT_EQ(I.fullyInline(F.Root), 12u);
+  EXPECT_EQ(fullyInline(F.Ctx, F.Cfg, F.Root, Opts), 12u);
 }
 
 TEST(RandomStrategies, ValidAndDeterministicPerSeed) {
@@ -161,8 +125,7 @@ TEST(RandomStrategies, ValidAndDeterministicPerSeed) {
       StrategyOptions Opts;
       Opts.Kind = Kind;
       Opts.Seed = 99;
-      Inliner I(F.Ctx, F.Cfg, Opts, F.Root);
-      size_t Nodes = I.fullyInline(F.Root);
+      size_t Nodes = fullyInline(F.Ctx, F.Cfg, F.Root, Opts);
       if (Round == 0)
         First = Nodes;
       else
@@ -178,8 +141,7 @@ TEST(RandomPick, NeverWorseThanTreeNeverBetterThanOpt) {
   StrategyOptions Opts;
   Opts.Kind = MergeStrategyKind::RandomPick;
   Opts.Seed = 5;
-  Inliner I(F.Ctx, F.Cfg, Opts, F.Root);
-  size_t Nodes = I.fullyInline(F.Root);
+  size_t Nodes = fullyInline(F.Ctx, F.Cfg, F.Root, Opts);
   EXPECT_LE(Nodes, Opt.TreeSize);
   EXPECT_GE(Nodes, Opt.DagSize);
 }
@@ -203,8 +165,7 @@ TEST(StrategyOrdering, PaperFig17ShapeOnDriver) {
     StrategyOptions Opts;
     Opts.Kind = Kind;
     Opts.Seed = 3;
-    Inliner I(Ctx, Cfg, Opts, Root);
-    return I.fullyInline(Root);
+    return fullyInline(Ctx, Cfg, Root, Opts);
   };
 
   size_t Tree = SizeWith(MergeStrategyKind::None);
@@ -216,4 +177,69 @@ TEST(StrategyOrdering, PaperFig17ShapeOnDriver) {
   EXPECT_LE(Opt, First * 2); // first stays close to opt
   EXPECT_LE(First, Rand * 2 + 8);
   EXPECT_LE(Rand, Tree);
+}
+
+TEST(Inliner, InlineAllStopsPastTheNodeCap) {
+  ChainFixture F(5);
+  StrategyOptions Opts;
+  Opts.Kind = MergeStrategyKind::None;
+  EXPECT_EQ(fullyInline(F.Ctx, F.Cfg, F.Root, Opts), 127u);
+
+  TermArena Arena;
+  Inliner In(F.Ctx, F.Cfg, F.Root, Arena, Opts);
+  EXPECT_FALSE(In.inlineAll(100));
+  EXPECT_EQ(In.vc().numInlined(), 101u);
+  EXPECT_FALSE(In.vc().openEdges().empty());
+}
+
+TEST(Inliner, ResolveReportsMerges) {
+  // examples/programs/fig1_sharing.hbpl: foo is reached through bar or
+  // baz, never both, so FIRST binds the second foo call to the first.
+  const char *Src = R"(
+    var g: int;
+    procedure main() {
+      g := 0;
+      if (*) { call bar(); } else { call baz(); }
+      assert g >= 1 && g <= 3;
+    }
+    procedure bar() { g := g + 1; call foo(); }
+    procedure baz() { g := g + 2; call foo(); }
+    procedure foo() { g := g + 1; }
+  )";
+  AstContext Ctx;
+  DiagEngine Diags;
+  std::optional<Program> P = parseAndCheck(Src, Ctx, Diags);
+  ASSERT_TRUE(P) << Diags.str();
+  BoundedInstance B = prepareBounded(Ctx, *P, Ctx.sym("main"), 1);
+  CfgProgram Cfg = lowerToCfg(Ctx, B.Prog);
+  ProcId Foo = Cfg.findProc(Ctx.sym("foo"));
+
+  for (MergeStrategyKind Kind :
+       {MergeStrategyKind::First, MergeStrategyKind::None}) {
+    StrategyOptions Opts;
+    Opts.Kind = Kind;
+    TermArena Arena;
+    Inliner In(Ctx, Cfg, Cfg.findProc(Ctx.sym("main")), Arena, Opts);
+    std::vector<Inliner::Binding> FooBindings;
+    while (!In.vc().openEdges().empty()) {
+      EdgeId E = In.vc().openEdges().front();
+      bool ToFoo = In.vc().edge(E).Callee == Foo;
+      Inliner::Binding Bound = In.resolve(E);
+      EXPECT_EQ(In.vc().edge(E).Dest, Bound.Node);
+      if (ToFoo)
+        FooBindings.push_back(Bound);
+      else
+        EXPECT_FALSE(Bound.Merged) << strategyName(Kind);
+    }
+    ASSERT_EQ(FooBindings.size(), 2u);
+    EXPECT_FALSE(FooBindings[0].Merged);
+    if (Kind == MergeStrategyKind::First) {
+      EXPECT_TRUE(FooBindings[1].Merged);
+      EXPECT_EQ(FooBindings[1].Node, FooBindings[0].Node);
+      EXPECT_GT(FooBindings[1].DisjQueries, 0u);
+    } else {
+      EXPECT_FALSE(FooBindings[1].Merged);
+    }
+    EXPECT_TRUE(In.checker().isConsistentFull());
+  }
 }

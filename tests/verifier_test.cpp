@@ -1,7 +1,6 @@
 //===- verifier_test.cpp - Facade: iterative deepening, DOT export ----------===//
 
 #include "cfg/Lower.h"
-#include "core/Consistency.h"
 #include "core/DotExport.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
@@ -122,13 +121,13 @@ TEST(Deepening, SharedBudgetTimesOut) {
 
 namespace {
 
-/// Fully DI-inlines a program and returns the VcContext pieces needed for
-/// rendering.
+/// A program's inlining DAG under FIRST, holding only the root until
+/// inlineAll.
 struct DagFixture {
   AstContext Ctx;
   CfgProgram Cfg;
   TermArena Arena;
-  std::unique_ptr<VcContext> Vc;
+  std::unique_ptr<Inliner> In;
 
   explicit DagFixture(const char *Src) {
     DiagEngine Diags;
@@ -136,29 +135,8 @@ struct DagFixture {
     EXPECT_TRUE(P) << Diags.str();
     BoundedInstance B = prepareBounded(Ctx, *P, Ctx.sym("main"), 1);
     Cfg = lowerToCfg(Ctx, B.Prog);
-    Vc = std::make_unique<VcContext>(Ctx, Cfg, Arena);
-  }
-
-  void inlineAll() {
-    DisjointAnalysis Disj(Cfg);
-    ConsistencyChecker Check(*Vc, Disj);
-    NodeId Root = Vc->genPvc(Cfg.findProc(Ctx.sym("main")));
-    Check.onNewNode(Root);
-    while (!Vc->openEdges().empty()) {
-      EdgeId E = Vc->openEdges().front();
-      NodeId Pick = InvalidNode;
-      for (NodeId N : Vc->instancesOf(Vc->edge(E).Callee))
-        if (Check.canBind(E, N)) {
-          Pick = N;
-          break;
-        }
-      if (Pick == InvalidNode) {
-        Pick = Vc->genPvc(Vc->edge(E).Callee);
-        Check.onNewNode(Pick);
-      }
-      Vc->bindEdge(E, Pick);
-      Check.onBind(E, Pick);
-    }
+    In = std::make_unique<Inliner>(Ctx, Cfg, Cfg.findProc(Ctx.sym("main")),
+                                   Arena, StrategyOptions());
   }
 };
 
@@ -178,8 +156,8 @@ const char *Fig1Src = R"(
 
 TEST(DotExport, InliningDagShowsMergedFoo) {
   DagFixture F(Fig1Src);
-  F.inlineAll();
-  std::string Dot = inliningDagToDot(F.Ctx, *F.Vc);
+  EXPECT_TRUE(F.In->inlineAll(100));
+  std::string Dot = inliningDagToDot(F.Ctx, F.In->vc());
   EXPECT_NE(Dot.find("digraph inlining_dag"), std::string::npos);
   EXPECT_NE(Dot.find("foo"), std::string::npos);
   // The shared foo instance (two parents) is highlighted.
@@ -190,8 +168,7 @@ TEST(DotExport, InliningDagShowsMergedFoo) {
 
 TEST(DotExport, OpenEdgesRenderedDashed) {
   DagFixture F(Fig1Src);
-  F.Vc->genPvc(F.Cfg.findProc(F.Ctx.sym("main")));
-  std::string Dot = inliningDagToDot(F.Ctx, *F.Vc);
+  std::string Dot = inliningDagToDot(F.Ctx, F.In->vc());
   EXPECT_NE(Dot.find("style=dashed"), std::string::npos);
   EXPECT_NE(Dot.find("open: "), std::string::npos);
 }
