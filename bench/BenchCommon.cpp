@@ -2,40 +2,76 @@
 
 #include "BenchCommon.h"
 
+#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 
 using namespace rmt;
 using namespace rmt::bench;
 
+EngineConfig rmt::bench::makeConfig(std::string Name, MergeStrategyKind Kind,
+                                    bool UseInvariants) {
+  EngineConfig C{std::move(Name), VerifierOptions()};
+  C.Opts.Bound = 1; // drivers and chains are loop-free by construction
+  C.Opts.UseInvariants = UseInvariants;
+  C.Opts.Engine.Strategy.Kind = Kind;
+  return C;
+}
+
+std::string RunRow::timeCell(int Digits) const {
+  if (!decided())
+    return "T/O";
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.*f", Digits, Seconds);
+  return Buf;
+}
+
 RunRow rmt::bench::runInstance(const std::string &Name,
-                               const SdvParams &Params,
+                               const ProgramMaker &Make,
                                const EngineConfig &Config,
                                double TimeoutSeconds) {
   AstContext Ctx;
-  Program Prog = makeSdvProgram(Ctx, Params);
-
-  VerifierOptions Opts;
-  Opts.Bound = 1; // drivers are loop-free by construction
-  Opts.UseInvariants = Config.UseInvariants;
-  Opts.Engine.Strategy.Kind = Config.Kind;
+  Program Prog = Make(Ctx);
+  VerifierOptions Opts = Config.Opts;
   Opts.Engine.TimeoutSeconds = TimeoutSeconds;
 
+  Stopwatch Wall;
   VerifierRunResult R = verifyProgram(Ctx, Prog, Ctx.sym("main"), Opts);
+  double Seconds = Wall.seconds();
+  if (!R.Prepass.ok()) {
+    std::fprintf(stderr, "error: %s [%s]: prepass failed: %s\n",
+                 Name.c_str(), Config.Name.c_str(),
+                 R.Prepass.PipelineErrors.front().c_str());
+    std::exit(1);
+  }
 
   RunRow Row;
   Row.Instance = Name;
   Row.Config = Config.Name;
   Row.Outcome = R.Result.Outcome;
-  Row.Seconds = R.Result.Seconds;
+  Row.Seconds = Seconds;
   Row.Inlined = R.Result.NumInlined;
   Row.Merged = R.Result.NumMerged;
   Row.MergeLookupSeconds = R.Result.MergeLookupSeconds;
   return Row;
+}
+
+unsigned rmt::bench::countDisagreements(const std::vector<RunRow> &Rows) {
+  std::map<std::string, Verdict> Agreed;
+  unsigned Disagreements = 0;
+  for (const RunRow &Row : Rows) {
+    if (!Row.decided())
+      continue;
+    auto [It, First] = Agreed.emplace(Row.Instance, Row.Outcome);
+    if (!First && It->second != Row.Outcome)
+      ++Disagreements;
+  }
+  return Disagreements;
 }
 
 std::vector<RunRow>
@@ -46,7 +82,7 @@ rmt::bench::runCorpus(const std::vector<SdvInstance> &Corpus,
   Rows.reserve(Corpus.size() * Configs.size());
   for (const SdvInstance &Inst : Corpus) {
     for (const EngineConfig &Config : Configs) {
-      RunRow Row = runInstance(Inst.Name, Inst.Params, Config,
+      RunRow Row = runInstance(Inst.Name, sdvMaker(Inst.Params), Config,
                                TimeoutSeconds);
       std::fprintf(stderr, "  [%s] %-12s %-8s %7.2fs inlined=%zu\n",
                    Config.Name.c_str(), Inst.Name.c_str(),
@@ -59,10 +95,10 @@ rmt::bench::runCorpus(const std::vector<SdvInstance> &Corpus,
 
 std::vector<EngineConfig> rmt::bench::standardConfigs() {
   return {
-      {"SI-Inv", MergeStrategyKind::None, false},
-      {"DI-Inv", MergeStrategyKind::First, false},
-      {"SI+Inv", MergeStrategyKind::None, true},
-      {"DI+Inv", MergeStrategyKind::First, true},
+      makeConfig("SI-Inv", MergeStrategyKind::None),
+      makeConfig("DI-Inv", MergeStrategyKind::First),
+      makeConfig("SI+Inv", MergeStrategyKind::None, true),
+      makeConfig("DI+Inv", MergeStrategyKind::First, true),
   };
 }
 

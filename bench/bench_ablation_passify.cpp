@@ -19,36 +19,6 @@
 using namespace rmt;
 using namespace rmt::bench;
 
-namespace {
-
-struct ModeResult {
-  Verdict Outcome = Verdict::Unknown;
-  double Seconds = 0;
-  size_t Inlined = 0;
-};
-
-ModeResult runMode(const SdvParams &Params, PvcMode Mode, double Timeout) {
-  AstContext Ctx;
-  Program P = makeSdvProgram(Ctx, Params);
-  VerifierOptions Opts;
-  Opts.Bound = 1;
-  Opts.Engine.Strategy.Kind = MergeStrategyKind::First;
-  Opts.Engine.Pvc = Mode;
-  Opts.Engine.TimeoutSeconds = Timeout;
-  auto R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
-  return {R.Result.Outcome, R.Result.Seconds, R.Result.NumInlined};
-}
-
-std::string cell(const ModeResult &R) {
-  if (R.Outcome != Verdict::Bug && R.Outcome != Verdict::Safe)
-    return "T/O";
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.2f", R.Seconds);
-  return Buf;
-}
-
-} // namespace
-
 int main() {
   double Timeout = envTimeout(5);
   unsigned Count = envCount(12);
@@ -59,34 +29,32 @@ int main() {
               "passified pVC generator (timeout %.0fs)\n\n",
               Timeout);
   Table T({"instance", "paper(s)", "passified(s)", "speedup", "verdicts"});
+  EngineConfig Configs[2] = {makeConfig("paper", MergeStrategyKind::First),
+                             makeConfig("passified", MergeStrategyKind::First)};
+  Configs[1].Opts.Engine.Pvc = PvcMode::Passified;
   unsigned Solved[2] = {0, 0};
   double Time[2] = {0, 0};
-  unsigned Mismatch = 0;
+  std::vector<RunRow> Rows;
   for (const SdvInstance &Inst : Corpus) {
-    ModeResult Paper = runMode(Inst.Params, PvcMode::Paper, Timeout);
-    ModeResult Pass = runMode(Inst.Params, PvcMode::Passified, Timeout);
+    RunRow Run[2];
+    for (unsigned I = 0; I < 2; ++I) {
+      Run[I] =
+          runInstance(Inst.Name, sdvMaker(Inst.Params), Configs[I], Timeout);
+      if (Run[I].decided()) {
+        ++Solved[I];
+        Time[I] += Run[I].Seconds;
+      }
+      Rows.push_back(Run[I]);
+    }
+    const RunRow &Paper = Run[0], &Pass = Run[1];
     std::fprintf(stderr, "  %-12s paper=%s passified=%s\n",
-                 Inst.Name.c_str(), cell(Paper).c_str(),
-                 cell(Pass).c_str());
-    bool PaperDone =
-        Paper.Outcome == Verdict::Bug || Paper.Outcome == Verdict::Safe;
-    bool PassDone =
-        Pass.Outcome == Verdict::Bug || Pass.Outcome == Verdict::Safe;
-    if (PaperDone) {
-      ++Solved[0];
-      Time[0] += Paper.Seconds;
-    }
-    if (PassDone) {
-      ++Solved[1];
-      Time[1] += Pass.Seconds;
-    }
-    if (PaperDone && PassDone && Paper.Outcome != Pass.Outcome)
-      ++Mismatch;
+                 Inst.Name.c_str(), Paper.timeCell(2).c_str(),
+                 Pass.timeCell(2).c_str());
     T.row();
     T.cell(Inst.Name);
-    T.cell(cell(Paper));
-    T.cell(cell(Pass));
-    if (PaperDone && PassDone && Pass.Seconds > 0)
+    T.cell(Paper.timeCell(2));
+    T.cell(Pass.timeCell(2));
+    if (Paper.decided() && Pass.decided() && Pass.Seconds > 0)
       T.cell(Paper.Seconds / Pass.Seconds, 2);
     else
       T.cell(std::string("-"));
@@ -94,6 +62,7 @@ int main() {
            verdictName(Pass.Outcome));
   }
   std::printf("%s\n", T.str().c_str());
+  unsigned Mismatch = countDisagreements(Rows);
   std::printf("solved: paper=%u (%.1fs), passified=%u (%.1fs); verdict "
               "mismatches: %u (must be 0)\n",
               Solved[0], Time[0], Solved[1], Time[1], Mismatch);

@@ -36,10 +36,7 @@ int main() {
     double NoBugTime = 0;
   };
   std::map<std::string, Agg> ByConfig;
-  // Cross-config verdict agreement (the paper: "whenever any of the two
-  // techniques returned an answer, it was the same answer").
-  std::map<std::string, Verdict> Agreed;
-  unsigned Disagreements = 0;
+  unsigned Disagreements = countDisagreements(Rows);
 
   for (const RunRow &Row : Rows) {
     Agg &A = ByConfig[Row.Config];
@@ -60,13 +57,6 @@ int main() {
       A.InlinedSum += Row.Inlined;
       A.NoBugTime += Row.Seconds;
       break;
-    }
-    if (Row.Outcome == Verdict::Bug || Row.Outcome == Verdict::Safe) {
-      auto It = Agreed.find(Row.Instance);
-      if (It == Agreed.end())
-        Agreed.emplace(Row.Instance, Row.Outcome);
-      else if (It->second != Row.Outcome)
-        ++Disagreements;
     }
   }
 

@@ -40,22 +40,11 @@ void scatter(const char *Title, const std::vector<RunRow> &Rows,
   for (const auto &[Name, PR] : Points) {
     if (!PR.first || !PR.second)
       continue;
-    auto Render = [&](const RunRow &R) {
-      if (R.Outcome != Verdict::Bug && R.Outcome != Verdict::Safe)
-        return std::string("T/O");
-      char Buf[32];
-      std::snprintf(Buf, sizeof(Buf), "%.2f", R.Seconds);
-      return std::string(Buf);
-    };
     T.row();
     T.cell(Name);
-    T.cell(Render(*PR.first));
-    T.cell(Render(*PR.second));
-    bool XDone = PR.first->Outcome == Verdict::Bug ||
-                 PR.first->Outcome == Verdict::Safe;
-    bool YDone = PR.second->Outcome == Verdict::Bug ||
-                 PR.second->Outcome == Verdict::Safe;
-    if (XDone && YDone) {
+    T.cell(PR.first->timeCell(2));
+    T.cell(PR.second->timeCell(2));
+    if (PR.first->decided() && PR.second->decided()) {
       ++Both;
       double Speedup = PR.second->Seconds > 0
                            ? PR.first->Seconds / PR.second->Seconds

@@ -23,36 +23,29 @@ namespace {
 
 void cactus(const char *Title, const std::vector<RunRow> &Rows,
             const std::string &A, const std::string &B, double Timeout) {
-  std::map<std::string, std::vector<double>> Solved;
-  for (const RunRow &Row : Rows) {
-    if (Row.Config != A && Row.Config != B)
-      continue;
-    if (Row.Outcome == Verdict::Bug || Row.Outcome == Verdict::Safe)
-      Solved[Row.Config].push_back(Row.Seconds);
-  }
-  for (auto &[Config, Times] : Solved)
-    std::sort(Times.begin(), Times.end());
+  std::map<std::string, std::vector<const RunRow *>> Solved;
+  for (const RunRow &Row : Rows)
+    if ((Row.Config == A || Row.Config == B) && Row.decided())
+      Solved[Row.Config].push_back(&Row);
+  for (auto &[Config, Runs] : Solved)
+    std::sort(Runs.begin(), Runs.end(),
+              [](const RunRow *X, const RunRow *Y) {
+                return X->Seconds < Y->Seconds;
+              });
 
   std::printf("%s — time needed (s) to solve the first k instances, "
               "timeout %.0fs\n\n",
               Title, Timeout);
   size_t MaxSolved = std::max(Solved[A].size(), Solved[B].size());
   Table T({"k", A + "(s)", B + "(s)"});
+  const RunRow Unsolved;
   for (size_t K = 1; K <= MaxSolved; ++K) {
     T.row();
     T.cell(static_cast<uint64_t>(K));
-    auto Cell = [&](const std::string &Config) {
+    for (const std::string &Config : {A, B}) {
       const auto &V = Solved[Config];
-      if (K <= V.size()) {
-        char Buf[32];
-        std::snprintf(Buf, sizeof(Buf), "%.2f", V[K - 1]);
-        T.cell(std::string(Buf));
-      } else {
-        T.cell(std::string("T/O"));
-      }
-    };
-    Cell(A);
-    Cell(B);
+      T.cell((K <= V.size() ? *V[K - 1] : Unsolved).timeCell(2));
+    }
   }
   std::printf("%s\n", T.str().c_str());
   std::printf("instances solved: %s=%zu, %s=%zu\n\n", A.c_str(),

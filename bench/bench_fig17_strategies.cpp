@@ -11,10 +11,8 @@
 //===--------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "cfg/Lower.h"
 #include "core/Strategies.h"
 #include "support/Table.h"
-#include "transform/Transforms.h"
 
 #include <cstdio>
 
@@ -25,16 +23,19 @@ namespace {
 
 struct Prepared {
   AstContext Ctx;
-  CfgProgram Cfg;
-  ProcId Root = InvalidProc;
+  LoweredInstance Inst;
 };
 
+/// The driver as the verifier's front end lowers it at bound 1, without the
+/// prepass.
 std::unique_ptr<Prepared> prepare(const SdvParams &Params) {
   auto P = std::make_unique<Prepared>();
   Program Prog = makeSdvProgram(P->Ctx, Params);
-  BoundedInstance B = prepareBounded(P->Ctx, Prog, P->Ctx.sym("main"), 1);
-  P->Cfg = lowerToCfg(P->Ctx, B.Prog);
-  P->Root = P->Cfg.findProc(P->Ctx.sym("main"));
+  VerifierOptions Opts;
+  Opts.Bound = 1;
+  Opts.UsePrepass = false;
+  VerifierRunResult Front;
+  P->Inst = lowerInstance(P->Ctx, Prog, P->Ctx.sym("main"), Opts, Front);
   return P;
 }
 
@@ -46,18 +47,18 @@ size_t inlinedSize(Prepared &P, MergeStrategyKind Kind, uint64_t Seed,
   StrategyOptions Opts;
   Opts.Kind = Kind;
   Opts.Seed = Seed;
-  Inliner In(P.Ctx, P.Cfg, P.Root, Arena, Opts);
+  Inliner In(P.Ctx, P.Inst.Cfg, P.Inst.Entry, Arena, Opts);
   return In.inlineAll(Cap) ? In.vc().numInlined() : 0;
 }
 
 size_t treeSize(const Prepared &P) {
-  std::vector<ProcId> Work{P.Root};
+  std::vector<ProcId> Work{P.Inst.Entry};
   size_t Count = 0;
   while (!Work.empty()) {
     ProcId Q = Work.back();
     Work.pop_back();
     ++Count;
-    for (ProcId C : P.Cfg.calleesOf(Q))
+    for (ProcId C : P.Inst.Cfg.calleesOf(Q))
       Work.push_back(C);
   }
   return Count;
@@ -90,9 +91,9 @@ int main() {
     // Note this is a lower bound: an arbitrary colouring need not be
     // realizable as a deterministic-edge inlining DAG, so the greedy
     // strategies can legitimately sit somewhat above it.
-    DisjointAnalysis Disj(P->Cfg);
+    DisjointAnalysis Disj(P->Inst.Cfg);
     OptPrecomputeStats OptStats =
-        precomputeOptDag(P->Cfg, Disj, P->Root, Cap);
+        precomputeOptDag(P->Inst.Cfg, Disj, P->Inst.Entry, Cap);
     size_t Opt = OptStats.Succeeded ? OptStats.DagSize : 0;
     size_t First = inlinedSize(*P, MergeStrategyKind::First, 1, Cap);
     size_t MaxC = inlinedSize(*P, MergeStrategyKind::MaxC, 1, Cap);

@@ -20,41 +20,6 @@
 using namespace rmt;
 using namespace rmt::bench;
 
-namespace {
-
-struct Cell {
-  double Seconds = 0;
-  size_t Inlined = 0;
-  bool TimedOut = false;
-};
-
-Cell runChain(unsigned N, bool Eager, MergeStrategyKind Kind,
-              double Timeout) {
-  AstContext Ctx;
-  Program P = makeChainProgram(Ctx, N);
-  VerifierOptions Opts;
-  Opts.Bound = 1;
-  Opts.Engine.Eager = Eager;
-  Opts.Engine.Strategy.Kind = Kind;
-  Opts.Engine.TimeoutSeconds = Timeout;
-  auto R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
-  Cell C;
-  C.Seconds = R.Result.Seconds;
-  C.Inlined = R.Result.NumInlined;
-  C.TimedOut = R.Result.Outcome != Verdict::Safe;
-  return C;
-}
-
-std::string fmt(const Cell &C) {
-  if (C.TimedOut)
-    return "T/O";
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.3f", C.Seconds);
-  return Buf;
-}
-
-} // namespace
-
 int main() {
   double Timeout = envTimeout(10);
   unsigned MaxN = envCount(16);
@@ -67,24 +32,28 @@ int main() {
 
   Table T({"N", "EAGER(s)", "SI(s)", "DI(s)", "EAGER#inl", "SI#inl",
            "DI#inl"});
+  EngineConfig EagerCfg = makeConfig("EAGER", MergeStrategyKind::None);
+  EagerCfg.Opts.Engine.Eager = true;
+  EngineConfig SiCfg = makeConfig("SI", MergeStrategyKind::None);
+  EngineConfig DiCfg = makeConfig("DI", MergeStrategyKind::First);
   bool EagerDead = false, SiDead = false;
   for (unsigned N = 4; N <= MaxN; N += 2) {
-    Cell Eager = EagerDead
-                     ? Cell{Timeout, 0, true}
-                     : runChain(N, true, MergeStrategyKind::None, Timeout);
-    Cell Si = SiDead ? Cell{Timeout, 0, true}
-                     : runChain(N, false, MergeStrategyKind::None, Timeout);
-    Cell Di = runChain(N, false, MergeStrategyKind::First, Timeout);
+    std::string Name = "chain" + std::to_string(N);
+    auto Chain = [N](AstContext &Ctx) { return makeChainProgram(Ctx, N); };
     // Once a tree engine times out, larger N will too: skip, like the
-    // paper's truncated curves.
-    EagerDead = EagerDead || Eager.TimedOut;
-    SiDead = SiDead || Si.TimedOut;
+    // paper's truncated curves (a skipped row is undecided).
+    RunRow Eager =
+        EagerDead ? RunRow() : runInstance(Name, Chain, EagerCfg, Timeout);
+    RunRow Si = SiDead ? RunRow() : runInstance(Name, Chain, SiCfg, Timeout);
+    RunRow Di = runInstance(Name, Chain, DiCfg, Timeout);
+    EagerDead = EagerDead || !Eager.decided();
+    SiDead = SiDead || !Si.decided();
 
     T.row();
     T.cell(static_cast<int64_t>(N));
-    T.cell(fmt(Eager));
-    T.cell(fmt(Si));
-    T.cell(fmt(Di));
+    T.cell(Eager.timeCell(3));
+    T.cell(Si.timeCell(3));
+    T.cell(Di.timeCell(3));
     T.cell(static_cast<uint64_t>(Eager.Inlined));
     T.cell(static_cast<uint64_t>(Si.Inlined));
     T.cell(static_cast<uint64_t>(Di.Inlined));

@@ -11,9 +11,7 @@
 //===--------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "cfg/Lower.h"
 #include "support/Table.h"
-#include "transform/Transforms.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -23,20 +21,18 @@ using namespace rmt::bench;
 
 namespace {
 
-/// Bounds, lowers and prepasses \p Params as the verifier does, then fully
-/// inlines with \p Kind. A result above \p MaxInlined means the cap hit.
+/// Runs the verifier's front end on \p Params, then fully inlines with
+/// \p Kind. A result above \p MaxInlined means the cap hit.
 size_t fullyInlinedSize(const SdvParams &Params, MergeStrategyKind Kind,
                         size_t MaxInlined) {
   AstContext Ctx;
   Program P = makeSdvProgram(Ctx, Params);
-  BoundedInstance B = prepareBounded(Ctx, P, Ctx.sym("main"), 1);
-  CfgProgram Cfg = lowerToCfg(Ctx, B.Prog);
-  ProcId Root = Cfg.findProc(B.Entry);
-  runPrepass(Ctx, Cfg, Root, B.ErrVar);
+  EngineConfig Config = makeConfig(strategyName(Kind), Kind);
+  VerifierRunResult Front;
+  LoweredInstance L =
+      lowerInstance(Ctx, P, Ctx.sym("main"), Config.Opts, Front);
   TermArena Arena;
-  StrategyOptions Opts;
-  Opts.Kind = Kind;
-  Inliner In(Ctx, Cfg, Root, Arena, Opts);
+  Inliner In(Ctx, L.Cfg, L.Entry, Arena, Config.Opts.Engine.Strategy);
   In.inlineAll(MaxInlined);
   return In.vc().numInlined();
 }

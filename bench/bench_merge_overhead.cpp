@@ -30,9 +30,9 @@ int main() {
               "total time)\n\n");
   Table T({"instance", "verdict", "total(s)", "lookup(s)", "overhead%"});
   double TotalAll = 0, LookupAll = 0;
+  EngineConfig DI = makeConfig("DI-Inv", MergeStrategyKind::First);
   for (const SdvInstance &Inst : Corpus) {
-    EngineConfig DI{"DI-Inv", MergeStrategyKind::First, false};
-    RunRow Row = runInstance(Inst.Name, Inst.Params, DI, Timeout);
+    RunRow Row = runInstance(Inst.Name, sdvMaker(Inst.Params), DI, Timeout);
     TotalAll += Row.Seconds;
     LookupAll += Row.MergeLookupSeconds;
     T.row();

@@ -14,10 +14,8 @@
 
 #include "ast/AstPrinter.h"
 #include "ast/Eval.h"
-#include "cfg/Lower.h"
-#include "core/Engine.h"
+#include "core/Verifier.h"
 #include "parser/Parser.h"
-#include "transform/Transforms.h"
 #include "workload/Chain.h"
 #include "workload/SdvGen.h"
 
@@ -32,10 +30,11 @@ constexpr size_t MaxNodes = 1u << 20;
 
 struct Prepared {
   AstContext Ctx;
-  CfgProgram Cfg;
-  ProcId Root = InvalidProc;
+  LoweredInstance Inst;
 };
 
+/// The driver as the verifier's front end lowers it at bound 1, without the
+/// prepass.
 std::unique_ptr<Prepared> prepareDriver(unsigned Depth) {
   auto P = std::make_unique<Prepared>();
   SdvParams Params;
@@ -44,29 +43,32 @@ std::unique_ptr<Prepared> prepareDriver(unsigned Depth) {
   Params.NumUtils = 5;
   Params.UtilDepth = Depth;
   Program Prog = makeSdvProgram(P->Ctx, Params);
-  BoundedInstance B = prepareBounded(P->Ctx, Prog, P->Ctx.sym("main"), 1);
-  P->Cfg = lowerToCfg(P->Ctx, B.Prog);
-  P->Root = P->Cfg.findProc(P->Ctx.sym("main"));
+  VerifierOptions Opts;
+  Opts.Bound = 1;
+  Opts.UsePrepass = false;
+  VerifierRunResult Front;
+  P->Inst = lowerInstance(P->Ctx, Prog, P->Ctx.sym("main"), Opts, Front);
   return P;
 }
 
 void BM_DisjBlkPrecompute(benchmark::State &State) {
   auto P = prepareDriver(static_cast<unsigned>(State.range(0)));
   for (auto _ : State) {
-    DisjointAnalysis D(P->Cfg);
+    DisjointAnalysis D(P->Inst.Cfg);
     benchmark::DoNotOptimize(&D);
   }
-  State.SetLabel(std::to_string(P->Cfg.Labels.size()) + " labels");
+  State.SetLabel(std::to_string(P->Inst.Cfg.Labels.size()) +
+                 " labels");
 }
 BENCHMARK(BM_DisjBlkPrecompute)->Arg(3)->Arg(5)->Arg(7);
 
 void BM_DisjBlkQuery(benchmark::State &State) {
   auto P = prepareDriver(5);
-  DisjointAnalysis D(P->Cfg);
+  DisjointAnalysis D(P->Inst.Cfg);
   // Collect call labels of main for querying.
   std::vector<LabelId> Calls;
-  for (LabelId L : P->Cfg.proc(P->Root).Labels)
-    if (P->Cfg.label(L).Stmt.Kind == CfgStmtKind::Call)
+  for (LabelId L : P->Inst.Cfg.proc(P->Inst.Entry).Labels)
+    if (P->Inst.Cfg.label(L).Stmt.Kind == CfgStmtKind::Call)
       Calls.push_back(L);
   size_t I = 0;
   for (auto _ : State) {
@@ -82,8 +84,8 @@ void BM_GenPvc(benchmark::State &State) {
   auto P = prepareDriver(4);
   for (auto _ : State) {
     TermArena Arena;
-    VcContext Vc(P->Ctx, P->Cfg, Arena);
-    benchmark::DoNotOptimize(Vc.genPvc(P->Root));
+    VcContext Vc(P->Ctx, P->Inst.Cfg, Arena);
+    benchmark::DoNotOptimize(Vc.genPvc(P->Inst.Entry));
   }
 }
 BENCHMARK(BM_GenPvc);
@@ -92,7 +94,8 @@ void BM_FullDagInline(benchmark::State &State) {
   auto P = prepareDriver(static_cast<unsigned>(State.range(0)));
   for (auto _ : State) {
     TermArena Arena;
-    Inliner In(P->Ctx, P->Cfg, P->Root, Arena, StrategyOptions());
+    Inliner In(P->Ctx, P->Inst.Cfg, P->Inst.Entry, Arena,
+               StrategyOptions());
     In.inlineAll(MaxNodes);
     State.counters["nodes"] = static_cast<double>(In.vc().numInlined());
   }
@@ -102,7 +105,8 @@ BENCHMARK(BM_FullDagInline)->Arg(3)->Arg(5);
 void BM_ConsistencyFullCheck(benchmark::State &State) {
   auto P = prepareDriver(5);
   TermArena Arena;
-  Inliner In(P->Ctx, P->Cfg, P->Root, Arena, StrategyOptions());
+  Inliner In(P->Ctx, P->Inst.Cfg, P->Inst.Entry, Arena,
+             StrategyOptions());
   In.inlineAll(MaxNodes);
   for (auto _ : State)
     benchmark::DoNotOptimize(In.checker().isConsistentFull());

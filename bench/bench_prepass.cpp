@@ -21,11 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "analysis/Dataflow.h"
-#include "cfg/Lower.h"
 #include "support/Table.h"
-#include "support/Timer.h"
-#include "transform/Transforms.h"
 
 #include <cstdio>
 
@@ -52,32 +48,26 @@ struct VcSize {
 /// there).
 constexpr size_t MaxInlined = 20000;
 
-/// Fully inlines the instance (structure-only, DI/First strategy) and
-/// reports the hash-consed term count — the static formula footprint the
-/// solver would be handed if every open edge were expanded. \p Passes is the
-/// prepass pipeline spec; null runs no prepass. Inlining that stops at the
-/// MaxInlined cap fails the bench like a pipeline error does.
-VcSize inlinedVcSize(const SdvInstance &I, const char *Passes) {
+/// Fully inlines the instance as \p Config's front end leaves it
+/// (structure-only, with its strategy) and reports the hash-consed term
+/// count — the static formula footprint the solver would be handed if every
+/// open edge were expanded. A prepass error or inlining that stops at the
+/// MaxInlined cap fails the bench.
+VcSize inlinedVcSize(const SdvInstance &I, const EngineConfig &Config) {
   AstContext Ctx;
   Program Prog = makeSdvProgram(Ctx, I.Params);
-  BoundedInstance Inst = prepareBounded(Ctx, Prog, Ctx.sym("main"), 1);
-  CfgProgram Cfg = lowerToCfg(Ctx, Inst.Prog);
-  ProcId Root = Cfg.findProc(Inst.Entry);
-  if (Passes) {
-    PrepassOptions PO;
-    PO.Passes = Passes;
-    PrepassReport R = runPrepass(Ctx, Cfg, Root, Inst.ErrVar, PO);
-    if (!R.ok()) {
-      std::fprintf(stderr, "error: prepass '%s' failed: %s\n", Passes,
-                   R.PipelineErrors.front().c_str());
-      BenchFailed = true;
-    }
+  VerifierRunResult Front;
+  LoweredInstance L =
+      lowerInstance(Ctx, Prog, Ctx.sym("main"), Config.Opts, Front);
+  if (!Front.Prepass.ok()) {
+    std::fprintf(stderr, "error: %s [%s]: prepass failed: %s\n",
+                 I.Name.c_str(), Config.Name.c_str(),
+                 Front.Prepass.PipelineErrors.front().c_str());
+    BenchFailed = true;
   }
 
   TermArena Arena;
-  StrategyOptions SOpts;
-  SOpts.Kind = MergeStrategyKind::First;
-  Inliner In(Ctx, Cfg, Root, Arena, SOpts);
+  Inliner In(Ctx, L.Cfg, L.Entry, Arena, Config.Opts.Engine.Strategy);
   if (!In.inlineAll(MaxInlined)) {
     std::fprintf(stderr,
                  "error: %s: inlining stopped past the %zu-instance cap; "
@@ -87,40 +77,21 @@ VcSize inlinedVcSize(const SdvInstance &I, const char *Passes) {
   }
 
   VcSize S;
-  S.Labels = Cfg.Labels.size();
-  S.Procs = Cfg.Procs.size();
+  S.Labels = L.Cfg.Labels.size();
+  S.Procs = L.Cfg.Procs.size();
   S.Terms = Arena.numTerms();
   S.Inlined = In.vc().numInlined();
   return S;
 }
 
-struct TimedRun {
-  Verdict Outcome = Verdict::Unknown;
-  double Seconds = 0;
-};
-
-TimedRun timedVerify(const SdvParams &Params, const char *Passes,
-                     double Timeout) {
-  AstContext Ctx;
-  Program Prog = makeSdvProgram(Ctx, Params);
-  VerifierOptions Opts;
-  Opts.Bound = 1; // drivers are loop-free by construction
-  Opts.UsePrepass = Passes != nullptr;
+/// DI (First) with the prepass spec \p Passes; null runs no prepass.
+EngineConfig prepassConfig(const char *Name, const char *Passes) {
+  EngineConfig C = makeConfig(Name, MergeStrategyKind::First);
+  C.Opts.UsePrepass = Passes != nullptr;
   if (Passes)
-    Opts.Prepass.Passes = Passes;
-  Opts.Engine.Strategy.Kind = MergeStrategyKind::First;
-  Opts.Engine.TimeoutSeconds = Timeout;
-  Stopwatch W;
-  VerifierRunResult R = verifyProgram(Ctx, Prog, Ctx.sym("main"), Opts);
-  if (!R.Prepass.ok()) {
-    std::fprintf(stderr, "error: prepass '%s' failed: %s\n", Passes,
-                 R.Prepass.PipelineErrors.front().c_str());
-    BenchFailed = true;
-  }
-  return {R.Result.Outcome, W.seconds()};
+    C.Opts.Prepass.Passes = Passes;
+  return C;
 }
-
-bool answered(Verdict V) { return V == Verdict::Safe || V == Verdict::Bug; }
 
 } // namespace
 
@@ -141,26 +112,25 @@ int main() {
   size_t TermsOff = 0, TermsBase = 0, TermsFull = 0;
   size_t LabelsOff = 0, LabelsFull = 0;
   double TimeOff = 0, TimeFull = 0;
-  unsigned Disagreements = 0;
+  EngineConfig OffCfg = prepassConfig("off", nullptr);
+  EngineConfig BaseCfg = prepassConfig("base", BaselinePasses);
+  EngineConfig FullCfg = prepassConfig("full", DefaultPrepassPasses);
+  std::vector<RunRow> Rows;
 
   for (const SdvInstance &I : Corpus) {
-    VcSize Off = inlinedVcSize(I, nullptr);
-    VcSize Base = inlinedVcSize(I, BaselinePasses);
-    VcSize Full = inlinedVcSize(I, DefaultPrepassPasses);
-    TimedRun ROff = timedVerify(I.Params, nullptr, Timeout);
-    TimedRun RBase = timedVerify(I.Params, BaselinePasses, Timeout);
-    TimedRun RFull = timedVerify(I.Params, DefaultPrepassPasses, Timeout);
-
-    // All configurations that answer must answer alike.
-    Verdict Ref = Verdict::Unknown;
-    for (Verdict V : {ROff.Outcome, RBase.Outcome, RFull.Outcome}) {
-      if (!answered(V))
-        continue;
-      if (!answered(Ref))
-        Ref = V;
-      else if (V != Ref)
-        ++Disagreements;
-    }
+    VcSize Off = inlinedVcSize(I, OffCfg);
+    VcSize Base = inlinedVcSize(I, BaseCfg);
+    VcSize Full = inlinedVcSize(I, FullCfg);
+    RunRow ROff = runInstance(I.Name, sdvMaker(I.Params), OffCfg, Timeout);
+    RunRow RBase = runInstance(I.Name, sdvMaker(I.Params), BaseCfg, Timeout);
+    RunRow RFull = runInstance(I.Name, sdvMaker(I.Params), FullCfg, Timeout);
+    // The verdict of the first configuration that answers (all that answer
+    // must answer alike; countDisagreements checks it below).
+    const RunRow *Ref = nullptr;
+    for (const RunRow *R : {&ROff, &RBase, &RFull})
+      if (!Ref && R->decided())
+        Ref = R;
+    Rows.insert(Rows.end(), {ROff, RBase, RFull});
 
     TermsOff += Off.Terms;
     TermsBase += Base.Terms;
@@ -178,7 +148,7 @@ int main() {
     T.cell(static_cast<int64_t>(Full.Labels));
     T.cell(ROff.Seconds, 2);
     T.cell(RFull.Seconds, 2);
-    T.cell(!answered(Ref) ? "t/o" : verdictName(Ref));
+    T.cell(Ref ? verdictName(Ref->Outcome) : "t/o");
     std::fprintf(stderr,
                  "  %-10s terms %zu -> %zu -> %zu, %.2fs -> %.2fs\n",
                  I.Name.c_str(), Off.Terms, Base.Terms, Full.Terms,
@@ -197,6 +167,7 @@ int main() {
               LabelsOff, LabelsFull, Pct(LabelsOff, LabelsFull), TermsOff,
               TermsBase, Pct(TermsOff, TermsBase), TermsFull,
               Pct(TermsBase, TermsFull), TimeOff, TimeFull);
+  unsigned Disagreements = countDisagreements(Rows);
   std::printf("verdict disagreements: %u (must be 0 — every pipeline is "
               "verdict-preserving)\n",
               Disagreements);

@@ -27,12 +27,10 @@
 
 #include "analysis/Lint.h"
 #include "analysis/PassManager.h"
-#include "cfg/Lower.h"
 #include "core/DotExport.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
 #include "support/Trace.h"
-#include "transform/Transforms.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -224,28 +222,30 @@ int main(int argc, char **argv) {
       return 2;
   }
 
-  if (DumpCfg) {
-    BoundedInstance Inst =
-        prepareBounded(Ctx, *Prog, Ctx.sym(EntryName), Opts.Bound);
-    CfgProgram Cfg = lowerToCfg(Ctx, Inst.Prog);
-    std::printf("%s\n", Cfg.str(Ctx).c_str());
-  }
-  if (DumpDag) {
-    // Structure-only full DAG inlining with the selected strategy, then
-    // render Graphviz to stdout (pipe into `dot -Tsvg`).
-    BoundedInstance Inst =
-        prepareBounded(Ctx, *Prog, Ctx.sym(EntryName), Opts.Bound);
-    CfgProgram Cfg = lowerToCfg(Ctx, Inst.Prog);
-    ProcId Root = Cfg.findProc(Ctx.sym(EntryName));
-    TermArena Arena;
-    Inliner In(Ctx, Cfg, Root, Arena, Opts.Engine.Strategy);
-    const size_t MaxDagNodes = 5000;
-    if (!In.inlineAll(MaxDagNodes))
-      std::fprintf(stderr,
-                   "warning: --dump-dag stopped past %zu instances; the DAG "
-                   "below is partial (dashed edges are still open)\n",
-                   MaxDagNodes);
-    std::printf("%s", inliningDagToDot(Ctx, In.vc()).c_str());
+  if (DumpCfg || DumpDag) {
+    // Dump the program the engine solves: the verifier's front end under
+    // the same options. Its passes print under --print-after-all when the
+    // verifier runs them below, not here as well.
+    VerifierOptions FrontOpts = Opts;
+    FrontOpts.Prepass.PrintAfterAll = false;
+    VerifierRunResult Front;
+    LoweredInstance L =
+        lowerInstance(Ctx, *Prog, Ctx.sym(EntryName), FrontOpts, Front);
+    if (DumpCfg && Front.Prepass.ok())
+      std::printf("%s\n", L.Cfg.str(Ctx).c_str());
+    if (DumpDag && Front.Prepass.ok()) {
+      // Structure-only full DAG inlining with the selected strategy, then
+      // render Graphviz to stdout (pipe into `dot -Tsvg`).
+      TermArena Arena;
+      Inliner In(Ctx, L.Cfg, L.Entry, Arena, Opts.Engine.Strategy);
+      const size_t MaxDagNodes = 5000;
+      if (!In.inlineAll(MaxDagNodes))
+        std::fprintf(stderr,
+                     "warning: --dump-dag stopped past %zu instances; the "
+                     "DAG below is partial (dashed edges are still open)\n",
+                     MaxDagNodes);
+      std::printf("%s", inliningDagToDot(Ctx, In.vc()).c_str());
+    }
   }
 
   // Enable telemetry whenever any exporter wants it; span aggregates feed
@@ -303,7 +303,8 @@ int main(int argc, char **argv) {
   std::printf("checks:    %zu solver calls in %zu iterations\n",
               R.Result.NumSolverChecks, R.Result.NumIterations);
   if (Opts.UseInvariants)
-    std::printf("invariants: %u conjuncts injected\n", R.InvariantConjuncts);
+    std::printf("invariants: %u conjuncts injected\n",
+                R.Prepass.InvariantConjuncts);
   std::printf("time:      %.3fs (merge lookups %.4fs, %llu Disj_blk "
               "queries)\n",
               R.Result.Seconds, R.Result.MergeLookupSeconds,

@@ -186,6 +186,8 @@ private:
     return R;
   }
 
+  /// Eager mode is the stratified loop after full inlining: with no open
+  /// edges left, its first under-approximate check is the exact one.
   void runEager() {
     // Fully unfold: FIFO over open edges.
     while (!Vc.openEdges().empty()) {
@@ -193,19 +195,7 @@ private:
         return;
       resolveEdge(Vc.openEdges().front());
     }
-    Result.NumIterations = 1;
-    switch (timedCheck({}, /*Under=*/true)) {
-    case SolveResult::Sat:
-      Result.Outcome = Verdict::Bug;
-      extractTrace();
-      return;
-    case SolveResult::Unsat:
-      Result.Outcome = Verdict::Safe;
-      return;
-    case SolveResult::Unknown:
-      Result.Outcome = Budget.expired() ? Verdict::Timeout : Verdict::Unknown;
-      return;
-    }
+    runStratified();
   }
 
   void runStratified() {

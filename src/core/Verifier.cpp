@@ -10,31 +10,27 @@
 
 using namespace rmt;
 
-VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
-                                     Symbol Entry,
-                                     const VerifierOptions &Opts) {
-  VerifierRunResult Out;
-  TraceSpan VerifySpan(Opts.Telemetry, "verify",
-                       {{"entry", Ctx.name(Entry)}, {"bound", Opts.Bound}});
-
+LoweredInstance rmt::lowerInstance(AstContext &Ctx, const Program &Prog,
+                                   Symbol Entry, const VerifierOptions &Opts,
+                                   VerifierRunResult &Out) {
   TraceSpan BoundSpan(Opts.Telemetry, "verify.bound");
   BoundedInstance Instance = prepareBounded(Ctx, Prog, Entry, Opts.Bound);
   BoundSpan.close();
   Out.NumAsserts = Instance.NumAsserts;
 
   TraceSpan LowerSpan(Opts.Telemetry, "verify.lower");
-  CfgProgram Cfg = lowerToCfg(Ctx, Instance.Prog);
-  LowerSpan.note({"labels", Cfg.Labels.size()});
+  LoweredInstance L{lowerToCfg(Ctx, Instance.Prog), InvalidProc,
+                    Instance.ErrVar};
+  LowerSpan.note({"labels", L.Cfg.Labels.size()});
   LowerSpan.close();
-  assert(Cfg.isHierarchical() && "bounding must yield a hierarchical program");
-  Out.NumProcs = Cfg.Procs.size();
-  Out.NumLabels = Cfg.Labels.size();
+  assert(L.Cfg.isHierarchical() &&
+         "bounding must yield a hierarchical program");
+  Out.NumProcs = L.Cfg.Procs.size();
+  Out.NumLabels = L.Cfg.Labels.size();
 
-  ProcId EntryProc = Cfg.findProc(Instance.Entry);
-  assert(EntryProc != InvalidProc && "entry lost during lowering");
+  L.Entry = L.Cfg.findProc(Instance.Entry);
+  assert(L.Entry != InvalidProc && "entry lost during lowering");
 
-  Out.NumProcsSolved = Out.NumProcs;
-  Out.NumLabelsSolved = Out.NumLabels;
   // One pipeline spec: --no-prepass empties it, and +Inv appends `inv`.
   PrepassOptions PO = Opts.Prepass;
   if (!Opts.UsePrepass)
@@ -43,28 +39,37 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
   if (!PO.spec().empty()) {
     if (!PO.Telemetry)
       PO.Telemetry = Opts.Telemetry;
-    Out.Prepass = runPrepass(Ctx, Cfg, EntryProc, Instance.ErrVar, PO,
-                             &Out.PrepassStats);
+    Out.Prepass =
+        runPrepass(Ctx, L.Cfg, L.Entry, L.ErrVar, PO, &Out.PrepassStats);
     Out.Prepass.record(Out.PrepassStats);
-    Out.InvariantConjuncts = Out.Prepass.InvariantConjuncts;
-    Out.NumProcsSolved = Cfg.Procs.size();
-    Out.NumLabelsSolved = Cfg.Labels.size();
-    if (!Out.Prepass.ok()) {
-      // A pass broke a structural invariant (--verify-each) or the pipeline
-      // spec did not parse: the rewritten program cannot be trusted, so
-      // refuse to solve it rather than risk a wrong verdict.
-      Out.Result.Outcome = Verdict::Unknown;
-      return Out;
-    }
+  }
+  Out.NumProcsSolved = L.Cfg.Procs.size();
+  Out.NumLabelsSolved = L.Cfg.Labels.size();
+  return L;
+}
+
+VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
+                                     Symbol Entry,
+                                     const VerifierOptions &Opts) {
+  VerifierRunResult Out;
+  TraceSpan VerifySpan(Opts.Telemetry, "verify",
+                       {{"entry", Ctx.name(Entry)}, {"bound", Opts.Bound}});
+  LoweredInstance L = lowerInstance(Ctx, Prog, Entry, Opts, Out);
+  if (!Out.Prepass.ok()) {
+    // A pass broke a structural invariant (--verify-each) or the pipeline
+    // spec did not parse: the rewritten program cannot be trusted, so
+    // refuse to solve it rather than risk a wrong verdict.
+    Out.Result.Outcome = Verdict::Unknown;
+    return Out;
   }
 
   EngineOptions EO = Opts.Engine;
   if (!EO.Telemetry)
     EO.Telemetry = Opts.Telemetry;
-  Out.Result = solveReachability(Ctx, Cfg, EntryProc, Instance.ErrVar, EO);
+  Out.Result = solveReachability(Ctx, L.Cfg, L.Entry, L.ErrVar, EO);
   VerifySpan.note({"verdict", verdictName(Out.Result.Outcome)});
   if (Out.Result.Outcome == Verdict::Bug)
-    Out.TraceText = renderTrace(Ctx, Cfg, Out.Result.Trace);
+    Out.TraceText = renderTrace(Ctx, L.Cfg, Out.Result.Trace);
   return Out;
 }
 

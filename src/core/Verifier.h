@@ -11,7 +11,11 @@
 /// pipeline:
 ///
 ///   unroll(R) → unfold(R) → error-bit instrumentation → CFG lowering
-///   → [interval-invariant injection]  → eager / SI / DI engine.
+///   → prepass pipeline [→ interval-invariant injection]
+///   → eager / SI / DI engine.
+///
+/// Everything before the engine is one front end, lowerInstance(): the
+/// benches and the CLI dumps call it to see the program the engine solves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,11 +71,26 @@ struct VerifierRunResult {
   PrepassReport Prepass;
   /// Per-pass reduction counters under "prepass.*" keys.
   Stats PrepassStats;
-  /// Invariant conjuncts injected (0 without +Inv).
-  unsigned InvariantConjuncts = 0;
   /// Rendered counterexample (empty unless the verdict is Bug).
   std::string TraceText;
 };
+
+/// The hierarchical program the engine solves (bounded, lowered and
+/// prepassed), its entry procedure, and the error-bit global.
+struct LoweredInstance {
+  CfgProgram Cfg;
+  ProcId Entry = InvalidProc;
+  Symbol ErrVar;
+};
+
+/// The front end of verifyProgram: bounds \p Prog at Opts.Bound, lowers it
+/// and runs the prepass pipeline Opts asks for (!UsePrepass empties the
+/// Prepass.Passes spec; UseInvariants appends `inv`). Fills the front-end
+/// fields of \p Out (sizes and the prepass report). When Out.Prepass is not
+/// ok the returned program may be miscompiled and must not be solved.
+LoweredInstance lowerInstance(AstContext &Ctx, const Program &Prog,
+                              Symbol Entry, const VerifierOptions &Opts,
+                              VerifierRunResult &Out);
 
 /// Verifies \p Prog starting at procedure \p Entry. \p Prog must be
 /// resolved/type-checked (parseAndCheck or the typed builder API). \p Ctx

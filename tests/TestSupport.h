@@ -1,0 +1,75 @@
+//===- TestSupport.h - Shared front end for the unit tests -------*- C++ -*-===//
+//
+// Part of the daginline project, a reproduction of "DAG Inlining" (PLDI'15).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Parsing and lowering helpers shared by the test files. Bounded lowering
+/// goes through the verifier's own front end (lowerInstance) with the
+/// prepass off, so a test sees the program the prepass and engine start
+/// from.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef RMT_TESTS_TESTSUPPORT_H
+#define RMT_TESTS_TESTSUPPORT_H
+
+#include "cfg/Lower.h"
+#include "core/Verifier.h"
+#include "parser/Parser.h"
+
+#include <gtest/gtest.h>
+
+namespace rmt {
+
+/// Parses and type-checks \p Src, failing the test on a diagnostic.
+inline std::optional<Program> parseOk(const char *Src, AstContext &Ctx) {
+  DiagEngine Diags;
+  std::optional<Program> P = parseAndCheck(Src, Ctx, Diags);
+  EXPECT_TRUE(P) << Diags.str();
+  return P;
+}
+
+/// Bounds \p P from `main` at \p Bound and lowers it, like the verifier does
+/// before its prepass; sets the entry procedure and the error-bit global.
+inline CfgProgram lower(AstContext &Ctx, const Program &P, ProcId &Root,
+                        Symbol &ErrVar, unsigned Bound = 2) {
+  VerifierOptions Opts;
+  Opts.Bound = Bound;
+  Opts.UsePrepass = false;
+  VerifierRunResult Front;
+  LoweredInstance L = lowerInstance(Ctx, P, Ctx.sym("main"), Opts, Front);
+  Root = L.Entry;
+  ErrVar = L.ErrVar;
+  EXPECT_NE(Root, InvalidProc);
+  return std::move(L.Cfg);
+}
+
+/// A parsed and lowered source program: bounded from `main` at \p Bound, or
+/// lowered as written (no bounding, no error bit) when \p Bound is 0.
+struct Lowered {
+  AstContext Ctx;
+  CfgProgram Cfg;
+  ProcId Root = InvalidProc;
+  Symbol ErrVar;
+
+  explicit Lowered(const char *Src, unsigned Bound = 0) {
+    std::optional<Program> P = parseOk(Src, Ctx);
+    if (!P)
+      return;
+    if (Bound) {
+      Cfg = lower(Ctx, *P, Root, ErrVar, Bound);
+    } else {
+      Cfg = lowerToCfg(Ctx, *P);
+      Root = Cfg.findProc(Ctx.sym("main"));
+    }
+  }
+
+  /// False when the source did not parse (the test has already failed).
+  explicit operator bool() const { return !Cfg.Procs.empty(); }
+};
+
+} // namespace rmt
+
+#endif // RMT_TESTS_TESTSUPPORT_H

@@ -1,12 +1,9 @@
 //===- analysis_test.cpp - Interval domain and invariant injection ----------===//
 
+#include "TestSupport.h"
 #include "analysis/Interval.h"
 #include "analysis/InvariantGen.h"
 #include "ast/AstPrinter.h"
-#include "cfg/Lower.h"
-#include "core/Verifier.h"
-#include "parser/Parser.h"
-#include "transform/Transforms.h"
 #include "workload/Chain.h"
 
 #include <gtest/gtest.h>
@@ -110,19 +107,12 @@ TEST(AbsEnvTest, BottomPropagation) {
 
 namespace {
 
-struct Analyzed {
-  AstContext Ctx;
-  CfgProgram Cfg;
+struct Analyzed : Lowered {
   std::unique_ptr<IntervalAnalysis> Analysis;
 
-  explicit Analyzed(const char *Src) {
-    DiagEngine Diags;
-    auto P = parseAndCheck(Src, Ctx, Diags);
-    EXPECT_TRUE(P) << Diags.str();
-    Cfg = lowerToCfg(Ctx, *P);
-    Analysis = std::make_unique<IntervalAnalysis>(
-        Cfg, Cfg.findProc(Ctx.sym("main")));
-  }
+  explicit Analyzed(const char *Src)
+      : Lowered(Src),
+        Analysis(std::make_unique<IntervalAnalysis>(Cfg, Root)) {}
   ProcId proc(const char *Name) { return Cfg.findProc(Ctx.sym(Name)); }
 };
 
@@ -213,9 +203,10 @@ TEST(IntervalAnalysis, ChainInvariantGEqualsI) {
   // g == i").
   AstContext Ctx;
   Program P = makeChainProgram(Ctx, 4);
-  BoundedInstance B = prepareBounded(Ctx, P, Ctx.sym("main"), 1);
-  CfgProgram Cfg = lowerToCfg(Ctx, B.Prog);
-  IntervalAnalysis Analysis(Cfg, Cfg.findProc(Ctx.sym("main")));
+  ProcId Main = InvalidProc;
+  Symbol ErrVar;
+  CfgProgram Cfg = lower(Ctx, P, Main, ErrVar, 1);
+  IntervalAnalysis Analysis(Cfg, Main);
   for (unsigned I = 0; I <= 4; ++I) {
     ProcId Pi = Cfg.findProc(Ctx.sym("P" + std::to_string(I)));
     ASSERT_NE(Pi, InvalidProc);
@@ -228,7 +219,7 @@ TEST(IntervalAnalysis, ChainInvariantGEqualsI) {
   ProcId P0 = Cfg.findProc(Ctx.sym("P0"));
   EXPECT_EQ(Analysis.contextExitSummary(P0).get(Ctx.sym("g")),
             Interval::constant(4));
-  EXPECT_EQ(Analysis.contextExitSummary(P0).get(B.ErrVar),
+  EXPECT_EQ(Analysis.contextExitSummary(P0).get(ErrVar),
             Interval::constant(0));
 }
 
@@ -327,9 +318,9 @@ TEST(IntervalAnalysis, DeadBranchCallAddsNoContext) {
 TEST(InjectInvariants, SplicesAssumeLabels) {
   AstContext Ctx;
   Program P = makeChainProgram(Ctx, 3);
-  BoundedInstance B = prepareBounded(Ctx, P, Ctx.sym("main"), 1);
-  CfgProgram Cfg = lowerToCfg(Ctx, B.Prog);
-  ProcId Main = Cfg.findProc(Ctx.sym("main"));
+  ProcId Main = InvalidProc;
+  Symbol ErrVar;
+  CfgProgram Cfg = lower(Ctx, P, Main, ErrVar, 1);
   size_t LabelsBefore = Cfg.Labels.size();
   InvariantReport R = injectInvariants(Ctx, Cfg, Main);
   EXPECT_GT(R.ProcsAnnotated, 0u);
@@ -358,7 +349,7 @@ TEST(InjectInvariants, SoundnessVerdictUnchanged) {
         << "buggy=" << Buggy;
     EXPECT_EQ(WithInv.Result.Outcome,
               Buggy ? Verdict::Bug : Verdict::Safe);
-    EXPECT_GT(WithInv.InvariantConjuncts, 0u);
+    EXPECT_GT(WithInv.Prepass.InvariantConjuncts, 0u);
   }
 }
 

@@ -1,9 +1,9 @@
 //===- ast_test.cpp - Unit tests for src/ast -------------------------------===//
 
+#include "TestSupport.h"
 #include "ast/AstContext.h"
 #include "ast/AstPrinter.h"
 #include "ast/Eval.h"
-#include "parser/Parser.h"
 #include "workload/Chain.h"
 #include "workload/RandomProg.h"
 
@@ -142,22 +142,7 @@ TEST(Printer, NegatedInt64MinStaysUnfolded) {
 }
 
 //===----------------------------------------------------------------------===//
-// Evaluator
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-std::optional<Program> parseOk(const char *Src, AstContext &Ctx) {
-  DiagEngine Diags;
-  auto P = parseAndCheck(Src, Ctx, Diags);
-  EXPECT_TRUE(P) << Diags.str();
-  return P;
-}
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// The literal-fold kernel
+// Evaluator and the literal-fold kernel
 //===----------------------------------------------------------------------===//
 
 TEST(FoldKernel, SmtLibIntegerTable) {

@@ -8,10 +8,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestSupport.h"
 #include "ast/AstPrinter.h"
 #include "ast/Eval.h"
-#include "core/Verifier.h"
-#include "parser/Parser.h"
 #include "smt/SmtLibPrinter.h"
 #include "parser/TypeCheck.h"
 #include "smt/Z3Solver.h"
@@ -21,13 +20,6 @@
 using namespace rmt;
 
 namespace {
-
-std::optional<Program> parseOk(const char *Src, AstContext &Ctx) {
-  DiagEngine Diags;
-  auto P = parseAndCheck(Src, Ctx, Diags);
-  EXPECT_TRUE(P) << Diags.str();
-  return P;
-}
 
 VerifierRunResult run(const char *Src, MergeStrategyKind Kind,
                       PvcMode Pvc = PvcMode::Paper) {

@@ -1,8 +1,7 @@
 //===- consistency_test.cpp - Def. 2 / Alg. 1 / incremental Fig. 10 ---------===//
 
-#include "cfg/Lower.h"
+#include "TestSupport.h"
 #include "core/Consistency.h"
-#include "parser/Parser.h"
 #include "support/Rng.h"
 #include "transform/Transforms.h"
 #include "workload/RandomProg.h"
@@ -12,19 +11,6 @@
 using namespace rmt;
 
 namespace {
-
-struct Fixture {
-  AstContext Ctx;
-  CfgProgram Cfg;
-
-  explicit Fixture(const char *Src) {
-    DiagEngine Diags;
-    auto P = parseAndCheck(Src, Ctx, Diags);
-    EXPECT_TRUE(P) << Diags.str();
-    if (P)
-      Cfg = lowerToCfg(Ctx, *P);
-  }
-};
 
 const char *DiamondSrc = R"(
   procedure g() { }
@@ -41,7 +27,7 @@ const char *SequentialSrc = R"(
 } // namespace
 
 TEST(Consistency, MergingDisjointBranchesAllowed) {
-  Fixture F(DiamondSrc);
+  Lowered F(DiamondSrc);
   TermArena Arena;
   VcContext Vc(F.Ctx, F.Cfg, Arena);
   DisjointAnalysis Disj(F.Cfg);
@@ -81,7 +67,7 @@ TEST(Consistency, MergingDisjointBranchesAllowed) {
 }
 
 TEST(Consistency, MergingSequentialCallsRejected) {
-  Fixture F(SequentialSrc);
+  Lowered F(SequentialSrc);
   TermArena Arena;
   VcContext Vc(F.Ctx, F.Cfg, Arena);
   DisjointAnalysis Disj(F.Cfg);
@@ -106,7 +92,7 @@ TEST(Consistency, TransitiveConflictThroughSharedChild) {
   // main calls f twice sequentially; f calls g. Merging the two f's is
   // illegal, and merging the two g's under *separate* f's is also illegal
   // (their configurations diverge at the sequential call sites).
-  Fixture F(R"(
+  Lowered F(R"(
     procedure g() { }
     procedure f() { call g(); }
     procedure main() { call f(); call f(); }
@@ -147,7 +133,7 @@ TEST(Consistency, TransitiveConflictThroughSharedChild) {
 TEST(Consistency, ParallelEdgesSameTargetNeedDisjointSites) {
   // f calls g twice: once in each branch arm (mergeable) — but a procedure
   // calling g twice sequentially cannot point both edges at one node.
-  Fixture F(R"(
+  Lowered F(R"(
     procedure g() { }
     procedure branchy() { if (*) { call g(); } else { call g(); } }
     procedure seq() { call g(); call g(); }
@@ -336,7 +322,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConsistencyProperty,
 //===----------------------------------------------------------------------===//
 
 TEST(Consistency, RejectionIsJustifiedOnSequentialProgram) {
-  Fixture F(SequentialSrc);
+  Lowered F(SequentialSrc);
   DisjointAnalysis Disj(F.Cfg);
 
   // Build once, merge by force, and confirm Def. 2 breaks.

@@ -1,12 +1,9 @@
 //===- dataflow_test.cpp - Dataflow framework, prepass, and lint ------------===//
 
+#include "TestSupport.h"
 #include "analysis/Dataflow.h"
 #include "analysis/Lint.h"
 #include "analysis/Slicer.h"
-#include "cfg/Lower.h"
-#include "core/Verifier.h"
-#include "parser/Parser.h"
-#include "transform/Transforms.h"
 
 #include <gtest/gtest.h>
 
@@ -15,25 +12,6 @@
 using namespace rmt;
 
 namespace {
-
-std::optional<Program> parse(const char *Src, AstContext &Ctx) {
-  DiagEngine Diags;
-  std::optional<Program> P = parseAndCheck(Src, Ctx, Diags);
-  EXPECT_TRUE(P) << Diags.str();
-  return P;
-}
-
-/// Lowers a checked program through the bounding pipeline, like the verifier
-/// does before its prepass.
-CfgProgram lower(AstContext &Ctx, const Program &P, ProcId &Root,
-                 Symbol &ErrVar, unsigned Bound = 2) {
-  BoundedInstance Inst = prepareBounded(Ctx, P, Ctx.sym("main"), Bound);
-  CfgProgram Cfg = lowerToCfg(Ctx, Inst.Prog);
-  Root = Cfg.findProc(Inst.Entry);
-  ErrVar = Inst.ErrVar;
-  EXPECT_NE(Root, InvalidProc);
-  return Cfg;
-}
 
 CfgStmt assignStmt(Symbol Target, const Expr *Rhs) {
   CfgStmt S;
@@ -223,7 +201,7 @@ TEST(ProcFlow, TopoOrderAndPreds) {
 
 TEST(ProcEffects, TransitiveModAndUse) {
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     var a: int;
     var b: int;
     var c: int;
@@ -247,7 +225,7 @@ TEST(ProcEffects, TransitiveModAndUse) {
 
 TEST(Relevance, ClosesOverAssignsAndCalls) {
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     var checked: int;
     var noise: int;
     procedure source(seed: int) returns (r: int) { r := seed * 2; }
@@ -287,7 +265,7 @@ TEST(Relevance, ClosesOverAssignsAndCalls) {
 
 TEST(Prepass, PrunesAssumeFalseBranches) {
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     var g: int;
     procedure expensive() { g := g + 1; assert g < 100; }
     procedure main() {
@@ -319,7 +297,7 @@ TEST(Prepass, PrunesAssumeFalseBranches) {
 
 TEST(Prepass, SlicesIrrelevantStateAndElidesCalls) {
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     var watched: int;
     var scratch: int;
     procedure logger(v: int) { scratch := scratch + v; }
@@ -347,7 +325,7 @@ TEST(Prepass, SlicesDeadMapStores) {
   // A map store lowers to a whole-array assignment `log := log[i := 1]`; when
   // the map never reaches the query, the store is as sliceable as any scalar.
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     var log: [int]int;
     var data: [int]int;
     procedure main() {
@@ -394,7 +372,7 @@ TEST(Prepass, KeepsAliasingMapStores) {
   // whole-variable granularity, so the aliasing store is relevant and must
   // survive — dropping it would flip this bug to safe.
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     var m: [int]int;
     procedure main() {
       var i: int;
@@ -420,7 +398,7 @@ TEST(Prepass, MapRelevanceCrossesCalls) {
   // closure must pull both actuals at the call site, and the sliced program
   // must still prove the read.
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     var store: [int]int;
     var trace: [int]int;
     procedure put(k: int, v: int) {
@@ -478,7 +456,7 @@ TEST(Prepass, KeepsBlockingSkeletonExact) {
   // A branch where one arm blocks (assume false via unreachable code) and
   // one arm reaches the bug: pruning must keep the bug reachable.
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     var g: int;
     procedure main() {
       havoc g;
@@ -500,7 +478,7 @@ TEST(Prepass, KeepsBlockingSkeletonExact) {
 
 TEST(Prepass, RecordsStats) {
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     var g: int;
     procedure main() { g := 2; assert g == 2; }
   )",
@@ -519,7 +497,7 @@ TEST(Prepass, RecordsStats) {
 
 TEST(Prepass, DisabledLeavesProgramAlone) {
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     var g: int;
     procedure main() { g := 2; assert g == 2; }
   )",
@@ -542,7 +520,7 @@ namespace {
 
 LintReport lintSource(const char *Src, std::vector<Diag> *DiagsOut = nullptr) {
   AstContext Ctx;
-  auto P = parse(Src, Ctx);
+  auto P = parseOk(Src, Ctx);
   DiagEngine Diags;
   LintReport R = lintProgram(Ctx, *P, Diags);
   // Error-severity diagnostics must line up with the report's error count.

@@ -1,8 +1,7 @@
 //===- disjoint_test.cpp - Disj_blk, Lemma 1, brute-force oracle ------------===//
 
-#include "cfg/Lower.h"
+#include "TestSupport.h"
 #include "core/Disjoint.h"
-#include "parser/Parser.h"
 #include "transform/Transforms.h"
 #include "workload/RandomProg.h"
 
@@ -12,24 +11,8 @@ using namespace rmt;
 
 namespace {
 
-struct Fixture {
-  AstContext Ctx;
-  CfgProgram Cfg;
-};
-
-std::unique_ptr<Fixture> lower(const char *Src) {
-  auto F = std::make_unique<Fixture>();
-  DiagEngine Diags;
-  auto P = parseAndCheck(Src, F->Ctx, Diags);
-  EXPECT_TRUE(P) << Diags.str();
-  if (!P)
-    return nullptr;
-  F->Cfg = lowerToCfg(F->Ctx, *P);
-  return F;
-}
-
 /// Index-th call label inside procedure \p ProcName calling \p CalleeName.
-LabelId callLabel(Fixture &F, const char *ProcName, const char *CalleeName,
+LabelId callLabel(Lowered &F, const char *ProcName, const char *CalleeName,
                   unsigned Index = 0) {
   ProcId P = F.Cfg.findProc(F.Ctx.sym(ProcName));
   ProcId Callee = F.Cfg.findProc(F.Ctx.sym(CalleeName));
@@ -46,51 +29,51 @@ LabelId callLabel(Fixture &F, const char *ProcName, const char *CalleeName,
   return InvalidLabel;
 }
 
-LabelId entryOf(Fixture &F, const char *ProcName) {
+LabelId entryOf(Lowered &F, const char *ProcName) {
   return F.Cfg.proc(F.Cfg.findProc(F.Ctx.sym(ProcName))).Entry;
 }
 
 } // namespace
 
 TEST(DisjBlk, SequentialCallsAreNotDisjoint) {
-  auto F = lower(R"(
+  Lowered F(R"(
     procedure f() { }
     procedure main() { call f(); call f(); }
   )");
   ASSERT_TRUE(F);
-  DisjointAnalysis D(F->Cfg);
-  LabelId C1 = callLabel(*F, "main", "f", 0);
-  LabelId C2 = callLabel(*F, "main", "f", 1);
+  DisjointAnalysis D(F.Cfg);
+  LabelId C1 = callLabel(F, "main", "f", 0);
+  LabelId C2 = callLabel(F, "main", "f", 1);
   EXPECT_TRUE(D.reaches(C1, C2));
   EXPECT_FALSE(D.reaches(C2, C1));
   EXPECT_FALSE(D.disjointLabels(C1, C2));
 }
 
 TEST(DisjBlk, BranchArmsAreDisjoint) {
-  auto F = lower(R"(
+  Lowered F(R"(
     procedure f() { }
     procedure main() { if (*) { call f(); } else { call f(); } }
   )");
   ASSERT_TRUE(F);
-  DisjointAnalysis D(F->Cfg);
-  EXPECT_TRUE(D.disjointLabels(callLabel(*F, "main", "f", 0),
-                               callLabel(*F, "main", "f", 1)));
+  DisjointAnalysis D(F.Cfg);
+  EXPECT_TRUE(D.disjointLabels(callLabel(F, "main", "f", 0),
+                               callLabel(F, "main", "f", 1)));
 }
 
 TEST(DisjBlk, ReflexiveReachability) {
-  auto F = lower(R"(
+  Lowered F(R"(
     procedure f() { }
     procedure main() { call f(); }
   )");
   ASSERT_TRUE(F);
-  DisjointAnalysis D(F->Cfg);
-  LabelId C = callLabel(*F, "main", "f");
+  DisjointAnalysis D(F.Cfg);
+  LabelId C = callLabel(F, "main", "f");
   EXPECT_TRUE(D.reaches(C, C));
   EXPECT_FALSE(D.disjointLabels(C, C));
 }
 
 TEST(DisjBlk, SwitchArmsPairwiseDisjoint) {
-  auto F = lower(R"(
+  Lowered F(R"(
     var x: int;
     procedure f() { }
     procedure main() {
@@ -100,17 +83,17 @@ TEST(DisjBlk, SwitchArmsPairwiseDisjoint) {
     }
   )");
   ASSERT_TRUE(F);
-  DisjointAnalysis D(F->Cfg);
-  LabelId C0 = callLabel(*F, "main", "f", 0);
-  LabelId C1 = callLabel(*F, "main", "f", 1);
-  LabelId C2 = callLabel(*F, "main", "f", 2);
+  DisjointAnalysis D(F.Cfg);
+  LabelId C0 = callLabel(F, "main", "f", 0);
+  LabelId C1 = callLabel(F, "main", "f", 1);
+  LabelId C2 = callLabel(F, "main", "f", 2);
   EXPECT_TRUE(D.disjointLabels(C0, C1));
   EXPECT_TRUE(D.disjointLabels(C0, C2));
   EXPECT_TRUE(D.disjointLabels(C1, C2));
 }
 
 TEST(DisjBlk, CallBeforeBranchReachesBothArms) {
-  auto F = lower(R"(
+  Lowered F(R"(
     procedure f() { }
     procedure main() {
       call f();
@@ -118,58 +101,58 @@ TEST(DisjBlk, CallBeforeBranchReachesBothArms) {
     }
   )");
   ASSERT_TRUE(F);
-  DisjointAnalysis D(F->Cfg);
-  LabelId Pre = callLabel(*F, "main", "f", 0);
-  EXPECT_FALSE(D.disjointLabels(Pre, callLabel(*F, "main", "f", 1)));
-  EXPECT_FALSE(D.disjointLabels(Pre, callLabel(*F, "main", "f", 2)));
+  DisjointAnalysis D(F.Cfg);
+  LabelId Pre = callLabel(F, "main", "f", 0);
+  EXPECT_FALSE(D.disjointLabels(Pre, callLabel(F, "main", "f", 1)));
+  EXPECT_FALSE(D.disjointLabels(Pre, callLabel(F, "main", "f", 2)));
 }
 
 TEST(DisjointConfigs, PrefixRelatedNeverDisjoint) {
-  auto F = lower(R"(
+  Lowered F(R"(
     procedure g() { }
     procedure f() { call g(); }
     procedure main() { call f(); }
   )");
   ASSERT_TRUE(F);
-  DisjointAnalysis D(F->Cfg);
-  LabelId CF = callLabel(*F, "main", "f");
-  LabelId CG = callLabel(*F, "f", "g");
-  std::vector<LabelId> CfgF = {entryOf(*F, "f"), CF};
-  std::vector<LabelId> CfgG = {entryOf(*F, "g"), CG, CF};
+  DisjointAnalysis D(F.Cfg);
+  LabelId CF = callLabel(F, "main", "f");
+  LabelId CG = callLabel(F, "f", "g");
+  std::vector<LabelId> CfgF = {entryOf(F, "f"), CF};
+  std::vector<LabelId> CfgG = {entryOf(F, "g"), CG, CF};
   EXPECT_FALSE(D.disjointConfigs(CfgF, CfgG));
   EXPECT_FALSE(D.disjointConfigs(CfgG, CfgF));
   EXPECT_FALSE(D.disjointConfigs(CfgF, CfgF));
 }
 
 TEST(DisjointConfigs, DivergingBranchesDisjoint) {
-  auto F = lower(R"(
+  Lowered F(R"(
     procedure g() { }
     procedure f() { call g(); }
     procedure e() { call g(); }
     procedure main() { if (*) { call f(); } else { call e(); } }
   )");
   ASSERT_TRUE(F);
-  DisjointAnalysis D(F->Cfg);
-  std::vector<LabelId> Via1 = {entryOf(*F, "g"), callLabel(*F, "f", "g"),
-                               callLabel(*F, "main", "f")};
-  std::vector<LabelId> Via2 = {entryOf(*F, "g"), callLabel(*F, "e", "g"),
-                               callLabel(*F, "main", "e")};
+  DisjointAnalysis D(F.Cfg);
+  std::vector<LabelId> Via1 = {entryOf(F, "g"), callLabel(F, "f", "g"),
+                               callLabel(F, "main", "f")};
+  std::vector<LabelId> Via2 = {entryOf(F, "g"), callLabel(F, "e", "g"),
+                               callLabel(F, "main", "e")};
   EXPECT_TRUE(D.disjointConfigs(Via1, Via2));
-  EXPECT_TRUE(bruteForceDisjoint(F->Cfg, Via1, Via2, 100000));
+  EXPECT_TRUE(bruteForceDisjoint(F.Cfg, Via1, Via2, 100000));
 }
 
 TEST(BruteForce, SequentialConfigsReachable) {
-  auto F = lower(R"(
+  Lowered F(R"(
     procedure g() { }
     procedure main() { call g(); call g(); }
   )");
   ASSERT_TRUE(F);
-  std::vector<LabelId> First = {entryOf(*F, "g"),
-                                callLabel(*F, "main", "g", 0)};
-  std::vector<LabelId> Second = {entryOf(*F, "g"),
-                                 callLabel(*F, "main", "g", 1)};
-  EXPECT_FALSE(bruteForceDisjoint(F->Cfg, First, Second, 100000));
-  DisjointAnalysis D(F->Cfg);
+  std::vector<LabelId> First = {entryOf(F, "g"),
+                                callLabel(F, "main", "g", 0)};
+  std::vector<LabelId> Second = {entryOf(F, "g"),
+                                 callLabel(F, "main", "g", 1)};
+  EXPECT_FALSE(bruteForceDisjoint(F.Cfg, First, Second, 100000));
+  DisjointAnalysis D(F.Cfg);
   EXPECT_FALSE(D.disjointConfigs(First, Second));
 }
 

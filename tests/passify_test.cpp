@@ -1,8 +1,6 @@
 //===- passify_test.cpp - Passified pVC mode (ablation) ---------------------===//
 
-#include "cfg/Lower.h"
-#include "core/Verifier.h"
-#include "parser/Parser.h"
+#include "TestSupport.h"
 #include "smt/Z3Solver.h"
 #include "workload/Chain.h"
 #include "workload/RandomProg.h"
@@ -12,19 +10,6 @@
 using namespace rmt;
 
 namespace {
-
-struct Fixture {
-  AstContext Ctx;
-  CfgProgram Cfg;
-
-  explicit Fixture(const char *Src) {
-    DiagEngine Diags;
-    auto P = parseAndCheck(Src, Ctx, Diags);
-    EXPECT_TRUE(P) << Diags.str();
-    if (P)
-      Cfg = lowerToCfg(Ctx, *P);
-  }
-};
 
 const char *StraightLine = R"(
   var g: int;
@@ -38,7 +23,7 @@ const char *StraightLine = R"(
 } // namespace
 
 TEST(Passify, StraightLineMintsFarFewerConstants) {
-  Fixture F(StraightLine);
+  Lowered F(StraightLine);
   TermArena PaperArena, PassArena;
   VcContext Paper(F.Ctx, F.Cfg, PaperArena, {}, PvcMode::Paper);
   VcContext Pass(F.Ctx, F.Cfg, PassArena, {}, PvcMode::Passified);
@@ -51,7 +36,7 @@ TEST(Passify, StraightLineMintsFarFewerConstants) {
 
 TEST(Passify, SameModelsOnStraightLine) {
   for (PvcMode Mode : {PvcMode::Paper, PvcMode::Passified}) {
-    Fixture F(StraightLine);
+    Lowered F(StraightLine);
     TermArena Arena;
     auto S = createZ3Solver(Arena);
     VcContext Vc(F.Ctx, F.Cfg, Arena, [&](TermRef T) { S->assertTerm(T); },
@@ -67,7 +52,7 @@ TEST(Passify, SameModelsOnStraightLine) {
 }
 
 TEST(Passify, JoinsIntroduceIncarnations) {
-  Fixture F(R"(
+  Lowered F(R"(
     var g: int;
     procedure main() {
       if (*) { g := 1; } else { g := 2; }

@@ -1,11 +1,9 @@
 //===- passmanager_test.cpp - Pass manager, VerifyCfg, and GVN -------------===//
 
+#include "TestSupport.h"
 #include "analysis/Gvn.h"
 #include "analysis/PassManager.h"
 #include "analysis/VerifyCfg.h"
-#include "cfg/Lower.h"
-#include "parser/Parser.h"
-#include "transform/Transforms.h"
 
 #include <gtest/gtest.h>
 
@@ -14,25 +12,6 @@
 using namespace rmt;
 
 namespace {
-
-std::optional<Program> parse(const char *Src, AstContext &Ctx) {
-  DiagEngine Diags;
-  std::optional<Program> P = parseAndCheck(Src, Ctx, Diags);
-  EXPECT_TRUE(P) << Diags.str();
-  return P;
-}
-
-/// Lowers a checked program through the bounding pipeline, like the verifier
-/// does before its prepass.
-CfgProgram lower(AstContext &Ctx, const Program &P, ProcId &Root,
-                 Symbol &ErrVar, unsigned Bound = 2) {
-  BoundedInstance Inst = prepareBounded(Ctx, P, Ctx.sym("main"), Bound);
-  CfgProgram Cfg = lowerToCfg(Ctx, Inst.Prog);
-  Root = Cfg.findProc(Inst.Entry);
-  ErrVar = Inst.ErrVar;
-  EXPECT_NE(Root, InvalidProc);
-  return Cfg;
-}
 
 bool anyDiagContains(const std::vector<std::string> &Diags,
                      const std::string &Needle) {
@@ -76,7 +55,7 @@ const char *CallDemo = R"(
 
 TEST(VerifyCfg, CleanLoweredProgramVerifies) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -86,7 +65,7 @@ TEST(VerifyCfg, CleanLoweredProgramVerifies) {
 
 TEST(VerifyCfg, CleanProgramStaysVerifiedThroughThePipeline) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -100,7 +79,7 @@ TEST(VerifyCfg, CleanProgramStaysVerifiedThroughThePipeline) {
 
 TEST(VerifyCfg, DetectsDanglingSuccessor) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -112,7 +91,7 @@ TEST(VerifyCfg, DetectsDanglingSuccessor) {
 
 TEST(VerifyCfg, DetectsCrossProcedureSuccessor) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -128,7 +107,7 @@ TEST(VerifyCfg, DetectsCrossProcedureSuccessor) {
 
 TEST(VerifyCfg, DetectsFlowCycle) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -165,7 +144,7 @@ TEST(VerifyCfg, DetectsCallGraphCycle) {
 
 TEST(VerifyCfg, DetectsCallArityMismatch) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -180,7 +159,7 @@ TEST(VerifyCfg, DetectsCallArityMismatch) {
 
 TEST(VerifyCfg, DetectsCallResultArityMismatch) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -195,7 +174,7 @@ TEST(VerifyCfg, DetectsCallResultArityMismatch) {
 
 TEST(VerifyCfg, DetectsOutOfScopeAssignmentTarget) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -210,7 +189,7 @@ TEST(VerifyCfg, DetectsOutOfScopeAssignmentTarget) {
 
 TEST(VerifyCfg, DetectsNonBoolAssumeCondition) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -224,7 +203,7 @@ TEST(VerifyCfg, DetectsNonBoolAssumeCondition) {
 
 TEST(VerifyCfg, DetectsHavockedQueryVariable) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -243,7 +222,7 @@ TEST(VerifyCfg, DetectsHavockedQueryVariable) {
 
 TEST(VerifyCfg, DetectsEntryNotOwnedAndBadBackPointer) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -262,7 +241,7 @@ TEST(VerifyCfg, DetectsEntryNotOwnedAndBadBackPointer) {
 
 TEST(VerifyCfg, DetectsRootOutOfRange) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -278,7 +257,7 @@ TEST(Gvn, PropagatesCopyChains) {
   // `y := x; z := y + 1` — the add's operand should be rewritten to the
   // chain head `x` once y and x share a value number.
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     procedure main() {
       var x: int;
       var y: int;
@@ -315,7 +294,7 @@ TEST(Gvn, PropagatesCopyChains) {
 
 TEST(Gvn, FoldsLiteralsThroughCopies) {
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     procedure main() {
       var x: int;
       var y: int;
@@ -347,7 +326,7 @@ namespace {
 /// Runs GVN over \p Src and returns each local's last assigned right side.
 std::map<std::string, const Expr *> gvnRhs(AstContext &Ctx, const char *Src) {
   std::map<std::string, const Expr *> Rhs;
-  auto P = parse(Src, Ctx);
+  auto P = parseOk(Src, Ctx);
   if (!P)
     return Rhs;
   ProcId Root;
@@ -438,7 +417,7 @@ TEST(Gvn, FoldsConnectivesThroughUnknowns) {
   // Expressions are total, so an absorbing operand decides a connective
   // whatever the other side holds; an identity operand leaves the other.
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     procedure main() {
       var u: bool;
       var a: bool;
@@ -475,7 +454,7 @@ TEST(Gvn, FoldsConnectivesThroughUnknowns) {
 
 TEST(Gvn, EliminatesEntailedAssume) {
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     procedure main() {
       var x: int;
       havoc x;
@@ -495,7 +474,7 @@ TEST(Gvn, EliminatesEntailedAssume) {
 
 TEST(Gvn, SharpensContradictedAssume) {
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     procedure main() {
       var x: int;
       havoc x;
@@ -527,7 +506,7 @@ TEST(Gvn, PrunesBranchWhoseRecordedConditionsClash) {
   // conditions it records (x > 0 against the earlier !(x > 0)) clash, so the
   // assume's post-state is bottom and the guarded call goes.
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     var g: int;
     procedure expensive() { g := g + 1; assert g < 100; }
     procedure main() {
@@ -555,7 +534,7 @@ TEST(Gvn, PrunesBranchWhoseRecordedConditionsClash) {
 
 TEST(Gvn, SecondRunChangesNothing) {
   AstContext Ctx;
-  auto P = parse(R"(
+  auto P = parseOk(R"(
     procedure main() {
       var x: int;
       var y: int;
@@ -630,7 +609,7 @@ TEST(PassPipeline, SpecIsPassesThenInv) {
 
 TEST(PassPipeline, RecordsPerPassStats) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -663,7 +642,7 @@ TEST(PassPipeline, LintAuditCountsResidualDeadStores) {
   // it)...
   {
     AstContext Ctx;
-    auto P = parse(Src, Ctx);
+    auto P = parseOk(Src, Ctx);
     ProcId Root;
     Symbol Err;
     CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -682,7 +661,7 @@ TEST(PassPipeline, LintAuditCountsResidualDeadStores) {
   // ...and running it after the default pipeline finds nothing left to flag.
   {
     AstContext Ctx;
-    auto P = parse(Src, Ctx);
+    auto P = parseOk(Src, Ctx);
     ProcId Root;
     Symbol Err;
     CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -698,7 +677,7 @@ TEST(PassPipeline, LintAuditCountsResidualDeadStores) {
 
 TEST(PassPipeline, LintAuditFlagsUnreachableLabels) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -720,7 +699,7 @@ TEST(PassPipeline, LintAuditFlagsUnreachableLabels) {
 
 TEST(PassPipeline, PassesOverrideRunsOnlyTheListedPasses) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -736,7 +715,7 @@ TEST(PassPipeline, PassesOverrideRunsOnlyTheListedPasses) {
 
 TEST(PassPipeline, UnknownPassNameAbortsBeforeRunningAnything) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -778,7 +757,7 @@ std::unique_ptr<Pass> makeCorruptingPass() {
 TEST(PassPipeline, VerifyEachCatchesACorruptingPass) {
   PassRegistry::instance().registerPass("corrupt", makeCorruptingPass);
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -801,7 +780,7 @@ TEST(PassPipeline, VerifyEachCatchesACorruptingPass) {
 
 TEST(PassPipeline, VerifyEachChecksThePipelineInputToo) {
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
@@ -825,7 +804,7 @@ TEST(PassPipeline, WithoutVerifyEachCorruptionGoesUnnoticed) {
   // runPrepass also turns verification on under RMT_VERIFY_EACH.
   PassRegistry::instance().registerPass("corrupt", makeCorruptingPass);
   AstContext Ctx;
-  auto P = parse(CallDemo, Ctx);
+  auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);

@@ -1,9 +1,7 @@
 //===- strategies_test.cpp - Merging strategies (Section 3.4) ---------------===//
 
-#include "cfg/Lower.h"
+#include "TestSupport.h"
 #include "core/Engine.h"
-#include "parser/Parser.h"
-#include "transform/Transforms.h"
 #include "workload/Chain.h"
 #include "workload/SdvGen.h"
 
@@ -28,13 +26,11 @@ size_t fullyInline(const AstContext &Ctx, const CfgProgram &Cfg, ProcId Root,
 struct ChainFixture {
   AstContext Ctx;
   CfgProgram Cfg;
-  ProcId Root;
+  ProcId Root = InvalidProc;
+  Symbol ErrVar;
 
   explicit ChainFixture(unsigned N) {
-    Program P = makeChainProgram(Ctx, N);
-    BoundedInstance B = prepareBounded(Ctx, P, Ctx.sym("main"), 1);
-    Cfg = lowerToCfg(Ctx, B.Prog);
-    Root = Cfg.findProc(Ctx.sym("main"));
+    Cfg = lower(Ctx, makeChainProgram(Ctx, N), Root, ErrVar, 1);
   }
 };
 
@@ -156,10 +152,9 @@ TEST(StrategyOrdering, PaperFig17ShapeOnDriver) {
   Params.NumHandlers = 3;
   Params.NumUtils = 3;
   Params.UtilDepth = 4;
-  Program P = makeSdvProgram(Ctx, Params);
-  BoundedInstance B = prepareBounded(Ctx, P, Ctx.sym("main"), 1);
-  CfgProgram Cfg = lowerToCfg(Ctx, B.Prog);
-  ProcId Root = Cfg.findProc(Ctx.sym("main"));
+  ProcId Root = InvalidProc;
+  Symbol ErrVar;
+  CfgProgram Cfg = lower(Ctx, makeSdvProgram(Ctx, Params), Root, ErrVar, 1);
 
   auto SizeWith = [&](MergeStrategyKind Kind) {
     StrategyOptions Opts;
@@ -206,20 +201,16 @@ TEST(Inliner, ResolveReportsMerges) {
     procedure baz() { g := g + 2; call foo(); }
     procedure foo() { g := g + 1; }
   )";
-  AstContext Ctx;
-  DiagEngine Diags;
-  std::optional<Program> P = parseAndCheck(Src, Ctx, Diags);
-  ASSERT_TRUE(P) << Diags.str();
-  BoundedInstance B = prepareBounded(Ctx, *P, Ctx.sym("main"), 1);
-  CfgProgram Cfg = lowerToCfg(Ctx, B.Prog);
-  ProcId Foo = Cfg.findProc(Ctx.sym("foo"));
+  Lowered F(Src, 1);
+  ASSERT_TRUE(F);
+  ProcId Foo = F.Cfg.findProc(F.Ctx.sym("foo"));
 
   for (MergeStrategyKind Kind :
        {MergeStrategyKind::First, MergeStrategyKind::None}) {
     StrategyOptions Opts;
     Opts.Kind = Kind;
     TermArena Arena;
-    Inliner In(Ctx, Cfg, Cfg.findProc(Ctx.sym("main")), Arena, Opts);
+    Inliner In(F.Ctx, F.Cfg, F.Root, Arena, Opts);
     std::vector<Inliner::Binding> FooBindings;
     while (!In.vc().openEdges().empty()) {
       EdgeId E = In.vc().openEdges().front();

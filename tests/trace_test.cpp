@@ -10,13 +10,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cfg/Lower.h"
+#include "TestSupport.h"
 #include "core/VcGen.h"
-#include "core/Verifier.h"
-#include "parser/Parser.h"
 #include "smt/SmtLibPrinter.h"
 #include "smt/Z3Solver.h"
-#include "transform/Transforms.h"
 #include "workload/RandomProg.h"
 
 #include <z3.h>
@@ -89,16 +86,16 @@ TEST_P(TraceValidity, BuggyTracesAreStructurallyReal) {
 
   AstContext Ctx;
   Program P = makeRandomProgram(Ctx, Params);
-  BoundedInstance B = prepareBounded(Ctx, P, Ctx.sym("main"), 2);
-  CfgProgram Cfg = lowerToCfg(Ctx, B.Prog);
-  ProcId Entry = Cfg.findProc(B.Entry);
+  ProcId Entry = InvalidProc;
+  Symbol ErrVar;
+  CfgProgram Cfg = lower(Ctx, P, Entry, ErrVar);
 
   for (PvcMode Mode : {PvcMode::Paper, PvcMode::Passified}) {
     EngineOptions Opts;
     Opts.Strategy.Kind = MergeStrategyKind::First;
     Opts.Pvc = Mode;
     Opts.TimeoutSeconds = 60;
-    VerifyResult R = solveReachability(Ctx, Cfg, Entry, B.ErrVar, Opts);
+    VerifyResult R = solveReachability(Ctx, Cfg, Entry, ErrVar, Opts);
     if (R.Outcome != Verdict::Bug)
       continue; // only buggy instances produce traces
     ASSERT_FALSE(R.Trace.empty());
@@ -109,7 +106,7 @@ TEST_P(TraceValidity, BuggyTracesAreStructurallyReal) {
     bool ErrSeen = false;
     size_t ErrIndex = 0;
     for (size_t I = 0; I < Cfg.Globals.size(); ++I)
-      if (Cfg.Globals[I].Name == B.ErrVar)
+      if (Cfg.Globals[I].Name == ErrVar)
         ErrIndex = I;
     for (const TraceStep &Step : R.Trace)
       if (!Step.GlobalValues.empty() && Step.GlobalValues[ErrIndex])
@@ -137,9 +134,9 @@ TEST_P(VcScriptRoundTrip, PrintedVcHasSameVerdictUnderZ3Parser) {
 
   AstContext Ctx;
   Program P = makeRandomProgram(Ctx, Params);
-  BoundedInstance B = prepareBounded(Ctx, P, Ctx.sym("main"), 2);
-  CfgProgram Cfg = lowerToCfg(Ctx, B.Prog);
-  ProcId Entry = Cfg.findProc(B.Entry);
+  ProcId Entry = InvalidProc;
+  Symbol ErrVar;
+  CfgProgram Cfg = lower(Ctx, P, Entry, ErrVar);
 
   // Build the fully tree-inlined VC with the error-bit query.
   TermArena Arena;
@@ -155,7 +152,7 @@ TEST_P(VcScriptRoundTrip, PrintedVcHasSameVerdictUnderZ3Parser) {
   Assertions.push_back(Vc.node(Root).Control);
   size_t ErrIndex = 0;
   for (size_t I = 0; I < Cfg.Globals.size(); ++I)
-    if (Cfg.Globals[I].Name == B.ErrVar)
+    if (Cfg.Globals[I].Name == ErrVar)
       ErrIndex = I;
   Assertions.push_back(Vc.node(Root).Out[ErrIndex]);
 

@@ -1,8 +1,8 @@
 //===- transform_test.cpp - Unit tests for src/transform --------------------===//
 
+#include "TestSupport.h"
 #include "ast/AstPrinter.h"
 #include "ast/Eval.h"
-#include "parser/Parser.h"
 #include "transform/Transforms.h"
 
 #include <gtest/gtest.h>
@@ -10,13 +10,6 @@
 using namespace rmt;
 
 namespace {
-
-std::optional<Program> parseOk(const char *Src, AstContext &Ctx) {
-  DiagEngine Diags;
-  auto P = parseAndCheck(Src, Ctx, Diags);
-  EXPECT_TRUE(P) << Diags.str();
-  return P;
-}
 
 bool hasLoops(const std::vector<const Stmt *> &Block) {
   for (const Stmt *S : Block) {

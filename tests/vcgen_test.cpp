@@ -1,8 +1,7 @@
 //===- vcgen_test.cpp - Gen_pVC / Gen_VC structure (Fig. 8, Fig. 9) ---------===//
 
-#include "cfg/Lower.h"
+#include "TestSupport.h"
 #include "core/VcGen.h"
-#include "parser/Parser.h"
 #include "smt/SmtLibPrinter.h"
 #include "smt/Z3Solver.h"
 
@@ -12,18 +11,9 @@ using namespace rmt;
 
 namespace {
 
-struct Fixture {
-  AstContext Ctx;
-  CfgProgram Cfg;
+struct Fixture : Lowered {
+  using Lowered::Lowered;
   TermArena Arena;
-
-  explicit Fixture(const char *Src) {
-    DiagEngine Diags;
-    auto P = parseAndCheck(Src, Ctx, Diags);
-    EXPECT_TRUE(P) << Diags.str();
-    if (P)
-      Cfg = lowerToCfg(Ctx, *P);
-  }
 };
 
 /// The paper's Fig. 6 program.
@@ -85,6 +75,7 @@ TEST(GenVc, Fig9ExecutionMergesFoo) {
   VcContext Vc(F.Ctx, F.Cfg, F.Arena,
                [&](TermRef T) { Pushed.push_back(T); });
   NodeId N0 = Vc.genPvc(F.Cfg.findProc(F.Ctx.sym("main")));
+  EXPECT_EQ(N0, 0u);
   ASSERT_EQ(Vc.openEdges().size(), 2u);
   EdgeId E0 = Vc.openEdges()[0];
   EdgeId E1 = Vc.openEdges()[1];

@@ -1,10 +1,7 @@
 //===- verifier_test.cpp - Facade: iterative deepening, DOT export ----------===//
 
-#include "cfg/Lower.h"
+#include "TestSupport.h"
 #include "core/DotExport.h"
-#include "core/Verifier.h"
-#include "parser/Parser.h"
-#include "transform/Transforms.h"
 #include "workload/Chain.h"
 
 #include <gtest/gtest.h>
@@ -12,13 +9,6 @@
 using namespace rmt;
 
 namespace {
-
-std::optional<Program> parseOk(const char *Src, AstContext &Ctx) {
-  DiagEngine Diags;
-  auto P = parseAndCheck(Src, Ctx, Diags);
-  EXPECT_TRUE(P) << Diags.str();
-  return P;
-}
 
 const char *DeepBugSrc = R"(
   var total: int;
@@ -50,11 +40,42 @@ TEST(VerifierPrepass, InvariantsWithoutPrepassRunThroughThePipeline) {
   VerifierRunResult R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
   EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
   EXPECT_TRUE(R.Prepass.ok());
-  EXPECT_GT(R.InvariantConjuncts, 0u);
+  EXPECT_GT(R.Prepass.InvariantConjuncts, 0u);
   EXPECT_GT(R.NumLabelsSolved, R.NumLabels);
   EXPECT_EQ(R.Prepass.LabelsAfter, R.NumLabelsSolved);
   EXPECT_EQ(R.PrepassStats.get("pass.inv.runs"), 1);
   EXPECT_EQ(R.PrepassStats.get("pass.gvn.runs"), 0);
+}
+
+TEST(Verifier, LowerInstanceIsWhatTheEngineSolves) {
+  // The front end alone yields the program verifyProgram hands the engine,
+  // with the default prepass and with +Inv.
+  for (bool Inv : {false, true}) {
+    AstContext Ctx;
+    Program P = makeChainProgram(Ctx, 4);
+    VerifierOptions Opts;
+    Opts.Bound = 1;
+    Opts.UseInvariants = Inv;
+    VerifierRunResult Front;
+    LoweredInstance L = lowerInstance(Ctx, P, Ctx.sym("main"), Opts, Front);
+    ASSERT_TRUE(Front.Prepass.ok());
+    VerifierRunResult R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+    EXPECT_EQ(R.Result.Outcome, Verdict::Safe) << "inv=" << Inv;
+    EXPECT_EQ(L.Cfg.Labels.size(), R.NumLabelsSolved) << "inv=" << Inv;
+    EXPECT_EQ(Front.NumLabelsSolved, R.NumLabelsSolved) << "inv=" << Inv;
+  }
+
+  // A pipeline error leaves a program that must not be solved.
+  AstContext Ctx;
+  Program P = makeChainProgram(Ctx, 4);
+  VerifierOptions Opts;
+  Opts.Bound = 1;
+  Opts.Prepass.Passes = "nope";
+  VerifierRunResult Front;
+  lowerInstance(Ctx, P, Ctx.sym("main"), Opts, Front);
+  EXPECT_FALSE(Front.Prepass.ok());
+  EXPECT_EQ(verifyProgram(Ctx, P, Ctx.sym("main"), Opts).Result.Outcome,
+            Verdict::Unknown);
 }
 
 //===----------------------------------------------------------------------===//
@@ -123,21 +144,12 @@ namespace {
 
 /// A program's inlining DAG under FIRST, holding only the root until
 /// inlineAll.
-struct DagFixture {
-  AstContext Ctx;
-  CfgProgram Cfg;
+struct DagFixture : Lowered {
   TermArena Arena;
-  std::unique_ptr<Inliner> In;
+  Inliner In;
 
-  explicit DagFixture(const char *Src) {
-    DiagEngine Diags;
-    auto P = parseAndCheck(Src, Ctx, Diags);
-    EXPECT_TRUE(P) << Diags.str();
-    BoundedInstance B = prepareBounded(Ctx, *P, Ctx.sym("main"), 1);
-    Cfg = lowerToCfg(Ctx, B.Prog);
-    In = std::make_unique<Inliner>(Ctx, Cfg, Cfg.findProc(Ctx.sym("main")),
-                                   Arena, StrategyOptions());
-  }
+  explicit DagFixture(const char *Src)
+      : Lowered(Src, 1), In(Ctx, Cfg, Root, Arena, StrategyOptions()) {}
 };
 
 const char *Fig1Src = R"(
@@ -156,8 +168,8 @@ const char *Fig1Src = R"(
 
 TEST(DotExport, InliningDagShowsMergedFoo) {
   DagFixture F(Fig1Src);
-  EXPECT_TRUE(F.In->inlineAll(100));
-  std::string Dot = inliningDagToDot(F.Ctx, F.In->vc());
+  EXPECT_TRUE(F.In.inlineAll(100));
+  std::string Dot = inliningDagToDot(F.Ctx, F.In.vc());
   EXPECT_NE(Dot.find("digraph inlining_dag"), std::string::npos);
   EXPECT_NE(Dot.find("foo"), std::string::npos);
   // The shared foo instance (two parents) is highlighted.
@@ -168,7 +180,7 @@ TEST(DotExport, InliningDagShowsMergedFoo) {
 
 TEST(DotExport, OpenEdgesRenderedDashed) {
   DagFixture F(Fig1Src);
-  std::string Dot = inliningDagToDot(F.Ctx, F.In->vc());
+  std::string Dot = inliningDagToDot(F.Ctx, F.In.vc());
   EXPECT_NE(Dot.find("style=dashed"), std::string::npos);
   EXPECT_NE(Dot.find("open: "), std::string::npos);
 }
