@@ -292,11 +292,11 @@ private:
       for (const VarDecl &G : Prog.Globals) {
         TermRef T = Vars.at(G.Name);
         if (G.Ty->isBool())
-          Step.GlobalValues.push_back(Solver->modelBool(T) ? 1 : 0);
+          Step.GlobalValues.push_back(Solver->modelBool(T) ? "true" : "false");
         else if (G.Ty->isInt() || G.Ty->isBv())
-          Step.GlobalValues.push_back(Solver->modelInt(T));
+          Step.GlobalValues.push_back(Solver->modelNumeral(T));
         else
-          Step.GlobalValues.push_back(0); // arrays are not rendered
+          Step.GlobalValues.emplace_back(); // arrays are not rendered
       }
       Result.Trace.push_back(std::move(Step));
       const CfgLabel &Lbl = Prog.label(Y);

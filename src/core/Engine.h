@@ -39,6 +39,7 @@
 #include "support/Trace.h"
 
 #include <optional>
+#include <string>
 
 namespace rmt {
 
@@ -105,8 +106,9 @@ struct TraceStep {
   LabelId Label = InvalidLabel;
   SrcLoc Loc;
   /// Model value of each global (aligned with CfgProgram::Globals) at this
-  /// label's entry; booleans as 0/1, arrays as 0 (not rendered).
-  std::vector<int64_t> GlobalValues;
+  /// label's entry: "true"/"false", an exact decimal numeral for Int and
+  /// bit-vector globals, empty for arrays (not rendered).
+  std::vector<std::string> GlobalValues;
 };
 
 /// Result and statistics of one engine run.

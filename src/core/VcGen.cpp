@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 using namespace rmt;
 
@@ -14,7 +13,6 @@ VcContext::VcContext(const AstContext &Ctx, const CfgProgram &Prog,
     : Ctx(Ctx), Prog(Prog), Arena(Arena), Sink(std::move(Sink)), Mode(Mode) {}
 
 void VcContext::push(TermRef Clause) {
-  AllClauses.push_back(Clause);
   if (Sink)
     Sink(Clause);
 }
@@ -38,36 +36,11 @@ const std::vector<NodeId> &VcContext::instancesOf(ProcId Q) const {
   return It == Instances.end() ? NoInstances : It->second;
 }
 
-namespace {
-
-/// Conjunction of m1[v] == m2[v] over \p Vars, skipping those in \p Except.
-TermRef eqVarsExcept(TermArena &Arena, const VarTermMap &M1,
-                     const VarTermMap &M2, const std::vector<VarDecl> &Vars,
-                     const std::unordered_set<Symbol> &Except) {
-  TermRef Acc = Arena.mkTrue();
-  for (const VarDecl &D : Vars) {
-    if (Except.count(D.Name))
-      continue;
-    Acc = Arena.mkAnd(Acc, Arena.mkEq(M1.at(D.Name), M2.at(D.Name)));
-  }
-  return Acc;
-}
-
-TermRef eqVars(TermArena &Arena, const VarTermMap &M1, const VarTermMap &M2,
-               const std::vector<VarDecl> &Vars) {
-  return eqVarsExcept(Arena, M1, M2, Vars, {});
-}
-
-} // namespace
-
 NodeId VcContext::genPvc(ProcId Q) {
-  return Mode == PvcMode::Paper ? genPvcPaper(Q) : genPvcPassified(Q);
-}
-
-NodeId VcContext::genPvcPaper(ProcId Q) {
   const CfgProc &P = Prog.proc(Q);
   const std::vector<VarDecl> &Scope = scopeVars(Q);
   size_t NumGlobals = Prog.Globals.size();
+  bool Paper = Mode == PvcMode::Paper;
 
   NodeId NId = static_cast<NodeId>(Nodes.size());
   Nodes.emplace_back();
@@ -76,31 +49,45 @@ NodeId VcContext::genPvcPaper(ProcId Q) {
   N.Entry = P.Entry;
   Instances[Q].push_back(NId);
 
-  // Lines 39–46: fresh BS[y], VS[y][v], VS'[y][v] for every label y and
-  // every variable v in scope.
-  std::unordered_map<LabelId, VarTermMap> VSOut;
+  // A label joins when it takes its pre-state from fresh VS[y] constants
+  // tied to each predecessor's post-state: every label in Paper mode, labels
+  // with other than one predecessor in Passified mode. A non-joining label
+  // reads its predecessor's post-state terms directly.
+  std::unordered_map<LabelId, unsigned> PredCount;
+  for (LabelId Y : P.Labels)
+    PredCount[Y];
+  for (LabelId Y : P.Labels)
+    for (LabelId T : Prog.label(Y).Targets)
+      ++PredCount[T];
+  auto Joins = [&](LabelId Y) { return Paper || PredCount[Y] != 1; };
+
+  // Lines 39–46: fresh BS[y] for every label y; fresh VS[y][v] for the entry
+  // and every joining label, and in Paper mode fresh VS'[y][v] as well.
+  std::unordered_map<LabelId, VarTermMap> PostAt;
   std::string Prefix = "n" + std::to_string(NId);
   for (LabelId Y : P.Labels) {
     std::string LTag = Prefix + ".L" + std::to_string(Y);
     N.BlockConst[Y] = Arena.freshConst(Ctx.boolType(), LTag + ".bs");
-    VarTermMap &In = N.VarsAt[Y];
-    VarTermMap &Out = VSOut[Y];
+    if (Y != P.Entry && !Joins(Y))
+      continue;
+    VarTermMap &Pre = N.VarsAt[Y];
+    VarTermMap *Post = Paper ? &PostAt[Y] : nullptr;
     for (const VarDecl &D : Scope) {
       std::string VTag = LTag + ".v" + std::to_string(D.Name.id());
-      In[D.Name] = Arena.freshConst(D.Ty, VTag);
-      Out[D.Name] = Arena.freshConst(D.Ty, VTag + "'");
+      Pre[D.Name] = Arena.freshConst(D.Ty, VTag);
+      if (Post)
+        (*Post)[D.Name] = Arena.freshConst(D.Ty, VTag + "'");
     }
   }
 
-  // Lines 47–49: entry control and input interface (globals ⧺ params).
+  // Lines 47–51: entry control, input interface (globals ⧺ params) and
+  // fresh output interface (globals ⧺ returns).
   N.Control = N.BlockConst.at(P.Entry);
   const VarTermMap &EntryVars = N.VarsAt.at(P.Entry);
   for (const VarDecl &G : Prog.Globals)
     N.In.push_back(EntryVars.at(G.Name));
   for (const VarDecl &D : P.Params)
     N.In.push_back(EntryVars.at(D.Name));
-
-  // Lines 50–51: fresh output interface (globals ⧺ returns).
   for (const VarDecl &G : Prog.Globals)
     N.Out.push_back(
         Arena.freshConst(G.Ty, Prefix + ".out.v" + std::to_string(G.Name.id())));
@@ -108,238 +95,112 @@ NodeId VcContext::genPvcPaper(ProcId Q) {
     N.Out.push_back(
         Arena.freshConst(D.Ty, Prefix + ".out.v" + std::to_string(D.Name.id())));
 
+  // Paper mode pushes Fig. 8's clauses literally, trivially true ones too.
   auto PushClause = [&](TermRef Clause) {
-    N.Clauses.push_back(Clause);
-    push(Clause);
+    if (Paper || !Arena.isTrue(Clause))
+      push(Clause);
   };
 
-  // Lines 52–72: one transition clause and one successor clause per label.
-  for (LabelId Y : P.Labels) {
+  // Lines 52–72, in label order (Paper) or topological order (Passified, so
+  // a non-joining label's predecessor is walked first). Each label's
+  // post-state is a term map over its pre-state: straight-line code
+  // contributes no frame equalities unless Paper mode ties it to VS'[y].
+  std::vector<LabelId> Order = Paper ? P.Labels : Prog.topoOrder(Q);
+  for (LabelId Y : Order) {
     const CfgLabel &Lbl = Prog.label(Y);
+    const CfgStmt &S = Lbl.Stmt;
     TermRef BS = N.BlockConst.at(Y);
     const VarTermMap &VY = N.VarsAt.at(Y);
-    const VarTermMap &VYp = VSOut.at(Y);
+    VarTermMap Out = VY;
+    // A havoc or call output: VS'[y][v] in Paper mode, else a fresh constant
+    // (an open edge's outputs are its havoc summary).
+    auto Output = [&](Symbol V, const Type *Ty, const char *Kind) {
+      if (Paper)
+        return PostAt.at(Y).at(V);
+      return Arena.freshConst(Ty, Prefix + ".L" + std::to_string(Y) + Kind +
+                                      std::to_string(V.id()));
+    };
 
-    switch (Lbl.Stmt.Kind) {
-    case CfgStmtKind::Assume: {
-      TermRef Cond = translateExpr(Arena, Lbl.Stmt.E, VY);
-      PushClause(Arena.mkImplies(
-          BS, Arena.mkAnd(Cond, eqVars(Arena, VYp, VY, Scope))));
+    TermRef Guard = Arena.mkTrue();
+    switch (S.Kind) {
+    case CfgStmtKind::Assume:
+      Guard = translateExpr(Arena, S.E, VY);
       break;
-    }
-    case CfgStmtKind::Assign: {
-      TermRef Value = translateExpr(Arena, Lbl.Stmt.E, VY);
-      TermRef Frame = eqVarsExcept(Arena, VYp, VY, Scope, {Lbl.Stmt.Target});
-      PushClause(Arena.mkImplies(
-          BS,
-          Arena.mkAnd(Arena.mkEq(VYp.at(Lbl.Stmt.Target), Value), Frame)));
+    case CfgStmtKind::Assign:
+      Out[S.Target] = translateExpr(Arena, S.E, VY);
       break;
-    }
-    case CfgStmtKind::Havoc: {
-      std::unordered_set<Symbol> Havocked(Lbl.Stmt.Vars.begin(),
-                                          Lbl.Stmt.Vars.end());
-      PushClause(
-          Arena.mkImplies(BS, eqVarsExcept(Arena, VYp, VY, Scope, Havocked)));
+    case CfgStmtKind::Havoc:
+      for (Symbol V : S.Vars)
+        Out[V] = Output(V, P.typeOf(V), ".hv");
       break;
-    }
     case CfgStmtKind::Call: {
       // Lines 60–67: mint the open edge.
       EdgeId CId = static_cast<EdgeId>(Edges.size());
       VcEdge E;
       E.Src = NId;
-      E.Callee = Lbl.Stmt.Callee;
+      E.Callee = S.Callee;
       E.CallSite = Y;
       E.Control = BS;
       for (const VarDecl &G : Prog.Globals)
         E.In.push_back(VY.at(G.Name));
-      for (const Expr *Arg : Lbl.Stmt.Args)
+      for (const Expr *Arg : S.Args)
         E.In.push_back(translateExpr(Arena, Arg, VY));
       for (const VarDecl &G : Prog.Globals)
-        E.Out.push_back(VYp.at(G.Name));
-      for (Symbol Lhs : Lbl.Stmt.Vars)
-        E.Out.push_back(VYp.at(Lhs));
+        E.Out.push_back(Out[G.Name] = Output(G.Name, G.Ty, ".co"));
+      for (Symbol Lhs : S.Vars)
+        E.Out.push_back(Out[Lhs] = Output(Lhs, P.typeOf(Lhs), ".co"));
       Edges.push_back(std::move(E));
       Open.push_back(CId);
       N.OutEdges.push_back(CId);
-
-      // Line 68: locals are preserved across the call, except result
-      // bindings; globals at VYp are the call's outputs (unconstrained until
-      // the edge is bound — this is exactly the havoc summary Proc'(n) of
-      // Section 3.2 when the edge stays open).
-      std::unordered_set<Symbol> Except(Lbl.Stmt.Vars.begin(),
-                                        Lbl.Stmt.Vars.end());
-      for (const VarDecl &G : Prog.Globals)
-        Except.insert(G.Name);
-      PushClause(
-          Arena.mkImplies(BS, eqVarsExcept(Arena, VYp, VY, Scope, Except)));
       break;
     }
+    }
+
+    // The post-state successors read: VS'[y] in Paper mode, else Out.
+    const VarTermMap &Post = Paper ? PostAt.at(Y) : Out;
+    if (Paper) {
+      // Lines 53–68: BS[y] ⇒ guard ∧ VS'[y] = Out, with the assigned
+      // variable first and then the frame equalities of every variable the
+      // statement leaves alone (havoc and call outputs already are VS'[y]).
+      bool Assign = S.Kind == CfgStmtKind::Assign;
+      TermRef Update = Assign ? Arena.mkEq(Post.at(S.Target), Out.at(S.Target))
+                              : Arena.mkTrue();
+      TermRef Frame = Arena.mkTrue();
+      for (const VarDecl &D : Scope) {
+        TermRef V = Out.at(D.Name);
+        if ((Assign && D.Name == S.Target) || V == Post.at(D.Name))
+          continue;
+        Frame = Arena.mkAnd(Frame, Arena.mkEq(Post.at(D.Name), V));
+      }
+      PushClause(
+          Arena.mkImplies(BS, Arena.mkAnd(Guard, Arena.mkAnd(Update, Frame))));
+    } else {
+      PushClause(Arena.mkImplies(BS, Guard));
     }
 
     // Lines 69–72: successor clause.
     if (Lbl.Targets.empty()) {
       TermRef Eq = Arena.mkTrue();
       for (size_t I = 0; I < NumGlobals; ++I)
-        Eq = Arena.mkAnd(
-            Eq, Arena.mkEq(VYp.at(Prog.Globals[I].Name), N.Out[I]));
-      for (size_t I = 0; I < P.Returns.size(); ++I)
-        Eq = Arena.mkAnd(Eq, Arena.mkEq(VYp.at(P.Returns[I].Name),
-                                        N.Out[NumGlobals + I]));
-      PushClause(Arena.mkImplies(BS, Eq));
-    } else {
-      TermRef Disj = Arena.mkFalse();
-      for (LabelId X : Lbl.Targets) {
-        TermRef Step = Arena.mkAnd(N.BlockConst.at(X),
-                                   eqVars(Arena, VYp, N.VarsAt.at(X), Scope));
-        Disj = Arena.mkOr(Disj, Step);
-      }
-      PushClause(Arena.mkImplies(BS, Disj));
-    }
-  }
-  return NId;
-}
-
-NodeId VcContext::genPvcPassified(ProcId Q) {
-  const CfgProc &P = Prog.proc(Q);
-  const std::vector<VarDecl> &Scope = scopeVars(Q);
-  size_t NumGlobals = Prog.Globals.size();
-
-  NodeId NId = static_cast<NodeId>(Nodes.size());
-  Nodes.emplace_back();
-  VcNode &N = Nodes.back();
-  N.Proc = Q;
-  N.Entry = P.Entry;
-  Instances[Q].push_back(NId);
-
-  std::string Prefix = "n" + std::to_string(NId);
-  auto FreshVars = [&](LabelId Y) {
-    VarTermMap M;
-    std::string LTag = Prefix + ".L" + std::to_string(Y);
-    for (const VarDecl &D : Scope)
-      M[D.Name] = Arena.freshConst(
-          D.Ty, LTag + ".v" + std::to_string(D.Name.id()));
-    return M;
-  };
-
-  // Predecessor counts decide which labels need join constants.
-  std::unordered_map<LabelId, unsigned> PredCount;
-  for (LabelId Y : P.Labels)
-    PredCount[Y];
-  for (LabelId Y : P.Labels)
-    for (LabelId T : Prog.label(Y).Targets)
-      ++PredCount[T];
-
-  // BS constants for every label; entry/join/orphan labels get fresh
-  // variable incarnations, everything else inherits its predecessor's
-  // outgoing terms.
-  for (LabelId Y : P.Labels) {
-    N.BlockConst[Y] = Arena.freshConst(
-        Ctx.boolType(), Prefix + ".L" + std::to_string(Y) + ".bs");
-    if (Y == P.Entry || PredCount[Y] != 1)
-      N.VarsAt[Y] = FreshVars(Y);
-  }
-
-  N.Control = N.BlockConst.at(P.Entry);
-  const VarTermMap &EntryVars = N.VarsAt.at(P.Entry);
-  for (const VarDecl &G : Prog.Globals)
-    N.In.push_back(EntryVars.at(G.Name));
-  for (const VarDecl &D : P.Params)
-    N.In.push_back(EntryVars.at(D.Name));
-  for (const VarDecl &G : Prog.Globals)
-    N.Out.push_back(Arena.freshConst(
-        G.Ty, Prefix + ".out.v" + std::to_string(G.Name.id())));
-  for (const VarDecl &D : P.Returns)
-    N.Out.push_back(Arena.freshConst(
-        D.Ty, Prefix + ".out.v" + std::to_string(D.Name.id())));
-
-  auto PushClause = [&](TermRef Clause) {
-    if (Arena.isTrue(Clause))
-      return;
-    N.Clauses.push_back(Clause);
-    push(Clause);
-  };
-
-  // Topological walk: each label's outgoing environment is a term map, not
-  // a fresh constant vector, so straight-line code contributes no frame
-  // equalities at all.
-  for (LabelId Y : Prog.topoOrder(Q)) {
-    const CfgLabel &Lbl = Prog.label(Y);
-    TermRef BS = N.BlockConst.at(Y);
-    const VarTermMap &VY = N.VarsAt.at(Y);
-    VarTermMap Out = VY;
-
-    switch (Lbl.Stmt.Kind) {
-    case CfgStmtKind::Assume:
-      PushClause(
-          Arena.mkImplies(BS, translateExpr(Arena, Lbl.Stmt.E, VY)));
-      break;
-    case CfgStmtKind::Assign:
-      Out[Lbl.Stmt.Target] = translateExpr(Arena, Lbl.Stmt.E, VY);
-      break;
-    case CfgStmtKind::Havoc: {
-      std::string LTag = Prefix + ".L" + std::to_string(Y) + ".hv";
-      for (Symbol Var : Lbl.Stmt.Vars)
-        Out[Var] = Arena.freshConst(P.typeOf(Var),
-                                    LTag + std::to_string(Var.id()));
-      break;
-    }
-    case CfgStmtKind::Call: {
-      EdgeId CId = static_cast<EdgeId>(Edges.size());
-      VcEdge E;
-      E.Src = NId;
-      E.Callee = Lbl.Stmt.Callee;
-      E.CallSite = Y;
-      E.Control = BS;
-      for (const VarDecl &G : Prog.Globals)
-        E.In.push_back(VY.at(G.Name));
-      for (const Expr *Arg : Lbl.Stmt.Args)
-        E.In.push_back(translateExpr(Arena, Arg, VY));
-      // Call outputs are genuinely fresh (the open edge is the havoc
-      // summary); locals flow through untouched.
-      std::string LTag = Prefix + ".L" + std::to_string(Y) + ".co";
-      for (const VarDecl &G : Prog.Globals) {
-        TermRef Fresh =
-            Arena.freshConst(G.Ty, LTag + std::to_string(G.Name.id()));
-        Out[G.Name] = Fresh;
-        E.Out.push_back(Fresh);
-      }
-      for (Symbol Lhs : Lbl.Stmt.Vars) {
-        TermRef Fresh = Arena.freshConst(P.typeOf(Lhs),
-                                         LTag + std::to_string(Lhs.id()));
-        Out[Lhs] = Fresh;
-        E.Out.push_back(Fresh);
-      }
-      Edges.push_back(std::move(E));
-      Open.push_back(CId);
-      N.OutEdges.push_back(CId);
-      break;
-    }
-    }
-
-    if (Lbl.Targets.empty()) {
-      TermRef Eq = Arena.mkTrue();
-      for (size_t I = 0; I < NumGlobals; ++I)
         Eq = Arena.mkAnd(Eq,
-                         Arena.mkEq(Out.at(Prog.Globals[I].Name), N.Out[I]));
+                         Arena.mkEq(Post.at(Prog.Globals[I].Name), N.Out[I]));
       for (size_t I = 0; I < P.Returns.size(); ++I)
-        Eq = Arena.mkAnd(Eq, Arena.mkEq(Out.at(P.Returns[I].Name),
+        Eq = Arena.mkAnd(Eq, Arena.mkEq(Post.at(P.Returns[I].Name),
                                         N.Out[NumGlobals + I]));
       PushClause(Arena.mkImplies(BS, Eq));
     } else {
       TermRef Disj = Arena.mkFalse();
       for (LabelId X : Lbl.Targets) {
         TermRef Step = N.BlockConst.at(X);
-        if (PredCount[X] != 1) {
-          // Join: bind the join incarnations to this path's values.
+        if (Joins(X)) {
           TermRef Eq = Arena.mkTrue();
           const VarTermMap &JoinVars = N.VarsAt.at(X);
           for (const VarDecl &D : Scope)
             Eq = Arena.mkAnd(
-                Eq, Arena.mkEq(Out.at(D.Name), JoinVars.at(D.Name)));
+                Eq, Arena.mkEq(Post.at(D.Name), JoinVars.at(D.Name)));
           Step = Arena.mkAnd(Step, Eq);
         } else {
-          // Single predecessor: the successor reads our terms directly.
-          N.VarsAt[X] = Out;
+          N.VarsAt[X] = Post;
         }
         Disj = Arena.mkOr(Disj, Step);
       }

@@ -8,8 +8,9 @@
 /// The imperative state of the paper's Fig. 8: nodes are dynamic procedure
 /// instances, edges are calls, and the maps Src/Dest/Entry/Callee/CallSite/
 /// Control/In/Out hang off them. genPvc() is Gen_pVC (lines 31–75): it mints
-/// the BS/VS/VS' symbolic constants for every label of a procedure and emits
-/// the procedural VC clauses. bindEdge() is lines 24–25: binding an open
+/// the BS/VS/VS' symbolic constants of a procedure's labels and emits the
+/// procedural VC clauses (see PvcMode for the two encodings, which share
+/// one label walk). bindEdge() is lines 24–25: binding an open
 /// edge to a node and emitting Control[c] ⇒ (Control[n] ∧ In[c] = In[n] ∧
 /// Out[c] = Out[n]).
 ///
@@ -21,9 +22,9 @@
 /// (v1 == a1 ∧ r == b1). Merging only relates instances of one procedure,
 /// so interfaces always have equal shape.
 ///
-/// Emitted clauses are recorded on their node/edge *and* handed to a sink
-/// callback, so engines can assert them into an incremental solver as they
-/// are produced (the paper's Push).
+/// Every emitted clause goes to one sink callback and nowhere else, so
+/// engines assert them into an incremental solver as they are produced (the
+/// paper's Push) and dumps collect them from the same stream.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,11 +59,10 @@ struct VcNode {
   std::vector<TermRef> Out;
   /// Out-going call edges, in call-site order.
   std::vector<EdgeId> OutEdges;
-  /// The pVC clauses pushed for this node.
-  std::vector<TermRef> Clauses;
   /// BS[y] for every label y of the procedure (trace reconstruction).
   std::unordered_map<LabelId, TermRef> BlockConst;
-  /// VS[y] for every label y (model inspection / trace values).
+  /// Pre-state of every label y (model inspection / trace values): VS[y],
+  /// or in Passified mode a non-joining label's predecessor post-state.
   std::unordered_map<LabelId, VarTermMap> VarsAt;
 };
 
@@ -79,22 +79,29 @@ struct VcEdge {
   bool isOpen() const { return Dest == InvalidNode; }
 };
 
-/// How procedural VCs are generated.
+/// How procedural VCs are generated. Both modes walk a procedure's labels
+/// once, computing each label's post-state as a term map over its pre-state;
+/// they differ only in where variable incarnations become fresh constants.
 enum class PvcMode {
-  /// The paper's Fig. 8 Gen_pVC, literally: fresh VS[y]/VS'[y] constants
-  /// for every label and variable, frame equalities per statement.
+  /// The paper's Fig. 8 Gen_pVC, literally: every label's pre-state is fresh
+  /// VS[y] constants and its post-state fresh VS'[y] constants, tied to the
+  /// computed post-state by one transition clause with frame equalities.
+  /// Havocs and call outputs are VS'[y]. Clauses in label order.
   Paper,
-  /// Boogie-style passification: values flow through terms; fresh
-  /// constants only at procedure entry, join labels, havocs and call
-  /// outputs. Same models, far fewer constants — the engineering the paper
-  /// alludes to with "inlining at the VC level".
+  /// Boogie-style passification: fresh pre-state constants only at the
+  /// entry, join and orphan labels; other labels read their predecessor's
+  /// post-state terms, and havocs and call outputs are fresh constants. Same
+  /// models, far fewer constants — the engineering the paper alludes to with
+  /// "inlining at the VC level". Clauses in topological order, trivially
+  /// true ones dropped.
   Passified,
 };
 
 /// Fig. 8's global state plus the pVC generator.
 class VcContext {
 public:
-  /// \p Sink receives every pushed clause (may be empty). \p Ctx provides
+  /// \p Sink receives every pushed clause (may be empty: the clauses are
+  /// then dropped). \p Ctx provides
   /// the canonical types (for the boolean control constants).
   VcContext(const AstContext &Ctx, const CfgProgram &Prog, TermArena &Arena,
             std::function<void(TermRef)> Sink = {},
@@ -128,16 +135,10 @@ public:
   /// size metric of Figs. 4 and 17.
   size_t numInlined() const { return Nodes.size(); }
 
-  /// Every clause pushed so far (pVCs and bindings), for dumping complete
-  /// SMT-LIB scripts.
-  const std::vector<TermRef> &allClauses() const { return AllClauses; }
-
   PvcMode mode() const { return Mode; }
 
 private:
   void push(TermRef Clause);
-  NodeId genPvcPaper(ProcId Q);
-  NodeId genPvcPassified(ProcId Q);
 
   /// Scope variables of \p Q in canonical order: globals, params, returns,
   /// locals (cached).
@@ -151,7 +152,6 @@ private:
   std::vector<VcNode> Nodes;
   std::vector<VcEdge> Edges;
   std::vector<EdgeId> Open;
-  std::vector<TermRef> AllClauses;
   std::unordered_map<ProcId, std::vector<VarDecl>> ScopeCache;
   std::unordered_map<ProcId, std::vector<NodeId>> Instances;
   std::vector<NodeId> NoInstances;

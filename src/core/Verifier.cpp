@@ -115,7 +115,7 @@ DeepeningResult rmt::verifyIterativeDeepening(AstContext &Ctx,
 std::string rmt::renderTrace(const AstContext &Ctx, const CfgProgram &Prog,
                              const std::vector<TraceStep> &Trace) {
   std::string Out;
-  std::vector<int64_t> LastValues;
+  std::vector<std::string> LastValues;
   for (const TraceStep &Step : Trace) {
     Out += Ctx.name(Prog.proc(Step.Proc).Name);
     Out += " L" + std::to_string(Step.Label);
@@ -137,7 +137,7 @@ std::string rmt::renderTrace(const AstContext &Ctx, const CfgProgram &Prog,
       break;
     }
     // Show global model values whenever they changed since the last step
-    // (skipping arrays, which are captured as 0).
+    // (skipping arrays, which are captured empty).
     if (!Step.GlobalValues.empty() && Step.GlobalValues != LastValues) {
       std::string Values;
       for (size_t I = 0; I < Prog.Globals.size(); ++I) {
@@ -146,11 +146,7 @@ std::string rmt::renderTrace(const AstContext &Ctx, const CfgProgram &Prog,
           continue;
         if (!Values.empty())
           Values += ", ";
-        Values += Ctx.name(G.Name) + "=";
-        if (G.Ty->isBool())
-          Values += Step.GlobalValues[I] ? "true" : "false";
-        else
-          Values += std::to_string(Step.GlobalValues[I]);
+        Values += Ctx.name(G.Name) + "=" + Step.GlobalValues[I];
       }
       if (!Values.empty())
         Out += "   [" + Values + "]";

@@ -7,8 +7,9 @@
 /// \file
 /// The solver seam between VC generation and backends. The inlining engines
 /// need exactly this interface: incremental assertion (the paper's Push),
-/// scoped push/pop (for the stratified under-approximation checks),
-/// checking under assumption literals, and model extraction for constants.
+/// checking under assumption literals (the stratified checks block open
+/// edges this way; there are no assertion scopes), and model extraction for
+/// constants.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "smt/Term.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace rmt {
@@ -33,16 +35,14 @@ class Solver {
 public:
   virtual ~Solver();
 
-  /// Conjoins \p T with the current assertion stack ("Push(e)" in Fig. 8).
+  /// Conjoins \p T with the asserted formulas ("Push(e)" in Fig. 8).
   virtual void assertTerm(TermRef T) = 0;
-
-  /// Opens / closes an assertion scope.
-  virtual void push() = 0;
-  virtual void pop() = 0;
 
   /// Checks satisfiability of the asserted formulas plus \p Assumptions
   /// (boolean literals: constants or their negations). \p TimeoutSeconds
-  /// <= 0 means no timeout. Unknown covers timeouts and resource limits.
+  /// <= 0 means no timeout. Unknown covers timeouts, resource limits and
+  /// backend errors: once an assertion or translation has failed, every
+  /// later check returns Unknown.
   virtual SolveResult check(const std::vector<TermRef> &Assumptions,
                             double TimeoutSeconds) = 0;
   SolveResult check() { return check({}, 0); }
@@ -51,13 +51,18 @@ public:
   /// be a TermOp::Const term. Unconstrained constants yield an arbitrary
   /// value of their sort.
   virtual bool modelBool(TermRef ConstTerm) = 0;
+  /// Int or bit-vector value. A bit-vector value of 2^63 or more wraps to
+  /// its two's complement; an Int outside int64 saturates (see
+  /// modelNumeral for the exact value).
   virtual int64_t modelInt(TermRef ConstTerm) = 0;
+  /// Exact decimal numeral of an Int or bit-vector value (bit-vectors
+  /// unsigned), whatever its magnitude.
+  virtual std::string modelNumeral(TermRef ConstTerm) = 0;
 
   /// Number of check() calls made so far.
   unsigned numChecks() const { return NumChecks; }
 
-  /// Number of assertTerm() calls made so far (assertion-stack size as the
-  /// backend sees it; scopes are not subtracted).
+  /// Number of assertTerm() calls made so far.
   unsigned numAsserts() const { return NumAsserts; }
 
 protected:

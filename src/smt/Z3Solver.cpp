@@ -8,7 +8,10 @@
 
 #include <cassert>
 #include <cstdio>
+#include <limits>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 using namespace rmt;
@@ -29,12 +32,26 @@ const char *rmt::solveResultName(SolveResult R) {
 
 namespace {
 
-/// Z3 reports API misuse through an error handler; we record and keep going
-/// (checks then return Unknown). Using a thread-unsafe global is acceptable:
-/// each Z3SolverImpl owns its own context, and the handler only flags.
+/// Z3 reports API errors through a per-context handler and then carries on
+/// with a null result, so a failed assertion would silently drop out of the
+/// formula. The handler records the first error of each context here; a
+/// solver whose context has one answers every later check with Unknown.
+std::mutex ErrorsMutex;
+std::unordered_map<Z3_context, std::string> Errors;
+
 void z3ErrorHandler(Z3_context Ctx, Z3_error_code Code) {
-  std::fprintf(stderr, "z3 error %d: %s\n", static_cast<int>(Code),
-               Z3_get_error_msg(Ctx, Code));
+  std::string Msg = "z3 error " + std::to_string(static_cast<int>(Code)) +
+                    ": " + Z3_get_error_msg(Ctx, Code);
+  std::fprintf(stderr, "%s\n", Msg.c_str());
+  std::lock_guard<std::mutex> Lock(ErrorsMutex);
+  Errors.emplace(Ctx, std::move(Msg));
+}
+
+/// The first error recorded for \p Ctx; empty when there is none.
+std::string errorOf(Z3_context Ctx) {
+  std::lock_guard<std::mutex> Lock(ErrorsMutex);
+  auto It = Errors.find(Ctx);
+  return It == Errors.end() ? std::string() : It->second;
 }
 
 class Z3SolverImpl final : public Solver {
@@ -54,15 +71,14 @@ public:
     clearModel();
     Z3_solver_dec_ref(Ctx, Sol);
     Z3_del_context(Ctx);
+    std::lock_guard<std::mutex> Lock(ErrorsMutex);
+    Errors.erase(Ctx);
   }
 
   void assertTerm(TermRef T) override {
     ++NumAsserts;
     Z3_solver_assert(Ctx, Sol, translate(T));
   }
-
-  void push() override { Z3_solver_push(Ctx, Sol); }
-  void pop() override { Z3_solver_pop(Ctx, Sol, 1); }
 
   SolveResult check(const std::vector<TermRef> &Assumptions,
                     double TimeoutSeconds) override {
@@ -85,10 +101,14 @@ public:
     Lits.reserve(Assumptions.size());
     for (TermRef A : Assumptions)
       Lits.push_back(translate(A));
-    Z3_lbool R = Z3_solver_check_assumptions(
-        Ctx, Sol, static_cast<unsigned>(Lits.size()), Lits.data());
+    Z3_lbool R = Z3_L_UNDEF;
+    if (errorOf(Ctx).empty())
+      R = Z3_solver_check_assumptions(
+          Ctx, Sol, static_cast<unsigned>(Lits.size()), Lits.data());
     SolveResult Out = SolveResult::Unknown;
-    if (R == Z3_L_TRUE) {
+    if (std::string Error = errorOf(Ctx); !Error.empty()) {
+      Span.note({"error", Error});
+    } else if (R == Z3_L_TRUE) {
       Model = Z3_solver_get_model(Ctx, Sol);
       Z3_model_inc_ref(Ctx, Model);
       Out = SolveResult::Sat;
@@ -107,13 +127,23 @@ public:
   int64_t modelInt(TermRef ConstTerm) override {
     Z3_ast Value = evalInModel(ConstTerm);
     int64_t Out = 0;
-    if (Value && !Z3_get_numeral_int64(Ctx, Value, &Out)) {
-      // Wide bitvector values may only fit unsigned extraction.
+    if (!Value || Z3_get_numeral_int64(Ctx, Value, &Out))
+      return Out;
+    if (isBvValued(ConstTerm)) {
+      // Bit-vector values of 2^63 or more only fit unsigned extraction.
       uint64_t U = 0;
       if (Z3_get_numeral_uint64(Ctx, Value, &U))
         Out = static_cast<int64_t>(U);
+      return Out;
     }
-    return Out;
+    return modelNumeral(ConstTerm)[0] == '-'
+               ? std::numeric_limits<int64_t>::min()
+               : std::numeric_limits<int64_t>::max();
+  }
+
+  std::string modelNumeral(TermRef ConstTerm) override {
+    Z3_ast Value = evalInModel(ConstTerm);
+    return Value ? Z3_get_numeral_string(Ctx, Value) : "0";
   }
 
 private:

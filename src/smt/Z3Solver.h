@@ -7,7 +7,9 @@
 /// \file
 /// Solver backend over the Z3 C API (the same solver the paper's stack —
 /// Corral/Boogie — bottoms out in). Uses the C API rather than z3++ so the
-/// library stays exception-free; Z3 errors surface as Unknown results.
+/// library stays exception-free. Z3 errors surface as Unknown results: after
+/// a Z3 error in an assertion or a translation, every later check on that
+/// solver returns Unknown.
 ///
 //===----------------------------------------------------------------------===//
 

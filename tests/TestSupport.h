@@ -70,6 +70,16 @@ struct Lowered {
   explicit operator bool() const { return !Cfg.Procs.empty(); }
 };
 
+/// Asserts Lit ⇒ ∧ \p Facts into \p S for a fresh boolean literal Lit and
+/// returns Lit: a check assuming Lit sees \p Facts, later checks do not.
+inline TermRef assumptionLiteral(Solver &S, TermArena &Arena,
+                                 const AstContext &Ctx,
+                                 const std::vector<TermRef> &Facts) {
+  TermRef Lit = Arena.freshConst(Ctx.boolType(), "assume");
+  S.assertTerm(Arena.mkImplies(Lit, Arena.mkAndMany(Facts)));
+  return Lit;
+}
+
 } // namespace rmt
 
 #endif // RMT_TESTS_TESTSUPPORT_H

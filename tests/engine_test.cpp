@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 using namespace rmt;
 
 namespace {
@@ -341,10 +343,44 @@ TEST(Engine, TraceCarriesModelValues) {
   // Some step must observe g == 42, and the rendering shows it.
   bool Saw42 = false;
   for (const TraceStep &Step : R.Result.Trace)
-    if (Step.GlobalValues[0] == 42)
+    if (Step.GlobalValues[0] == "42")
       Saw42 = true;
   EXPECT_TRUE(Saw42);
   EXPECT_NE(R.TraceText.find("g=42"), std::string::npos) << R.TraceText;
+}
+
+TEST(Engine, TraceRendersIntsBeyondInt64Exactly) {
+  // `int` is the mathematical integer: the only counterexample has
+  // g > 9223372036854775807, and the trace must show such a value, not one
+  // wrapped into int64.
+  auto R = run(R"(
+    var g: int;
+    procedure main() {
+      havoc g;
+      assert g <= 922337203685477580 * 10 + 7;
+    }
+  )",
+               diOpts());
+  ASSERT_EQ(R.Result.Outcome, Verdict::Bug);
+  // Some rendered value of g (after the havoc) exceeds the int64 maximum: a
+  // decimal without sign or leading zero does iff it is longer, or as long
+  // and lexicographically greater.
+  const std::string Max = "9223372036854775807";
+  bool SawWide = false;
+  for (size_t Pos = R.TraceText.find("g="); Pos != std::string::npos;
+       Pos = R.TraceText.find("g=", Pos + 2)) {
+    std::string Digits;
+    for (size_t I = Pos + 2; I < R.TraceText.size() &&
+                             std::isdigit(static_cast<unsigned char>(
+                                 R.TraceText[I]));
+         ++I)
+      Digits += R.TraceText[I];
+    if (Digits.size() > Max.size() ||
+        (Digits.size() == Max.size() && Digits > Max))
+      SawWide = true;
+  }
+  EXPECT_TRUE(SawWide)
+      << R.TraceText;
 }
 
 TEST(Engine, PlainReachabilityWithoutErrorBit) {

@@ -67,14 +67,12 @@ TEST(Passify, JoinsIntroduceIncarnations) {
   S->assertTerm(Vc.node(Root).Control);
   TermRef G = Vc.node(Root).Out[0];
   // g ends as 2 or 3...
-  S->push();
-  S->assertTerm(Arena.mkEq(G, Arena.intLit(2)));
-  EXPECT_EQ(S->check(), SolveResult::Sat);
-  S->pop();
-  S->push();
-  S->assertTerm(Arena.mkEq(G, Arena.intLit(3)));
-  EXPECT_EQ(S->check(), SolveResult::Sat);
-  S->pop();
+  for (int64_t V : {2, 3})
+    EXPECT_EQ(S->check({assumptionLiteral(*S, Arena, F.Ctx,
+                                          {Arena.mkEq(G, Arena.intLit(V))})},
+                       0),
+              SolveResult::Sat)
+        << V;
   // ...and nothing else.
   S->assertTerm(Arena.mkNot(Arena.mkEq(G, Arena.intLit(2))));
   S->assertTerm(Arena.mkNot(Arena.mkEq(G, Arena.intLit(3))));

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace rmt;
 
 //===----------------------------------------------------------------------===//
@@ -181,17 +183,63 @@ TEST(Z3, SatAndUnsat) {
 }
 
 TEST(Z3, PushPopRestoresState) {
+  // The solver has no assertion scopes: a temporary fact is guarded by an
+  // assumption literal, holds only in checks assuming it, and leaves the
+  // asserted state as it was.
   AstContext Ctx;
   TermArena A;
   auto S = createZ3Solver(A);
   TermRef X = A.freshConst(Ctx.intType(), "x");
   S->assertTerm(A.mkEq(X, A.intLit(5)));
-  S->push();
-  S->assertTerm(A.mkEq(X, A.intLit(6)));
-  EXPECT_EQ(S->check(), SolveResult::Unsat);
-  S->pop();
+  TermRef P = A.freshConst(Ctx.boolType(), "p");
+  S->assertTerm(A.mkImplies(P, A.mkEq(X, A.intLit(6))));
+  EXPECT_EQ(S->check({P}, 0), SolveResult::Unsat);
   EXPECT_EQ(S->check(), SolveResult::Sat);
   EXPECT_EQ(S->modelInt(X), 5);
+}
+
+TEST(Z3, ErrorMakesLaterChecksUnknown) {
+  // Z3 rejects a non-boolean assertion and would drop it; the solver must
+  // not then answer sat for a formula it never saw.
+  AstContext Ctx;
+  TermArena A;
+  auto S = createZ3Solver(A);
+  TermRef X = A.freshConst(Ctx.intType(), "x");
+  S->assertTerm(A.mkEq(X, A.intLit(1)));
+  ASSERT_EQ(S->check(), SolveResult::Sat);
+  S->assertTerm(A.intLit(7));
+  EXPECT_EQ(S->check(), SolveResult::Unknown);
+  S->assertTerm(A.mkEq(X, A.intLit(2)));
+  EXPECT_EQ(S->check(), SolveResult::Unknown);
+  TermRef P = A.freshConst(Ctx.boolType(), "p");
+  EXPECT_EQ(S->check({P}, 0), SolveResult::Unknown);
+  // Other solvers are unaffected.
+  auto Fresh = createZ3Solver(A);
+  Fresh->assertTerm(A.mkEq(X, A.intLit(1)));
+  EXPECT_EQ(Fresh->check(), SolveResult::Sat);
+}
+
+TEST(Z3, WideModelValues) {
+  // Ints outside int64 saturate in modelInt and are exact in modelNumeral;
+  // bit-vector values of 2^63 or more wrap in modelInt.
+  AstContext Ctx;
+  TermArena A;
+  auto S = createZ3Solver(A);
+  TermRef Big = A.freshConst(Ctx.intType(), "big");
+  TermRef Small = A.freshConst(Ctx.intType(), "small");
+  TermRef Bv = A.freshConst(Ctx.bvType(64), "bv");
+  int64_t Max = std::numeric_limits<int64_t>::max();
+  int64_t Min = std::numeric_limits<int64_t>::min();
+  S->assertTerm(A.mkEq(Big, A.mkAdd(A.intLit(Max), A.intLit(1))));
+  S->assertTerm(A.mkEq(Small, A.mkSub(A.intLit(Min), A.intLit(1))));
+  S->assertTerm(A.mkEq(Bv, A.bvLit(~uint64_t(0), Ctx.bvType(64))));
+  ASSERT_EQ(S->check(), SolveResult::Sat);
+  EXPECT_EQ(S->modelInt(Big), Max);
+  EXPECT_EQ(S->modelNumeral(Big), "9223372036854775808");
+  EXPECT_EQ(S->modelInt(Small), Min);
+  EXPECT_EQ(S->modelNumeral(Small), "-9223372036854775809");
+  EXPECT_EQ(S->modelInt(Bv), -1);
+  EXPECT_EQ(S->modelNumeral(Bv), "18446744073709551615");
 }
 
 TEST(Z3, CheckUnderAssumptions) {

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 using namespace rmt;
 
 namespace {
@@ -33,7 +38,9 @@ const char *Fig6 = R"(
 
 TEST(GenPvc, NodeShapeForFig6) {
   Fixture F(Fig6);
-  VcContext Vc(F.Ctx, F.Cfg, F.Arena);
+  std::vector<TermRef> Pushed;
+  VcContext Vc(F.Ctx, F.Cfg, F.Arena,
+               [&](TermRef T) { Pushed.push_back(T); });
   ProcId MainId = F.Cfg.findProc(F.Ctx.sym("main"));
   NodeId Root = Vc.genPvc(MainId);
 
@@ -48,8 +55,8 @@ TEST(GenPvc, NodeShapeForFig6) {
   EXPECT_EQ(Vc.openEdges().size(), 2u);
   // One BS constant per label of main.
   EXPECT_EQ(N.BlockConst.size(), F.Cfg.proc(MainId).Labels.size());
-  // Every clause is an implication guarded by a BS constant.
-  EXPECT_FALSE(N.Clauses.empty());
+  // The pVC clauses reached the sink.
+  EXPECT_FALSE(Pushed.empty());
 }
 
 TEST(GenPvc, EdgesCarryCallInterfaces) {
@@ -92,7 +99,6 @@ TEST(GenVc, Fig9ExecutionMergesFoo) {
   EXPECT_EQ(Vc.numInlined(), 2u); // main + one shared foo
   EXPECT_EQ(Vc.numEdges(), 2u);
   EXPECT_FALSE(Pushed.empty());
-  EXPECT_EQ(Pushed.size(), Vc.allClauses().size());
 }
 
 TEST(GenVc, InstancesTrackedPerProcedure) {
@@ -146,28 +152,25 @@ TEST(GenVc, SemanticsOfFig6MatchesPaper) {
   for (bool Merge : {false, true}) {
     SolvedFig6 X(Merge);
     TermArena &A = X.F.Arena;
+    auto Assume = [&](std::vector<TermRef> Facts) {
+      Facts.push_back(A.mkEq(X.v1(), A.intLit(10)));
+      Facts.push_back(A.mkEq(X.v2(), A.intLit(20)));
+      return assumptionLiteral(*X.S, A, X.F.Ctx, Facts);
+    };
     // r can be v1 + 1 ...
-    X.S->push();
-    X.S->assertTerm(A.mkEq(X.v1(), A.intLit(10)));
-    X.S->assertTerm(A.mkEq(X.v2(), A.intLit(20)));
-    X.S->assertTerm(A.mkEq(X.r(), A.intLit(11)));
-    EXPECT_EQ(X.S->check(), SolveResult::Sat) << "merge=" << Merge;
-    X.S->pop();
+    EXPECT_EQ(X.S->check({Assume({A.mkEq(X.r(), A.intLit(11))})}, 0),
+              SolveResult::Sat)
+        << "merge=" << Merge;
     // ... or v2 + 1 ...
-    X.S->push();
-    X.S->assertTerm(A.mkEq(X.v1(), A.intLit(10)));
-    X.S->assertTerm(A.mkEq(X.v2(), A.intLit(20)));
-    X.S->assertTerm(A.mkEq(X.r(), A.intLit(21)));
-    EXPECT_EQ(X.S->check(), SolveResult::Sat) << "merge=" << Merge;
-    X.S->pop();
+    EXPECT_EQ(X.S->check({Assume({A.mkEq(X.r(), A.intLit(21))})}, 0),
+              SolveResult::Sat)
+        << "merge=" << Merge;
     // ... but nothing else.
-    X.S->push();
-    X.S->assertTerm(A.mkEq(X.v1(), A.intLit(10)));
-    X.S->assertTerm(A.mkEq(X.v2(), A.intLit(20)));
-    X.S->assertTerm(A.mkNot(A.mkEq(X.r(), A.intLit(11))));
-    X.S->assertTerm(A.mkNot(A.mkEq(X.r(), A.intLit(21))));
-    EXPECT_EQ(X.S->check(), SolveResult::Unsat) << "merge=" << Merge;
-    X.S->pop();
+    EXPECT_EQ(X.S->check({Assume({A.mkNot(A.mkEq(X.r(), A.intLit(11))),
+                                  A.mkNot(A.mkEq(X.r(), A.intLit(21)))})},
+                         0),
+              SolveResult::Unsat)
+        << "merge=" << Merge;
   }
 }
 
@@ -202,10 +205,11 @@ TEST(GenVc, OpenEdgesAreHavocSummaries) {
 
 TEST(GenVc, SmtLibDumpIsWellFormed) {
   Fixture F(Fig6);
-  VcContext Vc(F.Ctx, F.Cfg, F.Arena);
-  NodeId Root = Vc.genPvc(F.Cfg.findProc(F.Ctx.sym("main")));
-  (void)Root;
-  std::string Script = printScript(F.Arena, Vc.allClauses());
+  std::vector<TermRef> Pushed;
+  VcContext Vc(F.Ctx, F.Cfg, F.Arena,
+               [&](TermRef T) { Pushed.push_back(T); });
+  Vc.genPvc(F.Cfg.findProc(F.Ctx.sym("main")));
+  std::string Script = printScript(F.Arena, Pushed);
   EXPECT_NE(Script.find("(set-logic ALL)"), std::string::npos);
   EXPECT_NE(Script.find("(assert"), std::string::npos);
   // Balanced parentheses.
@@ -236,10 +240,36 @@ TEST(GenVc, HavocLeavesVariableUnconstrained) {
   S->assertTerm(Vc.node(Root).Control);
   TermArena &A = F.Arena;
   // g can end at any value; h must be 2.
-  S->push();
-  S->assertTerm(A.mkEq(Vc.node(Root).Out[0], A.intLit(-77)));
-  EXPECT_EQ(S->check(), SolveResult::Sat);
-  S->pop();
+  TermRef GEndsAtMinus77 = assumptionLiteral(
+      *S, A, F.Ctx, {A.mkEq(Vc.node(Root).Out[0], A.intLit(-77))});
+  EXPECT_EQ(S->check({GEndsAtMinus77}, 0), SolveResult::Sat);
   S->assertTerm(A.mkNot(A.mkEq(Vc.node(Root).Out[1], A.intLit(2))));
   EXPECT_EQ(S->check(), SolveResult::Unsat);
+}
+
+TEST(GenVc, Fig6ClauseStreamPinnedPerMode) {
+  // The sink's clause stream for the fully DAG-inlined Fig. 6 program,
+  // rendered as SMT-LIB, pinned byte for byte (constant names included) for
+  // both encodings. Regenerate with RMT_UPDATE_GOLDEN=1 after an intended
+  // encoding change.
+  for (PvcMode Mode : {PvcMode::Paper, PvcMode::Passified}) {
+    Fixture F(Fig6);
+    std::vector<TermRef> Pushed;
+    Inliner In(F.Ctx, F.Cfg, F.Root, F.Arena, StrategyOptions(),
+               [&](TermRef T) { Pushed.push_back(T); }, Mode);
+    ASSERT_TRUE(In.inlineAll(100));
+    std::string Script = printScript(F.Arena, Pushed);
+    std::filesystem::path Path =
+        std::filesystem::path(RMT_GOLDEN_DIR) /
+        (Mode == PvcMode::Paper ? "fig6_paper.smt2" : "fig6_passified.smt2");
+    if (std::getenv("RMT_UPDATE_GOLDEN")) {
+      std::ofstream(Path) << Script;
+      continue;
+    }
+    std::ifstream Golden(Path);
+    ASSERT_TRUE(Golden) << "missing golden " << Path;
+    std::ostringstream Expected;
+    Expected << Golden.rdbuf();
+    EXPECT_EQ(Script, Expected.str()) << Path;
+  }
 }
