@@ -11,6 +11,11 @@
 //               [--dump-cfg] [--dump-dag] [--trace-out FILE]
 //               [--stats-json FILE] [--stats]
 //
+// --bound takes an integer >= 1 (default 2) and --timeout a finite number
+// of seconds >= 0 (default 300; 0 turns the limit off); anything else is a
+// usage error. --passes takes a comma-separated list from the prepass pass
+// table (PassManager.h), which --list-passes prints one pass per line.
+//
 // Strategies: none (tree / SI), first (DI default), random, randompick,
 // maxc, opt. Exit code: 0 safe, 1 usage/parse error, 2 lint errors, 10 bug,
 // 20 timeout or resource-out, 30 unknown (including an aborted prepass
@@ -32,11 +37,12 @@
 #include "parser/Parser.h"
 #include "support/Trace.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -76,11 +82,25 @@ int usage() {
   std::fprintf(stderr,
                "usage: hbpl_verify FILE.hbpl [--entry NAME] [--bound N] "
                "[--strategy none|first|random|randompick|maxc|opt] "
-               "[--timeout SECS] [--inv] [--eager] [--no-prepass] "
-               "[--passes LIST] [--verify-each] [--print-after-all] "
-               "[--list-passes] [--lint] [--dump-cfg] [--trace-out FILE] "
-               "[--stats-json FILE] [--stats]\n");
+               "[--timeout SECS] [--inv] [--eager] [--passify] "
+               "[--no-prepass] [--passes LIST] [--verify-each] "
+               "[--print-after-all] [--list-passes] [--lint] [--dump-cfg] "
+               "[--dump-dag] [--trace-out FILE] [--stats-json FILE] "
+               "[--stats]\n");
   return 1;
+}
+
+/// \p V parsed whole as a \p T (no blanks, no trailing text, in range);
+/// nullopt otherwise.
+template <typename T> std::optional<T> parseWhole(const char *V) {
+  if (!V)
+    return std::nullopt;
+  const char *End = V + std::strlen(V);
+  T Out{};
+  auto [Ptr, Err] = std::from_chars(V, End, Out);
+  if (Err != std::errc() || Ptr != End)
+    return std::nullopt;
+  return Out;
 }
 
 } // namespace
@@ -109,10 +129,12 @@ int main(int argc, char **argv) {
         return usage();
       EntryName = V;
     } else if (Arg == "--bound") {
-      const char *V = Value();
-      if (!V)
+      std::optional<unsigned> Bound = parseWhole<unsigned>(Value());
+      if (!Bound || *Bound < 1) {
+        std::fprintf(stderr, "error: --bound takes an integer >= 1\n");
         return usage();
-      Opts.Bound = static_cast<unsigned>(std::atoi(V));
+      }
+      Opts.Bound = *Bound;
     } else if (Arg == "--strategy") {
       const char *V = Value();
       if (!V)
@@ -124,10 +146,12 @@ int main(int argc, char **argv) {
       }
       Opts.Engine.Strategy.Kind = *Kind;
     } else if (Arg == "--timeout") {
-      const char *V = Value();
-      if (!V)
+      std::optional<double> Timeout = parseWhole<double>(Value());
+      if (!Timeout || !std::isfinite(*Timeout) || *Timeout < 0) {
+        std::fprintf(stderr, "error: --timeout takes a finite number >= 0\n");
         return usage();
-      Opts.Engine.TimeoutSeconds = std::atof(V);
+      }
+      Opts.Engine.TimeoutSeconds = *Timeout;
     } else if (Arg == "--inv") {
       Opts.UseInvariants = true;
     } else if (Arg == "--eager") {
@@ -142,7 +166,7 @@ int main(int argc, char **argv) {
         return usage();
       Opts.Prepass.Passes = V;
       std::string Error;
-      if (!PassPipeline::parse(Opts.Prepass.Passes, &Error)) {
+      if (!parsePassSpec(Opts.Prepass.Passes, &Error)) {
         std::fprintf(stderr, "error: %s\n", Error.c_str());
         return 1;
       }
@@ -151,11 +175,9 @@ int main(int argc, char **argv) {
     } else if (Arg == "--print-after-all") {
       Opts.Prepass.PrintAfterAll = true;
     } else if (Arg == "--list-passes") {
-      for (const std::string &Name : PassRegistry::instance().names()) {
-        std::unique_ptr<Pass> P = PassRegistry::instance().create(Name);
-        std::printf("%-12s %s\n", Name.c_str(),
-                    std::string(P->description()).c_str());
-      }
+      for (const PassInfo &P : BuiltinPasses)
+        std::printf("%-12s %s\n", std::string(P.Name).c_str(),
+                    std::string(P.Description).c_str());
       return 0;
     } else if (Arg == "--trace-out") {
       const char *V = Value();

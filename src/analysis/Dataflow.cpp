@@ -109,15 +109,6 @@ std::vector<bool> rmt::entryReachableLabels(const CfgProgram &Prog) {
   return Reached;
 }
 
-namespace {
-
-bool isSkipLabel(const CfgLabel &L) {
-  return L.Stmt.Kind == CfgStmtKind::Assume && L.Stmt.E &&
-         L.Stmt.E->kind() == ExprKind::BoolLit && L.Stmt.E->boolValue();
-}
-
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Structural compaction
 //===----------------------------------------------------------------------===//
@@ -234,7 +225,7 @@ unsigned rmt::spliceSkips(CfgProgram &Prog) {
     for (auto It = Topo.rbegin(); It != Topo.rend(); ++It) {
       LabelId L = *It;
       const CfgLabel &Lbl = Prog.label(L);
-      if (!isSkipLabel(Lbl) || Lbl.Targets.empty()) {
+      if (!Lbl.Stmt.isSkip() || Lbl.Targets.empty()) {
         Resolved[L] = {L};
         continue;
       }
@@ -259,7 +250,7 @@ unsigned rmt::spliceSkips(CfgProgram &Prog) {
           NewTargets.push_back(X);
     if (NewTargets.size() == 1) {
       const CfgLabel &T = Prog.label(NewTargets[0]);
-      if (isSkipLabel(T) && T.Targets.empty())
+      if (T.Stmt.isSkip() && T.Targets.empty())
         NewTargets.clear();
     }
     Lbl.Targets = std::move(NewTargets);
@@ -269,7 +260,7 @@ unsigned rmt::spliceSkips(CfgProgram &Prog) {
   for (CfgProc &P : Prog.Procs) {
     for (;;) {
       const CfgLabel &E = Prog.label(P.Entry);
-      if (!isSkipLabel(E) || E.Targets.size() != 1)
+      if (!E.Stmt.isSkip() || E.Targets.size() != 1)
         break;
       P.Entry = E.Targets[0];
     }

@@ -222,7 +222,7 @@ LintSeverity rmt::lintSeverityOf(LintCheck Check) {
 }
 
 LintReport rmt::lintProgram(AstContext &Ctx, const Program &Prog,
-                            DiagEngine &Diags, const LintOptions &Opts) {
+                            DiagEngine &Diags) {
   LintReport Report;
   // (loc, message) per category; deduped, then emitted in source order.
   std::vector<std::pair<SrcLoc, std::string>> Found[4];
@@ -251,8 +251,9 @@ LintReport rmt::lintProgram(AstContext &Ctx, const Program &Prog,
       Q.Body.push_back(rewriteForLint(Ctx, S));
     Rewritten.Procedures.push_back(std::move(Q));
   }
-  Program Bounded =
-      unrollLoops(Ctx, Rewritten, std::max(1u, Opts.UnrollBound));
+  // Two loop copies keep loop-carried definitions from reading as dead
+  // stores or use-before-def.
+  Program Bounded = unrollLoops(Ctx, Rewritten, 2);
   CfgProgram Cfg = lowerToCfg(Ctx, Bounded);
 
   std::set<Symbol> Globals = GlobalScope;

@@ -42,12 +42,6 @@
 
 namespace rmt {
 
-struct LintOptions {
-  /// Loop copies used to build the lintable CFG. Two keeps loop-carried
-  /// definitions from reading as dead stores or use-before-def.
-  unsigned UnrollBound = 2;
-};
-
 /// Which check produced a finding.
 enum class LintCheck {
   UseBeforeDef,
@@ -93,7 +87,7 @@ struct LintReport {
 /// report and mirroring every finding into \p Diags at its severity, in
 /// source order per check.
 LintReport lintProgram(AstContext &Ctx, const Program &Prog,
-                       DiagEngine &Diags, const LintOptions &Opts = {});
+                       DiagEngine &Diags);
 
 } // namespace rmt
 

@@ -8,6 +8,7 @@
 #include "analysis/VerifyCfg.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -19,175 +20,93 @@ using namespace rmt;
 
 namespace {
 
-class GvnPass : public Pass {
-public:
-  std::string_view name() const override { return "gvn"; }
-  std::string_view description() const override {
-    return "value numbering: propagation, literal folding, assume pruning";
-  }
-  bool run(PassContext &PC) override {
-    GvnReport R = runGvn(PC.Ctx, PC.Prog);
-    PC.Report.PropagatedExprs += R.PropagatedExprs;
-    PC.Report.RedundantAssumes += R.RedundantAssumes;
-    PC.Report.ContradictedAssumes += R.ContradictedAssumes;
-    return R.total() != 0;
-  }
-};
-
-class SlicePass : public Pass {
-public:
-  std::string_view name() const override { return "slice"; }
-  std::string_view description() const override {
-    return "cone-of-influence slicing against the reachability query";
-  }
-  bool run(PassContext &PC) override {
-    SliceReport R = sliceForQuery(PC.Ctx, PC.Prog, PC.Root, PC.ErrGlobal);
-    PC.Report.SlicedStmts += R.StmtsDropped;
-    PC.Report.ElidedCalls += R.CallsElided;
-    return R.StmtsDropped + R.HavocVarsDropped + R.CallsElided != 0;
-  }
-};
-
-class SplicePass : public Pass {
-public:
-  std::string_view name() const override { return "splice"; }
-  std::string_view description() const override {
-    return "splice out `assume true` skips, sweep unreachable labels";
-  }
-  bool run(PassContext &PC) override {
-    unsigned Removed = spliceSkips(PC.Prog);
-    PC.Report.SplicedLabels += Removed;
-    return Removed != 0;
-  }
-};
-
-class DeadProcPass : public Pass {
-public:
-  std::string_view name() const override { return "deadproc"; }
-  std::string_view description() const override {
-    return "drop procedures unreachable from the root";
-  }
-  bool run(PassContext &PC) override {
-    unsigned Removed = dropDeadProcs(PC.Prog, PC.Root);
-    PC.Report.DeadProcs += Removed;
-    return Removed != 0;
-  }
-};
-
-class LintAuditPass : public Pass {
-public:
-  std::string_view name() const override { return "lint"; }
-  std::string_view description() const override {
-    return "audit residual dead stores and unreachable labels (read-only)";
-  }
-  bool run(PassContext &PC) override {
-    // Liveness with everything relevant: every global and return variable is
-    // observable at exit, and calls keep their callee's transitive global
-    // reads live, so a store flagged dead really is unobservable.
-    const CfgProgram &Prog = PC.Prog;
-    std::vector<ProcEffects> FX = computeProcEffects(Prog);
-    Relevance Rel = Relevance::all(Prog);
-    std::vector<bool> Reached = entryReachableLabels(Prog);
-
-    for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
-      ProcFlow Flow(Prog, P);
-      QueryLiveness A(Prog, Rel, FX, P);
-      DataflowSolver<QueryLiveness> Solver(Flow, A);
-      Solver.solve();
-
-      for (LabelId L : Prog.proc(P).Labels) {
-        if (!Reached[L]) {
-          ++PC.Report.AuditUnreachableLabels;
-          continue; // don't double-count its statement as a dead store
-        }
-        const CfgStmt &S = Prog.label(L).Stmt;
-        if (S.Kind == CfgStmtKind::Assign && !Solver.post(L).count(S.Target))
-          ++PC.Report.AuditDeadStores;
-      }
-    }
-    return false; // read-only: only report counters change
-  }
-};
-
-class InvariantPass : public Pass {
-public:
-  std::string_view name() const override { return "inv"; }
-  std::string_view description() const override {
-    return "inject interval invariants at procedure entries (+Inv)";
-  }
-  bool run(PassContext &PC) override {
-    InvariantReport R = injectInvariants(PC.Ctx, PC.Prog, PC.Root);
-    PC.Report.InvariantConjuncts += R.Conjuncts;
-    return R.Conjuncts != 0;
-  }
-};
-
-template <typename P> std::unique_ptr<Pass> make() {
-  return std::make_unique<P>();
+bool runGvnPass(PassContext &PC) {
+  GvnReport R = runGvn(PC.Ctx, PC.Prog);
+  PC.Report.PropagatedExprs += R.PropagatedExprs;
+  PC.Report.RedundantAssumes += R.RedundantAssumes;
+  PC.Report.ContradictedAssumes += R.ContradictedAssumes;
+  return R.total() != 0;
 }
+
+bool runSlicePass(PassContext &PC) {
+  SliceReport R = sliceForQuery(PC.Ctx, PC.Prog, PC.Root, PC.ErrGlobal);
+  PC.Report.SlicedStmts += R.StmtsDropped;
+  PC.Report.ElidedCalls += R.CallsElided;
+  return R.StmtsDropped + R.HavocVarsDropped + R.CallsElided != 0;
+}
+
+bool runSplicePass(PassContext &PC) {
+  unsigned Removed = spliceSkips(PC.Prog);
+  PC.Report.SplicedLabels += Removed;
+  return Removed != 0;
+}
+
+bool runDeadProcPass(PassContext &PC) {
+  unsigned Removed = dropDeadProcs(PC.Prog, PC.Root);
+  PC.Report.DeadProcs += Removed;
+  return Removed != 0;
+}
+
+bool runLintAuditPass(PassContext &PC) {
+  // Liveness with everything relevant: every global and return variable is
+  // observable at exit, and calls keep their callee's transitive global
+  // reads live, so a store flagged dead really is unobservable.
+  const CfgProgram &Prog = PC.Prog;
+  std::vector<ProcEffects> FX = computeProcEffects(Prog);
+  Relevance Rel = Relevance::all(Prog);
+  std::vector<bool> Reached = entryReachableLabels(Prog);
+
+  for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
+    ProcFlow Flow(Prog, P);
+    QueryLiveness A(Prog, Rel, FX, P);
+    DataflowSolver<QueryLiveness> Solver(Flow, A);
+    Solver.solve();
+
+    for (LabelId L : Prog.proc(P).Labels) {
+      if (!Reached[L]) {
+        ++PC.Report.AuditUnreachableLabels;
+        continue; // don't double-count its statement as a dead store
+      }
+      const CfgStmt &S = Prog.label(L).Stmt;
+      if (S.Kind == CfgStmtKind::Assign && !Solver.post(L).count(S.Target))
+        ++PC.Report.AuditDeadStores;
+    }
+  }
+  return false; // read-only: only report counters change
+}
+
+bool runInvariantPass(PassContext &PC) {
+  InvariantReport R = injectInvariants(PC.Ctx, PC.Prog, PC.Root);
+  PC.Report.InvariantConjuncts += R.Conjuncts;
+  return R.Conjuncts != 0;
+}
+
+const PassInfo BuiltinTable[] = {
+    {"gvn", "value numbering: propagation, literal folding, assume pruning",
+     runGvnPass},
+    {"slice", "cone-of-influence slicing against the reachability query",
+     runSlicePass},
+    {"splice", "splice out `assume true` skips, sweep unreachable labels",
+     runSplicePass},
+    {"deadproc", "drop procedures unreachable from the root", runDeadProcPass},
+    {"lint", "audit residual dead stores and unreachable labels (read-only)",
+     runLintAuditPass},
+    {"inv", "inject interval invariants at procedure entries (+Inv)",
+     runInvariantPass},
+};
 
 } // namespace
 
-//===----------------------------------------------------------------------===//
-// Registry
-//===----------------------------------------------------------------------===//
-
-PassRegistry &PassRegistry::instance() {
-  static PassRegistry R = [] {
-    PassRegistry Reg;
-    // Registration order defines the default pipeline order.
-    Reg.registerPass("gvn", make<GvnPass>);
-    Reg.registerPass("slice", make<SlicePass>);
-    Reg.registerPass("splice", make<SplicePass>);
-    Reg.registerPass("deadproc", make<DeadProcPass>);
-    Reg.registerPass("lint", make<LintAuditPass>);
-    Reg.registerPass("inv", make<InvariantPass>);
-    return Reg;
-  }();
-  return R;
-}
-
-void PassRegistry::registerPass(std::string_view Name, Factory Make) {
-  for (auto &[N, F] : Factories)
-    if (N == Name) {
-      F = Make;
-      return;
-    }
-  Factories.emplace_back(std::string(Name), Make);
-}
-
-std::unique_ptr<Pass> PassRegistry::create(std::string_view Name) const {
-  for (const auto &[N, F] : Factories)
-    if (N == Name)
-      return F();
-  return nullptr;
-}
-
-std::vector<std::string> PassRegistry::names() const {
-  std::vector<std::string> Out;
-  Out.reserve(Factories.size());
-  for (const auto &[N, F] : Factories)
-    Out.push_back(N);
-  return Out;
-}
+const std::span<const PassInfo> rmt::BuiltinPasses = BuiltinTable;
 
 //===----------------------------------------------------------------------===//
-// Pipeline
+// Spec parser and runner
 //===----------------------------------------------------------------------===//
 
-std::string PassPipeline::str() const {
-  std::string Out;
-  for (const auto &P : Passes) {
-    if (!Out.empty())
-      Out += ",";
-    Out += P->name();
-  }
-  return Out;
-}
-
-std::optional<PassPipeline> PassPipeline::parse(std::string_view Spec,
-                                                std::string *Error) {
-  PassPipeline PL;
+std::optional<std::vector<const PassInfo *>>
+rmt::parsePassSpec(std::string_view Spec, std::string *Error,
+                   std::span<const PassInfo> Table) {
+  std::vector<const PassInfo *> Pipeline;
   size_t Pos = 0;
   while (Pos <= Spec.size()) {
     size_t Comma = Spec.find(',', Pos);
@@ -201,24 +120,26 @@ std::optional<PassPipeline> PassPipeline::parse(std::string_view Spec,
       Name.remove_suffix(1);
     if (Name.empty())
       continue;
-    std::unique_ptr<Pass> P = PassRegistry::instance().create(Name);
-    if (!P) {
+    auto It = std::find_if(Table.begin(), Table.end(),
+                           [&](const PassInfo &P) { return P.Name == Name; });
+    if (It == Table.end()) {
       if (Error) {
         *Error = "unknown pass '" + std::string(Name) + "' (available:";
-        for (const std::string &N : PassRegistry::instance().names())
-          *Error += " " + N;
+        for (const PassInfo &P : Table)
+          *Error += " " + std::string(P.Name);
         *Error += ")";
       }
       return std::nullopt;
     }
-    PL.append(std::move(P));
+    Pipeline.push_back(&*It);
   }
-  return PL;
+  return Pipeline;
 }
 
-std::vector<std::string> PassPipeline::run(PassContext &PC,
-                                           const PipelineOptions &Opts,
-                                           Stats *S) const {
+std::vector<std::string>
+rmt::runPasses(PassContext &PC, std::span<const PassInfo *const> Pipeline,
+               bool VerifyEach, bool PrintAfterAll, Trace *Telemetry,
+               Stats *S) {
   auto Verify = [&](std::string_view After) {
     std::vector<std::string> Bad =
         verifyCfg(PC.Ctx, PC.Prog, PC.Root, PC.ErrGlobal);
@@ -227,15 +148,15 @@ std::vector<std::string> PassPipeline::run(PassContext &PC,
     return Bad;
   };
 
-  if (Opts.VerifyEach)
+  if (VerifyEach)
     if (std::vector<std::string> Bad = Verify("pipeline input"); !Bad.empty())
       return Bad;
 
-  for (const auto &P : Passes) {
-    std::string Name(P->name());
-    TraceSpan Span(Opts.Telemetry, "pass." + Name);
+  for (const PassInfo *P : Pipeline) {
+    std::string Name(P->Name);
+    TraceSpan Span(Telemetry, "pass." + Name);
     Stopwatch Watch;
-    bool Changed = P->run(PC);
+    bool Changed = P->Run(PC);
     Span.note({"changed", Changed ? 1 : 0});
     Span.close();
     if (S) {
@@ -244,10 +165,10 @@ std::vector<std::string> PassPipeline::run(PassContext &PC,
       if (Changed)
         S->add("pass." + Name + ".changed");
     }
-    if (Opts.PrintAfterAll && Changed)
+    if (PrintAfterAll && Changed)
       std::fprintf(stderr, "*** IR after pass '%s' ***\n%s\n", Name.c_str(),
                    PC.Prog.str(PC.Ctx).c_str());
-    if (Opts.VerifyEach)
+    if (VerifyEach)
       if (std::vector<std::string> Bad = Verify("pass '" + Name + "'");
           !Bad.empty())
         return Bad;
@@ -273,23 +194,24 @@ PrepassReport rmt::runPrepass(AstContext &Ctx, CfgProgram &Prog, ProcId &Root,
   R.ProcsBefore = Prog.Procs.size();
 
   std::string Error;
-  std::optional<PassPipeline> PL = PassPipeline::parse(Opts.spec(), &Error);
-  if (!PL) {
+  std::optional<std::vector<const PassInfo *>> Pipeline =
+      parsePassSpec(Opts.spec(), &Error);
+  if (!Pipeline) {
     R.PipelineErrors.push_back(Error);
     R.LabelsAfter = R.LabelsBefore;
     R.ProcsAfter = R.ProcsBefore;
     return R;
   }
 
-  PipelineOptions PO;
-  PO.VerifyEach = Opts.VerifyEach || std::getenv("RMT_VERIFY_EACH") != nullptr;
-  PO.PrintAfterAll = Opts.PrintAfterAll;
-  PO.Telemetry = Opts.Telemetry;
-
-  TraceSpan Span(PO.Telemetry, "prepass.pipeline",
-                 {{"passes", PL->str()}, {"labels", R.LabelsBefore}});
+  std::string Names;
+  for (const PassInfo *P : *Pipeline)
+    Names += (Names.empty() ? "" : ",") + std::string(P->Name);
+  TraceSpan Span(Opts.Telemetry, "prepass.pipeline",
+                 {{"passes", Names}, {"labels", R.LabelsBefore}});
   PassContext PC{Ctx, Prog, Root, ErrGlobal, R};
-  R.PipelineErrors = PL->run(PC, PO, S);
+  R.PipelineErrors = runPasses(
+      PC, *Pipeline, Opts.VerifyEach || std::getenv("RMT_VERIFY_EACH"),
+      Opts.PrintAfterAll, Opts.Telemetry, S);
   Span.note({"labels_after", Prog.Labels.size()});
   Span.close();
 

@@ -1,20 +1,22 @@
-//===- PassManager.h - Registered CFG passes and pipelines ------*- C++ -*-===//
+//===- PassManager.h - The prepass pass table and runner --------*- C++ -*-===//
 //
 // Part of the daginline project, a reproduction of "DAG Inlining" (PLDI'15).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pass-manager layer over the lowered label form. Every prepass
-/// transformation is a registered `Pass` with a stable name, so pipelines can
-/// be assembled from CLI strings (`--passes gvn,slice,splice`), timed and
-/// counted per pass, printed after every step (`--print-after-all`), and
-/// re-verified against the Fig. 7 structural invariants after every step
-/// (`--verify-each`, see VerifyCfg.h) — the discipline LLVM's pass manager
-/// and Boogie's `/trace` stack apply to their own IRs.
+/// The pass layer over the lowered label form. Every prepass transformation
+/// is one entry of a constant table (BuiltinPasses) with a stable name, so
+/// pipelines can be assembled from CLI strings (`--passes gvn,slice,splice`)
+/// by parsePassSpec() and run by one loop, runPasses(), which times and
+/// counts each pass, prints the program after every step
+/// (`--print-after-all`), and re-verifies it against the Fig. 7 structural
+/// invariants after every step (`--verify-each`, see VerifyCfg.h) — the
+/// discipline LLVM's pass manager and Boogie's `/trace` stack apply to their
+/// own IRs.
 ///
-/// Builtin passes (registration order; the first four, in this order, are
-/// the default pipeline DefaultPrepassPasses):
+/// Builtin passes (table order; the first four, in this order, are the
+/// default pipeline DefaultPrepassPasses):
 ///
 ///   gvn      — value numbering: copy/expression propagation, literal
 ///              folding, entailed assumes to skips, and assumes no execution
@@ -31,12 +33,13 @@
 ///              the default pipeline, appended by +Inv configurations
 ///
 /// The prepass is configured by one spec string (PrepassOptions::Passes):
-/// `--no-prepass` is the empty spec, and +Inv appends `inv`.
+/// `--no-prepass` is the empty spec, and +Inv appends `inv`. runPrepass()
+/// (Dataflow.h) parses that spec against the table and runs it; tests run a
+/// fake pass by parsing against a table of their own.
 ///
 /// Passes mutate the program through a PassContext and accumulate their
 /// reduction counters into the shared PrepassReport (Dataflow.h), which keeps
-/// the one-line summary and "prepass.*" stats keys stable across the
-/// refactor.
+/// the one-line summary and "prepass.*" stats keys stable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,8 +52,8 @@
 #include "support/Stats.h"
 #include "support/Trace.h"
 
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,81 +71,36 @@ struct PassContext {
 };
 
 /// A verdict-preserving transformation over the lowered program.
-class Pass {
-public:
-  virtual ~Pass() = default;
-  /// Registry key and CLI spelling.
-  virtual std::string_view name() const = 0;
+struct PassInfo {
+  /// CLI spelling.
+  std::string_view Name;
   /// One-line description for --list-passes.
-  virtual std::string_view description() const = 0;
+  std::string_view Description;
   /// Runs the pass; returns true when the program changed.
-  virtual bool run(PassContext &PC) = 0;
+  bool (*Run)(PassContext &PC);
 };
 
-/// Process-wide pass factory registry. Builtins self-register on first use;
-/// tests may register additional passes.
-class PassRegistry {
-public:
-  using Factory = std::unique_ptr<Pass> (*)();
+/// The builtin passes, in default-pipeline order (see the file comment).
+extern const std::span<const PassInfo> BuiltinPasses;
 
-  static PassRegistry &instance();
+/// Parses a comma-separated pass list against \p Table; blanks around names
+/// and empty items are ignored. Returns nullopt and sets \p Error to
+/// "unknown pass 'X' (available: ...)" on a name not in the table.
+std::optional<std::vector<const PassInfo *>>
+parsePassSpec(std::string_view Spec, std::string *Error = nullptr,
+              std::span<const PassInfo> Table = BuiltinPasses);
 
-  /// Registers \p Make under \p Name; later registrations win (tests shadow
-  /// builtins).
-  void registerPass(std::string_view Name, Factory Make);
-
-  /// Instantiates the pass registered under \p Name; null when unknown.
-  std::unique_ptr<Pass> create(std::string_view Name) const;
-
-  /// Registered names in registration order (builtins first).
-  std::vector<std::string> names() const;
-
-private:
-  std::vector<std::pair<std::string, Factory>> Factories;
-};
-
-/// Pipeline-wide execution knobs.
-struct PipelineOptions {
-  /// Run verifyCfg on the input and after every pass; a violation aborts the
-  /// pipeline with the offending pass named in the diagnostics.
-  bool VerifyEach = false;
-  /// Dump the program to stderr after every pass that changed it.
-  bool PrintAfterAll = false;
-  /// Optional event recorder: each pass runs under a "pass.<name>" span so
-  /// pipeline time and solver time land on one timeline (support/Trace.h).
-  Trace *Telemetry = nullptr;
-};
-
-/// An ordered list of passes plus the runner. Move-only (owns the passes).
-class PassPipeline {
-public:
-  PassPipeline() = default;
-  PassPipeline(PassPipeline &&) = default;
-  PassPipeline &operator=(PassPipeline &&) = default;
-
-  void append(std::unique_ptr<Pass> P) { Passes.push_back(std::move(P)); }
-  size_t size() const { return Passes.size(); }
-  bool empty() const { return Passes.empty(); }
-
-  /// "gvn,slice,splice" — parseable back via parse().
-  std::string str() const;
-
-  /// Runs every pass in order. Per-pass wall time and change counters land in
-  /// \p S (when given) under "pass.<name>.seconds" / ".runs" / ".changed".
-  /// Returns structural-verifier diagnostics (empty on success); with
-  /// VerifyEach set, the first failing pass stops the pipeline.
-  std::vector<std::string> run(PassContext &PC,
-                               const PipelineOptions &Opts = {},
-                               Stats *S = nullptr) const;
-
-  /// Parses a comma-separated pass list against the registry. Returns
-  /// nullopt and sets \p Error on an unknown pass name.
-  static std::optional<PassPipeline> parse(std::string_view Spec,
-                                           std::string *Error = nullptr);
-
-private:
-  std::vector<std::unique_ptr<Pass>> Passes;
-};
+/// Runs \p Pipeline in order, each pass under a "pass.<name>" span of
+/// \p Telemetry. Per-pass wall time and change counters land in \p S (when
+/// given) under "pass.<name>.seconds" / ".runs" / ".changed"; with
+/// \p PrintAfterAll every pass that changed the program dumps it to stderr.
+/// With \p VerifyEach, verifyCfg runs on the input and after every pass, and
+/// the first violation stops the pipeline. Returns those diagnostics (empty
+/// on success).
+std::vector<std::string> runPasses(PassContext &PC,
+                                   std::span<const PassInfo *const> Pipeline,
+                                   bool VerifyEach, bool PrintAfterAll,
+                                   Trace *Telemetry, Stats *S);
 
 } // namespace rmt
 

@@ -148,11 +148,6 @@ void toSkip(AstContext &Ctx, CfgStmt &S) {
   S.Callee = InvalidProc;
 }
 
-bool isSkipStmt(const CfgStmt &S) {
-  return S.Kind == CfgStmtKind::Assume && S.E &&
-         S.E->kind() == ExprKind::BoolLit && S.E->boolValue();
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -227,7 +222,7 @@ SliceReport rmt::sliceForQuery(AstContext &Ctx, CfgProgram &Prog, ProcId Root,
         }
         break;
       }
-      AllSkip &= isSkipStmt(Prog.Labels[L].Stmt);
+      AllSkip &= Prog.Labels[L].Stmt.isSkip();
     }
     PureSkip[P] = AllSkip ? 1 : 0;
   }

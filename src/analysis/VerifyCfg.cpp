@@ -107,37 +107,8 @@ private:
   }
 
   /// Intraprocedural flow and the call graph must both be acyclic
-  /// (Section 3's hierarchical-program requirement). Iterative 3-color DFS;
-  /// reports one witness node per offending graph.
-  template <typename AdjFn>
-  std::optional<uint32_t> findCycleNode(size_t N, AdjFn Adj) const {
-    std::vector<uint8_t> Color(N, 0); // 0 white, 1 grey, 2 black
-    std::vector<std::pair<uint32_t, size_t>> Stack;
-    for (uint32_t S = 0; S < N; ++S) {
-      if (Color[S] != 0)
-        continue;
-      Stack.emplace_back(S, 0);
-      Color[S] = 1;
-      while (!Stack.empty()) {
-        auto &[V, I] = Stack.back();
-        const auto &Next = Adj(V);
-        if (I == Next.size()) {
-          Color[V] = 2;
-          Stack.pop_back();
-          continue;
-        }
-        uint32_t W = Next[I++];
-        if (Color[W] == 1)
-          return W; // back edge: W is on the grey stack
-        if (Color[W] == 0) {
-          Color[W] = 1;
-          Stack.emplace_back(W, 0);
-        }
-      }
-    }
-    return std::nullopt;
-  }
-
+  /// (Section 3's hierarchical-program requirement); reports one witness
+  /// node per offending graph.
   void checkAcyclicity() {
     for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
       const CfgProc &Proc = Prog.Procs[P];

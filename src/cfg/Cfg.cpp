@@ -26,44 +26,8 @@ unsigned CfgProgram::numCallSites(ProcId P) const {
   return Count;
 }
 
-namespace {
-
-/// Generic DFS cycle check over an adjacency function.
-/// Nodes are dense 0..N-1 ids.
-template <typename AdjFn>
-bool isAcyclic(size_t NumNodes, AdjFn Adjacent) {
-  enum : uint8_t { White, Grey, Black };
-  std::vector<uint8_t> Color(NumNodes, White);
-  std::vector<std::pair<uint32_t, size_t>> Stack;
-  for (uint32_t Root = 0; Root < NumNodes; ++Root) {
-    if (Color[Root] != White)
-      continue;
-    Color[Root] = Grey;
-    Stack.push_back({Root, 0});
-    while (!Stack.empty()) {
-      auto &[Node, NextChild] = Stack.back();
-      const std::vector<uint32_t> &Children = Adjacent(Node);
-      if (NextChild == Children.size()) {
-        Color[Node] = Black;
-        Stack.pop_back();
-        continue;
-      }
-      uint32_t Child = Children[NextChild++];
-      if (Color[Child] == Grey)
-        return false;
-      if (Color[Child] == White) {
-        Color[Child] = Grey;
-        Stack.push_back({Child, 0});
-      }
-    }
-  }
-  return true;
-}
-
-} // namespace
-
 bool CfgProgram::hasAcyclicFlow() const {
-  return isAcyclic(Labels.size(), [this](uint32_t L) -> const std::vector<LabelId> & {
+  return !findCycleNode(Labels.size(), [this](uint32_t L) -> const auto & {
     return Labels[L].Targets;
   });
 }
@@ -73,7 +37,7 @@ bool CfgProgram::hasAcyclicCallGraph() const {
   std::vector<std::vector<ProcId>> Adj(Procs.size());
   for (ProcId P = 0; P < Procs.size(); ++P)
     Adj[P] = calleesOf(P);
-  return isAcyclic(Procs.size(), [&Adj](uint32_t P) -> const std::vector<ProcId> & {
+  return !findCycleNode(Procs.size(), [&Adj](uint32_t P) -> const auto & {
     return Adj[P];
   });
 }

@@ -26,8 +26,10 @@
 #include "ast/Stmt.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace rmt {
@@ -41,6 +43,40 @@ using ProcId = uint32_t;
 
 constexpr LabelId InvalidLabel = ~0u;
 constexpr ProcId InvalidProc = ~0u;
+
+/// Three-colour DFS over the dense node ids 0..NumNodes-1, roots and
+/// children visited in id order; \p Adjacent(N) returns N's successor ids.
+/// Returns the node the first back edge points to (a node on a cycle), or
+/// nullopt when the graph is acyclic.
+template <typename AdjFn>
+std::optional<uint32_t> findCycleNode(size_t NumNodes, AdjFn Adjacent) {
+  enum : uint8_t { White, Grey, Black };
+  std::vector<uint8_t> Color(NumNodes, White);
+  std::vector<std::pair<uint32_t, size_t>> Stack;
+  for (uint32_t Root = 0; Root < NumNodes; ++Root) {
+    if (Color[Root] != White)
+      continue;
+    Color[Root] = Grey;
+    Stack.push_back({Root, 0});
+    while (!Stack.empty()) {
+      auto &[Node, NextChild] = Stack.back();
+      const auto &Children = Adjacent(Node);
+      if (NextChild == Children.size()) {
+        Color[Node] = Black;
+        Stack.pop_back();
+        continue;
+      }
+      uint32_t Child = Children[NextChild++];
+      if (Color[Child] == Grey)
+        return Child;
+      if (Color[Child] == White) {
+        Color[Child] = Grey;
+        Stack.push_back({Child, 0});
+      }
+    }
+  }
+  return std::nullopt;
+}
 
 /// Statement kinds at a label (paper Fig. 7 plus Havoc).
 enum class CfgStmtKind { Assume, Assign, Havoc, Call };
@@ -58,6 +94,12 @@ struct CfgStmt {
   ProcId Callee = InvalidProc;
   /// Call: actual arguments.
   std::vector<const Expr *> Args;
+
+  /// A skip: `assume true`.
+  bool isSkip() const {
+    return Kind == CfgStmtKind::Assume && E && E->kind() == ExprKind::BoolLit &&
+           E->boolValue();
+  }
 };
 
 /// One label: its statement, its successor set, and its owning procedure

@@ -81,12 +81,12 @@ public:
 class RandomStrategy final : public MergeStrategy {
 public:
   RandomStrategy(const VcContext &Vc, ConsistencyChecker &Checker,
-                 uint64_t Seed, unsigned NoneChance, bool AlwaysPick)
-      : MergeStrategy(Vc, Checker), Gen(Seed), NoneChance(NoneChance),
-        AlwaysPick(AlwaysPick) {}
+                 uint64_t Seed, bool AlwaysPick)
+      : MergeStrategy(Vc, Checker), Gen(Seed), AlwaysPick(AlwaysPick) {}
 
   std::optional<NodeId> pick(EdgeId C) override {
-    if (!AlwaysPick && Gen.chance(NoneChance, 256))
+    // RANDOM declines a merge with probability 32/256.
+    if (!AlwaysPick && Gen.chance(32, 256))
       return std::nullopt;
     std::vector<NodeId> M = compatibleNodes(C);
     if (M.empty())
@@ -96,7 +96,6 @@ public:
 
 private:
   Rng Gen;
-  unsigned NoneChance;
   bool AlwaysPick; // true => RANDOMPICK, false => RANDOM
 };
 
@@ -364,11 +363,9 @@ rmt::createStrategy(const StrategyOptions &Opts, const VcContext &Vc,
     return std::make_unique<FirstStrategy>(Vc, Checker);
   case MergeStrategyKind::Random:
     return std::make_unique<RandomStrategy>(Vc, Checker, Opts.Seed,
-                                            Opts.NoneChance,
                                             /*AlwaysPick=*/false);
   case MergeStrategyKind::RandomPick:
     return std::make_unique<RandomStrategy>(Vc, Checker, Opts.Seed,
-                                            Opts.NoneChance,
                                             /*AlwaysPick=*/true);
   case MergeStrategyKind::MaxC:
     return std::make_unique<MaxCStrategy>(Vc, Checker);

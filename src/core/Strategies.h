@@ -12,7 +12,7 @@
 ///  * FIRST      — first compatible node in chronological order (the paper's
 ///                 default: "fast in practice yet provides compression close
 ///                 to OPT in the limit").
-///  * RANDOM     — with low probability returns None even when candidates
+///  * RANDOM     — with probability 32/256 returns None even when candidates
 ///                 exist; otherwise a uniformly random candidate.
 ///  * RANDOMPICK — uniformly random compatible candidate.
 ///  * MAXC       — compatible candidate with the most descendants.
@@ -82,8 +82,6 @@ struct StrategyOptions {
   MergeStrategyKind Kind = MergeStrategyKind::First;
   /// Seed for the randomized strategies.
   uint64_t Seed = 1;
-  /// RANDOM's probability of declining a merge, as NoneChance/256.
-  unsigned NoneChance = 32;
   /// OPT: give up precomputing Do beyond this many tree instances and fall
   /// back to FIRST behaviour (the paper's OPT column shows a T/O as well).
   /// The colouring is quadratic per procedure, so keep this moderate.

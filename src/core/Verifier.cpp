@@ -13,6 +13,11 @@ using namespace rmt;
 LoweredInstance rmt::lowerInstance(AstContext &Ctx, const Program &Prog,
                                    Symbol Entry, const VerifierOptions &Opts,
                                    VerifierRunResult &Out) {
+  if (Opts.Bound == 0) {
+    // Unfolding emits no copy of a recursive procedure at bound 0.
+    Out.Prepass.PipelineErrors.push_back("bound must be at least 1");
+    return {};
+  }
   TraceSpan BoundSpan(Opts.Telemetry, "verify.bound");
   BoundedInstance Instance = prepareBounded(Ctx, Prog, Entry, Opts.Bound);
   BoundSpan.close();

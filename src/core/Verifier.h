@@ -31,7 +31,8 @@ namespace rmt {
 
 /// End-to-end options.
 struct VerifierOptions {
-  /// Loop-iteration / recursion-depth bound R.
+  /// Loop-iteration / recursion-depth bound R; at least 1 (lowerInstance
+  /// refuses 0).
   unsigned Bound = 2;
   /// Run the interval-invariant prepass ("+Inv" of Section 4).
   bool UseInvariants = false;
@@ -87,7 +88,8 @@ struct LoweredInstance {
 /// and runs the prepass pipeline Opts asks for (!UsePrepass empties the
 /// Prepass.Passes spec; UseInvariants appends `inv`). Fills the front-end
 /// fields of \p Out (sizes and the prepass report). When Out.Prepass is not
-/// ok the returned program may be miscompiled and must not be solved.
+/// ok the returned program may be miscompiled and must not be solved; a
+/// bound of 0 is refused that way, with an empty program.
 LoweredInstance lowerInstance(AstContext &Ctx, const Program &Prog,
                               Symbol Entry, const VerifierOptions &Opts,
                               VerifierRunResult &Out);

@@ -354,9 +354,8 @@ private:
 
 } // namespace
 
-InstrumentedProgram rmt::instrumentAsserts(AstContext &Ctx,
-                                           const Program &Prog,
-                                           Symbol Entry) {
+BoundedInstance rmt::instrumentAsserts(AstContext &Ctx, const Program &Prog,
+                                       Symbol Entry) {
   // Pick an error-bit name not clashing with any declared global.
   std::string ErrName = "$err";
   auto Taken = [&](const std::string &Name) {
@@ -369,7 +368,7 @@ InstrumentedProgram rmt::instrumentAsserts(AstContext &Ctx,
     ErrName += "_";
   Symbol ErrVar = Ctx.sym(ErrName);
 
-  InstrumentedProgram Result;
+  BoundedInstance Result;
   Result.ErrVar = ErrVar;
   Result.Entry = Entry;
   Result.Prog.Globals = Prog.Globals;
@@ -397,11 +396,5 @@ BoundedInstance rmt::prepareBounded(AstContext &Ctx, const Program &Prog,
                                     Symbol Entry, unsigned Bound) {
   Program Unrolled = unrollLoops(Ctx, Prog, Bound);
   Program Unfolded = unfoldRecursion(Ctx, Unrolled, Bound);
-  InstrumentedProgram Instr = instrumentAsserts(Ctx, Unfolded, Entry);
-  BoundedInstance Out;
-  Out.Prog = std::move(Instr.Prog);
-  Out.ErrVar = Instr.ErrVar;
-  Out.Entry = Instr.Entry;
-  Out.NumAsserts = Instr.NumAsserts;
-  return Out;
+  return instrumentAsserts(Ctx, Unfolded, Entry);
 }

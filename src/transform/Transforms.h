@@ -46,8 +46,9 @@ Program unrollLoops(AstContext &Ctx, const Program &Prog, unsigned Bound);
 /// unchanged. The bound counts frames of the same SCC on one call chain.
 Program unfoldRecursion(AstContext &Ctx, const Program &Prog, unsigned Bound);
 
-/// Result of assertion instrumentation.
-struct InstrumentedProgram {
+/// A ready-to-lower reachability instance: the result of assertion
+/// instrumentation.
+struct BoundedInstance {
   Program Prog;
   /// The error-bit global ($err).
   Symbol ErrVar;
@@ -59,16 +60,8 @@ struct InstrumentedProgram {
 
 /// Error-bit instrumentation (see file comment). \p Entry must name a
 /// procedure of \p Prog; it must not be called from within the program.
-InstrumentedProgram instrumentAsserts(AstContext &Ctx, const Program &Prog,
-                                      Symbol Entry);
-
-/// A ready-to-lower hierarchical reachability instance.
-struct BoundedInstance {
-  Program Prog;
-  Symbol ErrVar;
-  Symbol Entry;
-  unsigned NumAsserts = 0;
-};
+BoundedInstance instrumentAsserts(AstContext &Ctx, const Program &Prog,
+                                  Symbol Entry);
 
 /// unrollLoops(R) ∘ unfoldRecursion(R) ∘ instrumentAsserts.
 BoundedInstance prepareBounded(AstContext &Ctx, const Program &Prog,

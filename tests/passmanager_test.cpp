@@ -560,44 +560,45 @@ TEST(Gvn, SecondRunChangesNothing) {
 }
 
 //===----------------------------------------------------------------------===//
-// Registry and pipelines
+// Pass table and pipelines
 //===----------------------------------------------------------------------===//
 
 TEST(PassRegistry, ListsBuiltinsInDefaultPipelineOrder) {
-  std::vector<std::string> Names = PassRegistry::instance().names();
-  std::vector<std::string> Builtins = {"gvn",      "slice", "splice",
-                                       "deadproc", "lint",  "inv"};
-  // Tests may append more; the builtin prefix is stable.
-  ASSERT_GE(Names.size(), Builtins.size());
-  for (size_t I = 0; I < Builtins.size(); ++I)
-    EXPECT_EQ(Names[I], Builtins[I]);
-  for (const std::string &N : Builtins) {
-    std::unique_ptr<Pass> P = PassRegistry::instance().create(N);
-    ASSERT_TRUE(P);
-    EXPECT_EQ(P->name(), N);
-    EXPECT_FALSE(P->description().empty());
+  std::vector<std::string_view> Builtins = {"gvn",      "slice", "splice",
+                                            "deadproc", "lint",  "inv"};
+  ASSERT_EQ(BuiltinPasses.size(), Builtins.size());
+  for (size_t I = 0; I < Builtins.size(); ++I) {
+    EXPECT_EQ(BuiltinPasses[I].Name, Builtins[I]);
+    EXPECT_FALSE(BuiltinPasses[I].Description.empty());
+    EXPECT_NE(BuiltinPasses[I].Run, nullptr);
   }
-  EXPECT_EQ(PassRegistry::instance().create("nope"), nullptr);
+  EXPECT_FALSE(parsePassSpec("nope"));
 }
 
 TEST(PassPipeline, ParsesSpecsAndRoundTrips) {
-  std::optional<PassPipeline> PL = PassPipeline::parse(" gvn , slice ,");
+  auto PL = parsePassSpec(" gvn , slice ,");
   ASSERT_TRUE(PL);
-  EXPECT_EQ(PL->size(), 2u);
-  EXPECT_EQ(PL->str(), "gvn,slice");
+  ASSERT_EQ(PL->size(), 2u);
+  EXPECT_EQ((*PL)[0]->Name, "gvn");
+  EXPECT_EQ((*PL)[1]->Name, "slice");
+  EXPECT_EQ((*PL)[0], &BuiltinPasses[0]);
 
   std::string Error;
-  EXPECT_FALSE(PassPipeline::parse("gvn,bogus", &Error));
-  EXPECT_NE(Error.find("unknown pass 'bogus'"), std::string::npos);
-  EXPECT_NE(Error.find("gvn"), std::string::npos) << Error;
+  EXPECT_FALSE(parsePassSpec("gvn,bogus", &Error));
+  EXPECT_EQ(Error, "unknown pass 'bogus' (available: gvn slice splice "
+                   "deadproc lint inv)");
 
-  EXPECT_TRUE(PassPipeline::parse("")->empty());
+  EXPECT_TRUE(parsePassSpec("")->empty());
 }
 
 TEST(PassPipeline, SpecIsPassesThenInv) {
   PrepassOptions Opts;
   EXPECT_EQ(Opts.spec(), "gvn,slice,splice,deadproc");
-  EXPECT_EQ(PassPipeline::parse(Opts.spec())->str(), Opts.spec());
+  auto PL = parsePassSpec(Opts.spec());
+  ASSERT_TRUE(PL);
+  ASSERT_EQ(PL->size(), 4u);
+  for (size_t I = 0; I < PL->size(); ++I)
+    EXPECT_EQ((*PL)[I], &BuiltinPasses[I]);
   Opts.Invariants = true;
   EXPECT_EQ(Opts.spec(), "gvn,slice,splice,deadproc,inv");
   // The empty spec is "no prepass"; +Inv still runs alone.
@@ -735,44 +736,42 @@ TEST(PassPipeline, UnknownPassNameAbortsBeforeRunningAnything) {
 namespace {
 
 /// Test-only pass that corrupts the flow graph, for --verify-each coverage.
-class CorruptingPass : public Pass {
-public:
-  std::string_view name() const override { return "corrupt"; }
-  std::string_view description() const override {
-    return "test pass that plants a dangling successor";
-  }
-  bool run(PassContext &PC) override {
-    PC.Prog.Labels[PC.Prog.Procs[PC.Root].Entry].Targets.push_back(
-        static_cast<LabelId>(PC.Prog.Labels.size() + 7));
-    return true;
-  }
-};
+bool plantDanglingSuccessor(PassContext &PC) {
+  PC.Prog.Labels[PC.Prog.Procs[PC.Root].Entry].Targets.push_back(
+      static_cast<LabelId>(PC.Prog.Labels.size() + 7));
+  return true;
+}
 
-std::unique_ptr<Pass> makeCorruptingPass() {
-  return std::make_unique<CorruptingPass>();
+/// The builtin table plus the corrupting pass.
+std::vector<PassInfo> tableWithCorruptingPass() {
+  std::vector<PassInfo> Table(BuiltinPasses.begin(), BuiltinPasses.end());
+  Table.push_back({"corrupt", "test pass that plants a dangling successor",
+                   plantDanglingSuccessor});
+  return Table;
 }
 
 } // namespace
 
 TEST(PassPipeline, VerifyEachCatchesACorruptingPass) {
-  PassRegistry::instance().registerPass("corrupt", makeCorruptingPass);
   AstContext Ctx;
   auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
 
-  PrepassOptions Opts;
-  Opts.Passes = "gvn,corrupt,splice";
-  Opts.VerifyEach = true;
+  std::vector<PassInfo> Table = tableWithCorruptingPass();
+  auto PL = parsePassSpec("gvn,corrupt,splice", nullptr, Table);
+  ASSERT_TRUE(PL);
+  PrepassReport R;
+  PassContext PC{Ctx, Cfg, Root, Err, R};
   Stats S;
-  PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts, &S);
-  ASSERT_FALSE(R.ok());
-  EXPECT_NE(R.PipelineErrors[0].find("VerifyCfg after pass 'corrupt'"),
+  std::vector<std::string> Errors =
+      runPasses(PC, *PL, /*VerifyEach=*/true, false, nullptr, &S);
+  ASSERT_FALSE(Errors.empty());
+  EXPECT_NE(Errors[0].find("VerifyCfg after pass 'corrupt'"),
             std::string::npos)
-      << R.PipelineErrors[0];
-  EXPECT_NE(R.PipelineErrors[0].find("dangling successor"),
-            std::string::npos);
+      << Errors[0];
+  EXPECT_NE(Errors[0].find("dangling successor"), std::string::npos);
   // The pipeline stopped at the offending pass.
   EXPECT_EQ(S.get("pass.corrupt.runs"), 1);
   EXPECT_EQ(S.get("pass.splice.runs"), 0);
@@ -802,16 +801,17 @@ TEST(PassPipeline, WithoutVerifyEachCorruptionGoesUnnoticed) {
   // when verification is requested (the verifier's Unknown-on-abort path
   // depends on this distinction). The runner is called directly because
   // runPrepass also turns verification on under RMT_VERIFY_EACH.
-  PassRegistry::instance().registerPass("corrupt", makeCorruptingPass);
   AstContext Ctx;
   auto P = parseOk(CallDemo, Ctx);
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  std::optional<PassPipeline> PL = PassPipeline::parse("corrupt");
+  std::vector<PassInfo> Table = tableWithCorruptingPass();
+  auto PL = parsePassSpec("corrupt", nullptr, Table);
   ASSERT_TRUE(PL);
   PrepassReport R;
   PassContext PC{Ctx, Cfg, Root, Err, R};
-  EXPECT_TRUE(PL->run(PC).empty());
+  EXPECT_TRUE(runPasses(PC, *PL, /*VerifyEach=*/false, false, nullptr, nullptr)
+                  .empty());
   EXPECT_FALSE(verifyCfg(Ctx, Cfg, Root, Err).empty());
 }

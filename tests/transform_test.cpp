@@ -226,7 +226,7 @@ TEST(Instrument, RemovesAssertsAddsErrBit) {
   )",
                    Ctx);
   ASSERT_TRUE(P);
-  InstrumentedProgram I = instrumentAsserts(Ctx, *P, Ctx.sym("main"));
+  BoundedInstance I = instrumentAsserts(Ctx, *P, Ctx.sym("main"));
   EXPECT_EQ(I.NumAsserts, 2u);
   EXPECT_EQ(I.Prog.Globals.size(), 2u);
   EXPECT_EQ(Ctx.name(I.ErrVar), "$err");
@@ -242,7 +242,7 @@ TEST(Instrument, ErrNameAvoidsCollision) {
   )",
                    Ctx);
   ASSERT_TRUE(P);
-  InstrumentedProgram I = instrumentAsserts(Ctx, *P, Ctx.sym("main"));
+  BoundedInstance I = instrumentAsserts(Ctx, *P, Ctx.sym("main"));
   EXPECT_EQ(Ctx.name(I.ErrVar), "$err_");
 }
 
@@ -255,7 +255,7 @@ TEST(Instrument, ErrBitSemanticsViaEvaluator) {
   )",
                    Ctx);
   ASSERT_TRUE(P);
-  InstrumentedProgram I = instrumentAsserts(Ctx, *P, Ctx.sym("main"));
+  BoundedInstance I = instrumentAsserts(Ctx, *P, Ctx.sym("main"));
   // In the instrumented program no assert remains; the failing run sets
   // $err and bails out, leaving g at 1 (the write after the failing assert
   // and the caller's continuation are skipped).
@@ -267,7 +267,7 @@ TEST(Instrument, EntryClearsErrFirst) {
   AstContext Ctx;
   auto P = parseOk("procedure main() { assert true; }", Ctx);
   ASSERT_TRUE(P);
-  InstrumentedProgram I = instrumentAsserts(Ctx, *P, Ctx.sym("main"));
+  BoundedInstance I = instrumentAsserts(Ctx, *P, Ctx.sym("main"));
   const Procedure *Main = I.Prog.findProc(Ctx.sym("main"));
   ASSERT_TRUE(Main);
   ASSERT_FALSE(Main->Body.empty());

@@ -78,6 +78,35 @@ TEST(Verifier, LowerInstanceIsWhatTheEngineSolves) {
             Verdict::Unknown);
 }
 
+TEST(Verifier, BoundZeroIsRefusedAsUnknown) {
+  // Unfolding keeps no copy of a recursive procedure at bound 0, so there is
+  // no program to lower: the front end reports an error instead.
+  const char *Src = R"(
+    procedure down(n: int) returns (r: int) {
+      if (n <= 0) { r := 0; } else { call r := down(n - 1); }
+    }
+    procedure main() {
+      var r: int;
+      call r := down(3);
+      assert r == 0;
+    }
+  )";
+  AstContext Ctx;
+  auto P = parseOk(Src, Ctx);
+  ASSERT_TRUE(P);
+  VerifierOptions Opts;
+  Opts.Bound = 0;
+  VerifierRunResult Front;
+  lowerInstance(Ctx, *P, Ctx.sym("main"), Opts, Front);
+  ASSERT_EQ(Front.Prepass.PipelineErrors.size(), 1u);
+  EXPECT_EQ(Front.Prepass.PipelineErrors[0], "bound must be at least 1");
+  EXPECT_EQ(verifyProgram(Ctx, *P, Ctx.sym("main"), Opts).Result.Outcome,
+            Verdict::Unknown);
+  Opts.Bound = 1;
+  EXPECT_EQ(verifyProgram(Ctx, *P, Ctx.sym("main"), Opts).Result.Outcome,
+            Verdict::Safe);
+}
+
 //===----------------------------------------------------------------------===//
 // Iterative deepening
 //===----------------------------------------------------------------------===//
