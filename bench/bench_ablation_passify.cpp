@@ -31,6 +31,8 @@ int main() {
   Table T({"instance", "paper(s)", "passified(s)", "speedup", "verdicts"});
   EngineConfig Configs[2] = {makeConfig("paper", MergeStrategyKind::First),
                              makeConfig("passified", MergeStrategyKind::First)};
+  // Set both modes explicitly: the engines default to the passified pVC.
+  Configs[0].Opts.Engine.Pvc = PvcMode::Paper;
   Configs[1].Opts.Engine.Pvc = PvcMode::Passified;
   unsigned Solved[2] = {0, 0};
   double Time[2] = {0, 0};

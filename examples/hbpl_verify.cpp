@@ -5,7 +5,7 @@
 // A small Corral-like command-line tool over the library:
 //
 //   hbpl_verify FILE.hbpl [--entry NAME] [--bound N] [--strategy S]
-//               [--timeout SECS] [--inv] [--eager] [--passify]
+//               [--timeout SECS] [--inv] [--eager] [--paper-pvc]
 //               [--no-prepass] [--passes LIST] [--verify-each]
 //               [--print-after-all] [--list-passes] [--lint]
 //               [--dump-cfg] [--dump-dag] [--trace-out FILE]
@@ -15,6 +15,9 @@
 // of seconds >= 0 (default 300; 0 turns the limit off); anything else is a
 // usage error. --passes takes a comma-separated list from the prepass pass
 // table (PassManager.h), which --list-passes prints one pass per line.
+//
+// --paper-pvc generates the paper's literal Fig. 8 pVCs instead of the
+// default passified ones (same verdicts; see PvcMode).
 //
 // Strategies: none (tree / SI), first (DI default), random, randompick,
 // maxc, opt. Exit code: 0 safe, 1 usage/parse error, 2 lint errors, 10 bug,
@@ -82,7 +85,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: hbpl_verify FILE.hbpl [--entry NAME] [--bound N] "
                "[--strategy none|first|random|randompick|maxc|opt] "
-               "[--timeout SECS] [--inv] [--eager] [--passify] "
+               "[--timeout SECS] [--inv] [--eager] [--paper-pvc] "
                "[--no-prepass] [--passes LIST] [--verify-each] "
                "[--print-after-all] [--list-passes] [--lint] [--dump-cfg] "
                "[--dump-dag] [--trace-out FILE] [--stats-json FILE] "
@@ -156,8 +159,8 @@ int main(int argc, char **argv) {
       Opts.UseInvariants = true;
     } else if (Arg == "--eager") {
       Opts.Engine.Eager = true;
-    } else if (Arg == "--passify") {
-      Opts.Engine.Pvc = PvcMode::Passified;
+    } else if (Arg == "--paper-pvc") {
+      Opts.Engine.Pvc = PvcMode::Paper;
     } else if (Arg == "--no-prepass") {
       Opts.UsePrepass = false;
     } else if (Arg == "--passes") {

@@ -17,6 +17,8 @@ void VerifyResult::record(Stats &S) const {
   S.add("engine.over_checks", static_cast<int64_t>(NumOverChecks));
   S.add("engine.iterations", static_cast<int64_t>(NumIterations));
   S.add("engine.disj_queries", static_cast<int64_t>(NumDisjQueries));
+  S.add("engine.core_edges", static_cast<int64_t>(NumCoreEdges));
+  S.add("engine.frontier.core_only", static_cast<int64_t>(NumCoreOnly));
   S.add("engine.verdict." + std::string(verdictName(Outcome)));
   S.addTime("engine.seconds", Seconds);
   S.addTime("engine.solver.seconds", SolverSeconds);
@@ -133,6 +135,7 @@ private:
     if (Trace *T = Opts.Telemetry; T && T->enabled())
       T->instant("engine.verdict",
                  {{"verdict", verdictName(Result.Outcome)},
+                  {"proof", SafeProof ? SafeProof : ""},
                   {"inlined", Result.NumInlined},
                   {"merged", Result.NumMerged},
                   {"solver_checks", Result.NumSolverChecks},
@@ -170,6 +173,7 @@ private:
   /// One solver check with telemetry and the per-check stat split. \p Under
   /// marks the under-approximate (open edges blocked) check; the eager
   /// engine's single exact check also counts as under (no open edges left).
+  /// An unsat under-approximate check leaves its unsat core in Core.
   SolveResult timedCheck(const std::vector<TermRef> &Assumptions,
                          bool Under) {
     TraceSpan Span(Opts.Telemetry,
@@ -183,6 +187,11 @@ private:
     else
       ++Result.NumOverChecks;
     Span.note({"result", solveResultName(R)});
+    if (Under && R == SolveResult::Unsat) {
+      Core = Solver->unsatCore();
+      Result.NumCoreEdges += Core.size();
+      Span.note({"core", Core.size()});
+    }
     return R;
   }
 
@@ -228,7 +237,13 @@ private:
 
       // Fully inlined and under-approximation unsat: exact answer.
       if (Vc.openEdges().empty()) {
-        Result.Outcome = Verdict::Safe;
+        safe("fully_inlined");
+        return;
+      }
+      // An empty core means the formula is unsat with no edge blocked: the
+      // over-approximation is unsat too, so skip its check.
+      if (Core.empty()) {
+        safe("empty_core");
         return;
       }
 
@@ -236,7 +251,7 @@ private:
       // proves safety without further inlining (SI's early stop).
       switch (timedCheck({}, /*Under=*/false)) {
       case SolveResult::Unsat:
-        Result.Outcome = Verdict::Safe;
+        safe("over_unsat");
         return;
       case SolveResult::Unknown:
         Result.Outcome =
@@ -246,20 +261,34 @@ private:
         break;
       }
 
-      // Inline the frontier: open edges the abstract counterexample enters.
+      // Inline the frontier, in open-edge order: the open edges the
+      // abstract counterexample enters, and the open edges blocked in the
+      // under-approximate check's core. Core holds ascending positions in
+      // openEdges(), which is unchanged until the first resolveEdge below.
+      const std::vector<EdgeId> &Open = Vc.openEdges();
       std::vector<EdgeId> Frontier;
-      for (EdgeId E : Vc.openEdges())
-        if (Solver->modelBool(Vc.edge(E).Control))
-          Frontier.push_back(E);
-      assert(!Frontier.empty() &&
-             "over-approximate model avoiding all open calls would have "
-             "satisfied the under-approximate check");
+      for (size_t I = 0, K = 0; I < Open.size(); ++I) {
+        bool InCore = K < Core.size() && Core[K] == I;
+        K += InCore;
+        if (Solver->modelBool(Vc.edge(Open[I]).Control)) {
+          Frontier.push_back(Open[I]);
+        } else if (InCore) {
+          Frontier.push_back(Open[I]);
+          ++Result.NumCoreOnly;
+        }
+      }
       for (EdgeId E : Frontier) {
         if (outOfTime() || overInlineLimit())
           return;
         resolveEdge(E);
       }
     }
+  }
+
+  /// Ends the run Safe; \p Proof names the check that proved it.
+  void safe(const char *Proof) {
+    Result.Outcome = Verdict::Safe;
+    SafeProof = Proof;
   }
 
   /// Per-check solver timeout from the remaining wall budget.
@@ -335,6 +364,11 @@ private:
   Inliner In;
   const VcContext &Vc;
   VerifyResult Result;
+  /// Unsat core of the last unsat under-approximate check: ascending
+  /// positions in its assumptions, i.e. in openEdges() at that check.
+  std::vector<unsigned> Core;
+  /// On Safe: "fully_inlined", "empty_core" or "over_unsat".
+  const char *SafeProof = nullptr;
 };
 
 } // namespace

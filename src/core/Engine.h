@@ -14,10 +14,19 @@
 ///                summaries; alternate an under-approximate check (all open
 ///                edges blocked — SAT means a real bug) with an
 ///                over-approximate check (open edges free — UNSAT means
-///                safe), inlining the open edges the over-approximate model
-///                steps into. With the NONE strategy this is SI; with any
-///                merging strategy it is DI ("We implemented DAG inlining
-///                using the framework of SI").
+///                safe, SI's early stop). With the NONE strategy this is SI;
+///                with any merging strategy it is DI ("We implemented DAG
+///                inlining using the framework of SI").
+///
+/// The stratified frontier rule (§4's footnote: every such policy is a
+/// heuristic). An unsat under-approximate check yields an unsat core, a
+/// subset of its blocked ¬Control[e] assumptions. An empty core proves the
+/// formula unsat with no edge blocked, so the run ends Safe with no
+/// over-approximate check. Otherwise the over-approximate check runs; on
+/// SAT the engine inlines, in open-edge order, the union of the open edges
+/// the model enters and the open edges named in the core. The model keeps
+/// the search aimed at bugs; the core inlines what the refutation depends
+/// on, which cuts iterations on safe programs.
 ///
 /// Both engines, and every size-only caller (Figs. 4/17, --dump-dag), grow
 /// the inlining DAG through one Inliner: Gen_VC's "pick compatible n, else
@@ -132,6 +141,11 @@ struct VerifyResult {
   /// FIRST).
   double MergeLookupSeconds = 0;
   uint64_t NumDisjQueries = 0;
+  /// Sum of the unsat-core sizes of the unsat under-approximate checks.
+  size_t NumCoreEdges = 0;
+  /// Frontier edges inlined only because a core named them (the
+  /// over-approximate model did not enter them).
+  size_t NumCoreOnly = 0;
   /// On Bug: an error trace (pre-order over the inlining structure).
   std::vector<TraceStep> Trace;
 
@@ -144,9 +158,9 @@ struct VerifyResult {
 struct EngineOptions {
   /// Merging strategy. None = tree inlining (plain SI / eager tree).
   StrategyOptions Strategy;
-  /// pVC generation mode: the paper's literal Gen_pVC or the passified
-  /// variant (ablation; see PvcMode).
-  PvcMode Pvc = PvcMode::Paper;
+  /// pVC generation mode: the passified variant, or the paper's literal
+  /// Gen_pVC (the Fig. 8 reproduction and differential oracle; see PvcMode).
+  PvcMode Pvc = PvcMode::Passified;
   /// Wall-clock budget; <= 0 disables.
   double TimeoutSeconds = 0;
   /// Eager mode: fully inline before the single solver call.
@@ -154,9 +168,11 @@ struct EngineOptions {
   /// Abort with ResourceOut past this many inlined instances.
   size_t MaxInlined = 1u << 20;
   /// Optional event recorder (see support/Trace.h). The engine emits
-  /// per-iteration spans, under-/over-approximate check spans, one instant
-  /// event per inline/merge decision, and a final verdict event. Null or
-  /// disabled costs one branch per site.
+  /// per-iteration spans, under-/over-approximate check spans (an unsat
+  /// under check notes its core size), one instant event per inline/merge
+  /// decision, and a final verdict event (with the proof behind a Safe
+  /// verdict: "empty_core", "over_unsat" or "fully_inlined"; empty
+  /// otherwise). Null or disabled costs one branch per site.
   rmt::Trace *Telemetry = nullptr;
 };
 

@@ -8,8 +8,8 @@
 /// The solver seam between VC generation and backends. The inlining engines
 /// need exactly this interface: incremental assertion (the paper's Push),
 /// checking under assumption literals (the stratified checks block open
-/// edges this way; there are no assertion scopes), and model extraction for
-/// constants.
+/// edges this way; there are no assertion scopes), the unsat core over those
+/// literals, and model extraction for constants.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +46,12 @@ public:
   virtual SolveResult check(const std::vector<TermRef> &Assumptions,
                             double TimeoutSeconds) = 0;
   SolveResult check() { return check({}, 0); }
+
+  /// Unsat core of the last check; valid only directly after an Unsat
+  /// result. Positions (ascending) into that check's assumption list of a
+  /// subset of the assumptions that is unsat together with the assertions.
+  /// Empty when the assertions alone are unsat. Not necessarily minimal.
+  virtual std::vector<unsigned> unsatCore() = 0;
 
   /// Model access; valid only directly after a Sat result. \p ConstTerm must
   /// be a TermOp::Const term. Unconstrained constants yield an arbitrary

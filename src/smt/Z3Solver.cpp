@@ -6,7 +6,9 @@
 
 #include <z3.h>
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <mutex>
@@ -87,13 +89,15 @@ public:
                    {{"asserts", NumAsserts},
                     {"assumptions", Assumptions.size()}});
     clearModel();
+    Core.clear();
     if (TimeoutSeconds > 0) {
       Z3_params Params = Z3_mk_params(Ctx);
       Z3_params_inc_ref(Ctx, Params);
-      unsigned Ms = static_cast<unsigned>(TimeoutSeconds * 1000.0);
-      Z3_params_set_uint(Ctx, Params,
-                         Z3_mk_string_symbol(Ctx, "timeout"),
-                         Ms == 0 ? 1 : Ms);
+      // Rounded up, so an Unknown caused by this timeout comes no earlier
+      // than the caller's deadline.
+      auto Ms = static_cast<unsigned>(std::ceil(TimeoutSeconds * 1000.0));
+      Z3_params_set_uint(Ctx, Params, Z3_mk_string_symbol(Ctx, "timeout"),
+                         Ms);
       Z3_solver_set_params(Ctx, Sol, Params);
       Z3_params_dec_ref(Ctx, Params);
     }
@@ -114,6 +118,7 @@ public:
       Out = SolveResult::Sat;
     } else if (R == Z3_L_FALSE) {
       Out = SolveResult::Unsat;
+      readCore(Lits);
     }
     Span.note({"result", solveResultName(Out)});
     return Out;
@@ -146,7 +151,27 @@ public:
     return Value ? Z3_get_numeral_string(Ctx, Value) : "0";
   }
 
+  std::vector<unsigned> unsatCore() override { return Core; }
+
 private:
+  /// Maps Z3's core back to positions in Lits. Translation is memoized per
+  /// TermRef and Z3 hash-conses ASTs, so a core literal is the very AST the
+  /// check was given.
+  void readCore(const std::vector<Z3_ast> &Lits) {
+    std::unordered_map<Z3_ast, unsigned> PosOf;
+    for (unsigned Pos = Lits.size(); Pos-- > 0;)
+      PosOf[Lits[Pos]] = Pos;
+    Z3_ast_vector Z3Core = Z3_solver_get_unsat_core(Ctx, Sol);
+    Z3_ast_vector_inc_ref(Ctx, Z3Core);
+    for (unsigned I = 0, N = Z3_ast_vector_size(Ctx, Z3Core); I < N; ++I)
+      if (auto It = PosOf.find(Z3_ast_vector_get(Ctx, Z3Core, I));
+          It != PosOf.end())
+        Core.push_back(It->second);
+    Z3_ast_vector_dec_ref(Ctx, Z3Core);
+    std::sort(Core.begin(), Core.end());
+    Core.erase(std::unique(Core.begin(), Core.end()), Core.end());
+  }
+
   void clearModel() {
     if (Model) {
       Z3_model_dec_ref(Ctx, Model);
@@ -298,6 +323,8 @@ private:
   Z3_context Ctx = nullptr;
   Z3_solver Sol = nullptr;
   Z3_model Model = nullptr;
+  /// After an Unsat check: its unsat core (see Solver::unsatCore).
+  std::vector<unsigned> Core;
   /// TermRef id -> Z3 ast. Z3_mk_context (non-rc mode) keeps all ASTs alive
   /// for the context's lifetime, so caching plain pointers is safe.
   std::vector<Z3_ast> Cache;

@@ -228,6 +228,25 @@ TEST(Engine, TimeoutVerdict) {
   EXPECT_LT(W.seconds(), 30.0) << "timeout must be honored promptly";
 }
 
+TEST(Engine, EmptyCoreProvesSafeWithoutOverCheck) {
+  // The root alone is unsat, so the under-approximate check's core blames
+  // no blocked edge and the run ends Safe with the call still open. Without
+  // the prepass the dead call survives as an open edge.
+  VerifierOptions Opts = diOpts();
+  Opts.UsePrepass = false;
+  auto R = run(R"(
+    var g: int;
+    procedure f() { g := g + 1; assert g != 3; }
+    procedure main() { assume false; call f(); }
+  )",
+               Opts);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
+  EXPECT_EQ(R.Result.NumUnderChecks, 1u);
+  EXPECT_EQ(R.Result.NumOverChecks, 0u);
+  EXPECT_EQ(R.Result.NumInlined, 1u);
+  EXPECT_EQ(R.Result.NumCoreEdges, 0u);
+}
+
 TEST(Engine, ResourceOutVerdict) {
   AstContext Ctx;
   Program P = makeChainProgram(Ctx, 10);

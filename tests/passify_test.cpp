@@ -1,4 +1,4 @@
-//===- passify_test.cpp - Passified pVC mode (ablation) ---------------------===//
+//===- passify_test.cpp - Passified pVC mode (the engines' default) -------===//
 
 #include "TestSupport.h"
 #include "smt/Z3Solver.h"

@@ -2,9 +2,9 @@
 //
 // Every `.hbpl` under examples/programs declares its expected verdict in a
 // header comment (`// expect: safe bound=2`). This test parses, round-trips
-// and verifies each file with SI, DI, and DI+passified VCs, and checks the
-// expectation — the sample corpus doubles as an end-to-end regression
-// suite.
+// and verifies each file with SI, DI (both on the default passified pVC),
+// DI on the paper's literal pVC, and DI+Inv, and checks the expectation —
+// the sample corpus doubles as an end-to-end regression suite.
 //
 //===----------------------------------------------------------------------===//
 
@@ -94,15 +94,15 @@ TEST_P(SampleProgram, VerdictMatchesExpectation) {
   struct Config {
     const char *Name;
     MergeStrategyKind Kind;
-    PvcMode Pvc;
+    PvcMode Pvc = EngineOptions().Pvc;
     bool UseInvariants = false;
   };
-  for (Config C : {Config{"SI", MergeStrategyKind::None, PvcMode::Paper},
-                   Config{"DI", MergeStrategyKind::First, PvcMode::Paper},
-                   Config{"DI/passified", MergeStrategyKind::First,
-                          PvcMode::Passified},
-                   Config{"DI/+Inv", MergeStrategyKind::First, PvcMode::Paper,
-                          true}}) {
+  for (Config C : {Config{"SI", MergeStrategyKind::None},
+                   Config{"DI", MergeStrategyKind::First},
+                   Config{"DI/paper-pVC", MergeStrategyKind::First,
+                          PvcMode::Paper},
+                   Config{"DI/+Inv", MergeStrategyKind::First,
+                          EngineOptions().Pvc, true}}) {
     AstContext Ctx;
     DiagEngine Diags;
     auto P = parseAndCheck(Source, Ctx, Diags);

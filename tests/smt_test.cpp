@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 using namespace rmt;
@@ -256,6 +257,27 @@ TEST(Z3, CheckUnderAssumptions) {
   EXPECT_EQ(S->check({P}, 0), SolveResult::Unsat);
   EXPECT_EQ(S->check({A.mkNot(P)}, 0), SolveResult::Sat);
   EXPECT_TRUE(!S->modelBool(P));
+}
+
+TEST(Z3, UnsatCoreNamesBlockingAssumptions) {
+  // The core lists positions in the assumption list: here the assumption a
+  // clashes with a -> x and not x, and the unrelated not b is left out.
+  AstContext Ctx;
+  TermArena A;
+  auto S = createZ3Solver(A);
+  TermRef Ta = A.freshConst(Ctx.boolType(), "a");
+  TermRef Tb = A.freshConst(Ctx.boolType(), "b");
+  TermRef Tx = A.freshConst(Ctx.boolType(), "x");
+  S->assertTerm(A.mkImplies(Ta, Tx));
+  S->assertTerm(A.mkNot(Tx));
+  ASSERT_EQ(S->check({A.mkNot(Tb), Ta}, 0), SolveResult::Unsat);
+  std::vector<unsigned> Core = S->unsatCore();
+  EXPECT_NE(std::find(Core.begin(), Core.end(), 1u), Core.end());
+  EXPECT_EQ(std::find(Core.begin(), Core.end(), 0u), Core.end());
+  // Unsat assertions need no assumption: the core is empty.
+  S->assertTerm(Tx);
+  ASSERT_EQ(S->check({A.mkNot(Tb), Ta}, 0), SolveResult::Unsat);
+  EXPECT_TRUE(S->unsatCore().empty());
 }
 
 TEST(Z3, BoolModels) {

@@ -11,6 +11,7 @@
 #include "core/Verifier.h"
 #include "parser/Parser.h"
 #include "support/Trace.h"
+#include "workload/Chain.h"
 
 #include <gtest/gtest.h>
 
@@ -474,6 +475,126 @@ TEST(TraceEndToEnd, VerifyProgramEmitsNestedPipelineSpans) {
   EXPECT_GE(R.Result.NumUnderChecks, 1u);
   EXPECT_GT(R.Result.SolverSeconds, 0.0);
   EXPECT_EQ(Bag.get("engine.verdict.safe"), 1);
+}
+
+namespace {
+
+/// What a traced run says about its stratified frontier: the proof behind
+/// its verdict and the core notes on its under-approximate checks.
+struct FrontierExplanation {
+  VerifierRunResult Run;
+  Stats Bag;
+  std::string Proof;
+  size_t UnsatUnderChecks = 0;
+  size_t CoreNotes = 0;
+  int64_t CoreSum = 0;
+};
+
+const TraceArg *findArg(const TraceEvent &E, std::string_view Key) {
+  for (const TraceArg &A : E.Args)
+    if (A.Key == Key)
+      return &A;
+  return nullptr;
+}
+
+FrontierExplanation explainRun(AstContext &Ctx, const Program &Prog,
+                               VerifierOptions Opts) {
+  Trace T;
+  T.setEnabled(true);
+  Opts.Bound = 1;
+  Opts.Engine.TimeoutSeconds = 60;
+  Opts.Telemetry = &T;
+  FrontierExplanation Out;
+  Out.Run = verifyProgram(Ctx, Prog, Ctx.sym("main"), Opts);
+  Out.Run.Result.record(Out.Bag);
+  std::vector<std::string> Open;
+  for (size_t I = 0; I < T.numEvents(); ++I) {
+    const TraceEvent &E = T.event(I);
+    if (E.Ph == TraceEvent::Phase::Begin) {
+      Open.push_back(E.Name);
+    } else if (E.Ph == TraceEvent::Phase::End) {
+      if (Open.back() == "engine.under_check") {
+        const TraceArg *Result = findArg(E, "result");
+        if (Result && Result->Str == "unsat")
+          ++Out.UnsatUnderChecks;
+        if (const TraceArg *Core = findArg(E, "core")) {
+          ++Out.CoreNotes;
+          Out.CoreSum += Core->Int;
+        }
+      }
+      Open.pop_back();
+    } else if (E.Name == "engine.verdict") {
+      if (const TraceArg *Proof = findArg(E, "proof"))
+        Out.Proof = Proof->Str;
+    }
+  }
+  EXPECT_EQ(T.numDropped(), 0u);
+  return Out;
+}
+
+FrontierExplanation explainSource(const char *Src, VerifierOptions Opts) {
+  AstContext Ctx;
+  DiagEngine Diags;
+  std::optional<Program> Prog = parseAndCheck(Src, Ctx, Diags);
+  EXPECT_TRUE(Prog) << Diags.str();
+  return explainRun(Ctx, *Prog, Opts);
+}
+
+} // namespace
+
+TEST(TraceEndToEnd, FrontierExplainsItself) {
+  // Both branches call out: the first core must name both blocked calls,
+  // and the over-approximate model enters only one, so the other is
+  // inlined on the core's word alone. Then nothing is open.
+  FrontierExplanation Branches = explainSource(R"(
+    var g: int;
+    procedure f() { g := 0; }
+    procedure h() { g := 0; }
+    procedure main() {
+      var c: bool;
+      havoc c;
+      if (c) { call f(); } else { call h(); }
+      assert g == 0;
+    }
+  )",
+                                               VerifierOptions());
+  EXPECT_EQ(Branches.Run.Result.Outcome, Verdict::Safe);
+  EXPECT_EQ(Branches.Proof, "fully_inlined");
+  EXPECT_EQ(Branches.Bag.get("engine.core_edges"), 2);
+  EXPECT_EQ(Branches.Bag.get("engine.frontier.core_only"), 1);
+
+  // The root alone is unsat: the core is empty and no over check runs.
+  VerifierOptions NoPrepass;
+  NoPrepass.UsePrepass = false;
+  FrontierExplanation Dead = explainSource(R"(
+    var g: int;
+    procedure f() { g := g + 1; assert g != 3; }
+    procedure main() { assume false; call f(); }
+  )",
+                                           NoPrepass);
+  EXPECT_EQ(Dead.Run.Result.Outcome, Verdict::Safe);
+  EXPECT_EQ(Dead.Proof, "empty_core");
+  EXPECT_EQ(Dead.Bag.get("engine.core_edges"), 0);
+  EXPECT_EQ(Dead.Bag.get("engine.over_checks"), 0);
+
+  // On the +Inv chain the call-site summaries make the over-approximate
+  // check unsat with main alone inlined: SI's early stop.
+  AstContext Ctx;
+  VerifierOptions Inv;
+  Inv.Engine.Strategy.Kind = MergeStrategyKind::First;
+  Inv.UseInvariants = true;
+  FrontierExplanation Chain = explainRun(Ctx, makeChainProgram(Ctx, 8), Inv);
+  EXPECT_EQ(Chain.Run.Result.Outcome, Verdict::Safe);
+  EXPECT_EQ(Chain.Proof, "over_unsat");
+  EXPECT_EQ(Chain.Run.Result.NumInlined, 1u);
+
+  // Every unsat under-approximate check notes its core size, and the notes
+  // add up to engine.core_edges.
+  for (const FrontierExplanation *E : {&Branches, &Dead, &Chain}) {
+    EXPECT_GE(E->UnsatUnderChecks, 1u);
+    EXPECT_EQ(E->CoreNotes, E->UnsatUnderChecks);
+    EXPECT_EQ(E->CoreSum, E->Bag.get("engine.core_edges"));
+  }
 }
 
 TEST(TraceEndToEnd, DisabledTraceRecordsNothingOnRealRun) {

@@ -152,8 +152,26 @@ TEST(Deepening, SafeUpToMaxBound) {
 }
 
 TEST(Deepening, SharedBudgetTimesOut) {
+  // Safe at every bound, but at bound R the recursion reaches depth R on
+  // 2^R paths, and tree inlining must close every one of them: bound 16
+  // alone needs 65536 instances. So the ladder cannot reach its top within
+  // the one budget on any host, and that budget must end it.
   AstContext Ctx;
-  auto P = parseOk(DeepBugSrc, Ctx);
+  auto P = parseOk(R"(
+    var g: int;
+    procedure step(n: int) {
+      g := g + 1;
+      if (n > 0) {
+        if (*) { call step(n - 1); } else { call step(n - 1); }
+      }
+    }
+    procedure main() {
+      g := 0;
+      call step(64);
+      assert g > 64;
+    }
+  )",
+                   Ctx);
   ASSERT_TRUE(P);
   VerifierOptions Opts;
   Opts.Engine.Strategy.Kind = MergeStrategyKind::None;
@@ -162,6 +180,7 @@ TEST(Deepening, SharedBudgetTimesOut) {
   DeepeningResult R =
       verifyIterativeDeepening(Ctx, *P, Ctx.sym("main"), Opts, 64);
   EXPECT_EQ(R.Last.Result.Outcome, Verdict::Timeout);
+  EXPECT_LT(R.BoundsTried.back(), 64u);
   EXPECT_LT(W.seconds(), 30.0);
 }
 
