@@ -8,7 +8,8 @@
 // the incremental compatibility check is cheap enough that "one can invest
 // in more aggressive merging without adding overhead". Plus throughput
 // baselines for pVC generation, term construction, parsing, and the
-// evaluator.
+// evaluator, and the fixed costs of the Z3 backend: one incremental check,
+// and one solver's whole life.
 //
 //===--------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 #include "ast/Eval.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
+#include "smt/Z3Solver.h"
 #include "workload/Chain.h"
 #include "workload/SdvGen.h"
 
@@ -155,6 +157,43 @@ void BM_Evaluator(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_Evaluator);
+
+/// The engine's per-check path: on one solver, push a small clause and
+/// check under an assumption literal with a deadline. The clauses draw on
+/// eight booleans, so neither the search nor the model read after each Sat
+/// check grows with the iteration count.
+void BM_Z3IncrementalCheck(benchmark::State &State) {
+  AstContext Ctx;
+  TermArena Arena;
+  auto S = createZ3Solver(Arena);
+  TermRef Lit = Arena.freshConst(Ctx.boolType(), "lit");
+  std::vector<TermRef> Pool;
+  for (unsigned I = 0; I < 8; ++I)
+    Pool.push_back(Arena.freshConst(Ctx.boolType(), "b"));
+  size_t I = 0;
+  for (auto _ : State) {
+    TermRef Clause = Arena.mkOr(Pool[I % 8], Pool[(I / 8 + I + 1) % 8]);
+    S->assertTerm(Arena.mkImplies(Lit, Clause));
+    benchmark::DoNotOptimize(S->check({Lit}, 10));
+    ++I;
+  }
+}
+BENCHMARK(BM_Z3IncrementalCheck);
+
+/// The fixed cost of one verdict's solver: create it, check once, destroy.
+void BM_Z3SolverLifecycle(benchmark::State &State) {
+  AstContext Ctx;
+  TermArena Arena;
+  TermRef Lit = Arena.freshConst(Ctx.boolType(), "lit");
+  TermRef Fact = Arena.mkImplies(
+      Lit, Arena.mkLt(Arena.intLit(0), Arena.freshConst(Ctx.intType(), "x")));
+  for (auto _ : State) {
+    auto S = createZ3Solver(Arena);
+    S->assertTerm(Fact);
+    benchmark::DoNotOptimize(S->check({Lit}, 10));
+  }
+}
+BENCHMARK(BM_Z3SolverLifecycle);
 
 } // namespace
 

@@ -40,7 +40,9 @@ public:
 
   /// Checks satisfiability of the asserted formulas plus \p Assumptions
   /// (boolean literals: constants or their negations). \p TimeoutSeconds
-  /// <= 0 means no timeout. Unknown covers timeouts, resource limits and
+  /// <= 0 means no timeout. The budget holds for this check only: the Z3
+  /// backend sets it on its context before each check of its one plain
+  /// incremental solver. Unknown covers timeouts, resource limits and
   /// backend errors: once an assertion or translation has failed, every
   /// later check returns Unknown.
   virtual SolveResult check(const std::vector<TermRef> &Assumptions,

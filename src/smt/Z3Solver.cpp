@@ -13,6 +13,7 @@
 #include <limits>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -65,7 +66,7 @@ public:
     Ctx = Z3_mk_context(Config);
     Z3_del_config(Config);
     Z3_set_error_handler(Ctx, z3ErrorHandler);
-    Sol = Z3_mk_solver(Ctx);
+    Sol = Z3_mk_simple_solver(Ctx);
     Z3_solver_inc_ref(Ctx, Sol);
   }
 
@@ -90,17 +91,16 @@ public:
                     {"assumptions", Assumptions.size()}});
     clearModel();
     Core.clear();
-    if (TimeoutSeconds > 0) {
-      Z3_params Params = Z3_mk_params(Ctx);
-      Z3_params_inc_ref(Ctx, Params);
-      // Rounded up, so an Unknown caused by this timeout comes no earlier
-      // than the caller's deadline.
-      auto Ms = static_cast<unsigned>(std::ceil(TimeoutSeconds * 1000.0));
-      Z3_params_set_uint(Ctx, Params, Z3_mk_string_symbol(Ctx, "timeout"),
-                         Ms);
-      Z3_solver_set_params(Ctx, Sol, Params);
-      Z3_params_dec_ref(Ctx, Params);
-    }
+    // Z3 reads the context's timeout on each check of a solver that has
+    // none of its own. It is set on every check, so no budget outlives its
+    // check; UINT_MAX is Z3's "no timeout". Rounded up, so an Unknown caused
+    // by this timeout comes no earlier than the caller's deadline.
+    unsigned Ms = std::numeric_limits<unsigned>::max();
+    if (TimeoutSeconds > 0)
+      Ms = static_cast<unsigned>(
+          std::min(std::ceil(TimeoutSeconds * 1000.0), double(Ms)));
+    Z3_update_param_value(Ctx, "timeout", std::to_string(Ms).c_str());
+    Span.note({"timeout_ms", Ms});
     std::vector<Z3_ast> Lits;
     Lits.reserve(Assumptions.size());
     for (TermRef A : Assumptions)
@@ -109,10 +109,14 @@ public:
     if (errorOf(Ctx).empty())
       R = Z3_solver_check_assumptions(
           Ctx, Sol, static_cast<unsigned>(Lits.size()), Lits.data());
-    SolveResult Out = SolveResult::Unknown;
     if (std::string Error = errorOf(Ctx); !Error.empty()) {
       Span.note({"error", Error});
-    } else if (R == Z3_L_TRUE) {
+      R = Z3_L_UNDEF;
+    } else if (Telemetry && Telemetry->enabled()) {
+      noteSearchStats(Span);
+    }
+    SolveResult Out = SolveResult::Unknown;
+    if (R == Z3_L_TRUE) {
       Model = Z3_solver_get_model(Ctx, Sol);
       Z3_model_inc_ref(Ctx, Model);
       Out = SolveResult::Sat;
@@ -154,6 +158,28 @@ public:
   std::vector<unsigned> unsatCore() override { return Core; }
 
 private:
+  /// Notes the conflicts and decisions of the last check on \p Span. Z3's
+  /// counters add up over a solver's checks, so the note is the growth
+  /// since the previous check.
+  void noteSearchStats(TraceSpan &Span) {
+    Z3_stats Stats = Z3_solver_get_statistics(Ctx, Sol);
+    Z3_stats_inc_ref(Ctx, Stats);
+    uint64_t Now[2] = {0, 0};
+    for (unsigned I = 0, N = Z3_stats_size(Ctx, Stats); I < N; ++I) {
+      if (!Z3_stats_is_uint(Ctx, Stats, I))
+        continue;
+      std::string_view Key = Z3_stats_get_key(Ctx, Stats, I);
+      for (unsigned K = 0; K < 2; ++K)
+        if (Key == SearchStatKeys[K])
+          Now[K] = Z3_stats_get_uint_value(Ctx, Stats, I);
+    }
+    Z3_stats_dec_ref(Ctx, Stats);
+    for (unsigned K = 0; K < 2; ++K) {
+      Span.note({SearchStatKeys[K], Now[K] - SearchStatsSoFar[K]});
+      SearchStatsSoFar[K] = Now[K];
+    }
+  }
+
   /// Maps Z3's core back to positions in Lits. Translation is memoized per
   /// TermRef and Z3 hash-conses ASTs, so a core literal is the very AST the
   /// check was given.
@@ -323,6 +349,11 @@ private:
   Z3_context Ctx = nullptr;
   Z3_solver Sol = nullptr;
   Z3_model Model = nullptr;
+  /// Z3's search counters noted per check, and their totals at the last
+  /// noted check.
+  static constexpr const char *SearchStatKeys[2] = {"conflicts",
+                                                    "decisions"};
+  uint64_t SearchStatsSoFar[2] = {0, 0};
   /// After an Unsat check: its unsat core (see Solver::unsatCore).
   std::vector<unsigned> Core;
   /// TermRef id -> Z3 ast. Z3_mk_context (non-rc mode) keeps all ASTs alive

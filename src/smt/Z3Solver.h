@@ -25,9 +25,13 @@ namespace rmt {
 class Trace;
 
 /// Creates a Z3-backed solver over \p Arena. The arena must outlive the
-/// solver. Each solver owns a private Z3 context. When \p Telemetry is
-/// given (and enabled), every check() records a "z3.check_sat" span with
-/// the assertion/assumption counts and the result.
+/// solver. Each solver owns a private Z3 context holding one plain
+/// incremental solver (Z3's SMT kernel, with no tactic front end); each
+/// check sets its deadline on that context, so a budget never outlives its
+/// check. When \p Telemetry is given (and enabled), every check() records
+/// a "z3.check_sat" span with the assertion/assumption counts, its deadline
+/// (timeout_ms), the conflicts and decisions of its own search, and the
+/// result.
 std::unique_ptr<Solver> createZ3Solver(const TermArena &Arena,
                                        Trace *Telemetry = nullptr);
 

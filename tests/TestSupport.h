@@ -80,6 +80,27 @@ inline TermRef assumptionLiteral(Solver &S, TermArena &Arena,
   return Lit;
 }
 
+/// The clauses of the pigeonhole formula PHP(\p Pigeons into \p Holes):
+/// every pigeon sits in a hole and no hole holds two. Unsat when there are
+/// more pigeons than holes, and hard for a CDCL search as both grow.
+inline std::vector<TermRef> pigeonhole(TermArena &Arena,
+                                       const AstContext &Ctx,
+                                       unsigned Pigeons, unsigned Holes) {
+  std::vector<std::vector<TermRef>> In(Pigeons);
+  for (unsigned P = 0; P < Pigeons; ++P)
+    for (unsigned H = 0; H < Holes; ++H)
+      In[P].push_back(Arena.freshConst(Ctx.boolType(), "in"));
+  std::vector<TermRef> Clauses;
+  for (unsigned P = 0; P < Pigeons; ++P)
+    Clauses.push_back(Arena.mkOrMany(In[P]));
+  for (unsigned H = 0; H < Holes; ++H)
+    for (unsigned P = 0; P < Pigeons; ++P)
+      for (unsigned Q = P + 1; Q < Pigeons; ++Q)
+        Clauses.push_back(
+            Arena.mkOr(Arena.mkNot(In[P][H]), Arena.mkNot(In[Q][H])));
+  return Clauses;
+}
+
 } // namespace rmt
 
 #endif // RMT_TESTS_TESTSUPPORT_H

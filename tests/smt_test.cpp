@@ -1,5 +1,7 @@
 //===- smt_test.cpp - Unit tests for src/smt --------------------------------===//
 
+#include "TestSupport.h"
+
 #include "ast/AstContext.h"
 #include "smt/SmtLibPrinter.h"
 #include "smt/Solver.h"
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 
 using namespace rmt;
@@ -333,11 +336,12 @@ TEST(Z3, DeepTermTranslationIsIterative) {
 }
 
 TEST(Z3, TimeoutParameterDoesNotBreakEasyChecks) {
-  // The timeout parameter is plumbed per check; a tiny-but-sufficient
-  // budget must still answer easy queries correctly, and a subsequent
-  // unlimited check must be unaffected. (Z3's timeout is best-effort inside
-  // its nonlinear core, so engine-level deadlines — tested in engine_test —
-  // are the wall-clock authority; here we only verify the plumbing.)
+  // Each check sets its deadline on the solver's context; a
+  // tiny-but-sufficient budget must still answer easy queries correctly,
+  // and a subsequent unlimited check must be unaffected. (Z3's timeout is
+  // best-effort inside its nonlinear core, so engine-level deadlines —
+  // tested in engine_test — are the wall-clock authority; here we only
+  // verify the plumbing.)
   AstContext Ctx;
   TermArena A;
   auto S = createZ3Solver(A);
@@ -347,6 +351,24 @@ TEST(Z3, TimeoutParameterDoesNotBreakEasyChecks) {
   EXPECT_EQ(S->modelInt(X), 9);
   S->assertTerm(A.mkLt(X, A.intLit(0)));
   EXPECT_EQ(S->check({}, 0), SolveResult::Unsat);
+}
+
+TEST(Z3, TimeoutDoesNotOutliveItsCheck) {
+  // Two independent hard formulas, each behind its own literal. The first
+  // check runs out of its 1 ms budget; the unlimited check after it must
+  // search to the end rather than inherit that budget.
+  AstContext Ctx;
+  TermArena A;
+  auto S = createZ3Solver(A);
+  TermRef H1 = assumptionLiteral(*S, A, Ctx, pigeonhole(A, Ctx, 9, 8));
+  TermRef H2 = assumptionLiteral(*S, A, Ctx, pigeonhole(A, Ctx, 8, 7));
+  auto Start = std::chrono::steady_clock::now();
+  EXPECT_EQ(S->check({H1}, 0.001), SolveResult::Unknown);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          Start)
+                .count(),
+            2.0);
+  EXPECT_EQ(S->check({H2}, 0), SolveResult::Unsat);
 }
 
 TEST(SmtLib, ScriptsReparseUnderZ3WithSameVerdict) {

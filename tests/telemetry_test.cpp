@@ -8,8 +8,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestSupport.h"
+
 #include "core/Verifier.h"
 #include "parser/Parser.h"
+#include "smt/Z3Solver.h"
 #include "support/Trace.h"
 #include "workload/Chain.h"
 
@@ -19,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 using namespace rmt;
@@ -595,6 +599,37 @@ TEST(TraceEndToEnd, FrontierExplainsItself) {
     EXPECT_EQ(E->CoreNotes, E->UnsatUnderChecks);
     EXPECT_EQ(E->CoreSum, E->Bag.get("engine.core_edges"));
   }
+}
+
+TEST(TraceEndToEnd, SolverSpansNoteTheirOwnSearch) {
+  // Every z3.check_sat span notes its deadline and the conflicts and
+  // decisions of its own check. Z3's counters add up over a solver's
+  // checks, so an easy check after a hard one must not report the hard
+  // one's conflicts.
+  AstContext Ctx;
+  TermArena A;
+  Trace T;
+  T.setEnabled(true);
+  auto S = createZ3Solver(A, &T);
+  TermRef Hard = assumptionLiteral(*S, A, Ctx, pigeonhole(A, Ctx, 6, 5));
+  ASSERT_EQ(S->check({Hard}, 10), SolveResult::Unsat);
+  ASSERT_EQ(S->check({A.mkNot(Hard)}, 0), SolveResult::Sat);
+  std::vector<const TraceEvent *> Ends;
+  for (size_t I = 0; I < T.numEvents(); ++I)
+    if (T.event(I).Ph == TraceEvent::Phase::End &&
+        T.event(I).Name == "z3.check_sat")
+      Ends.push_back(&T.event(I));
+  ASSERT_EQ(Ends.size(), 2u);
+  for (const TraceEvent *E : Ends)
+    for (const char *Key : {"timeout_ms", "conflicts", "decisions"})
+      ASSERT_NE(findArg(*E, Key), nullptr) << Key;
+  EXPECT_EQ(findArg(*Ends[0], "timeout_ms")->Int, 10000);
+  EXPECT_EQ(findArg(*Ends[1], "timeout_ms")->Int,
+            int64_t(std::numeric_limits<unsigned>::max()));
+  int64_t HardConflicts = findArg(*Ends[0], "conflicts")->Int;
+  EXPECT_GT(HardConflicts, 0);
+  EXPECT_LT(findArg(*Ends[1], "conflicts")->Int, HardConflicts);
+  EXPECT_GT(findArg(*Ends[1], "decisions")->Int, 0);
 }
 
 TEST(TraceEndToEnd, DisabledTraceRecordsNothingOnRealRun) {
