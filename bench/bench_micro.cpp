@@ -9,7 +9,8 @@
 // in more aggressive merging without adding overhead". Plus throughput
 // baselines for pVC generation, term construction, parsing, and the
 // evaluator, and the fixed costs of the Z3 backend: one incremental check,
-// and one solver's whole life.
+// one solver's whole life, and reading a stratified frontier after a Sat
+// check (from the search's assignment or from a model).
 //
 //===--------------------------------------------------------------------===//
 
@@ -160,8 +161,8 @@ BENCHMARK(BM_Evaluator);
 
 /// The engine's per-check path: on one solver, push a small clause and
 /// check under an assumption literal with a deadline. The clauses draw on
-/// eight booleans, so neither the search nor the model read after each Sat
-/// check grows with the iteration count.
+/// eight booleans, so the search does not grow with the iteration count,
+/// and no model is read.
 void BM_Z3IncrementalCheck(benchmark::State &State) {
   AstContext Ctx;
   TermArena Arena;
@@ -194,6 +195,42 @@ void BM_Z3SolverLifecycle(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_Z3SolverLifecycle);
+
+/// The stratified engine's read after a Sat over-approximate check: one
+/// Bool per open edge. A formula over 3000 constants, shaped like a chain
+/// of guarded calls, is checked once per iteration (untimed); then 20 of its
+/// Bool constants are read through the search's assignment (Arg 0) or
+/// through the model that the first read builds (Arg 1).
+void BM_Z3SatFrontierRead(benchmark::State &State) {
+  AstContext Ctx;
+  TermArena Arena;
+  auto S = createZ3Solver(Arena);
+  constexpr unsigned N = 1000;
+  std::vector<TermRef> Control, X;
+  for (unsigned I = 0; I <= N; ++I)
+    X.push_back(Arena.freshConst(Ctx.intType(), "x"));
+  for (unsigned I = 0; I < 2 * N; ++I)
+    Control.push_back(Arena.freshConst(Ctx.boolType(), "c"));
+  for (unsigned I = 0; I < N; ++I) {
+    S->assertTerm(Arena.mkImplies(Control[2 * I],
+                                  Arena.mkLt(X[I], X[I + 1])));
+    S->assertTerm(Arena.mkOr(Control[2 * I], Control[2 * I + 1]));
+  }
+  std::vector<TermRef> Read;
+  for (unsigned I = 0; I < 20; ++I)
+    Read.push_back(Control[I * (2 * N / 20)]);
+  bool ViaModel = State.range(0) != 0;
+  State.SetLabel(ViaModel ? "model" : "assignment");
+  for (auto _ : State) {
+    State.PauseTiming();
+    S->check({}, 10);
+    State.ResumeTiming();
+    for (TermRef C : Read)
+      benchmark::DoNotOptimize(ViaModel ? S->modelBool(C)
+                                        : S->assignedTrue(C));
+  }
+}
+BENCHMARK(BM_Z3SatFrontierRead)->Arg(0)->Arg(1);
 
 } // namespace
 

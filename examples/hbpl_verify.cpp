@@ -22,7 +22,8 @@
 // Strategies: none (tree / SI), first (DI default), random, randompick,
 // maxc, opt. Exit code: 0 safe, 1 usage/parse error, 2 lint errors, 10 bug,
 // 20 timeout or resource-out, 30 unknown (including an aborted prepass
-// pipeline under --verify-each).
+// pipeline under --verify-each). An undecided verdict is followed by a
+// "reason:" line saying why (budget, inline limit or the solver's reason).
 //
 // Observability: --trace-out writes a Chrome trace_event JSON timeline
 // (chrome://tracing / Perfetto) of the whole run; --stats-json writes a
@@ -319,6 +320,8 @@ int main(int argc, char **argv) {
   }
 
   std::printf("verdict:   %s\n", verdictName(R.Result.Outcome));
+  if (!R.Result.Reason.empty())
+    std::printf("reason:    %s\n", R.Result.Reason.c_str());
   std::printf("bound:     %u\n", Opts.Bound);
   std::printf("asserts:   %u\n", R.NumAsserts);
   if (Opts.UsePrepass)

@@ -136,6 +136,7 @@ private:
       T->instant("engine.verdict",
                  {{"verdict", verdictName(Result.Outcome)},
                   {"proof", SafeProof ? SafeProof : ""},
+                  {"reason", Result.Reason},
                   {"inlined", Result.NumInlined},
                   {"merged", Result.NumMerged},
                   {"solver_checks", Result.NumSolverChecks},
@@ -146,15 +147,29 @@ private:
   bool outOfTime() {
     if (!Budget.expired())
       return false;
-    Result.Outcome = Verdict::Timeout;
+    undecided(Verdict::Timeout, "time budget exhausted");
     return true;
   }
 
   bool overInlineLimit() {
     if (Vc.numInlined() <= Opts.MaxInlined)
       return false;
-    Result.Outcome = Verdict::ResourceOut;
+    undecided(Verdict::ResourceOut, "inline limit of " +
+                                        std::to_string(Opts.MaxInlined) +
+                                        " instances exceeded");
     return true;
+  }
+
+  /// Ends the run on a check the solver could not decide.
+  void solverGaveUp() {
+    undecided(Budget.expired() ? Verdict::Timeout : Verdict::Unknown,
+              "solver: " + Solver->reasonUnknown());
+  }
+
+  /// Ends the run undecided (Timeout, ResourceOut or Unknown) for \p Why.
+  void undecided(Verdict V, std::string Why) {
+    Result.Outcome = V;
+    Result.Reason = std::move(Why);
   }
 
   /// Resolves open edge \p C through the Inliner and accounts for it.
@@ -173,7 +188,8 @@ private:
   /// One solver check with telemetry and the per-check stat split. \p Under
   /// marks the under-approximate (open edges blocked) check; the eager
   /// engine's single exact check also counts as under (no open edges left).
-  /// An unsat under-approximate check leaves its unsat core in Core.
+  /// An unsat under-approximate check leaves its unsat core in Core; a Sat
+  /// over-approximate check leaves the next frontier in Frontier.
   SolveResult timedCheck(const std::vector<TermRef> &Assumptions,
                          bool Under) {
     TraceSpan Span(Opts.Telemetry,
@@ -192,7 +208,33 @@ private:
       Result.NumCoreEdges += Core.size();
       Span.note({"core", Core.size()});
     }
+    if (!Under && R == SolveResult::Sat)
+      Span.note({"entered", pickFrontier()});
     return R;
+  }
+
+  /// Fills Frontier, in open-edge order, with the open edges the solver's
+  /// assignment enters and the open edges blocked in the last
+  /// under-approximate check's core; returns how many it enters. Core holds
+  /// ascending positions in openEdges(), which is unchanged since that
+  /// check. The assignment is Z3's trail, not a model: the frontier is a
+  /// heuristic, and the core alone already makes it non-empty.
+  size_t pickFrontier() {
+    const std::vector<EdgeId> &Open = Vc.openEdges();
+    Frontier.clear();
+    size_t Entered = 0;
+    for (size_t I = 0, K = 0; I < Open.size(); ++I) {
+      bool InCore = K < Core.size() && Core[K] == I;
+      K += InCore;
+      if (Solver->assignedTrue(Vc.edge(Open[I]).Control)) {
+        Frontier.push_back(Open[I]);
+        ++Entered;
+      } else if (InCore) {
+        Frontier.push_back(Open[I]);
+        ++Result.NumCoreOnly;
+      }
+    }
+    return Entered;
   }
 
   /// Eager mode is the stratified loop after full inlining: with no open
@@ -230,8 +272,7 @@ private:
       case SolveResult::Unsat:
         break;
       case SolveResult::Unknown:
-        Result.Outcome =
-            Budget.expired() ? Verdict::Timeout : Verdict::Unknown;
+        solverGaveUp();
         return;
       }
 
@@ -254,29 +295,13 @@ private:
         safe("over_unsat");
         return;
       case SolveResult::Unknown:
-        Result.Outcome =
-            Budget.expired() ? Verdict::Timeout : Verdict::Unknown;
+        solverGaveUp();
         return;
       case SolveResult::Sat:
         break;
       }
 
-      // Inline the frontier, in open-edge order: the open edges the
-      // abstract counterexample enters, and the open edges blocked in the
-      // under-approximate check's core. Core holds ascending positions in
-      // openEdges(), which is unchanged until the first resolveEdge below.
-      const std::vector<EdgeId> &Open = Vc.openEdges();
-      std::vector<EdgeId> Frontier;
-      for (size_t I = 0, K = 0; I < Open.size(); ++I) {
-        bool InCore = K < Core.size() && Core[K] == I;
-        K += InCore;
-        if (Solver->modelBool(Vc.edge(Open[I]).Control)) {
-          Frontier.push_back(Open[I]);
-        } else if (InCore) {
-          Frontier.push_back(Open[I]);
-          ++Result.NumCoreOnly;
-        }
-      }
+      // Inline the frontier the over-approximate check picked.
       for (EdgeId E : Frontier) {
         if (outOfTime() || overInlineLimit())
           return;
@@ -367,6 +392,9 @@ private:
   /// Unsat core of the last unsat under-approximate check: ascending
   /// positions in its assumptions, i.e. in openEdges() at that check.
   std::vector<unsigned> Core;
+  /// Open edges to inline after a Sat over-approximate check (see
+  /// pickFrontier).
+  std::vector<EdgeId> Frontier;
   /// On Safe: "fully_inlined", "empty_core" or "over_unsat".
   const char *SafeProof = nullptr;
 };

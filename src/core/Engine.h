@@ -24,9 +24,12 @@
 /// formula unsat with no edge blocked, so the run ends Safe with no
 /// over-approximate check. Otherwise the over-approximate check runs; on
 /// SAT the engine inlines, in open-edge order, the union of the open edges
-/// the model enters and the open edges named in the core. The model keeps
-/// the search aimed at bugs; the core inlines what the refutation depends
-/// on, which cuts iterations on safe programs.
+/// the solver's assignment enters and the open edges named in the core.
+/// The assignment is the SAT search's final Boolean assignment
+/// (Solver::assignedTrue), read without building a model; only a Bug trace
+/// reads a model. The assignment keeps the search aimed at bugs; the core
+/// inlines what the refutation depends on, which cuts iterations on safe
+/// programs and keeps every frontier non-empty.
 ///
 /// Both engines, and every size-only caller (Figs. 4/17, --dump-dag), grow
 /// the inlining DAG through one Inliner: Gen_VC's "pick compatible n, else
@@ -144,8 +147,12 @@ struct VerifyResult {
   /// Sum of the unsat-core sizes of the unsat under-approximate checks.
   size_t NumCoreEdges = 0;
   /// Frontier edges inlined only because a core named them (the
-  /// over-approximate model did not enter them).
+  /// over-approximate check's assignment did not enter them).
   size_t NumCoreOnly = 0;
+  /// On Timeout, ResourceOut or Unknown: why the run is undecided (the
+  /// exhausted budget or inline limit, the solver's reason for giving up,
+  /// or a front-end error). Empty otherwise.
+  std::string Reason;
   /// On Bug: an error trace (pre-order over the inlining structure).
   std::vector<TraceStep> Trace;
 
@@ -169,10 +176,12 @@ struct EngineOptions {
   size_t MaxInlined = 1u << 20;
   /// Optional event recorder (see support/Trace.h). The engine emits
   /// per-iteration spans, under-/over-approximate check spans (an unsat
-  /// under check notes its core size), one instant event per inline/merge
+  /// under check notes its core size, a Sat over check the number of open
+  /// edges its assignment enters), one instant event per inline/merge
   /// decision, and a final verdict event (with the proof behind a Safe
-  /// verdict: "empty_core", "over_unsat" or "fully_inlined"; empty
-  /// otherwise). Null or disabled costs one branch per site.
+  /// verdict: "empty_core", "over_unsat" or "fully_inlined", and the
+  /// reason for an undecided one; each empty otherwise). Null or disabled
+  /// costs one branch per site.
   rmt::Trace *Telemetry = nullptr;
 };
 

@@ -65,6 +65,7 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
     // spec did not parse: the rewritten program cannot be trusted, so
     // refuse to solve it rather than risk a wrong verdict.
     Out.Result.Outcome = Verdict::Unknown;
+    Out.Result.Reason = "prepass: " + Out.Prepass.PipelineErrors.front();
     return Out;
   }
 
@@ -112,6 +113,7 @@ DeepeningResult rmt::verifyIterativeDeepening(AstContext &Ctx,
     Bound = std::min(Bound * 2, MaxBound);
     if (Budget.expired()) {
       Out.Last.Result.Outcome = Verdict::Timeout;
+      Out.Last.Result.Reason = "time budget exhausted";
       return Out;
     }
   }

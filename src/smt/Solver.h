@@ -9,7 +9,8 @@
 /// need exactly this interface: incremental assertion (the paper's Push),
 /// checking under assumption literals (the stratified checks block open
 /// edges this way; there are no assertion scopes), the unsat core over those
-/// literals, and model extraction for constants.
+/// literals, a cheap read of the search's final Boolean assignment (the
+/// stratified frontier), and model extraction for constants (a Bug trace).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,9 +56,24 @@ public:
   /// Empty when the assertions alone are unsat. Not necessarily minimal.
   virtual std::vector<unsigned> unsatCore() = 0;
 
-  /// Model access; valid only directly after a Sat result. \p ConstTerm must
-  /// be a TermOp::Const term. Unconstrained constants yield an arbitrary
-  /// value of their sort.
+  /// Why the last check returned Unknown: the backend's recorded error,
+  /// else its own reason (for Z3 e.g. "timeout" or "canceled"). Empty after
+  /// a Sat or Unsat result.
+  virtual std::string reasonUnknown() = 0;
+
+  /// True when the final Boolean assignment of the last check, which must
+  /// have been Sat, set \p BoolConst (a Bool TermOp::Const term) to true. A
+  /// constant the assignment leaves unassigned (or that the backend's
+  /// preprocessing removed) reads false. This is a heuristic read of the
+  /// search state, not a model value: it may disagree with modelBool, and
+  /// it builds no model. The stratified engine picks its frontier with it.
+  virtual bool assignedTrue(TermRef BoolConst) = 0;
+
+  /// Model access; valid only directly after a Sat result (no assertTerm or
+  /// check in between). The model is built on the first access after that
+  /// result, so a run that never reads it pays nothing for it. \p ConstTerm
+  /// must be a TermOp::Const term. Unconstrained constants yield an
+  /// arbitrary value of their sort.
   virtual bool modelBool(TermRef ConstTerm) = 0;
   /// Int or bit-vector value. A bit-vector value of 2^63 or more wraps to
   /// its two's complement; an Int outside int64 saturates (see

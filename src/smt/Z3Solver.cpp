@@ -71,7 +71,7 @@ public:
   }
 
   ~Z3SolverImpl() override {
-    clearModel();
+    dropSat();
     Z3_solver_dec_ref(Ctx, Sol);
     Z3_del_context(Ctx);
     std::lock_guard<std::mutex> Lock(ErrorsMutex);
@@ -80,6 +80,7 @@ public:
 
   void assertTerm(TermRef T) override {
     ++NumAsserts;
+    dropSat();
     Z3_solver_assert(Ctx, Sol, translate(T));
   }
 
@@ -89,8 +90,9 @@ public:
     TraceSpan Span(Telemetry, "z3.check_sat",
                    {{"asserts", NumAsserts},
                     {"assumptions", Assumptions.size()}});
-    clearModel();
+    dropSat();
     Core.clear();
+    Reason.clear();
     // Z3 reads the context's timeout on each check of a solver that has
     // none of its own. It is set on every check, so no budget outlives its
     // check; UINT_MAX is Z3's "no timeout". Rounded up, so an Unknown caused
@@ -111,18 +113,20 @@ public:
           Ctx, Sol, static_cast<unsigned>(Lits.size()), Lits.data());
     if (std::string Error = errorOf(Ctx); !Error.empty()) {
       Span.note({"error", Error});
+      Reason = std::move(Error);
       R = Z3_L_UNDEF;
     } else if (Telemetry && Telemetry->enabled()) {
       noteSearchStats(Span);
     }
     SolveResult Out = SolveResult::Unknown;
     if (R == Z3_L_TRUE) {
-      Model = Z3_solver_get_model(Ctx, Sol);
-      Z3_model_inc_ref(Ctx, Model);
       Out = SolveResult::Sat;
+      Sat = true;
     } else if (R == Z3_L_FALSE) {
       Out = SolveResult::Unsat;
       readCore(Lits);
+    } else if (Reason.empty()) {
+      Reason = Z3_solver_get_reason_unknown(Ctx, Sol);
     }
     Span.note({"result", solveResultName(Out)});
     return Out;
@@ -156,6 +160,35 @@ public:
   }
 
   std::vector<unsigned> unsatCore() override { return Core; }
+
+  std::string reasonUnknown() override { return Reason; }
+
+  /// Reads Z3's trail once per Sat check into a bitmap over AST ids. Z3
+  /// hash-conses ASTs, so a constant assigned true appears on the trail as
+  /// the very AST translate() made for it (false ones appear negated). A
+  /// constant never translated is in no assertion, so it reads false; the
+  /// translated ones stay alive (see Cache), so their ids are never reused.
+  bool assignedTrue(TermRef BoolConst) override {
+    assert(Sat && "assignment read without a preceding Sat result");
+    if (!Sat)
+      return false;
+    if (!TrailRead) {
+      Z3_ast_vector Trail = Z3_solver_get_trail(Ctx, Sol);
+      Z3_ast_vector_inc_ref(Ctx, Trail);
+      for (unsigned I = 0, N = Z3_ast_vector_size(Ctx, Trail); I < N; ++I) {
+        unsigned Id = Z3_get_ast_id(Ctx, Z3_ast_vector_get(Ctx, Trail, I));
+        if (Id >= TrueOnTrail.size())
+          TrueOnTrail.resize(Id + 1);
+        TrueOnTrail[Id] = true;
+      }
+      Z3_ast_vector_dec_ref(Ctx, Trail);
+      TrailRead = true;
+    }
+    if (BoolConst.id() >= Cache.size() || !Cache[BoolConst.id()])
+      return false;
+    unsigned Id = Z3_get_ast_id(Ctx, Cache[BoolConst.id()]);
+    return Id < TrueOnTrail.size() && TrueOnTrail[Id];
+  }
 
 private:
   /// Notes the conflicts and decisions of the last check on \p Span. Z3's
@@ -198,15 +231,25 @@ private:
     Core.erase(std::unique(Core.begin(), Core.end()), Core.end());
   }
 
-  void clearModel() {
+  /// Forgets the last Sat result: its model and its trail.
+  void dropSat() {
     if (Model) {
       Z3_model_dec_ref(Ctx, Model);
       Model = nullptr;
     }
+    Sat = TrailRead = false;
+    TrueOnTrail.clear();
   }
 
   Z3_ast evalInModel(TermRef T) {
-    assert(Model && "model access without a preceding Sat result");
+    assert(Sat && "model access without a preceding Sat result");
+    if (!Sat)
+      return nullptr;
+    if (!Model) {
+      TraceSpan Span(Telemetry, "z3.get_model");
+      Model = Z3_solver_get_model(Ctx, Sol);
+      Z3_model_inc_ref(Ctx, Model);
+    }
     Z3_ast Out = nullptr;
     if (!Z3_model_eval(Ctx, Model, translate(T), /*model_completion=*/true,
                        &Out))
@@ -348,7 +391,14 @@ private:
   Trace *Telemetry = nullptr;
   Z3_context Ctx = nullptr;
   Z3_solver Sol = nullptr;
+  /// True from a Sat check to the next assertTerm or check. The model and
+  /// the trail are read on first use within that window.
+  bool Sat = false;
   Z3_model Model = nullptr;
+  bool TrailRead = false;
+  /// AST id -> the id's AST is a literal on the trail. A bitmap rather than
+  /// a hash set: one allocation, reused by every Sat check.
+  std::vector<bool> TrueOnTrail;
   /// Z3's search counters noted per check, and their totals at the last
   /// noted check.
   static constexpr const char *SearchStatKeys[2] = {"conflicts",
@@ -356,6 +406,8 @@ private:
   uint64_t SearchStatsSoFar[2] = {0, 0};
   /// After an Unsat check: its unsat core (see Solver::unsatCore).
   std::vector<unsigned> Core;
+  /// After an Unknown check: why (see Solver::reasonUnknown).
+  std::string Reason;
   /// TermRef id -> Z3 ast. Z3_mk_context (non-rc mode) keeps all ASTs alive
   /// for the context's lifetime, so caching plain pointers is safe.
   std::vector<Z3_ast> Cache;

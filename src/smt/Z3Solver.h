@@ -31,7 +31,9 @@ class Trace;
 /// check. When \p Telemetry is given (and enabled), every check() records
 /// a "z3.check_sat" span with the assertion/assumption counts, its deadline
 /// (timeout_ms), the conflicts and decisions of its own search, and the
-/// result.
+/// result, and a model built on first access after a Sat check records one
+/// "z3.get_model" span. assignedTrue reads Z3's trail (the SMT kernel's
+/// final Boolean assignment) and builds no model.
 std::unique_ptr<Solver> createZ3Solver(const TermArena &Arena,
                                        Trace *Telemetry = nullptr);
 

@@ -258,6 +258,29 @@ TEST(Engine, ResourceOutVerdict) {
   EXPECT_EQ(R.Result.Outcome, Verdict::ResourceOut);
 }
 
+TEST(Engine, UndecidedVerdictsSayWhy) {
+  // An exhausted budget and an inline limit of 1 each leave the run
+  // undecided, and the result says why; a decided run gives no reason.
+  AstContext Ctx;
+  Program P = makeChainProgram(Ctx, 10);
+  VerifierOptions Opts;
+  Opts.Engine.TimeoutSeconds = 1e-9;
+  auto Late = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+  EXPECT_EQ(Late.Result.Outcome, Verdict::Timeout);
+  EXPECT_EQ(Late.Result.Reason, "time budget exhausted");
+
+  Opts.Engine.TimeoutSeconds = 60;
+  Opts.Engine.MaxInlined = 1;
+  auto Capped = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+  EXPECT_EQ(Capped.Result.Outcome, Verdict::ResourceOut);
+  EXPECT_EQ(Capped.Result.Reason, "inline limit of 1 instances exceeded");
+
+  Opts.Engine.MaxInlined = EngineOptions().MaxInlined;
+  auto Decided = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+  EXPECT_EQ(Decided.Result.Outcome, Verdict::Safe);
+  EXPECT_TRUE(Decided.Result.Reason.empty());
+}
+
 TEST(Engine, EagerMatchesStratified) {
   const char *Src = R"(
     var g: int;

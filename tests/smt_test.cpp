@@ -296,6 +296,94 @@ TEST(Z3, BoolModels) {
   EXPECT_FALSE(S->modelBool(Q));
 }
 
+TEST(Z3, AssignmentMatchesModelOnForcedConstants) {
+  // Every constant below is forced by the assertions, so the search's final
+  // assignment and the model must agree on each: directly asserted, forced
+  // through an implication, through an equivalence with an arithmetic atom,
+  // and through a clause whose other literal is false.
+  AstContext Ctx;
+  TermArena A;
+  auto S = createZ3Solver(A);
+  TermRef X = A.freshConst(Ctx.intType(), "x");
+  std::vector<TermRef> B;
+  for (unsigned I = 0; I < 6; ++I)
+    B.push_back(A.freshConst(Ctx.boolType(), "b"));
+  S->assertTerm(B[0]);
+  S->assertTerm(A.mkNot(B[1]));
+  S->assertTerm(A.mkImplies(B[0], B[2]));
+  S->assertTerm(A.mkEq(X, A.intLit(4)));
+  S->assertTerm(A.mkEq(B[3], A.mkLt(A.intLit(3), X)));
+  S->assertTerm(A.mkEq(B[4], A.mkLt(X, A.intLit(3))));
+  S->assertTerm(A.mkOr(B[1], B[5]));
+  ASSERT_EQ(S->check({B[2]}, 0), SolveResult::Sat);
+  for (unsigned I = 0; I < B.size(); ++I)
+    EXPECT_EQ(S->assignedTrue(B[I]), S->modelBool(B[I])) << "b" << I;
+  EXPECT_TRUE(S->assignedTrue(B[3]));
+  EXPECT_FALSE(S->assignedTrue(B[4]));
+}
+
+TEST(Z3, ModelAfterAssignmentIsExact) {
+  // Reading the assignment first must not spoil the model built after it:
+  // its values stay exact, wide ones included.
+  AstContext Ctx;
+  TermArena A;
+  auto S = createZ3Solver(A);
+  TermRef P = A.freshConst(Ctx.boolType(), "p");
+  TermRef X = A.freshConst(Ctx.intType(), "x");
+  TermRef Big = A.freshConst(Ctx.intType(), "big");
+  int64_t Max = std::numeric_limits<int64_t>::max();
+  S->assertTerm(A.mkImplies(P, A.mkEq(X, A.intLit(-12))));
+  S->assertTerm(A.mkEq(Big, A.mkAdd(A.intLit(Max), A.intLit(1))));
+  ASSERT_EQ(S->check({P}, 0), SolveResult::Sat);
+  EXPECT_TRUE(S->assignedTrue(P));
+  EXPECT_EQ(S->modelInt(X), -12);
+  EXPECT_EQ(S->modelNumeral(X), "-12");
+  EXPECT_EQ(S->modelNumeral(Big), "9223372036854775808");
+  EXPECT_TRUE(S->modelBool(P));
+}
+
+TEST(Z3, ModelAndAssignmentFollowTheLastCheck) {
+  // The model and the assignment are read lazily, so assertTerm and check
+  // must drop them: after Sat, an assertion and a second Sat check, both
+  // reads reflect the second check, not the first one's cached state.
+  AstContext Ctx;
+  TermArena A;
+  auto S = createZ3Solver(A);
+  TermRef X = A.freshConst(Ctx.intType(), "x");
+  TermRef P = A.freshConst(Ctx.boolType(), "p");
+  TermRef Low = A.freshConst(Ctx.boolType(), "low");
+  S->assertTerm(A.mkEq(P, A.mkLt(A.intLit(10), X)));
+  S->assertTerm(A.mkLe(A.intLit(0), X));
+  S->assertTerm(A.mkImplies(Low, A.mkLe(X, A.intLit(3))));
+  ASSERT_EQ(S->check({Low}, 0), SolveResult::Sat);
+  EXPECT_FALSE(S->assignedTrue(P));
+  EXPECT_FALSE(S->modelBool(P));
+  EXPECT_LE(S->modelInt(X), 3);
+
+  S->assertTerm(A.mkEq(X, A.intLit(11)));
+  ASSERT_EQ(S->check(), SolveResult::Sat);
+  EXPECT_TRUE(S->assignedTrue(P));
+  EXPECT_TRUE(S->modelBool(P));
+  EXPECT_EQ(S->modelInt(X), 11);
+}
+
+TEST(Z3, UnknownSaysWhy) {
+  // An Unknown check names its cause: Z3's own reason for a timeout, the
+  // recorded error after a failed assertion. Decided checks name none.
+  AstContext Ctx;
+  TermArena A;
+  auto S = createZ3Solver(A);
+  TermRef Hard = assumptionLiteral(*S, A, Ctx, pigeonhole(A, Ctx, 9, 8));
+  ASSERT_EQ(S->check({Hard}, 0.001), SolveResult::Unknown);
+  EXPECT_FALSE(S->reasonUnknown().empty());
+  ASSERT_EQ(S->check({A.mkNot(Hard)}, 0), SolveResult::Sat);
+  EXPECT_TRUE(S->reasonUnknown().empty());
+  S->assertTerm(A.intLit(7));
+  ASSERT_EQ(S->check(), SolveResult::Unknown);
+  EXPECT_NE(S->reasonUnknown().find("z3 error"), std::string::npos)
+      << S->reasonUnknown();
+}
+
 TEST(Z3, ArraysDecided) {
   AstContext Ctx;
   TermArena A;

@@ -484,7 +484,8 @@ TEST(TraceEndToEnd, VerifyProgramEmitsNestedPipelineSpans) {
 namespace {
 
 /// What a traced run says about its stratified frontier: the proof behind
-/// its verdict and the core notes on its under-approximate checks.
+/// its verdict, the core notes on its under-approximate checks, the
+/// entered notes on its over-approximate ones, and the models it built.
 struct FrontierExplanation {
   VerifierRunResult Run;
   Stats Bag;
@@ -492,6 +493,10 @@ struct FrontierExplanation {
   size_t UnsatUnderChecks = 0;
   size_t CoreNotes = 0;
   int64_t CoreSum = 0;
+  size_t SatOverChecks = 0;
+  size_t EnteredNotes = 0;
+  int64_t EnteredSum = 0;
+  size_t Models = 0;
 };
 
 const TraceArg *findArg(const TraceEvent &E, std::string_view Key) {
@@ -511,13 +516,13 @@ FrontierExplanation explainRun(AstContext &Ctx, const Program &Prog,
   FrontierExplanation Out;
   Out.Run = verifyProgram(Ctx, Prog, Ctx.sym("main"), Opts);
   Out.Run.Result.record(Out.Bag);
-  std::vector<std::string> Open;
+  std::vector<const TraceEvent *> Open;
   for (size_t I = 0; I < T.numEvents(); ++I) {
     const TraceEvent &E = T.event(I);
     if (E.Ph == TraceEvent::Phase::Begin) {
-      Open.push_back(E.Name);
+      Open.push_back(&E);
     } else if (E.Ph == TraceEvent::Phase::End) {
-      if (Open.back() == "engine.under_check") {
+      if (Open.back()->Name == "engine.under_check") {
         const TraceArg *Result = findArg(E, "result");
         if (Result && Result->Str == "unsat")
           ++Out.UnsatUnderChecks;
@@ -525,6 +530,17 @@ FrontierExplanation explainRun(AstContext &Ctx, const Program &Prog,
           ++Out.CoreNotes;
           Out.CoreSum += Core->Int;
         }
+      } else if (Open.back()->Name == "engine.over_check") {
+        const TraceArg *Result = findArg(E, "result");
+        if (Result && Result->Str == "sat")
+          ++Out.SatOverChecks;
+        if (const TraceArg *Entered = findArg(E, "entered")) {
+          ++Out.EnteredNotes;
+          Out.EnteredSum += Entered->Int;
+          EXPECT_LE(Entered->Int, findArg(*Open.back(), "open_edges")->Int);
+        }
+      } else if (Open.back()->Name == "z3.get_model") {
+        ++Out.Models;
       }
       Open.pop_back();
     } else if (E.Name == "engine.verdict") {
@@ -548,7 +564,7 @@ FrontierExplanation explainSource(const char *Src, VerifierOptions Opts) {
 
 TEST(TraceEndToEnd, FrontierExplainsItself) {
   // Both branches call out: the first core must name both blocked calls,
-  // and the over-approximate model enters only one, so the other is
+  // and the over-approximate assignment enters only one, so the other is
   // inlined on the core's word alone. Then nothing is open.
   FrontierExplanation Branches = explainSource(R"(
     var g: int;
@@ -598,6 +614,28 @@ TEST(TraceEndToEnd, FrontierExplainsItself) {
     EXPECT_GE(E->UnsatUnderChecks, 1u);
     EXPECT_EQ(E->CoreNotes, E->UnsatUnderChecks);
     EXPECT_EQ(E->CoreSum, E->Bag.get("engine.core_edges"));
+  }
+}
+
+TEST(TraceEndToEnd, FrontierIsReadWithoutAModel) {
+  // Every Sat over-approximate check notes how many open edges its
+  // assignment enters. Each frontier edge is entered or named by a core,
+  // and every inlined instance but the root, and every merge, resolves one
+  // frontier edge. No model is built on the way: a Safe run builds none,
+  // and a Bug run builds one, for its trace.
+  for (bool Buggy : {false, true}) {
+    AstContext Ctx;
+    FrontierExplanation Chain =
+        explainRun(Ctx, makeChainProgram(Ctx, 8, Buggy), VerifierOptions());
+    SCOPED_TRACE(Buggy ? "buggy" : "safe");
+    EXPECT_EQ(Chain.Run.Result.Outcome, Buggy ? Verdict::Bug : Verdict::Safe);
+    EXPECT_GE(Chain.SatOverChecks, 1u);
+    EXPECT_EQ(Chain.EnteredNotes, Chain.SatOverChecks);
+    EXPECT_EQ(Chain.EnteredSum + Chain.Bag.get("engine.frontier.core_only"),
+              Chain.Bag.get("engine.inlined") - 1 +
+                  Chain.Bag.get("engine.merged"));
+    EXPECT_EQ(Chain.Models, Buggy ? 1u : 0u);
+    EXPECT_EQ(Chain.Run.Result.Trace.empty(), !Buggy);
   }
 }
 

@@ -100,8 +100,9 @@ TEST(Verifier, BoundZeroIsRefusedAsUnknown) {
   lowerInstance(Ctx, *P, Ctx.sym("main"), Opts, Front);
   ASSERT_EQ(Front.Prepass.PipelineErrors.size(), 1u);
   EXPECT_EQ(Front.Prepass.PipelineErrors[0], "bound must be at least 1");
-  EXPECT_EQ(verifyProgram(Ctx, *P, Ctx.sym("main"), Opts).Result.Outcome,
-            Verdict::Unknown);
+  VerifyResult Refused = verifyProgram(Ctx, *P, Ctx.sym("main"), Opts).Result;
+  EXPECT_EQ(Refused.Outcome, Verdict::Unknown);
+  EXPECT_EQ(Refused.Reason, "prepass: bound must be at least 1");
   Opts.Bound = 1;
   EXPECT_EQ(verifyProgram(Ctx, *P, Ctx.sym("main"), Opts).Result.Outcome,
             Verdict::Safe);
