@@ -283,9 +283,6 @@ void PrepassReport::record(Stats &S) const {
   S.add("prepass.stmts.sliced", SlicedStmts);
   S.add("prepass.calls.elided", ElidedCalls);
   S.add("prepass.procs.dead", DeadProcs);
-  S.add("prepass.exprs.propagated", PropagatedExprs);
-  S.add("prepass.assumes.redundant", RedundantAssumes);
-  S.add("prepass.assumes.contradicted", ContradictedAssumes);
   S.add("prepass.inv.conjuncts", InvariantConjuncts);
   S.add("prepass.audit.deadstores", AuditDeadStores);
   S.add("prepass.audit.unreachable", AuditUnreachableLabels);
@@ -298,10 +295,8 @@ std::string PrepassReport::str() const {
   Out += ", procs " + std::to_string(ProcsBefore) + " -> " +
          std::to_string(ProcsAfter);
   Out += " (sliced " + std::to_string(SlicedStmts) + ", spliced " +
-         std::to_string(SplicedLabels) + ", propagated " +
-         std::to_string(PropagatedExprs) + ", redundant assumes " +
-         std::to_string(RedundantAssumes + ContradictedAssumes) +
-         ", elided calls " + std::to_string(ElidedCalls) + ", dead procs " +
+         std::to_string(SplicedLabels) + ", elided calls " +
+         std::to_string(ElidedCalls) + ", dead procs " +
          std::to_string(DeadProcs) + ")";
   if (AuditDeadStores + AuditUnreachableLabels != 0)
     Out += " [lint audit: " + std::to_string(AuditDeadStores) +

@@ -31,8 +31,8 @@
 ///
 /// On top of the framework this header exposes the verification prepass
 /// entry point runPrepass() and the structural passes it shares: skip-chain
-/// compaction and dead-procedure elimination. Value numbering lives in
-/// Gvn.h, cone-of-influence slicing in Slicer.h.
+/// compaction and dead-procedure elimination. Cone-of-influence slicing
+/// lives in Slicer.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -193,7 +193,7 @@ std::vector<bool> entryReachableLabels(const CfgProgram &Prog);
 //===----------------------------------------------------------------------===//
 
 /// The default prepass pipeline (see PassManager.h for the passes).
-inline constexpr const char *DefaultPrepassPasses = "gvn,slice,splice,deadproc";
+inline constexpr const char *DefaultPrepassPasses = "slice,splice,deadproc";
 
 /// Prepass configuration: one pipeline spec plus pipeline-level knobs.
 struct PrepassOptions {
@@ -201,7 +201,7 @@ struct PrepassOptions {
   /// pass. Off by default; the verifier sets it from
   /// VerifierOptions::UseInvariants.
   bool Invariants = false;
-  /// Comma-separated pipeline spec, e.g. "gvn,slice". Empty runs no pass
+  /// Comma-separated pipeline spec, e.g. "slice,splice". Empty runs no pass
   /// (except `inv` under Invariants).
   std::string Passes = DefaultPrepassPasses;
   /// Run the structural CFG verifier (VerifyCfg.h) on the input and after
@@ -231,13 +231,6 @@ struct PrepassReport {
   unsigned SplicedLabels = 0;
   /// Procedures removed by call-graph reachability.
   unsigned DeadProcs = 0;
-  /// Subexpressions replaced by a congruent leader (a literal or a copy).
-  unsigned PropagatedExprs = 0;
-  /// `assume e` labels proven entailed and reduced to skips.
-  unsigned RedundantAssumes = 0;
-  /// `assume e` labels no execution passes, sharpened to `assume false`
-  /// with their successors cut.
-  unsigned ContradictedAssumes = 0;
   /// Invariant conjuncts injected by the inv pass (0 without +Inv).
   unsigned InvariantConjuncts = 0;
   /// Lint-audit pass: assignments no later statement can observe — residual
@@ -276,8 +269,7 @@ unsigned spliceSkips(CfgProgram &Prog);
 /// Runs the prepass pipeline Opts.spec() on \p Prog rooted at \p Root. The
 /// default is
 ///
-///   GVN (propagation, assume pruning)  →  query slicing  →  skip splicing
-///   →  dead-procedure elimination
+///   query slicing  →  skip splicing  →  dead-procedure elimination
 ///
 /// executed through the pass manager (PassManager.h), which times each pass
 /// into \p S (when given) and re-verifies the structural invariants after

@@ -2,7 +2,6 @@
 
 #include "analysis/PassManager.h"
 
-#include "analysis/Gvn.h"
 #include "analysis/InvariantGen.h"
 #include "analysis/Slicer.h"
 #include "analysis/VerifyCfg.h"
@@ -19,14 +18,6 @@ using namespace rmt;
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-bool runGvnPass(PassContext &PC) {
-  GvnReport R = runGvn(PC.Ctx, PC.Prog);
-  PC.Report.PropagatedExprs += R.PropagatedExprs;
-  PC.Report.RedundantAssumes += R.RedundantAssumes;
-  PC.Report.ContradictedAssumes += R.ContradictedAssumes;
-  return R.total() != 0;
-}
 
 bool runSlicePass(PassContext &PC) {
   SliceReport R = sliceForQuery(PC.Ctx, PC.Prog, PC.Root, PC.ErrGlobal);
@@ -82,8 +73,6 @@ bool runInvariantPass(PassContext &PC) {
 }
 
 const PassInfo BuiltinTable[] = {
-    {"gvn", "value numbering: propagation, literal folding, assume pruning",
-     runGvnPass},
     {"slice", "cone-of-influence slicing against the reachability query",
      runSlicePass},
     {"splice", "splice out `assume true` skips, sweep unreachable labels",

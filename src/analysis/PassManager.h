@@ -7,7 +7,7 @@
 /// \file
 /// The pass layer over the lowered label form. Every prepass transformation
 /// is one entry of a constant table (BuiltinPasses) with a stable name, so
-/// pipelines can be assembled from CLI strings (`--passes gvn,slice,splice`)
+/// pipelines can be assembled from CLI strings (`--passes slice,splice`)
 /// by parsePassSpec() and run by one loop, runPasses(), which times and
 /// counts each pass, prints the program after every step
 /// (`--print-after-all`), and re-verifies it against the Fig. 7 structural
@@ -15,12 +15,9 @@
 /// discipline LLVM's pass manager and Boogie's `/trace` stack apply to their
 /// own IRs.
 ///
-/// Builtin passes (table order; the first four, in this order, are the
+/// Builtin passes (table order; the first three, in this order, are the
 /// default pipeline DefaultPrepassPasses):
 ///
-///   gvn      — value numbering: copy/expression propagation, literal
-///              folding, entailed assumes to skips, and assumes no execution
-///              passes to `assume false` with their successors cut (Gvn.h)
 ///   slice    — cone-of-influence query slicing (Slicer.h)
 ///   splice   — splice `assume true` skip labels out of the flow graph and
 ///              sweep labels unreachable from their procedure's entry

@@ -8,8 +8,8 @@
 /// Unary and binary operators shared by the AST, the evaluator, the type
 /// checker and the SMT term layer, plus the literal-fold kernel: the one
 /// definition of SMT-LIB integer arithmetic on int64 values that the
-/// evaluator, the value-numbering folder, the interval domain and the term
-/// layer all call.
+/// evaluator, the interval domain, the term layer and the printer all
+/// call.
 ///
 //===----------------------------------------------------------------------===//
 

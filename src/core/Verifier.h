@@ -37,7 +37,7 @@ struct VerifierOptions {
   /// Run the interval-invariant prepass ("+Inv" of Section 4).
   bool UseInvariants = false;
   /// Run the static-analysis prepass pipeline (Prepass.Passes, by default
-  /// GVN, query slicing, skip splicing, dead-procedure elimination) on the
+  /// query slicing, skip splicing, dead-procedure elimination) on the
   /// lowered program before the engine. On by default; --no-prepass in the
   /// CLI empties the pipeline spec. With UseInvariants, invariant injection
   /// runs as the pipeline's last pass, with or without the prepass. A

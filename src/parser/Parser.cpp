@@ -52,6 +52,27 @@ private:
     Failed = true;
   }
 
+  /// Holds one level of statement or expression nesting for its scope. The
+  /// parser recurses once per level, so a level past MaxNesting is reported
+  /// (ok() is false) rather than risk overflowing the stack; the caller then
+  /// stops descending.
+  class NestingLevel {
+  public:
+    explicit NestingLevel(ParserImpl &P) : P(P) {
+      if (++P.Nesting > MaxNesting && !P.Failed) {
+        P.Diags.error(P.cur().Loc, "nesting deeper than " +
+                                       std::to_string(MaxNesting) +
+                                       " levels");
+        P.Failed = true;
+      }
+    }
+    ~NestingLevel() { --P.Nesting; }
+    bool ok() const { return P.Nesting <= MaxNesting; }
+
+  private:
+    ParserImpl &P;
+  };
+
   bool expect(TokKind K, const char *Context) {
     if (accept(K))
       return true;
@@ -175,6 +196,9 @@ private:
 
   const Stmt *parseStmt() {
     SrcLoc Loc = cur().Loc;
+    NestingLevel Level(*this);
+    if (!Level.ok())
+      return nullptr;
     switch (cur().Kind) {
     case TokKind::KwHavoc: {
       take();
@@ -239,7 +263,7 @@ private:
     if (accept(TokKind::KwElse)) {
       if (at(TokKind::KwIf)) {
         // `else if` chains: nest the trailing if as a one-statement block.
-        if (const Stmt *Nested = parseIf(cur().Loc))
+        if (const Stmt *Nested = parseStmt())
           Else.push_back(Nested);
       } else {
         Else = parseBracedBlock();
@@ -297,7 +321,12 @@ private:
   // Expressions (precedence climbing)
   //===--------------------------------------------------------------------===//
 
-  const Expr *parseExpr() { return parseIffExpr(); }
+  const Expr *parseExpr() {
+    NestingLevel Level(*this);
+    if (!Level.ok())
+      return Ctx.intLit(0, cur().Loc);
+    return parseIffExpr();
+  }
 
   const Expr *parseIffExpr() {
     const Expr *L = parseImpliesExpr();
@@ -312,6 +341,9 @@ private:
     const Expr *L = parseOrExpr();
     if (at(TokKind::Implies)) {
       SrcLoc Loc = take().Loc;
+      NestingLevel Level(*this);
+      if (!Level.ok())
+        return L;
       // Right associative.
       return Ctx.binary(BinOp::Implies, L, parseImpliesExpr(), Loc);
     }
@@ -400,22 +432,24 @@ private:
   }
 
   const Expr *parseUnaryExpr() {
+    if (!at(TokKind::Bang) && !at(TokKind::Minus))
+      return parsePostfixExpr();
+    NestingLevel Level(*this);
+    if (!Level.ok())
+      return Ctx.intLit(0, cur().Loc);
     if (at(TokKind::Bang)) {
       SrcLoc Loc = take().Loc;
       return Ctx.unary(UnOp::Not, parseUnaryExpr(), Loc);
     }
-    if (at(TokKind::Minus)) {
-      SrcLoc Loc = take().Loc;
-      const Expr *Sub = parseUnaryExpr();
-      // Fold negated literals so `(-1)` parses to the literal -1 and the
-      // printer/parser round-trip is a fixpoint. Bitvector literals keep
-      // their explicit negation (two's-complement semantics).
-      if (Sub->kind() == ExprKind::IntLit &&
-          (!Sub->type() || !Sub->type()->isBv()))
-        return Ctx.intLit(-Sub->intValue(), Loc);
-      return Ctx.unary(UnOp::Neg, Sub, Loc);
-    }
-    return parsePostfixExpr();
+    SrcLoc Loc = take().Loc;
+    const Expr *Sub = parseUnaryExpr();
+    // Fold negated literals so `(-1)` parses to the literal -1 and the
+    // printer/parser round-trip is a fixpoint. Bitvector literals keep
+    // their explicit negation (two's-complement semantics).
+    if (Sub->kind() == ExprKind::IntLit &&
+        (!Sub->type() || !Sub->type()->isBv()))
+      return Ctx.intLit(-Sub->intValue(), Loc);
+    return Ctx.unary(UnOp::Neg, Sub, Loc);
   }
 
   const Expr *parsePostfixExpr() {
@@ -480,11 +514,17 @@ private:
     }
   }
 
+  /// Deepest statement or expression nesting accepted. Programs nest far
+  /// less; the recursive parser and the passes after it fit this depth in
+  /// a default-size stack, also in sanitizer builds.
+  static constexpr unsigned MaxNesting = 1000;
+
   std::vector<Token> Tokens;
   AstContext &Ctx;
   DiagEngine &Diags;
   size_t Pos = 0;
   bool Failed = false;
+  unsigned Nesting = 0;
 };
 
 } // namespace

@@ -44,8 +44,10 @@ public:
   /// <= 0 means no timeout. The budget holds for this check only: the Z3
   /// backend sets it on its context before each check of its one plain
   /// incremental solver. Unknown covers timeouts, resource limits and
-  /// backend errors: once an assertion or translation has failed, every
-  /// later check returns Unknown.
+  /// backend errors (a failed assertion or translation). Unknown is final:
+  /// every check after the first Unknown returns Unknown, and
+  /// reasonUnknown() keeps that first reason, because a backend checked
+  /// again after giving up may answer wrongly.
   virtual SolveResult check(const std::vector<TermRef> &Assumptions,
                             double TimeoutSeconds) = 0;
   SolveResult check() { return check({}, 0); }

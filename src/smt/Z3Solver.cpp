@@ -92,6 +92,13 @@ public:
                     {"assumptions", Assumptions.size()}});
     dropSat();
     Core.clear();
+    // A Z3 solver checked again after an Unknown can answer Sat for an
+    // unsat formula (seen after a check that ran out of its budget), so
+    // every check after the first Unknown repeats it with its reason.
+    if (Stuck) {
+      Span.note({"result", solveResultName(SolveResult::Unknown)});
+      return SolveResult::Unknown;
+    }
     Reason.clear();
     // Z3 reads the context's timeout on each check of a solver that has
     // none of its own. It is set on every check, so no budget outlives its
@@ -125,8 +132,10 @@ public:
     } else if (R == Z3_L_FALSE) {
       Out = SolveResult::Unsat;
       readCore(Lits);
-    } else if (Reason.empty()) {
-      Reason = Z3_solver_get_reason_unknown(Ctx, Sol);
+    } else {
+      if (Reason.empty())
+        Reason = Z3_solver_get_reason_unknown(Ctx, Sol);
+      Stuck = true;
     }
     Span.note({"result", solveResultName(Out)});
     return Out;
@@ -408,6 +417,8 @@ private:
   std::vector<unsigned> Core;
   /// After an Unknown check: why (see Solver::reasonUnknown).
   std::string Reason;
+  /// Set by the first Unknown check; every later check answers Unknown.
+  bool Stuck = false;
   /// TermRef id -> Z3 ast. Z3_mk_context (non-rc mode) keeps all ASTs alive
   /// for the context's lifetime, so caching plain pointers is safe.
   std::vector<Z3_ast> Cache;

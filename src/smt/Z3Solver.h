@@ -7,9 +7,9 @@
 /// \file
 /// Solver backend over the Z3 C API (the same solver the paper's stack —
 /// Corral/Boogie — bottoms out in). Uses the C API rather than z3++ so the
-/// library stays exception-free. Z3 errors surface as Unknown results: after
-/// a Z3 error in an assertion or a translation, every later check on that
-/// solver returns Unknown.
+/// library stays exception-free. Z3 errors surface as Unknown results, and
+/// Unknown is final: after a Z3 error or a check that gave up, every later
+/// check on that solver returns Unknown with the first reason.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -75,8 +75,8 @@ private:
 
   /// Compiled-driver idiom: the status value threads through a chain of
   /// temporaries before reaching the state update (`s0 := state; s1 := s0;
-  /// state := s1 + k`). Semantically the same as bumpState — value numbering
-  /// collapses the chain so slicing can reclaim the dead copies.
+  /// state := s1 + k`). Semantically the same as bumpState — passified pVC
+  /// binds each copy to the term it copies rather than to a fresh constant.
   void pushStatusChain(Procedure &U, int64_t Amount) {
     unsigned Len = static_cast<unsigned>(Gen.range(2, 3));
     Symbol Prev;

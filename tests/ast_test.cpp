@@ -4,6 +4,7 @@
 #include "ast/AstContext.h"
 #include "ast/AstPrinter.h"
 #include "ast/Eval.h"
+#include "smt/Translate.h"
 #include "workload/Chain.h"
 #include "workload/RandomProg.h"
 
@@ -222,6 +223,75 @@ TEST(FoldKernel, SmtLibIntegerTable) {
       EXPECT_EQ(static_cast<__int128>(*Q) * B + *M, static_cast<__int128>(A))
           << A << " div " << B;
     }
+}
+
+// Constant expressions under a known binding (x == 6) fold through the
+// kernel in the interpreter, and in TermArena when VC generation substitutes
+// a literal for a variable.
+TEST(EvalConstExpr, FoldsArithmeticAndComparisons) {
+  AstContext Ctx;
+  auto P = parseOk(R"(
+    procedure main() {
+      var x: int;
+      x := 6;
+      assert x + 4 == 10;
+      assert x * (-2) == -12;
+      assert x < 7;
+      assert -x == -6;
+      assert (-7) div 2 == -4;
+      assert (-7) mod 2 == 1;
+      assert (if x == 6 then 1 else 2) == 1;
+    }
+  )",
+                   Ctx);
+  ASSERT_TRUE(P);
+  EXPECT_EQ(evaluate(Ctx, *P, Ctx.sym("main"), {}).Outcome,
+            EvalOutcome::Completed);
+
+  TermArena A;
+  Symbol X = Ctx.sym("x");
+  const Expr *XE = Ctx.tVar(X, Ctx.intType());
+  VarTermMap Six{{X, A.intLit(6)}};
+  auto T = [&](const Expr *E) { return translateExpr(A, E, Six); };
+  EXPECT_TRUE(A.isTrue(T(Ctx.tBinary(BinOp::Lt, XE, Ctx.tInt(7)))));
+  EXPECT_TRUE(A.isFalse(T(Ctx.tBinary(BinOp::Eq, XE, Ctx.tInt(7)))));
+  EXPECT_EQ(T(Ctx.tUnary(UnOp::Neg, XE)), A.intLit(-6));
+  EXPECT_EQ(T(Ctx.tIte(Ctx.tBinary(BinOp::Eq, XE, Ctx.tInt(6)), Ctx.tInt(1),
+                       Ctx.tInt(2))),
+            A.intLit(1));
+}
+
+TEST(EvalConstExpr, RefusesDivByZeroAndOverflow) {
+  // x div 0 is uninterpreted in SMT, and a wrapped int64 is not the
+  // mathematical result; folding either would change verdicts. Literals
+  // have at most 18 digits, so INT64_MIN is built by arithmetic (which does
+  // fold).
+  AstContext Ctx;
+  auto P = parseOk(R"(
+    procedure main() {
+      var lo: int;
+      var p: int;
+      lo := -922337203685477580 * 10 - 8;
+      assert lo + 8 == -922337203685477580 * 10;
+      p := lo * (-1);
+    }
+  )",
+                   Ctx);
+  ASSERT_TRUE(P);
+  EXPECT_EQ(evaluate(Ctx, *P, Ctx.sym("main"), {}).Outcome,
+            EvalOutcome::Overflow);
+
+  TermArena A;
+  Symbol X = Ctx.sym("x");
+  const Expr *XE = Ctx.tVar(X, Ctx.intType());
+  VarTermMap Min{{X, A.intLit(INT64_MIN)}};
+  auto T = [&](const Expr *E) { return translateExpr(A, E, Min); };
+  EXPECT_EQ(A.op(T(Ctx.tBinary(BinOp::Div, Ctx.tInt(5), Ctx.tInt(0)))),
+            TermOp::Div);
+  EXPECT_EQ(A.op(T(Ctx.tBinary(BinOp::Mod, Ctx.tInt(5), Ctx.tInt(0)))),
+            TermOp::Mod);
+  EXPECT_EQ(A.op(T(Ctx.tUnary(UnOp::Neg, XE))), TermOp::Neg);
+  EXPECT_EQ(A.op(T(Ctx.tBinary(BinOp::Mul, XE, Ctx.tInt(-1)))), TermOp::Mul);
 }
 
 TEST(Eval, StraightLineArithmetic) {

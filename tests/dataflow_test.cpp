@@ -263,38 +263,6 @@ TEST(Relevance, ClosesOverAssignsAndCalls) {
 // The prepass transformations
 //===----------------------------------------------------------------------===//
 
-TEST(Prepass, PrunesAssumeFalseBranches) {
-  AstContext Ctx;
-  auto P = parseOk(R"(
-    var g: int;
-    procedure expensive() { g := g + 1; assert g < 100; }
-    procedure main() {
-      var flag: bool;
-      flag := false;
-      if (flag) { call expensive(); }
-      g := 1;
-      assert g == 1;
-    }
-  )",
-                 Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  size_t ProcsBefore = Cfg.Procs.size();
-
-  PrepassReport R = runPrepass(Ctx, Cfg, Root, Err);
-  // `assume flag` can never pass: GVN cuts it, the splicer sweeps the guarded
-  // call, and `expensive` leaves the call graph.
-  EXPECT_GE(R.ContradictedAssumes, 1u);
-  EXPECT_GT(R.SplicedLabels, 0u);
-  EXPECT_EQ(R.ProcsAfter, ProcsBefore - 1);
-  EXPECT_EQ(Cfg.findProc(Ctx.sym("expensive")), InvalidProc);
-  EXPECT_EQ(Cfg.proc(Root).Name, Ctx.sym("main"));
-  for (ProcId Q = 0; Q < Cfg.Procs.size(); ++Q)
-    for (LabelId L : Cfg.proc(Q).Labels)
-      EXPECT_EQ(Cfg.label(L).Proc, Q);
-}
-
 TEST(Prepass, SlicesIrrelevantStateAndElidesCalls) {
   AstContext Ctx;
   auto P = parseOk(R"(
@@ -312,13 +280,24 @@ TEST(Prepass, SlicesIrrelevantStateAndElidesCalls) {
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
+  size_t ProcsBefore = Cfg.Procs.size();
+  ProcId RootBefore = Root;
 
   PrepassReport R = runPrepass(Ctx, Cfg, Root, Err);
   // `scratch` cannot reach the query: logger's body slices to skips, the
-  // calls are elided, and logger drops out of the program.
+  // calls are elided, the splicer sweeps the skips, and logger drops out of
+  // the program.
   EXPECT_GT(R.SlicedStmts, 0u);
   EXPECT_EQ(R.ElidedCalls, 2u);
+  EXPECT_GT(R.SplicedLabels, 0u);
+  EXPECT_EQ(R.ProcsAfter, ProcsBefore - 1);
   EXPECT_EQ(Cfg.findProc(Ctx.sym("logger")), InvalidProc);
+  // logger preceded main, so main and the root id were renumbered.
+  EXPECT_NE(Root, RootBefore);
+  EXPECT_EQ(Cfg.proc(Root).Name, Ctx.sym("main"));
+  for (ProcId Q = 0; Q < Cfg.Procs.size(); ++Q)
+    for (LabelId L : Cfg.proc(Q).Labels)
+      EXPECT_EQ(Cfg.label(L).Proc, Q);
 }
 
 TEST(Prepass, SlicesDeadMapStores) {
@@ -345,9 +324,6 @@ TEST(Prepass, SlicesDeadMapStores) {
   EXPECT_FALSE(Rel.relevantGlobal(Ctx.sym("log")));
 
   // Slice in isolation: the dead log store goes, the live data store stays.
-  // (The full default pipeline is stronger still — GVN folds the select-of-
-  // store to 7 == 7 and the entire body collapses, which the verdict check
-  // below covers.)
   PrepassOptions SliceOnly;
   SliceOnly.Passes = "slice";
   PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, SliceOnly);

@@ -351,12 +351,12 @@ TEST(PrepassDifferentialPipelines, PermutationsAgreeUnderVerifyEach) {
   // repetition) must agree with the no-prepass baseline; --verify-each keeps
   // each step honest about the label-form invariants along the way.
   const char *Specs[] = {
-      "gvn,splice,slice,deadproc", // splice before slice
-      "slice,deadproc,gvn,splice", // slice first
-      "splice,gvn,splice,gvn",     // gvn around splice, cuts left unswept
-      "gvn,gvn,splice,splice",     // idempotence
-      "deadproc,splice",           // reductions only
-      "gvn",                       // a single pass
+      "splice,slice,deadproc",           // splice before slice
+      "deadproc,slice,splice",           // deadproc first
+      "splice,slice,splice,deadproc",    // splice around slice
+      "slice,slice,splice,splice",       // idempotence
+      "deadproc,splice,deadproc,splice", // reductions only, repeated
+      "slice",                           // a single pass, skips left in place
   };
   for (const char *Spec : Specs) {
     for (unsigned N : {1u, 4u, 8u})

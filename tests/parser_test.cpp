@@ -265,6 +265,51 @@ TEST(Parser, SyntaxErrorsReported) {
   }
 }
 
+namespace {
+
+/// Parses \p Src; returns the diagnostics, empty when it parsed.
+std::string parseDiags(const std::string &Src) {
+  AstContext Ctx;
+  DiagEngine Diags;
+  std::optional<Program> P = parseProgram(Src, Ctx, Diags);
+  EXPECT_EQ(P.has_value(), !Diags.hasErrors());
+  return Diags.str();
+}
+
+std::string nestedParens(unsigned Depth) {
+  return "procedure main() { var x: int; x := " + std::string(Depth, '(') +
+         "1" + std::string(Depth, ')') + "; }";
+}
+
+std::string nestedIfs(unsigned Depth) {
+  std::string Src = "procedure main() { var x: int;\n";
+  for (unsigned I = 0; I < Depth; ++I)
+    Src += "if (x > 0) {\n";
+  Src += "x := 1;\n";
+  for (unsigned I = 0; I < Depth; ++I)
+    Src += "}\n";
+  return Src + "}";
+}
+
+} // namespace
+
+// Nesting past the parser's fixed limit is a diagnostic, not a stack
+// overflow.
+TEST(Parser, DeeplyNestedParenthesesAreAnError) {
+  EXPECT_EQ(parseDiags(nestedParens(500)), "");
+  std::string Diags = parseDiags(nestedParens(200000));
+  EXPECT_EQ(Diags.rfind("1:", 0), 0u) << Diags;
+  EXPECT_NE(Diags.find(": error: nesting deeper than"), std::string::npos)
+      << Diags;
+}
+
+TEST(Parser, DeeplyNestedIfsAreAnError) {
+  EXPECT_EQ(parseDiags(nestedIfs(500)), "");
+  std::string Diags = parseDiags(nestedIfs(20000));
+  EXPECT_NE(Diags.find(": error: nesting deeper than"), std::string::npos)
+      << Diags;
+}
+
 //===----------------------------------------------------------------------===//
 // Type checker
 //===----------------------------------------------------------------------===//

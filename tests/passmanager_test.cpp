@@ -1,13 +1,10 @@
-//===- passmanager_test.cpp - Pass manager, VerifyCfg, and GVN -------------===//
+//===- passmanager_test.cpp - Pass manager and VerifyCfg ------------------===//
 
 #include "TestSupport.h"
-#include "analysis/Gvn.h"
 #include "analysis/PassManager.h"
 #include "analysis/VerifyCfg.h"
 
 #include <gtest/gtest.h>
-
-#include <map>
 
 using namespace rmt;
 
@@ -250,322 +247,12 @@ TEST(VerifyCfg, DetectsRootOutOfRange) {
 }
 
 //===----------------------------------------------------------------------===//
-// GVN and assume-redundancy elimination
-//===----------------------------------------------------------------------===//
-
-TEST(Gvn, PropagatesCopyChains) {
-  // `y := x; z := y + 1` — the add's operand should be rewritten to the
-  // chain head `x` once y and x share a value number.
-  AstContext Ctx;
-  auto P = parseOk(R"(
-    procedure main() {
-      var x: int;
-      var y: int;
-      var z: int;
-      havoc x;
-      y := x;
-      z := y + 1;
-      assert z > x;
-    }
-  )",
-                 Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  GvnReport R = runGvn(Ctx, Cfg);
-  EXPECT_GE(R.PropagatedExprs, 1u);
-  bool SawRewrittenAdd = false;
-  for (const CfgLabel &L : Cfg.Labels) {
-    const CfgStmt &S = L.Stmt;
-    if (S.Kind != CfgStmtKind::Assign || !S.E ||
-        S.E->kind() != ExprKind::Binary || S.E->binOp() != BinOp::Add)
-      continue;
-    if (S.E->op1() && S.E->op1()->kind() == ExprKind::IntLit &&
-        S.E->op1()->intValue() == 1) {
-      ASSERT_EQ(S.E->op0()->kind(), ExprKind::Var);
-      EXPECT_EQ(Ctx.name(S.E->op0()->var()), "x");
-      SawRewrittenAdd = true;
-    }
-  }
-  EXPECT_TRUE(SawRewrittenAdd);
-  // GVN must leave the program structurally sound.
-  EXPECT_TRUE(verifyCfg(Ctx, Cfg, Root, Err).empty());
-}
-
-TEST(Gvn, FoldsLiteralsThroughCopies) {
-  AstContext Ctx;
-  auto P = parseOk(R"(
-    procedure main() {
-      var x: int;
-      var y: int;
-      x := 2;
-      y := x + 3;
-      assert y > 0;
-    }
-  )",
-                 Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  GvnReport R = runGvn(Ctx, Cfg);
-  EXPECT_GE(R.PropagatedExprs, 1u);
-  bool SawFoldedStore = false;
-  for (const CfgLabel &L : Cfg.Labels) {
-    const CfgStmt &S = L.Stmt;
-    if (S.Kind == CfgStmtKind::Assign && Ctx.name(S.Target) == "y") {
-      ASSERT_EQ(S.E->kind(), ExprKind::IntLit);
-      EXPECT_EQ(S.E->intValue(), 5);
-      SawFoldedStore = true;
-    }
-  }
-  EXPECT_TRUE(SawFoldedStore);
-}
-
-namespace {
-
-/// Runs GVN over \p Src and returns each local's last assigned right side.
-std::map<std::string, const Expr *> gvnRhs(AstContext &Ctx, const char *Src) {
-  std::map<std::string, const Expr *> Rhs;
-  auto P = parseOk(Src, Ctx);
-  if (!P)
-    return Rhs;
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  runGvn(Ctx, Cfg);
-  for (const CfgLabel &L : Cfg.Labels)
-    if (L.Stmt.Kind == CfgStmtKind::Assign)
-      Rhs[std::string(Ctx.name(L.Stmt.Target))] = L.Stmt.E;
-  return Rhs;
-}
-
-bool isIntLit(const Expr *E, int64_t V) {
-  return E && E->kind() == ExprKind::IntLit && E->intValue() == V;
-}
-
-} // namespace
-
-// Constant-expression evaluation under a known binding (x == 6) is GVN's
-// literal folding.
-TEST(EvalConstExpr, FoldsArithmeticAndComparisons) {
-  AstContext Ctx;
-  auto Rhs = gvnRhs(Ctx, R"(
-    procedure main() {
-      var x: int;
-      var a: int;
-      var b: int;
-      var c: bool;
-      var n: int;
-      var q: int;
-      var m: int;
-      var t: int;
-      x := 6;
-      a := x + 4;
-      b := x * (-2);
-      c := x < 7;
-      n := -x;
-      q := (-7) div 2;
-      m := (-7) mod 2;
-      t := (if x == 6 then 1 else 2);
-      assert c && a + b + n + q + m + t > 0;
-    }
-  )");
-  EXPECT_TRUE(isIntLit(Rhs["a"], 10));
-  EXPECT_TRUE(isIntLit(Rhs["b"], -12));
-  ASSERT_TRUE(Rhs["c"]);
-  EXPECT_EQ(Rhs["c"]->kind(), ExprKind::BoolLit);
-  EXPECT_TRUE(Rhs["c"]->boolValue());
-  EXPECT_TRUE(isIntLit(Rhs["n"], -6));
-  // Euclidean semantics: -7 div 2 = -4, -7 mod 2 = 1.
-  EXPECT_TRUE(isIntLit(Rhs["q"], -4));
-  EXPECT_TRUE(isIntLit(Rhs["m"], 1));
-  EXPECT_TRUE(isIntLit(Rhs["t"], 1));
-}
-
-TEST(EvalConstExpr, RefusesDivByZeroAndOverflow) {
-  // x div 0 is uninterpreted in SMT, and a wrapped int64 is not the
-  // mathematical result; folding either would change verdicts. Literals
-  // have at most 18 digits, so INT64_MAX and INT64_MIN are built by
-  // arithmetic (which does fold).
-  AstContext Ctx;
-  auto Rhs = gvnRhs(Ctx, R"(
-    procedure main() {
-      var d: int;
-      var r: int;
-      var hi: int;
-      var lo: int;
-      var o: int;
-      var p: int;
-      d := 5 div 0;
-      r := 5 mod 0;
-      hi := 922337203685477580 * 10 + 7;
-      lo := -922337203685477580 * 10 - 8;
-      o := hi + 1;
-      p := lo * (-1);
-      assert d + r + o + p >= 0;
-    }
-  )");
-  EXPECT_TRUE(isIntLit(Rhs["hi"], INT64_MAX));
-  EXPECT_TRUE(isIntLit(Rhs["lo"], INT64_MIN));
-  for (const char *V : {"d", "r", "o", "p"}) {
-    ASSERT_TRUE(Rhs[V]) << V;
-    EXPECT_NE(Rhs[V]->kind(), ExprKind::IntLit) << V;
-  }
-}
-
-TEST(Gvn, FoldsConnectivesThroughUnknowns) {
-  // Expressions are total, so an absorbing operand decides a connective
-  // whatever the other side holds; an identity operand leaves the other.
-  AstContext Ctx;
-  auto P = parseOk(R"(
-    procedure main() {
-      var u: bool;
-      var a: bool;
-      var b: bool;
-      var c: bool;
-      var d: bool;
-      havoc u;
-      a := false && u;
-      b := u || true;
-      c := false ==> u;
-      d := true && u;
-      assert (a || b) && (c || d);
-    }
-  )",
-                 Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  runGvn(Ctx, Cfg);
-  std::map<std::string, const Expr *> Rhs;
-  for (const CfgLabel &L : Cfg.Labels)
-    if (L.Stmt.Kind == CfgStmtKind::Assign)
-      Rhs[std::string(Ctx.name(L.Stmt.Target))] = L.Stmt.E;
-  auto IsLit = [](const Expr *E, bool V) {
-    return E && E->kind() == ExprKind::BoolLit && E->boolValue() == V;
-  };
-  EXPECT_TRUE(IsLit(Rhs["a"], false));
-  EXPECT_TRUE(IsLit(Rhs["b"], true));
-  EXPECT_TRUE(IsLit(Rhs["c"], true));
-  ASSERT_TRUE(Rhs["d"]);
-  ASSERT_EQ(Rhs["d"]->kind(), ExprKind::Var);
-  EXPECT_EQ(Ctx.name(Rhs["d"]->var()), "u");
-}
-
-TEST(Gvn, EliminatesEntailedAssume) {
-  AstContext Ctx;
-  auto P = parseOk(R"(
-    procedure main() {
-      var x: int;
-      havoc x;
-      assume x > 0;
-      assume x > 0;
-      assert x > 0;
-    }
-  )",
-                 Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  GvnReport R = runGvn(Ctx, Cfg);
-  EXPECT_GE(R.RedundantAssumes, 1u);
-  EXPECT_TRUE(verifyCfg(Ctx, Cfg, Root, Err).empty());
-}
-
-TEST(Gvn, SharpensContradictedAssume) {
-  AstContext Ctx;
-  auto P = parseOk(R"(
-    procedure main() {
-      var x: int;
-      havoc x;
-      assume x > 0;
-      assume !(x > 0);
-      x := 1;
-    }
-  )",
-                 Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  GvnReport R = runGvn(Ctx, Cfg);
-  EXPECT_GE(R.ContradictedAssumes, 1u);
-  // The sharpened label is `assume false` with its successors cut.
-  bool SawFalse = false;
-  for (const CfgLabel &L : Cfg.Labels)
-    if (L.Stmt.Kind == CfgStmtKind::Assume && L.Stmt.E &&
-        L.Stmt.E->kind() == ExprKind::BoolLit && !L.Stmt.E->boolValue()) {
-      EXPECT_TRUE(L.Targets.empty());
-      SawFalse = true;
-    }
-  EXPECT_TRUE(SawFalse);
-  EXPECT_TRUE(verifyCfg(Ctx, Cfg, Root, Err).empty());
-}
-
-TEST(Gvn, PrunesBranchWhoseRecordedConditionsClash) {
-  // `y == 1 && x > 0` is neither refuted nor folded on its own: only the
-  // conditions it records (x > 0 against the earlier !(x > 0)) clash, so the
-  // assume's post-state is bottom and the guarded call goes.
-  AstContext Ctx;
-  auto P = parseOk(R"(
-    var g: int;
-    procedure expensive() { g := g + 1; assert g < 100; }
-    procedure main() {
-      var x: int;
-      var y: int;
-      havoc x;
-      havoc y;
-      assume !(x > 0);
-      if (y == 1 && x > 0) { call expensive(); }
-    }
-  )",
-                 Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  PrepassOptions Opts;
-  Opts.VerifyEach = true;
-  PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts);
-  ASSERT_TRUE(R.ok()) << joined(R.PipelineErrors);
-  EXPECT_GE(R.ContradictedAssumes, 1u);
-  EXPECT_EQ(Cfg.findProc(Ctx.sym("expensive")), InvalidProc);
-  EXPECT_EQ(R.ProcsAfter, 1u);
-  EXPECT_EQ(findLabel(Cfg, CfgStmtKind::Call), InvalidLabel);
-}
-
-TEST(Gvn, SecondRunChangesNothing) {
-  AstContext Ctx;
-  auto P = parseOk(R"(
-    procedure main() {
-      var x: int;
-      var y: int;
-      havoc x;
-      y := x;
-      assume y > 0;
-      assume x > 0;
-      if (x > 0) { y := y + 1; } else { y := 0; }
-      assert y > 1;
-    }
-  )",
-                 Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  GvnReport First = runGvn(Ctx, Cfg);
-  EXPECT_GE(First.RedundantAssumes, 1u);
-  EXPECT_GE(First.ContradictedAssumes, 1u);
-  std::string After = Cfg.str(Ctx);
-  GvnReport Second = runGvn(Ctx, Cfg);
-  EXPECT_EQ(Second.total(), 0u);
-  EXPECT_EQ(Cfg.str(Ctx), After);
-}
-
-//===----------------------------------------------------------------------===//
 // Pass table and pipelines
 //===----------------------------------------------------------------------===//
 
 TEST(PassRegistry, ListsBuiltinsInDefaultPipelineOrder) {
-  std::vector<std::string_view> Builtins = {"gvn",      "slice", "splice",
-                                            "deadproc", "lint",  "inv"};
+  std::vector<std::string_view> Builtins = {"slice", "splice", "deadproc",
+                                            "lint",  "inv"};
   ASSERT_EQ(BuiltinPasses.size(), Builtins.size());
   for (size_t I = 0; I < Builtins.size(); ++I) {
     EXPECT_EQ(BuiltinPasses[I].Name, Builtins[I]);
@@ -576,31 +263,31 @@ TEST(PassRegistry, ListsBuiltinsInDefaultPipelineOrder) {
 }
 
 TEST(PassPipeline, ParsesSpecsAndRoundTrips) {
-  auto PL = parsePassSpec(" gvn , slice ,");
+  auto PL = parsePassSpec(" slice , splice ,");
   ASSERT_TRUE(PL);
   ASSERT_EQ(PL->size(), 2u);
-  EXPECT_EQ((*PL)[0]->Name, "gvn");
-  EXPECT_EQ((*PL)[1]->Name, "slice");
+  EXPECT_EQ((*PL)[0]->Name, "slice");
+  EXPECT_EQ((*PL)[1]->Name, "splice");
   EXPECT_EQ((*PL)[0], &BuiltinPasses[0]);
 
   std::string Error;
-  EXPECT_FALSE(parsePassSpec("gvn,bogus", &Error));
-  EXPECT_EQ(Error, "unknown pass 'bogus' (available: gvn slice splice "
-                   "deadproc lint inv)");
+  EXPECT_FALSE(parsePassSpec("slice,bogus", &Error));
+  EXPECT_EQ(Error, "unknown pass 'bogus' (available: slice splice deadproc "
+                   "lint inv)");
 
   EXPECT_TRUE(parsePassSpec("")->empty());
 }
 
 TEST(PassPipeline, SpecIsPassesThenInv) {
   PrepassOptions Opts;
-  EXPECT_EQ(Opts.spec(), "gvn,slice,splice,deadproc");
+  EXPECT_EQ(Opts.spec(), "slice,splice,deadproc");
   auto PL = parsePassSpec(Opts.spec());
   ASSERT_TRUE(PL);
-  ASSERT_EQ(PL->size(), 4u);
+  ASSERT_EQ(PL->size(), 3u);
   for (size_t I = 0; I < PL->size(); ++I)
     EXPECT_EQ((*PL)[I], &BuiltinPasses[I]);
   Opts.Invariants = true;
-  EXPECT_EQ(Opts.spec(), "gvn,slice,splice,deadproc,inv");
+  EXPECT_EQ(Opts.spec(), "slice,splice,deadproc,inv");
   // The empty spec is "no prepass"; +Inv still runs alone.
   Opts.Passes.clear();
   EXPECT_EQ(Opts.spec(), "inv");
@@ -618,7 +305,7 @@ TEST(PassPipeline, RecordsPerPassStats) {
   PrepassOptions Opts;
   PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts, &S);
   EXPECT_TRUE(R.ok());
-  for (const char *Name : {"gvn", "slice", "splice", "deadproc"})
+  for (const char *Name : {"slice", "splice", "deadproc"})
     EXPECT_EQ(S.get("pass." + std::string(Name) + ".runs"), 1)
         << Name;
   // The demo program has skip labels to splice, so at least one pass reports
@@ -667,7 +354,7 @@ TEST(PassPipeline, LintAuditCountsResidualDeadStores) {
     Symbol Err;
     CfgProgram Cfg = lower(Ctx, *P, Root, Err);
     PrepassOptions Opts;
-    Opts.Passes = "gvn,slice,splice,deadproc,lint";
+    Opts.Passes = "slice,splice,deadproc,lint";
     Opts.VerifyEach = true;
     PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts);
     ASSERT_TRUE(R.ok()) << joined(R.PipelineErrors);
@@ -710,7 +397,7 @@ TEST(PassPipeline, PassesOverrideRunsOnlyTheListedPasses) {
   PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts, &S);
   EXPECT_TRUE(R.ok());
   EXPECT_EQ(S.get("pass.splice.runs"), 2);
-  EXPECT_EQ(S.get("pass.gvn.runs"), 0);
+  EXPECT_EQ(S.get("pass.slice.runs"), 0);
   EXPECT_EQ(S.get("pass.deadproc.runs"), 0);
 }
 
@@ -722,7 +409,7 @@ TEST(PassPipeline, UnknownPassNameAbortsBeforeRunningAnything) {
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
   size_t LabelsBefore = Cfg.Labels.size();
   PrepassOptions Opts;
-  Opts.Passes = "gvn,bogus";
+  Opts.Passes = "slice,bogus";
   PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts);
   EXPECT_FALSE(R.ok());
   ASSERT_EQ(R.PipelineErrors.size(), 1u);
@@ -760,7 +447,7 @@ TEST(PassPipeline, VerifyEachCatchesACorruptingPass) {
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
 
   std::vector<PassInfo> Table = tableWithCorruptingPass();
-  auto PL = parsePassSpec("gvn,corrupt,splice", nullptr, Table);
+  auto PL = parsePassSpec("slice,corrupt,splice", nullptr, Table);
   ASSERT_TRUE(PL);
   PrepassReport R;
   PassContext PC{Ctx, Cfg, Root, Err, R};
@@ -793,7 +480,7 @@ TEST(PassPipeline, VerifyEachChecksThePipelineInputToo) {
   EXPECT_NE(R.PipelineErrors[0].find("VerifyCfg after pipeline input"),
             std::string::npos)
       << R.PipelineErrors[0];
-  EXPECT_EQ(S.get("pass.gvn.runs"), 0);
+  EXPECT_EQ(S.get("pass.slice.runs"), 0);
 }
 
 TEST(PassPipeline, WithoutVerifyEachCorruptionGoesUnnoticed) {

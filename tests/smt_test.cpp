@@ -370,18 +370,20 @@ TEST(Z3, ModelAndAssignmentFollowTheLastCheck) {
 TEST(Z3, UnknownSaysWhy) {
   // An Unknown check names its cause: Z3's own reason for a timeout, the
   // recorded error after a failed assertion. Decided checks name none.
+  // Unknown is final, so each cause gets its own solver.
   AstContext Ctx;
   TermArena A;
   auto S = createZ3Solver(A);
   TermRef Hard = assumptionLiteral(*S, A, Ctx, pigeonhole(A, Ctx, 9, 8));
-  ASSERT_EQ(S->check({Hard}, 0.001), SolveResult::Unknown);
-  EXPECT_FALSE(S->reasonUnknown().empty());
   ASSERT_EQ(S->check({A.mkNot(Hard)}, 0), SolveResult::Sat);
   EXPECT_TRUE(S->reasonUnknown().empty());
-  S->assertTerm(A.intLit(7));
-  ASSERT_EQ(S->check(), SolveResult::Unknown);
-  EXPECT_NE(S->reasonUnknown().find("z3 error"), std::string::npos)
-      << S->reasonUnknown();
+  ASSERT_EQ(S->check({Hard}, 0.001), SolveResult::Unknown);
+  EXPECT_FALSE(S->reasonUnknown().empty());
+  auto Bad = createZ3Solver(A);
+  Bad->assertTerm(A.intLit(7));
+  ASSERT_EQ(Bad->check(), SolveResult::Unknown);
+  EXPECT_NE(Bad->reasonUnknown().find("z3 error"), std::string::npos)
+      << Bad->reasonUnknown();
 }
 
 TEST(Z3, ArraysDecided) {
@@ -443,8 +445,10 @@ TEST(Z3, TimeoutParameterDoesNotBreakEasyChecks) {
 
 TEST(Z3, TimeoutDoesNotOutliveItsCheck) {
   // Two independent hard formulas, each behind its own literal. The first
-  // check runs out of its 1 ms budget; the unlimited check after it must
-  // search to the end rather than inherit that budget.
+  // check runs out of its 1 ms budget. Unknown is final: the unlimited check
+  // after it answers Unknown with the first reason at once, rather than
+  // search a solver that gave up (which could answer Sat for this unsat
+  // formula).
   AstContext Ctx;
   TermArena A;
   auto S = createZ3Solver(A);
@@ -456,7 +460,10 @@ TEST(Z3, TimeoutDoesNotOutliveItsCheck) {
                                           Start)
                 .count(),
             2.0);
-  EXPECT_EQ(S->check({H2}, 0), SolveResult::Unsat);
+  std::string Reason = S->reasonUnknown();
+  EXPECT_FALSE(Reason.empty());
+  EXPECT_EQ(S->check({H2}, 0), SolveResult::Unknown);
+  EXPECT_EQ(S->reasonUnknown(), Reason);
 }
 
 TEST(SmtLib, ScriptsReparseUnderZ3WithSameVerdict) {

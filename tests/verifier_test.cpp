@@ -44,7 +44,7 @@ TEST(VerifierPrepass, InvariantsWithoutPrepassRunThroughThePipeline) {
   EXPECT_GT(R.NumLabelsSolved, R.NumLabels);
   EXPECT_EQ(R.Prepass.LabelsAfter, R.NumLabelsSolved);
   EXPECT_EQ(R.PrepassStats.get("pass.inv.runs"), 1);
-  EXPECT_EQ(R.PrepassStats.get("pass.gvn.runs"), 0);
+  EXPECT_EQ(R.PrepassStats.get("pass.slice.runs"), 0);
 }
 
 TEST(Verifier, LowerInstanceIsWhatTheEngineSolves) {
