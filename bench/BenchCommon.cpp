@@ -15,10 +15,10 @@ using namespace rmt;
 using namespace rmt::bench;
 
 EngineConfig rmt::bench::makeConfig(std::string Name, MergeStrategyKind Kind,
-                                    bool UseInvariants) {
+                                    bool Inv) {
   EngineConfig C{std::move(Name), VerifierOptions()};
   C.Opts.Bound = 1; // drivers and chains are loop-free by construction
-  C.Opts.UseInvariants = UseInvariants;
+  C.Opts.Prepass.Invariants = Inv;
   C.Opts.Engine.Strategy.Kind = Kind;
   return C;
 }

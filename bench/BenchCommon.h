@@ -49,10 +49,10 @@ struct EngineConfig {
   VerifierOptions Opts;
 };
 
-/// A bound-1 configuration with strategy \p Kind (and +Inv when
-/// \p UseInvariants); callers adjust the other options in place.
+/// A bound-1 configuration with strategy \p Kind, +Inv when \p Inv and
+/// -Inv otherwise; callers adjust the other options in place.
 EngineConfig makeConfig(std::string Name, MergeStrategyKind Kind,
-                        bool UseInvariants = false);
+                        bool Inv = false);
 
 /// Result of one instance under one configuration.
 struct RunRow {

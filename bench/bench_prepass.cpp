@@ -5,7 +5,9 @@
 // Two-way ablation of the prepass pipeline on the SDV-like corpus:
 //
 //   off     — no prepass at all;
-//   default — the default pipeline (slice,splice,deadproc).
+//   default — the default structural pipeline (slice,splice,deadproc),
+//             -Inv like every bench::makeConfig configuration not marked
+//             +Inv, so the ablation isolates the structural passes.
 //
 // For each configuration we report the program size the engine sees, the
 // size of the fully inlined VC (hash-consed term count) and the end-to-end

@@ -5,7 +5,7 @@
 // A small Corral-like command-line tool over the library:
 //
 //   hbpl_verify FILE.hbpl [--entry NAME] [--bound N] [--strategy S]
-//               [--timeout SECS] [--inv] [--eager] [--paper-pvc]
+//               [--timeout SECS] [--no-inv] [--eager] [--paper-pvc]
 //               [--no-prepass] [--passes LIST] [--verify-each]
 //               [--print-after-all] [--list-passes] [--lint]
 //               [--dump-cfg] [--dump-dag] [--trace-out FILE]
@@ -15,6 +15,8 @@
 // of seconds >= 0 (default 300; 0 turns the limit off); anything else is a
 // usage error. --passes takes a comma-separated list from the prepass pass
 // table (PassManager.h), which --list-passes prints one pass per line.
+// Interval invariants (+Inv, the `inv` pass) run after that pipeline by
+// default; --no-inv turns them off and --no-prepass runs no pass at all.
 //
 // --paper-pvc generates the paper's literal Fig. 8 pVCs instead of the
 // default passified ones (same verdicts; see PvcMode).
@@ -41,6 +43,7 @@
 #include "parser/Parser.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -49,6 +52,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 using namespace rmt;
 
@@ -86,7 +90,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: hbpl_verify FILE.hbpl [--entry NAME] [--bound N] "
                "[--strategy none|first|random|randompick|maxc|opt] "
-               "[--timeout SECS] [--inv] [--eager] [--paper-pvc] "
+               "[--timeout SECS] [--no-inv] [--eager] [--paper-pvc] "
                "[--no-prepass] [--passes LIST] [--verify-each] "
                "[--print-after-all] [--list-passes] [--lint] [--dump-cfg] "
                "[--dump-dag] [--trace-out FILE] [--stats-json FILE] "
@@ -156,8 +160,8 @@ int main(int argc, char **argv) {
         return usage();
       }
       Opts.Engine.TimeoutSeconds = *Timeout;
-    } else if (Arg == "--inv") {
-      Opts.UseInvariants = true;
+    } else if (Arg == "--no-inv") {
+      Opts.Prepass.Invariants = false;
     } else if (Arg == "--eager") {
       Opts.Engine.Eager = true;
     } else if (Arg == "--paper-pvc") {
@@ -324,13 +328,18 @@ int main(int argc, char **argv) {
     std::printf("reason:    %s\n", R.Result.Reason.c_str());
   std::printf("bound:     %u\n", Opts.Bound);
   std::printf("asserts:   %u\n", R.NumAsserts);
-  if (Opts.UsePrepass)
+  // A pass ran iff the pipeline counted a run of it.
+  auto Ran = [&](std::string_view Name) {
+    return R.PrepassStats.get("pass." + std::string(Name) + ".runs") > 0;
+  };
+  if (std::any_of(BuiltinPasses.begin(), BuiltinPasses.end(),
+                  [&](const PassInfo &P) { return Ran(P.Name); }))
     std::printf("prepass:   %s\n", R.Prepass.str().c_str());
   std::printf("inlined:   %zu procedure instances (%zu merged calls)\n",
               R.Result.NumInlined, R.Result.NumMerged);
   std::printf("checks:    %zu solver calls in %zu iterations\n",
               R.Result.NumSolverChecks, R.Result.NumIterations);
-  if (Opts.UseInvariants)
+  if (Ran("inv"))
     std::printf("invariants: %u conjuncts injected\n",
                 R.Prepass.InvariantConjuncts);
   std::printf("time:      %.3fs (merge lookups %.4fs, %llu Disj_blk "

@@ -14,13 +14,22 @@ using namespace rmt;
 ProcFlow::ProcFlow(const CfgProgram &Prog, ProcId P)
     : Prog(Prog), P(P), Entry(Prog.proc(P).Entry) {
   Topo = Prog.topoOrder(P);
-  Index.reserve(Topo.size());
-  for (unsigned I = 0; I < Topo.size(); ++I)
-    Index[Topo[I]] = I;
-  Preds.resize(Topo.size());
-  for (LabelId L : Prog.proc(P).Labels)
-    for (LabelId T : Prog.label(L).Targets)
-      Preds[Index.at(T)].push_back(L);
+  size_t N = Topo.size();
+  Index.reserve(N);
+  for (unsigned I = 0; I < N; ++I)
+    Index.emplace_back(Topo[I], I);
+  std::sort(Index.begin(), Index.end());
+  PredIdx.resize(N);
+  SuccIdx.resize(N);
+  // In Proc.Labels order, so each predecessor list keeps that order.
+  for (LabelId L : Prog.proc(P).Labels) {
+    unsigned From = indexOf(L);
+    for (LabelId T : Prog.label(L).Targets) {
+      unsigned To = indexOf(T);
+      PredIdx[To].push_back(From);
+      SuccIdx[From].push_back(To);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -21,13 +21,15 @@
 ///   Value bottom() const;                    // join identity ("unreachable")
 ///   Value boundary() const;                  // entry (fwd) / exit (bwd) state
 ///   bool join(Value &Into, const Value &From) const;  // true if Into grew
-///   Value transfer(LabelId L, const CfgStmt &S, const Value &X) const;
+///   void transfer(LabelId L, const CfgStmt &S, Value &X) const;  // in place
 ///
 /// For a forward analysis, pre(L) is the join over predecessors' post states
 /// (boundary at the procedure entry) and post(L) = transfer(pre(L)). For a
 /// backward analysis the roles flip: post(L) joins the successors' pre states
 /// (boundary at exit labels, i.e. labels with no successors) and
 /// pre(L) = transfer(post(L)). Pre/post are always named in *program* order.
+/// transfer rewrites its input state into its output state, so a solver
+/// reused across solves keeps its values' storage and allocates little.
 ///
 /// On top of the framework this header exposes the verification prepass
 /// entry point runPrepass() and the structural passes it shares: skip-chain
@@ -44,11 +46,10 @@
 #include "support/Stats.h"
 
 #include <algorithm>
-#include <deque>
+#include <cassert>
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -60,8 +61,9 @@ class Trace;
 // Flow-graph view
 //===----------------------------------------------------------------------===//
 
-/// Per-procedure view of the intraprocedural flow graph: predecessor lists,
-/// a dense label index, and a topological order (entry-first).
+/// Per-procedure view of the intraprocedural flow graph: a topological order
+/// (entry-first), each label's dense index (its position in that order), and
+/// predecessor and successor lists by index.
 class ProcFlow {
 public:
   ProcFlow(const CfgProgram &Prog, ProcId P);
@@ -73,12 +75,22 @@ public:
   /// Labels in topological order of the flow graph.
   const std::vector<LabelId> &topo() const { return Topo; }
 
-  unsigned indexOf(LabelId L) const { return Index.at(L); }
-  const std::vector<LabelId> &preds(LabelId L) const {
-    return Preds[indexOf(L)];
+  /// Dense index of \p L (a binary search; solvers work on indices).
+  unsigned indexOf(LabelId L) const {
+    auto It = std::lower_bound(
+        Index.begin(), Index.end(), L,
+        [](const std::pair<LabelId, unsigned> &E, LabelId X) {
+          return E.first < X;
+        });
+    assert(It != Index.end() && It->first == L && "label not in procedure");
+    return It->second;
   }
-  const std::vector<LabelId> &succs(LabelId L) const {
-    return Prog.label(L).Targets;
+  /// Indices of the predecessors / successors of the label at index \p I.
+  const std::vector<unsigned> &predIndices(unsigned I) const {
+    return PredIdx[I];
+  }
+  const std::vector<unsigned> &succIndices(unsigned I) const {
+    return SuccIdx[I];
   }
 
   const CfgProgram &program() const { return Prog; }
@@ -88,8 +100,9 @@ private:
   ProcId P;
   LabelId Entry;
   std::vector<LabelId> Topo;
-  std::unordered_map<LabelId, unsigned> Index;
-  std::vector<std::vector<LabelId>> Preds;
+  /// (label, index) sorted by label.
+  std::vector<std::pair<LabelId, unsigned>> Index;
+  std::vector<std::vector<unsigned>> PredIdx, SuccIdx;
 };
 
 /// Direction of a dataflow analysis.
@@ -103,68 +116,87 @@ template <typename Analysis> class DataflowSolver {
 public:
   using Value = typename Analysis::Value;
 
-  DataflowSolver(const ProcFlow &Flow, const Analysis &A) : Flow(Flow), A(A) {}
-
-  void solve() {
+  /// Solves \p A over \p Flow; pre/post then read this solve. Storage is
+  /// kept from one solve to the next, so one solver reused across
+  /// procedures and rounds stops allocating once it has seen the largest.
+  void solve(const ProcFlow &Flow, const Analysis &A) {
     constexpr bool Fwd = Analysis::Direction == FlowDirection::Forward;
+    this->Flow = &Flow;
     size_t N = Flow.size();
-    Pre.assign(N, A.bottom());
-    Post.assign(N, A.bottom());
+    if (Pre.size() < N) {
+      Pre.resize(N);
+      Post.resize(N);
+    }
+    const Value Bottom = A.bottom();
+    for (size_t I = 0; I < N; ++I) {
+      Pre[I] = Bottom;
+      Post[I] = Bottom;
+    }
 
     // Seed in solve order: one visit per label suffices on acyclic graphs.
-    std::deque<LabelId> Work(Flow.topo().begin(), Flow.topo().end());
-    if (!Fwd)
-      std::reverse(Work.begin(), Work.end());
-    std::vector<char> Queued(N, 1);
+    // The worklist is a FIFO of indices; a label is re-enqueued only when an
+    // input changed after its visit, which needs a cycle.
+    Work.resize(N);
+    for (unsigned I = 0; I < N; ++I)
+      Work[I] = Fwd ? I : static_cast<unsigned>(N - 1 - I);
+    Queued.assign(N, 1);
 
-    while (!Work.empty()) {
-      LabelId L = Work.front();
-      Work.pop_front();
-      unsigned I = Flow.indexOf(L);
+    for (size_t Head = 0; Head < Work.size(); ++Head) {
+      unsigned I = Work[Head];
       Queued[I] = 0;
+      LabelId L = Flow.topo()[I];
       const CfgStmt &S = Flow.program().label(L).Stmt;
 
       if (Fwd) {
-        Value In = L == Flow.entry() ? A.boundary() : A.bottom();
-        for (LabelId P : Flow.preds(L))
-          A.join(In, Post[Flow.indexOf(P)]);
-        Pre[I] = std::move(In);
-        Value Out = A.transfer(L, S, Pre[I]);
-        if (A.join(Post[I], Out))
-          for (LabelId T : Flow.succs(L))
-            enqueue(Work, Queued, T);
+        Value &In = Pre[I];
+        if (L == Flow.entry())
+          In = A.boundary();
+        else
+          In = Bottom;
+        for (unsigned P : Flow.predIndices(I))
+          A.join(In, Post[P]);
+        Scratch = In;
+        A.transfer(L, S, Scratch);
+        if (A.join(Post[I], Scratch))
+          for (unsigned T : Flow.succIndices(I))
+            enqueue(T);
       } else {
-        Value Out = Flow.succs(L).empty() ? A.boundary() : A.bottom();
-        for (LabelId T : Flow.succs(L))
-          A.join(Out, Pre[Flow.indexOf(T)]);
-        Post[I] = std::move(Out);
-        Value In = A.transfer(L, S, Post[I]);
-        if (A.join(Pre[I], In))
-          for (LabelId P : Flow.preds(L))
-            enqueue(Work, Queued, P);
+        Value &Out = Post[I];
+        if (Flow.succIndices(I).empty())
+          Out = A.boundary();
+        else
+          Out = Bottom;
+        for (unsigned T : Flow.succIndices(I))
+          A.join(Out, Pre[T]);
+        Scratch = Out;
+        A.transfer(L, S, Scratch);
+        if (A.join(Pre[I], Scratch))
+          for (unsigned P : Flow.predIndices(I))
+            enqueue(P);
       }
     }
   }
 
   /// State before the label's statement executes.
-  const Value &pre(LabelId L) const { return Pre[Flow.indexOf(L)]; }
+  const Value &pre(LabelId L) const { return Pre[Flow->indexOf(L)]; }
   /// State after the label's statement executes.
-  const Value &post(LabelId L) const { return Post[Flow.indexOf(L)]; }
+  const Value &post(LabelId L) const { return Post[Flow->indexOf(L)]; }
 
 private:
-  void enqueue(std::deque<LabelId> &Work, std::vector<char> &Queued,
-               LabelId L) {
-    unsigned I = Flow.indexOf(L);
+  void enqueue(unsigned I) {
     if (!Queued[I]) {
       Queued[I] = 1;
-      Work.push_back(L);
+      Work.push_back(I);
     }
   }
 
-  const ProcFlow &Flow;
-  const Analysis &A;
+  const ProcFlow *Flow = nullptr;
+  /// The first Flow->size() entries belong to the last solve.
   std::vector<Value> Pre;
   std::vector<Value> Post;
+  Value Scratch;
+  std::vector<unsigned> Work;
+  std::vector<char> Queued;
 };
 
 //===----------------------------------------------------------------------===//
@@ -197,10 +229,10 @@ inline constexpr const char *DefaultPrepassPasses = "slice,splice,deadproc";
 
 /// Prepass configuration: one pipeline spec plus pipeline-level knobs.
 struct PrepassOptions {
-  /// Append interval-invariant injection (the paper's +Inv) as the last
-  /// pass. Off by default; the verifier sets it from
-  /// VerifierOptions::UseInvariants.
-  bool Invariants = false;
+  /// Append interval-invariant injection (the paper's +Inv, the best row of
+  /// Fig. 12) as the last pass. On by default; a -Inv configuration sets it
+  /// to false.
+  bool Invariants = true;
   /// Comma-separated pipeline spec, e.g. "slice,splice". Empty runs no pass
   /// (except `inv` under Invariants).
   std::string Passes = DefaultPrepassPasses;
@@ -215,7 +247,7 @@ struct PrepassOptions {
   Trace *Telemetry = nullptr;
 
   /// The pipeline this configuration runs: Passes, then `inv` under
-  /// Invariants.
+  /// Invariants unless Passes already runs it.
   std::string spec() const;
 };
 

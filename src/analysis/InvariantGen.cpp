@@ -13,21 +13,26 @@ bool AbsEnv::joinWith(const AbsEnv &O) {
     *this = O;
     return true;
   }
-  // Missing keys are top; a key survives only if bounded on both sides.
+  // Missing keys are top; a key survives only if bounded on both sides. One
+  // merge over the two sorted vectors, compacting this one in place.
   bool Grew = false;
-  for (auto It = Vals.begin(); It != Vals.end();) {
-    auto OIt = O.Vals.find(It->first);
-    Interval J =
-        OIt == O.Vals.end() ? Interval::top() : It->second.join(OIt->second);
+  auto OIt = O.Vals.begin(), OEnd = O.Vals.end();
+  size_t Kept = 0;
+  for (size_t I = 0; I < Vals.size(); ++I) {
+    Symbol Var = Vals[I].first;
+    while (OIt != OEnd && OIt->first < Var)
+      ++OIt;
+    Interval J = OIt == OEnd || OIt->first != Var
+                     ? Interval::top()
+                     : Vals[I].second.join(OIt->second);
     if (J.isTop()) {
-      It = Vals.erase(It);
       Grew = true;
       continue;
     }
-    Grew |= !(J == It->second);
-    It->second = J;
-    ++It;
+    Grew |= !(J == Vals[I].second);
+    Vals[Kept++] = {Var, J};
   }
+  Vals.resize(Kept);
   return Grew;
 }
 
@@ -38,32 +43,33 @@ AbsEnv AbsEnv::widen(const AbsEnv &Old, const AbsEnv &New) {
     return New;
   AbsEnv Out;
   // Missing keys are top; only keys present in both can keep bounds, and a
-  // bound survives only if it did not move since the previous iterate.
+  // bound survives only if it did not move since the previous iterate. New
+  // is sorted, so Out is built in order.
+  auto OldIt = Old.Vals.begin(), OldEnd = Old.Vals.end();
   for (const auto &[Var, NewI] : New.Vals) {
-    auto It = Old.Vals.find(Var);
-    if (It == Old.Vals.end())
-      continue; // was top before? no — was absent ⇒ treat as moved ⇒ top
-    const Interval &OldI = It->second;
+    while (OldIt != OldEnd && OldIt->first < Var)
+      ++OldIt;
+    if (OldIt == OldEnd || OldIt->first != Var)
+      continue; // absent before, so top then: the bound moved
+    const Interval &OldI = OldIt->second;
     Interval W = Interval::top();
     if (NewI.hasLo() && OldI.hasLo() && NewI.lo() == OldI.lo())
       W = W.meet(Interval::atLeast(NewI.lo()));
     if (NewI.hasHi() && OldI.hasHi() && NewI.hi() == OldI.hi())
       W = W.meet(Interval::atMost(NewI.hi()));
-    Out.set(Var, W);
+    if (!W.isTop())
+      Out.Vals.push_back({Var, W});
   }
   return Out;
 }
 
-namespace {
-
-/// The per-statement transfer of the interval analysis over one procedure, a
-/// forward DataflowSolver client. Call post-states come from the callee
-/// summaries: a bottom summary means "no terminated execution of the callee
-/// is known (yet)", so the continuation is unreachable. During the ascending
-/// iteration this is the least-fixpoint reading; at the fixpoint it is exact
-/// (callees always terminate control-wise, so a reachable call's callee has
-/// a non-bottom summary).
-struct IntervalFlow {
+/// Call post-states come from the callee summaries: a bottom summary means
+/// "no terminated execution of the callee is known (yet)", so the
+/// continuation is unreachable. During the ascending iteration this is the
+/// least-fixpoint reading; at the fixpoint it is exact (callees always
+/// terminate control-wise, so a reachable call's callee has a non-bottom
+/// summary).
+struct rmt::IntervalFlow {
   using Value = AbsEnv;
   static constexpr FlowDirection Direction = FlowDirection::Forward;
 
@@ -80,41 +86,39 @@ struct IntervalFlow {
     return Into.joinWith(From);
   }
 
-  Value transfer(LabelId, const CfgStmt &S, const Value &In) const {
-    if (In.isBottom())
-      return In; // unreachable label or dead branch
-    AbsEnv Out = In;
+  void transfer(LabelId, const CfgStmt &S, AbsEnv &X) const {
+    if (X.isBottom())
+      return; // unreachable label or dead branch
     switch (S.Kind) {
     case CfgStmtKind::Assume:
-      Out.assume(S.E);
+      X.assume(S.E);
       break;
     case CfgStmtKind::Assign:
-      Out.set(S.Target, In.eval(S.E));
+      X.set(S.Target, X.eval(S.E));
       break;
     case CfgStmtKind::Havoc:
       for (Symbol V : S.Vars)
-        Out.set(V, Proc.typeOf(V) && Proc.typeOf(V)->isBool()
-                       ? Interval::boolTop()
-                       : Interval::top());
+        X.set(V, Proc.typeOf(V) && Proc.typeOf(V)->isBool()
+                     ? Interval::boolTop()
+                     : Interval::top());
       break;
     case CfgStmtKind::Call: {
       // Globals and results come from the callee's summary.
       const AbsEnv &Summary = CallSummaries[S.Callee];
-      if (Summary.isBottom())
-        return Summary;
+      if (Summary.isBottom()) {
+        X = Summary;
+        return;
+      }
       const CfgProc &Callee = Prog.proc(S.Callee);
       for (const VarDecl &G : Prog.Globals)
-        Out.set(G.Name, Summary.get(G.Name));
+        X.set(G.Name, Summary.get(G.Name));
       for (size_t I = 0; I < S.Vars.size(); ++I)
-        Out.set(S.Vars[I], Summary.get(Callee.Returns[I].Name));
+        X.set(S.Vars[I], Summary.get(Callee.Returns[I].Name));
       break;
     }
     }
-    return Out;
   }
 };
-
-} // namespace
 
 IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
     : Prog(Prog) {
@@ -127,8 +131,10 @@ IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
 
   // Phase 1: callees-first exit summaries under an unconstrained entry.
   std::vector<ProcId> BottomUp = Prog.bottomUpProcOrder();
+  DataflowSolver<IntervalFlow> Solver;
   for (ProcId P : BottomUp)
-    ExitSummaries[P] = solveProc(P, AbsEnv(), ExitSummaries, /*Record=*/false);
+    ExitSummaries[P] =
+        solveProc(Solver, P, AbsEnv(), ExitSummaries, /*Record=*/false);
 
   // Phase 2: ascending Kleene iteration for entries + contextual exits.
   // Entries accumulate joins of call contexts; exits are recomputed from
@@ -144,12 +150,13 @@ IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
     // Callers first: propagate contexts (Record joins into EntryEnvs).
     for (auto It = BottomUp.rbegin(); It != BottomUp.rend(); ++It)
       if (!EntryEnvs[*It].isBottom())
-        solveProc(*It, EntryEnvs[*It], ContextExitSummaries, /*Record=*/true);
+        solveProc(Solver, *It, EntryEnvs[*It], ContextExitSummaries,
+                  /*Record=*/true);
     // Callees first: recompute contextual exits under the new entries.
     for (ProcId P : BottomUp)
       if (!EntryEnvs[P].isBottom())
         ContextExitSummaries[P] =
-            solveProc(P, EntryEnvs[P], ContextExitSummaries,
+            solveProc(Solver, P, EntryEnvs[P], ContextExitSummaries,
                       /*Record=*/false);
 
     if (Round >= WidenAfter) {
@@ -172,13 +179,12 @@ IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
   }
 }
 
-AbsEnv IntervalAnalysis::solveProc(ProcId P, const AbsEnv &Entry,
+AbsEnv IntervalAnalysis::solveProc(DataflowSolver<IntervalFlow> &Solver,
+                                   ProcId P, const AbsEnv &Entry,
                                    const std::vector<AbsEnv> &CallSummaries,
                                    bool Record) {
   const CfgProc &Proc = Prog.proc(P);
-  IntervalFlow A{Prog, Proc, Entry, CallSummaries};
-  DataflowSolver<IntervalFlow> Solver(Flows[P], A);
-  Solver.solve();
+  Solver.solve(Flows[P], IntervalFlow{Prog, Proc, Entry, CallSummaries});
 
   AbsEnv Exit = AbsEnv::bottomEnv();
   for (LabelId L : Proc.Labels) {

@@ -37,12 +37,15 @@
 #include "analysis/Dataflow.h"
 #include "analysis/Interval.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace rmt {
 
 /// An abstract store: missing variables are top; Bottom means unreachable.
+/// The bounded variables are a flat vector sorted by symbol, so lookups are
+/// binary searches and joins are linear merges with no hashing.
 class AbsEnv {
 public:
   static AbsEnv bottomEnv() {
@@ -56,8 +59,9 @@ public:
   Interval get(Symbol Var) const {
     if (Bottom)
       return Interval::bottom();
-    auto It = Vals.find(Var);
-    return It == Vals.end() ? Interval::top() : It->second;
+    size_t I = position(Var);
+    return I == Vals.size() || Vals[I].first != Var ? Interval::top()
+                                                    : Vals[I].second;
   }
 
   /// Setting any variable to bottom collapses the whole env to bottom.
@@ -69,10 +73,16 @@ public:
       Vals.clear();
       return;
     }
-    if (I.isTop())
-      Vals.erase(Var);
-    else
-      Vals[Var] = I;
+    auto It = Vals.begin() + position(Var);
+    bool Found = It != Vals.end() && It->first == Var;
+    if (I.isTop()) {
+      if (Found)
+        Vals.erase(It);
+    } else if (Found) {
+      It->second = I;
+    } else {
+      Vals.insert(It, {Var, I});
+    }
   }
 
   /// Joins \p O into this env; returns whether this env grew.
@@ -96,9 +106,24 @@ public:
   static AbsEnv widen(const AbsEnv &Old, const AbsEnv &New);
 
 private:
+  using Binding = std::pair<Symbol, Interval>;
+
+  /// Index of \p Var's binding, or of where it would be inserted.
+  size_t position(Symbol Var) const {
+    return std::lower_bound(
+               Vals.begin(), Vals.end(), Var,
+               [](const Binding &B, Symbol V) { return B.first < V; }) -
+           Vals.begin();
+  }
+
   bool Bottom = false;
-  std::unordered_map<Symbol, Interval> Vals;
+  /// Bounded variables only (never top, never bottom), sorted by symbol.
+  std::vector<Binding> Vals;
 };
+
+/// The interval analysis's per-statement transfer over one procedure, a
+/// forward DataflowSolver client (defined in InvariantGen.cpp).
+struct IntervalFlow;
 
 /// Whole-program interval analysis results. Each procedure is solved by the
 /// forward DataflowSolver (Dataflow.h) over AbsEnv; the two-phase driver in
@@ -122,10 +147,12 @@ public:
   }
 
 private:
-  /// Solves \p P from \p Entry, taking call post-states from
-  /// \p CallSummaries, and returns its exit summary. When \p Record is set,
-  /// each reachable call site's context is joined into its callee's entry.
-  AbsEnv solveProc(ProcId P, const AbsEnv &Entry,
+  /// Solves \p P from \p Entry in \p Solver (storage shared by every
+  /// solve), taking call post-states from \p CallSummaries, and returns its
+  /// exit summary. When \p Record is set, each reachable call site's context
+  /// is joined into its callee's entry.
+  AbsEnv solveProc(DataflowSolver<IntervalFlow> &Solver, ProcId P,
+                   const AbsEnv &Entry,
                    const std::vector<AbsEnv> &CallSummaries, bool Record);
 
   const CfgProgram &Prog;

@@ -111,20 +111,18 @@ public:
     return Changed;
   }
 
-  Value transfer(LabelId, const CfgStmt &S, const Value &In) const {
-    Value Out = In;
+  void transfer(LabelId, const CfgStmt &S, Value &X) const {
     switch (S.Kind) {
     case CfgStmtKind::Assume:
       break;
     case CfgStmtKind::Assign:
-      Out.Defined.insert(S.Target);
+      X.Defined.insert(S.Target);
       break;
     case CfgStmtKind::Havoc:
     case CfgStmtKind::Call:
-      Out.Defined.insert(S.Vars.begin(), S.Vars.end());
+      X.Defined.insert(S.Vars.begin(), S.Vars.end());
       break;
     }
-    return Out;
   }
 };
 
@@ -153,8 +151,8 @@ public:
     return Changed;
   }
 
-  Value transfer(LabelId, const CfgStmt &S, const Value &Post) const {
-    Value Pre = Post;
+  /// Pre holds the post-state and becomes the pre-state.
+  void transfer(LabelId, const CfgStmt &S, Value &Pre) const {
     switch (S.Kind) {
     case CfgStmtKind::Assume:
       collectExprVars(S.E, Pre);
@@ -176,7 +174,6 @@ public:
         Pre.insert(G);
       break;
     }
-    return Pre;
   }
 
 private:
@@ -289,8 +286,8 @@ LintReport rmt::lintProgram(AstContext &Ctx, const Program &Prog,
     {
       ProcFlow Flow(Cfg, P);
       DefiniteAssignment A;
-      DataflowSolver<DefiniteAssignment> Solver(Flow, A);
-      Solver.solve();
+      DataflowSolver<DefiniteAssignment> Solver;
+      Solver.solve(Flow, A);
       for (LabelId L : Proc.Labels) {
         if (!Reachable[L])
           continue;
@@ -314,8 +311,8 @@ LintReport rmt::lintProgram(AstContext &Ctx, const Program &Prog,
         ExitLive.insert(V.Name);
       ProcFlow Flow(Cfg, P);
       PlainLiveness A(std::move(ExitLive), Globals);
-      DataflowSolver<PlainLiveness> Solver(Flow, A);
-      Solver.solve();
+      DataflowSolver<PlainLiveness> Solver;
+      Solver.solve(Flow, A);
 
       std::map<std::pair<LocKey, Symbol>, bool> AnyLiveStore;
       for (LabelId L : Proc.Labels) {

@@ -47,11 +47,11 @@ bool runLintAuditPass(PassContext &PC) {
   Relevance Rel = Relevance::all(Prog);
   std::vector<bool> Reached = entryReachableLabels(Prog);
 
+  DataflowSolver<QueryLiveness> Solver;
   for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
     ProcFlow Flow(Prog, P);
     QueryLiveness A(Prog, Rel, FX, P);
-    DataflowSolver<QueryLiveness> Solver(Flow, A);
-    Solver.solve();
+    Solver.solve(Flow, A);
 
     for (LabelId L : Prog.proc(P).Labels) {
       if (!Reached[L]) {
@@ -172,6 +172,11 @@ rmt::runPasses(PassContext &PC, std::span<const PassInfo *const> Pipeline,
 std::string PrepassOptions::spec() const {
   if (!Invariants)
     return Passes;
+  if (std::optional<std::vector<const PassInfo *>> Pipeline =
+          parsePassSpec(Passes, nullptr))
+    for (const PassInfo *P : *Pipeline)
+      if (P->Name == "inv")
+        return Passes; // `inv` already runs where the spec puts it
   return Passes.empty() ? "inv" : Passes + ",inv";
 }
 

@@ -104,9 +104,8 @@ bool QueryLiveness::join(Value &Into, const Value &From) const {
   return Changed;
 }
 
-QueryLiveness::Value QueryLiveness::transfer(LabelId, const CfgStmt &S,
-                                             const Value &Post) const {
-  Value Pre = Post;
+void QueryLiveness::transfer(LabelId, const CfgStmt &S, Value &Pre) const {
+  // Pre holds the post-state and becomes the pre-state.
   switch (S.Kind) {
   case CfgStmtKind::Assume:
     collectExprVars(S.E, Pre);
@@ -135,7 +134,6 @@ QueryLiveness::Value QueryLiveness::transfer(LabelId, const CfgStmt &S,
     break;
   }
   }
-  return Pre;
 }
 
 namespace {
@@ -167,12 +165,12 @@ SliceReport rmt::sliceForQuery(AstContext &Ctx, CfgProgram &Prog, ProcId Root,
   // elide calls into procedures the slicer just emptied.
   std::vector<char> PureSkip(Prog.Procs.size(), 0);
 
+  DataflowSolver<QueryLiveness> Solver;
   for (ProcId P : Prog.bottomUpProcOrder()) {
     const CfgProc &Proc = Prog.proc(P);
     ProcFlow Flow(Prog, P);
     QueryLiveness A(Prog, Rel, FX, P);
-    DataflowSolver<QueryLiveness> Solver(Flow, A);
-    Solver.solve();
+    Solver.solve(Flow, A);
 
     bool AllSkip = true;
     for (LabelId L : Proc.Labels) {

@@ -91,7 +91,7 @@ public:
   Value bottom() const { return {}; }
   Value boundary() const { return ExitLive; }
   bool join(Value &Into, const Value &From) const;
-  Value transfer(LabelId, const CfgStmt &S, const Value &Post) const;
+  void transfer(LabelId, const CfgStmt &S, Value &X) const;
 
 private:
   const CfgProgram &Prog;

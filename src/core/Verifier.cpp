@@ -36,11 +36,12 @@ LoweredInstance rmt::lowerInstance(AstContext &Ctx, const Program &Prog,
   L.Entry = L.Cfg.findProc(Instance.Entry);
   assert(L.Entry != InvalidProc && "entry lost during lowering");
 
-  // One pipeline spec: --no-prepass empties it, and +Inv appends `inv`.
+  // One pipeline spec: --no-prepass runs no pass unless +Inv is forced.
   PrepassOptions PO = Opts.Prepass;
   if (!Opts.UsePrepass)
     PO.Passes.clear();
-  PO.Invariants = PO.Invariants || Opts.UseInvariants;
+  PO.Invariants =
+      (Opts.UsePrepass && PO.Invariants) || Opts.UseInvariants;
   if (!PO.spec().empty()) {
     if (!PO.Telemetry)
       PO.Telemetry = Opts.Telemetry;
@@ -57,6 +58,9 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
                                      Symbol Entry,
                                      const VerifierOptions &Opts) {
   VerifierRunResult Out;
+  // The time budget covers the front end too: bounding, lowering and the
+  // prepass (an interprocedural fixpoint under +Inv) run on its clock.
+  Deadline Budget(Opts.Engine.TimeoutSeconds);
   TraceSpan VerifySpan(Opts.Telemetry, "verify",
                        {{"entry", Ctx.name(Entry)}, {"bound", Opts.Bound}});
   LoweredInstance L = lowerInstance(Ctx, Prog, Entry, Opts, Out);
@@ -68,8 +72,19 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
     Out.Result.Reason = "prepass: " + Out.Prepass.PipelineErrors.front();
     return Out;
   }
+  double Left = Budget.remaining();
+  if (Budget.enabled() && Left <= 0) {
+    // Spent before the engine starts: no solver check is made.
+    Out.Result.Outcome = Verdict::Timeout;
+    Out.Result.Reason = "time budget exhausted";
+    Out.Result.Seconds = Budget.elapsed();
+    VerifySpan.note({"verdict", verdictName(Out.Result.Outcome)});
+    return Out;
+  }
 
   EngineOptions EO = Opts.Engine;
+  if (Budget.enabled())
+    EO.TimeoutSeconds = Left;
   if (!EO.Telemetry)
     EO.Telemetry = Opts.Telemetry;
   Out.Result = solveReachability(Ctx, L.Cfg, L.Entry, L.ErrVar, EO);

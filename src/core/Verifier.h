@@ -34,19 +34,20 @@ struct VerifierOptions {
   /// Loop-iteration / recursion-depth bound R; at least 1 (lowerInstance
   /// refuses 0).
   unsigned Bound = 2;
-  /// Run the interval-invariant prepass ("+Inv" of Section 4).
+  /// Force the interval-invariant pass ("+Inv" of Section 4) on, even
+  /// without the prepass. Prepass.Invariants already runs it by default;
+  /// a -Inv configuration clears that instead.
   bool UseInvariants = false;
-  /// Run the static-analysis prepass pipeline (Prepass.Passes, by default
-  /// query slicing, skip splicing, dead-procedure elimination) on the
-  /// lowered program before the engine. On by default; --no-prepass in the
-  /// CLI empties the pipeline spec. With UseInvariants, invariant injection
-  /// runs as the pipeline's last pass, with or without the prepass. A
-  /// pipeline failure (--verify-each violation or a bad --passes spec) makes
-  /// the run return Verdict::Unknown with diagnostics in
-  /// Prepass.PipelineErrors rather than solve a possibly-miscompiled
-  /// program.
+  /// Run the prepass pipeline (Prepass.spec(): by default query slicing,
+  /// skip splicing, dead-procedure elimination and invariant injection) on
+  /// the lowered program before the engine. On by default; false (the
+  /// CLI's --no-prepass) runs no pass at all unless +Inv is forced above,
+  /// so the engine sees the program exactly as it was lowered. A pipeline
+  /// failure (--verify-each violation or a bad --passes spec) makes the run
+  /// return Verdict::Unknown with diagnostics in Prepass.PipelineErrors
+  /// rather than solve a possibly-miscompiled program.
   bool UsePrepass = true;
-  /// Pipeline spec and knobs (Passes is ignored when !UsePrepass).
+  /// Pipeline spec and knobs (ignored when !UsePrepass).
   PrepassOptions Prepass;
   /// Engine configuration (strategy, timeout, eager mode, limits).
   EngineOptions Engine;
@@ -85,8 +86,8 @@ struct LoweredInstance {
 };
 
 /// The front end of verifyProgram: bounds \p Prog at Opts.Bound, lowers it
-/// and runs the prepass pipeline Opts asks for (!UsePrepass empties the
-/// Prepass.Passes spec; UseInvariants appends `inv`). Fills the front-end
+/// and runs the prepass pipeline Opts asks for (Prepass.spec(); nothing,
+/// or only `inv` when forced, under !UsePrepass). Fills the front-end
 /// fields of \p Out (sizes and the prepass report). When Out.Prepass is not
 /// ok the returned program may be miscompiled and must not be solved; a
 /// bound of 0 is refused that way, with an empty program.

@@ -5,7 +5,9 @@
 #include "parser/Lexer.h"
 #include "parser/TypeCheck.h"
 
+#include <algorithm>
 #include <cctype>
+#include <optional>
 
 using namespace rmt;
 
@@ -59,12 +61,9 @@ private:
   class NestingLevel {
   public:
     explicit NestingLevel(ParserImpl &P) : P(P) {
-      if (++P.Nesting > MaxNesting && !P.Failed) {
-        P.Diags.error(P.cur().Loc, "nesting deeper than " +
-                                       std::to_string(MaxNesting) +
-                                       " levels");
-        P.Failed = true;
-      }
+      P.Peak = std::max(P.Peak, ++P.Nesting);
+      if (P.Nesting > MaxNesting)
+        P.tooDeep(P.cur().Loc);
     }
     ~NestingLevel() { --P.Nesting; }
     bool ok() const { return P.Nesting <= MaxNesting; }
@@ -72,6 +71,14 @@ private:
   private:
     ParserImpl &P;
   };
+
+  /// Reports a tree past MaxNesting levels at \p Loc (the first only).
+  void tooDeep(SrcLoc Loc) {
+    if (!Failed)
+      Diags.error(Loc, "nesting deeper than " + std::to_string(MaxNesting) +
+                           " levels");
+    Failed = true;
+  }
 
   bool expect(TokKind K, const char *Context) {
     if (accept(K))
@@ -328,107 +335,126 @@ private:
     return parseIffExpr();
   }
 
-  const Expr *parseIffExpr() {
-    const Expr *L = parseImpliesExpr();
-    while (at(TokKind::Iff)) {
+  /// Parses `Operand (Op Operand)*` for the left-associative operators
+  /// \p Match maps tokens to. The fold makes the tree one level deeper per
+  /// operator than its deeper operand, and no recursion sees that depth, so
+  /// it is counted against MaxNesting here: Peak measures each operand's
+  /// depth, and a tree past the limit is a diagnostic at its operator.
+  template <typename MatchFn>
+  const Expr *parseLeftChain(const Expr *(ParserImpl::*Operand)(),
+                             MatchFn Match) {
+    unsigned Base = Nesting, Outer = Peak;
+    Peak = Base;
+    const Expr *L = (this->*Operand)();
+    unsigned Depth = Peak - Base;
+    while (std::optional<BinOp> Op = Match(cur().Kind)) {
       SrcLoc Loc = take().Loc;
-      L = Ctx.binary(BinOp::Iff, L, parseImpliesExpr(), Loc);
+      Peak = Base;
+      const Expr *R = (this->*Operand)();
+      Depth = 1 + std::max(Depth, Peak - Base);
+      if (Base + Depth > MaxNesting) {
+        tooDeep(Loc);
+        break;
+      }
+      L = Ctx.binary(*Op, L, R, Loc);
     }
+    Peak = std::max(Outer, Base + Depth);
     return L;
   }
 
+  const Expr *parseIffExpr() {
+    return parseLeftChain(&ParserImpl::parseImpliesExpr,
+                          [](TokKind K) -> std::optional<BinOp> {
+                            if (K == TokKind::Iff)
+                              return BinOp::Iff;
+                            return std::nullopt;
+                          });
+  }
+
   const Expr *parseImpliesExpr() {
+    unsigned Base = Nesting, Outer = Peak;
+    Peak = Base;
     const Expr *L = parseOrExpr();
+    unsigned Depth = Peak - Base;
     if (at(TokKind::Implies)) {
       SrcLoc Loc = take().Loc;
       NestingLevel Level(*this);
-      if (!Level.ok())
-        return L;
-      // Right associative.
-      return Ctx.binary(BinOp::Implies, L, parseImpliesExpr(), Loc);
+      if (Level.ok()) {
+        // Right associative; the right operand is measured from Base + 1.
+        const Expr *R = parseImpliesExpr();
+        Depth = 1 + std::max(Depth, Peak - Base - 1);
+        if (Base + Depth > MaxNesting)
+          tooDeep(Loc);
+        else
+          L = Ctx.binary(BinOp::Implies, L, R, Loc);
+      }
     }
+    Peak = std::max(Outer, Base + Depth);
     return L;
   }
 
   const Expr *parseOrExpr() {
-    const Expr *L = parseAndExpr();
-    while (at(TokKind::PipePipe)) {
-      SrcLoc Loc = take().Loc;
-      L = Ctx.binary(BinOp::Or, L, parseAndExpr(), Loc);
-    }
-    return L;
+    return parseLeftChain(&ParserImpl::parseAndExpr,
+                          [](TokKind K) -> std::optional<BinOp> {
+                            if (K == TokKind::PipePipe)
+                              return BinOp::Or;
+                            return std::nullopt;
+                          });
   }
 
   const Expr *parseAndExpr() {
-    const Expr *L = parseCmpExpr();
-    while (at(TokKind::AmpAmp)) {
-      SrcLoc Loc = take().Loc;
-      L = Ctx.binary(BinOp::And, L, parseCmpExpr(), Loc);
-    }
-    return L;
+    return parseLeftChain(&ParserImpl::parseCmpExpr,
+                          [](TokKind K) -> std::optional<BinOp> {
+                            if (K == TokKind::AmpAmp)
+                              return BinOp::And;
+                            return std::nullopt;
+                          });
   }
 
   const Expr *parseCmpExpr() {
-    const Expr *L = parseAddExpr();
-    for (;;) {
-      BinOp Op;
-      switch (cur().Kind) {
-      case TokKind::EqEq:
-        Op = BinOp::Eq;
-        break;
-      case TokKind::NotEq:
-        Op = BinOp::Ne;
-        break;
-      case TokKind::Lt:
-        Op = BinOp::Lt;
-        break;
-      case TokKind::Le:
-        Op = BinOp::Le;
-        break;
-      case TokKind::Gt:
-        Op = BinOp::Gt;
-        break;
-      case TokKind::Ge:
-        Op = BinOp::Ge;
-        break;
-      default:
-        return L;
-      }
-      SrcLoc Loc = take().Loc;
-      L = Ctx.binary(Op, L, parseAddExpr(), Loc);
-    }
+    return parseLeftChain(&ParserImpl::parseAddExpr,
+                          [](TokKind K) -> std::optional<BinOp> {
+                            switch (K) {
+                            case TokKind::EqEq:
+                              return BinOp::Eq;
+                            case TokKind::NotEq:
+                              return BinOp::Ne;
+                            case TokKind::Lt:
+                              return BinOp::Lt;
+                            case TokKind::Le:
+                              return BinOp::Le;
+                            case TokKind::Gt:
+                              return BinOp::Gt;
+                            case TokKind::Ge:
+                              return BinOp::Ge;
+                            default:
+                              return std::nullopt;
+                            }
+                          });
   }
 
   const Expr *parseAddExpr() {
-    const Expr *L = parseMulExpr();
-    for (;;) {
-      if (at(TokKind::Plus)) {
-        SrcLoc Loc = take().Loc;
-        L = Ctx.binary(BinOp::Add, L, parseMulExpr(), Loc);
-      } else if (at(TokKind::Minus)) {
-        SrcLoc Loc = take().Loc;
-        L = Ctx.binary(BinOp::Sub, L, parseMulExpr(), Loc);
-      } else {
-        return L;
-      }
-    }
+    return parseLeftChain(&ParserImpl::parseMulExpr,
+                          [](TokKind K) -> std::optional<BinOp> {
+                            if (K == TokKind::Plus)
+                              return BinOp::Add;
+                            if (K == TokKind::Minus)
+                              return BinOp::Sub;
+                            return std::nullopt;
+                          });
   }
 
   const Expr *parseMulExpr() {
-    const Expr *L = parseUnaryExpr();
-    for (;;) {
-      BinOp Op;
-      if (at(TokKind::Star))
-        Op = BinOp::Mul;
-      else if (at(TokKind::KwDiv))
-        Op = BinOp::Div;
-      else if (at(TokKind::KwMod))
-        Op = BinOp::Mod;
-      else
-        return L;
-      SrcLoc Loc = take().Loc;
-      L = Ctx.binary(Op, L, parseUnaryExpr(), Loc);
-    }
+    return parseLeftChain(&ParserImpl::parseUnaryExpr,
+                          [](TokKind K) -> std::optional<BinOp> {
+                            if (K == TokKind::Star)
+                              return BinOp::Mul;
+                            if (K == TokKind::KwDiv)
+                              return BinOp::Div;
+                            if (K == TokKind::KwMod)
+                              return BinOp::Mod;
+                            return std::nullopt;
+                          });
   }
 
   const Expr *parseUnaryExpr() {
@@ -453,19 +479,27 @@ private:
   }
 
   const Expr *parsePostfixExpr() {
+    // A chain of subscripts folds left like a binary operator chain (see
+    // parseLeftChain), so its depth is counted the same way.
+    unsigned Base = Nesting, Outer = Peak;
+    Peak = Base;
     const Expr *E = parsePrimaryExpr();
+    unsigned Depth = Peak - Base;
     while (at(TokKind::LBracket) && !Failed) {
       SrcLoc Loc = take().Loc;
+      Peak = Base;
       const Expr *Index = parseExpr();
-      if (accept(TokKind::Assign)) {
-        const Expr *Value = parseExpr();
-        expect(TokKind::RBracket, "after array store");
-        E = Ctx.store(E, Index, Value, Loc);
-      } else {
-        expect(TokKind::RBracket, "after array index");
-        E = Ctx.select(E, Index, Loc);
+      const Expr *Value = accept(TokKind::Assign) ? parseExpr() : nullptr;
+      expect(TokKind::RBracket,
+             Value ? "after array store" : "after array index");
+      Depth = 1 + std::max(Depth, Peak - Base);
+      if (Base + Depth > MaxNesting) {
+        tooDeep(Loc);
+        break;
       }
+      E = Value ? Ctx.store(E, Index, Value, Loc) : Ctx.select(E, Index, Loc);
     }
+    Peak = std::max(Outer, Base + Depth);
     return E;
   }
 
@@ -524,7 +558,12 @@ private:
   DiagEngine &Diags;
   size_t Pos = 0;
   bool Failed = false;
+  /// Levels of statement and expression nesting held by the parse stack.
   unsigned Nesting = 0;
+  /// Deepest level reached below the current operand's start: a parse
+  /// function resets it to its own base to measure the depth of the tree
+  /// an operand built (see parseLeftChain).
+  unsigned Peak = 0;
 };
 
 } // namespace

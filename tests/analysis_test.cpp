@@ -341,9 +341,9 @@ TEST(InjectInvariants, SoundnessVerdictUnchanged) {
     VerifierOptions Opts;
     Opts.Engine.Strategy.Kind = MergeStrategyKind::First;
     Opts.Engine.TimeoutSeconds = 60;
-    Opts.UseInvariants = false;
+    Opts.Prepass.Invariants = false;
     auto Plain = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
-    Opts.UseInvariants = true;
+    Opts.Prepass.Invariants = true;
     auto WithInv = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
     EXPECT_EQ(Plain.Result.Outcome, WithInv.Result.Outcome)
         << "buggy=" << Buggy;
@@ -361,8 +361,9 @@ TEST(InjectInvariants, InvariantsPruneSearch) {
   VerifierOptions Opts;
   Opts.Engine.Strategy.Kind = MergeStrategyKind::First;
   Opts.Engine.TimeoutSeconds = 60;
+  Opts.Prepass.Invariants = false;
   auto Plain = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
-  Opts.UseInvariants = true;
+  Opts.Prepass.Invariants = true;
   auto WithInv = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
   ASSERT_EQ(Plain.Result.Outcome, Verdict::Safe);
   ASSERT_EQ(WithInv.Result.Outcome, Verdict::Safe);

@@ -250,7 +250,7 @@ TEST(BvVerify, InvariantPrepassStaysSound) {
   ASSERT_TRUE(P);
   for (bool Inv : {false, true}) {
     VerifierOptions Opts;
-    Opts.UseInvariants = Inv;
+    Opts.Prepass.Invariants = Inv;
     Opts.Engine.TimeoutSeconds = 30;
     AstContext C2;
     DiagEngine D2;

@@ -81,15 +81,13 @@ struct FwdConsts {
     }
     return Changed;
   }
-  Value transfer(LabelId, const CfgStmt &S, const Value &In) const {
-    Value Out = In;
-    if (!In.Bottom && S.Kind == CfgStmtKind::Assign) {
+  void transfer(LabelId, const CfgStmt &S, Value &X) const {
+    if (!X.Bottom && S.Kind == CfgStmtKind::Assign) {
       if (S.E->kind() == ExprKind::IntLit)
-        Out.Known[S.Target] = S.E->intValue();
+        X.Known[S.Target] = S.E->intValue();
       else
-        Out.Known.erase(S.Target);
+        X.Known.erase(S.Target);
     }
-    return Out;
   }
 };
 
@@ -106,15 +104,13 @@ struct BwdLive {
       Changed |= Into.insert(V).second;
     return Changed;
   }
-  Value transfer(LabelId, const CfgStmt &S, const Value &Post) const {
-    Value Pre = Post;
+  void transfer(LabelId, const CfgStmt &S, Value &Pre) const {
     if (S.Kind == CfgStmtKind::Assign) {
       Pre.erase(S.Target);
       collectExprVars(S.E, Pre);
     } else if (S.Kind == CfgStmtKind::Assume) {
       collectExprVars(S.E, Pre);
     }
-    return Pre;
   }
 
   Value Exit;
@@ -138,8 +134,8 @@ TEST(DataflowSolver, ForwardJoinAtDiamond) {
 
   ProcFlow Flow(B.Prog, 0);
   FwdConsts A;
-  DataflowSolver<FwdConsts> Solver(Flow, A);
-  Solver.solve();
+  DataflowSolver<FwdConsts> Solver;
+  Solver.solve(Flow, A);
 
   EXPECT_FALSE(Solver.pre(L0).get(X).has_value());
   EXPECT_EQ(Solver.post(L0).get(X), 1);
@@ -164,8 +160,8 @@ TEST(DataflowSolver, BackwardLivenessThroughBranch) {
   ProcFlow Flow(B.Prog, 0);
   BwdLive A;
   A.Exit = {Y};
-  DataflowSolver<BwdLive> Solver(Flow, A);
-  Solver.solve();
+  DataflowSolver<BwdLive> Solver;
+  Solver.solve(Flow, A);
 
   EXPECT_TRUE(Solver.post(L3).count(Y));
   EXPECT_TRUE(Solver.pre(L1).count(X));
@@ -188,11 +184,14 @@ TEST(ProcFlow, TopoOrderAndPreds) {
   EXPECT_EQ(Flow.entry(), L0);
   EXPECT_EQ(Flow.topo().front(), L0);
   EXPECT_EQ(Flow.topo().back(), L3);
-  EXPECT_EQ(Flow.preds(L0).size(), 0u);
-  EXPECT_EQ(Flow.preds(L3).size(), 2u);
-  EXPECT_EQ(Flow.succs(L1).size(), 1u);
+  EXPECT_EQ(Flow.predIndices(Flow.indexOf(L0)).size(), 0u);
+  EXPECT_EQ(Flow.predIndices(Flow.indexOf(L3)).size(), 2u);
+  ASSERT_EQ(Flow.succIndices(Flow.indexOf(L1)).size(), 1u);
+  EXPECT_EQ(Flow.succIndices(Flow.indexOf(L1))[0], Flow.indexOf(L3));
   EXPECT_TRUE(Flow.indexOf(L1) < Flow.indexOf(L3));
   EXPECT_TRUE(Flow.indexOf(L2) < Flow.indexOf(L3));
+  for (unsigned I = 0; I < Flow.size(); ++I)
+    EXPECT_EQ(Flow.indexOf(Flow.topo()[I]), I);
 }
 
 //===----------------------------------------------------------------------===//

@@ -30,6 +30,14 @@ VerifierOptions diOpts() {
   return Opts;
 }
 
+/// DI without invariants: the engine's own search, which +Inv's call-site
+/// summaries would otherwise cut short (a safe chain ends after main).
+VerifierOptions diNoInvOpts() {
+  VerifierOptions Opts = diOpts();
+  Opts.Prepass.Invariants = false;
+  return Opts;
+}
+
 } // namespace
 
 TEST(Engine, SafeStraightLine) {
@@ -192,7 +200,7 @@ TEST(Engine, ChainSafeAndBuggyWithDI) {
   for (bool Buggy : {false, true}) {
     AstContext Ctx;
     Program P = makeChainProgram(Ctx, 6, Buggy);
-    VerifierOptions Opts = diOpts();
+    VerifierOptions Opts = diNoInvOpts();
     auto R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
     EXPECT_EQ(R.Result.Outcome, Buggy ? Verdict::Bug : Verdict::Safe);
     // DAG inlining: linear in N (main + P0..P6).
@@ -203,12 +211,12 @@ TEST(Engine, ChainSafeAndBuggyWithDI) {
 TEST(Engine, ChainDIBeatsSIInInstanceCount) {
   AstContext Ctx;
   Program P = makeChainProgram(Ctx, 5);
-  VerifierOptions SI = diOpts();
+  VerifierOptions SI = diNoInvOpts();
   SI.Engine.Strategy.Kind = MergeStrategyKind::None;
   auto RSI = verifyProgram(Ctx, P, Ctx.sym("main"), SI);
   AstContext Ctx2;
   Program P2 = makeChainProgram(Ctx2, 5);
-  auto RDI = verifyProgram(Ctx2, P2, Ctx2.sym("main"), diOpts());
+  auto RDI = verifyProgram(Ctx2, P2, Ctx2.sym("main"), diNoInvOpts());
   ASSERT_EQ(RSI.Result.Outcome, Verdict::Safe);
   ASSERT_EQ(RDI.Result.Outcome, Verdict::Safe);
   EXPECT_LT(RDI.Result.NumInlined, RSI.Result.NumInlined);
@@ -220,6 +228,7 @@ TEST(Engine, TimeoutVerdict) {
   AstContext Ctx;
   Program P = makeChainProgram(Ctx, 14);
   VerifierOptions Opts;
+  Opts.Prepass.Invariants = false; // +Inv would decide it at the root
   Opts.Engine.Strategy.Kind = MergeStrategyKind::None; // tree: exponential
   Opts.Engine.TimeoutSeconds = 0.2;
   Stopwatch W;
@@ -251,6 +260,7 @@ TEST(Engine, ResourceOutVerdict) {
   AstContext Ctx;
   Program P = makeChainProgram(Ctx, 10);
   VerifierOptions Opts;
+  Opts.Prepass.Invariants = false; // +Inv would decide it at the root
   Opts.Engine.Strategy.Kind = MergeStrategyKind::None;
   Opts.Engine.TimeoutSeconds = 60;
   Opts.Engine.MaxInlined = 16; // the paper's spaceout, as an instance cap
@@ -264,6 +274,7 @@ TEST(Engine, UndecidedVerdictsSayWhy) {
   AstContext Ctx;
   Program P = makeChainProgram(Ctx, 10);
   VerifierOptions Opts;
+  Opts.Prepass.Invariants = false; // +Inv would decide it at the root
   Opts.Engine.TimeoutSeconds = 1e-9;
   auto Late = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
   EXPECT_EQ(Late.Result.Outcome, Verdict::Timeout);
@@ -329,10 +340,10 @@ TEST(Engine, SdvDriverSafeWithAndWithoutInv) {
   Params.InjectBug = false;
   AstContext Ctx;
   Program P = makeSdvProgram(Ctx, Params);
-  VerifierOptions Opts = diOpts();
+  VerifierOptions Opts = diNoInvOpts();
   auto Plain = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
   EXPECT_EQ(Plain.Result.Outcome, Verdict::Safe);
-  Opts.UseInvariants = true;
+  Opts.Prepass.Invariants = true;
   AstContext Ctx2;
   Program P2 = makeSdvProgram(Ctx2, Params);
   auto WithInv = verifyProgram(Ctx2, P2, Ctx2.sym("main"), Opts);
@@ -343,7 +354,7 @@ TEST(Engine, SdvDriverSafeWithAndWithoutInv) {
 TEST(Engine, StatisticsArePopulated) {
   AstContext Ctx;
   Program P = makeChainProgram(Ctx, 4);
-  auto R = verifyProgram(Ctx, P, Ctx.sym("main"), diOpts());
+  auto R = verifyProgram(Ctx, P, Ctx.sym("main"), diNoInvOpts());
   EXPECT_GT(R.Result.NumSolverChecks, 0u);
   EXPECT_GT(R.Result.NumIterations, 0u);
   EXPECT_GT(R.Result.NumDisjQueries, 0u);

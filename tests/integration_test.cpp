@@ -5,17 +5,23 @@
 //     and complete relative to tree inlining — Theorem 1).
 //  2. The concrete evaluator and the engines agree: a concretely failing
 //     run within the bound forces Bug; a Safe verdict forbids failing runs.
+//  3. The prepass never changes a verdict: the structural passes, and the
+//     interval invariants (+Inv, the default) at benchmark shapes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ast/Eval.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
+#include "support/Rng.h"
 #include "workload/Chain.h"
 #include "workload/RandomProg.h"
 #include "workload/SdvGen.h"
 
 #include <gtest/gtest.h>
+#include <z3.h>
+
+#include <functional>
 
 using namespace rmt;
 
@@ -166,10 +172,11 @@ TEST_P(InvariantSoundness, VerdictStableUnderInjection) {
 
   AstContext Ctx;
   Program P = makeRandomProgram(Ctx, Params);
-  auto Plain = verifyProgram(Ctx, P, Ctx.sym("main"),
-                             optsFor(MergeStrategyKind::First, 2));
+  VerifierOptions PlainOpts = optsFor(MergeStrategyKind::First, 2);
+  PlainOpts.Prepass.Invariants = false;
+  auto Plain = verifyProgram(Ctx, P, Ctx.sym("main"), PlainOpts);
   VerifierOptions InvOpts = optsFor(MergeStrategyKind::First, 2);
-  InvOpts.UseInvariants = true;
+  InvOpts.Prepass.Invariants = true;
   AstContext Ctx2;
   Program P2 = makeRandomProgram(Ctx2, Params);
   auto WithInv = verifyProgram(Ctx2, P2, Ctx2.sym("main"), InvOpts);
@@ -179,6 +186,115 @@ TEST_P(InvariantSoundness, VerdictStableUnderInjection) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InvariantSoundness,
                          ::testing::Range<uint64_t>(1, 21));
+
+//===----------------------------------------------------------------------===//
+// +Inv and -Inv agree, on the known answer, at benchmark shapes
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs each case under one Z3 random seed (Z3 reads its seeds when a
+/// solver is created), then restores Z3's default seed.
+class InvariantDifferential : public ::testing::TestWithParam<unsigned> {
+protected:
+  void SetUp() override { setZ3Seed(GetParam()); }
+  void TearDown() override { setZ3Seed(0); }
+
+  static void setZ3Seed(unsigned Seed) {
+    std::string S = std::to_string(Seed);
+    Z3_global_param_set("smt.random_seed", S.c_str());
+    Z3_global_param_set("sat.random_seed", S.c_str());
+  }
+
+  /// The verdict of \p Make's program from `main` under DI/FIRST at
+  /// \p Bound, with or without interval invariants.
+  static Verdict verdict(const std::function<Program(AstContext &)> &Make,
+                         unsigned Bound, bool Inv) {
+    AstContext Ctx;
+    Program P = Make(Ctx);
+    VerifierOptions Opts = optsFor(MergeStrategyKind::First, Bound);
+    Opts.Prepass.Invariants = Inv;
+    VerifierRunResult R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+    EXPECT_TRUE(R.Prepass.ok());
+    return R.Result.Outcome;
+  }
+
+  /// +Inv and -Inv both give \p Expected on \p Make's program.
+  static void expectAgree(const std::function<Program(AstContext &)> &Make,
+                          unsigned Bound, Verdict Expected,
+                          const std::string &What) {
+    ASSERT_TRUE(Expected == Verdict::Safe || Expected == Verdict::Bug)
+        << What << ": the reference did not decide";
+    EXPECT_EQ(verdict(Make, Bound, /*Inv=*/false), Expected)
+        << What << " -Inv";
+    EXPECT_EQ(verdict(Make, Bound, /*Inv=*/true), Expected)
+        << What << " +Inv";
+  }
+};
+
+} // namespace
+
+TEST_P(InvariantDifferential, ChainsAgree) {
+  for (unsigned N : {4u, 8u, 12u, 16u})
+    for (bool Buggy : {false, true})
+      expectAgree(
+          [&](AstContext &C) { return makeChainProgram(C, N, Buggy); }, 1,
+          Buggy ? Verdict::Bug : Verdict::Safe,
+          "chain" + std::to_string(N) + (Buggy ? "_bug" : "_safe"));
+}
+
+TEST_P(InvariantDifferential, SdvDriversAgree) {
+  // The benchmark's nine driver shapes: 3-4 handlers, 3-6 utilities, 2 calls
+  // per handler, two utility layers (three for every fifth driver), every
+  // other driver with an injected rule violation; driver 4 is not one.
+  Rng R(0x5d5);
+  for (unsigned I = 0; I < 10; ++I) {
+    SdvParams P;
+    P.Seed = R.next();
+    P.NumHandlers = static_cast<unsigned>(R.range(3, 4));
+    P.NumUtils = static_cast<unsigned>(R.range(3, 6));
+    P.UtilDepth = I % 5 == 4 ? 3 : 2;
+    P.CallsPerHandler = 2;
+    P.InjectBug = I % 2 == 1;
+    if (I == 4)
+      continue;
+    expectAgree([&](AstContext &C) { return makeSdvProgram(C, P); }, 1,
+                P.InjectBug ? Verdict::Bug : Verdict::Safe,
+                "driver " + std::to_string(I));
+  }
+}
+
+TEST_P(InvariantDifferential, RandomProgramsAgree) {
+  // Loops, arrays and bitvectors at bound 2. The known answer comes from a
+  // configuration that shares no pass with either side: no prepass at all
+  // and SI tree inlining.
+  unsigned Bugs = 0;
+  for (uint64_t Draw = 0; Draw < 20; ++Draw) {
+    RandomProgParams P;
+    P.Seed = Draw * 104729 + 7;
+    P.NumProcs = 8;
+    P.MaxStmts = 6;
+    P.MaxNesting = 3;
+    P.AllowLoops = true;
+    P.AllowArrays = true;
+    P.AllowBitvectors = true;
+    auto Make = [&](AstContext &C) { return makeRandomProgram(C, P); };
+    AstContext Ctx;
+    Program Prog = Make(Ctx);
+    VerifierOptions Ref = optsFor(MergeStrategyKind::None, 2);
+    Ref.UsePrepass = false;
+    Verdict Expected =
+        verifyProgram(Ctx, Prog, Ctx.sym("main"), Ref).Result.Outcome;
+    expectAgree(Make, 2, Expected, "draw " + std::to_string(Draw));
+    Bugs += Expected == Verdict::Bug;
+  }
+  // Both answers occur, so neither side can agree by always giving one.
+  EXPECT_GT(Bugs, 0u);
+  EXPECT_LT(Bugs, 20u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Z3Seeds, InvariantDifferential,
+                         ::testing::Values(1u, 2u));
 
 //===----------------------------------------------------------------------===//
 // End-to-end on a realistic parsed program
@@ -269,6 +385,9 @@ void expectPrepassAgrees(AstContext &Ctx, const Program &P, unsigned Bound,
                          const std::string &What,
                          const std::string &Passes = DefaultPrepassPasses) {
   VerifierOptions On = optsFor(MergeStrategyKind::First, Bound);
+  // The structural passes alone (-Inv): `inv` adds labels, and the
+  // InvariantSoundness/InvariantDifferential suites check it.
+  On.Prepass.Invariants = false;
   // Re-check the Fig. 7 structural invariants after every pass: any pipeline
   // configuration that corrupts the label form fails here, not downstream.
   On.Prepass.VerifyEach = true;

@@ -291,6 +291,39 @@ std::string nestedIfs(unsigned Depth) {
   return Src + "}";
 }
 
+/// `x := 1 Op 1 Op ... Op 1;` with \p Terms operands: no nesting at all, but
+/// the left fold builds a tree as deep as the chain is long.
+std::string operatorChain(const std::string &Decl, const std::string &Op,
+                          const std::string &Term, unsigned Terms) {
+  std::string Src = "procedure main() { var x: " + Decl + "; x := " + Term;
+  for (unsigned I = 1; I < Terms; ++I)
+    Src += " " + Op + " " + Term;
+  return Src + "; }";
+}
+
+/// Diagnostics of parsing and type-checking \p Src; empty when it checked.
+std::string checkDiags(const std::string &Src) {
+  AstContext Ctx;
+  DiagEngine Diags;
+  std::optional<Program> P = parseAndCheck(Src, Ctx, Diags);
+  EXPECT_EQ(P.has_value(), !Diags.hasErrors());
+  return Diags.str();
+}
+
+void expectChainLimit(const std::string &Decl, const std::string &Op,
+                      const std::string &Term) {
+  SCOPED_TRACE(Op);
+  // Under the limit the chain parses and type-checks (the checker recurses
+  // once per level).
+  EXPECT_EQ(checkDiags(operatorChain(Decl, Op, Term, 900)), "");
+  // Past it the parser stops at the operator that makes the tree too deep,
+  // with a line:col diagnostic, however long the rest of the chain is.
+  std::string Diags = checkDiags(operatorChain(Decl, Op, Term, 200000));
+  EXPECT_EQ(Diags.rfind("1:", 0), 0u) << Diags.substr(0, 200);
+  EXPECT_NE(Diags.find(": error: nesting deeper than"), std::string::npos)
+      << Diags.substr(0, 200);
+}
+
 } // namespace
 
 // Nesting past the parser's fixed limit is a diagnostic, not a stack
@@ -301,6 +334,45 @@ TEST(Parser, DeeplyNestedParenthesesAreAnError) {
   EXPECT_EQ(Diags.rfind("1:", 0), 0u) << Diags;
   EXPECT_NE(Diags.find(": error: nesting deeper than"), std::string::npos)
       << Diags;
+}
+
+// A long left-associative operator chain counts one level per operator.
+TEST(Parser, LongPlusChainIsAnError) { expectChainLimit("int", "+", "1"); }
+
+TEST(Parser, LongAndChainIsAnError) {
+  expectChainLimit("bool", "&&", "true");
+}
+
+TEST(Parser, LongOrChainIsAnError) { expectChainLimit("bool", "||", "false"); }
+
+TEST(Parser, ChainDepthAddsUpAcrossOperatorsAndParentheses) {
+  // Levels count once, wherever they come from: 600 parentheses around a
+  // 600-term chain are past the limit though each alone is under it, and a
+  // chain of subscripts folds like an operator chain.
+  std::string Parens = "procedure main() { var x: int; x := " +
+                       std::string(600, '(') + "1";
+  for (unsigned I = 1; I < 600; ++I)
+    Parens += " + 1";
+  Parens += std::string(600, ')') + "; }";
+  EXPECT_NE(checkDiags(Parens).find(": error: nesting deeper than"),
+            std::string::npos);
+
+  std::string Sum = "(1";
+  for (unsigned I = 1; I < 600; ++I)
+    Sum += " + 1";
+  Sum += ")";
+  EXPECT_NE(checkDiags(operatorChain("int", "+", Sum, 600))
+                .find(": error: nesting deeper than"),
+            std::string::npos);
+  EXPECT_EQ(checkDiags(operatorChain("int", "+", Sum, 300)), "");
+
+  std::string Subscripts =
+      "var a: [int]int; procedure main() { var x: int; x := a";
+  for (unsigned I = 0; I < 5000; ++I)
+    Subscripts += "[0 := 1]";
+  Subscripts += "[0]; }";
+  EXPECT_NE(checkDiags(Subscripts).find(": error: nesting deeper than"),
+            std::string::npos);
 }
 
 TEST(Parser, DeeplyNestedIfsAreAnError) {

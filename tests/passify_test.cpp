@@ -84,6 +84,7 @@ TEST(Passify, ChainVerdictsAndSizes) {
     AstContext Ctx;
     Program P = makeChainProgram(Ctx, 7, Buggy);
     VerifierOptions Opts;
+    Opts.Prepass.Invariants = false; // the engine's whole DAG, not +Inv's cut
     Opts.Engine.Strategy.Kind = MergeStrategyKind::First;
     Opts.Engine.Pvc = PvcMode::Passified;
     Opts.Engine.TimeoutSeconds = 60;

@@ -279,20 +279,48 @@ TEST(PassPipeline, ParsesSpecsAndRoundTrips) {
 }
 
 TEST(PassPipeline, SpecIsPassesThenInv) {
+  // +Inv is the default: the structural passes, then `inv`.
   PrepassOptions Opts;
-  EXPECT_EQ(Opts.spec(), "slice,splice,deadproc");
+  EXPECT_TRUE(Opts.Invariants);
+  EXPECT_EQ(Opts.spec(), "slice,splice,deadproc,inv");
   auto PL = parsePassSpec(Opts.spec());
   ASSERT_TRUE(PL);
-  ASSERT_EQ(PL->size(), 3u);
-  for (size_t I = 0; I < PL->size(); ++I)
+  ASSERT_EQ(PL->size(), 4u);
+  for (size_t I = 0; I < 3; ++I)
     EXPECT_EQ((*PL)[I], &BuiltinPasses[I]);
-  Opts.Invariants = true;
-  EXPECT_EQ(Opts.spec(), "slice,splice,deadproc,inv");
+  EXPECT_EQ((*PL)[3]->Name, "inv");
+  Opts.Invariants = false;
+  EXPECT_EQ(Opts.spec(), "slice,splice,deadproc");
   // The empty spec is "no prepass"; +Inv still runs alone.
+  Opts.Invariants = true;
   Opts.Passes.clear();
   EXPECT_EQ(Opts.spec(), "inv");
   Opts.Invariants = false;
   EXPECT_TRUE(Opts.spec().empty());
+}
+
+TEST(PassPipeline, SpecNeverRunsInvTwice) {
+  // A spec that already names `inv` runs it where it stands, once.
+  PrepassOptions Opts;
+  Opts.Passes = "slice,inv";
+  EXPECT_EQ(Opts.spec(), "slice,inv");
+  Opts.Passes = "inv, splice";
+  EXPECT_EQ(Opts.spec(), "inv, splice");
+  Opts.Passes = "slice,invx";
+  EXPECT_EQ(Opts.spec(), "slice,invx,inv"); // an unknown name stays an error
+  EXPECT_FALSE(parsePassSpec(Opts.spec()));
+
+  AstContext Ctx;
+  auto P = parseOk(CallDemo, Ctx);
+  ProcId Root;
+  Symbol Err;
+  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
+  Stats S;
+  Opts.Passes = "slice,inv,splice";
+  PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts, &S);
+  EXPECT_TRUE(R.ok());
+  EXPECT_EQ(S.get("pass.inv.runs"), 1);
+  EXPECT_EQ(S.get("pass.splice.runs"), 1);
 }
 
 TEST(PassPipeline, RecordsPerPassStats) {
@@ -305,13 +333,21 @@ TEST(PassPipeline, RecordsPerPassStats) {
   PrepassOptions Opts;
   PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts, &S);
   EXPECT_TRUE(R.ok());
-  for (const char *Name : {"slice", "splice", "deadproc"})
+  for (const char *Name : {"slice", "splice", "deadproc", "inv"})
     EXPECT_EQ(S.get("pass." + std::string(Name) + ".runs"), 1)
         << Name;
   // The demo program has skip labels to splice, so at least one pass reports
   // a change.
   EXPECT_GE(S.get("pass.splice.changed"), 1);
-  EXPECT_EQ(S.get("pass.inv.runs"), 0);
+  EXPECT_EQ(S.get("pass.lint.runs"), 0);
+
+  // -Inv runs the structural passes only.
+  CfgProgram Cfg2 = lower(Ctx, *P, Root, Err);
+  Stats S2;
+  Opts.Invariants = false;
+  EXPECT_TRUE(runPrepass(Ctx, Cfg2, Root, Err, Opts, &S2).ok());
+  EXPECT_EQ(S2.get("pass.slice.runs"), 1);
+  EXPECT_EQ(S2.get("pass.inv.runs"), 0);
 }
 
 TEST(PassPipeline, LintAuditCountsResidualDeadStores) {

@@ -95,7 +95,7 @@ TEST_P(SampleProgram, VerdictMatchesExpectation) {
     const char *Name;
     MergeStrategyKind Kind;
     PvcMode Pvc = EngineOptions().Pvc;
-    bool UseInvariants = false;
+    bool Inv = false;
   };
   for (Config C : {Config{"SI", MergeStrategyKind::None},
                    Config{"DI", MergeStrategyKind::First},
@@ -111,7 +111,7 @@ TEST_P(SampleProgram, VerdictMatchesExpectation) {
     Opts.Bound = Expect->Bound;
     Opts.Engine.Strategy.Kind = C.Kind;
     Opts.Engine.Pvc = C.Pvc;
-    Opts.UseInvariants = C.UseInvariants;
+    Opts.Prepass.Invariants = C.Inv;
     Opts.Engine.TimeoutSeconds = 120;
     auto R = verifyProgram(Ctx, *P, Ctx.sym("main"), Opts);
     EXPECT_EQ(R.Result.Outcome, Expect->Outcome)
@@ -132,8 +132,11 @@ TEST_P(SampleProgram, PrepassPreservesVerdict) {
   auto P = parseAndCheck(Source, Ctx, Diags);
   ASSERT_TRUE(P) << Diags.str();
 
+  // The structural passes alone: `inv` adds labels (the +Inv verdict is
+  // checked above).
   VerifierOptions On;
   On.Bound = Expect->Bound;
+  On.Prepass.Invariants = false;
   On.Engine.Strategy.Kind = MergeStrategyKind::First;
   On.Engine.TimeoutSeconds = 120;
   VerifierOptions Off = On;

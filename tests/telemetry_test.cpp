@@ -565,7 +565,10 @@ FrontierExplanation explainSource(const char *Src, VerifierOptions Opts) {
 TEST(TraceEndToEnd, FrontierExplainsItself) {
   // Both branches call out: the first core must name both blocked calls,
   // and the over-approximate assignment enters only one, so the other is
-  // inlined on the core's word alone. Then nothing is open.
+  // inlined on the core's word alone. Then nothing is open. (-Inv: the
+  // call-site summaries would pin g == 0 and end the run at the root.)
+  VerifierOptions NoInv;
+  NoInv.Prepass.Invariants = false;
   FrontierExplanation Branches = explainSource(R"(
     var g: int;
     procedure f() { g := 0; }
@@ -577,7 +580,7 @@ TEST(TraceEndToEnd, FrontierExplainsItself) {
       assert g == 0;
     }
   )",
-                                               VerifierOptions());
+                                               NoInv);
   EXPECT_EQ(Branches.Run.Result.Outcome, Verdict::Safe);
   EXPECT_EQ(Branches.Proof, "fully_inlined");
   EXPECT_EQ(Branches.Bag.get("engine.core_edges"), 2);
@@ -602,7 +605,7 @@ TEST(TraceEndToEnd, FrontierExplainsItself) {
   AstContext Ctx;
   VerifierOptions Inv;
   Inv.Engine.Strategy.Kind = MergeStrategyKind::First;
-  Inv.UseInvariants = true;
+  Inv.Prepass.Invariants = true;
   FrontierExplanation Chain = explainRun(Ctx, makeChainProgram(Ctx, 8), Inv);
   EXPECT_EQ(Chain.Run.Result.Outcome, Verdict::Safe);
   EXPECT_EQ(Chain.Proof, "over_unsat");
@@ -622,11 +625,14 @@ TEST(TraceEndToEnd, FrontierIsReadWithoutAModel) {
   // assignment enters. Each frontier edge is entered or named by a core,
   // and every inlined instance but the root, and every merge, resolves one
   // frontier edge. No model is built on the way: a Safe run builds none,
-  // and a Bug run builds one, for its trace.
+  // and a Bug run builds one, for its trace. (-Inv: +Inv decides the safe
+  // chain with no Sat over-approximate check.)
+  VerifierOptions NoInv;
+  NoInv.Prepass.Invariants = false;
   for (bool Buggy : {false, true}) {
     AstContext Ctx;
     FrontierExplanation Chain =
-        explainRun(Ctx, makeChainProgram(Ctx, 8, Buggy), VerifierOptions());
+        explainRun(Ctx, makeChainProgram(Ctx, 8, Buggy), NoInv);
     SCOPED_TRACE(Buggy ? "buggy" : "safe");
     EXPECT_EQ(Chain.Run.Result.Outcome, Buggy ? Verdict::Bug : Verdict::Safe);
     EXPECT_GE(Chain.SatOverChecks, 1u);

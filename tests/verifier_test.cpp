@@ -2,6 +2,7 @@
 
 #include "TestSupport.h"
 #include "core/DotExport.h"
+#include "support/Trace.h"
 #include "workload/Chain.h"
 
 #include <gtest/gtest.h>
@@ -28,14 +29,14 @@ const char *DeepBugSrc = R"(
 //===----------------------------------------------------------------------===//
 
 TEST(VerifierPrepass, InvariantsWithoutPrepassRunThroughThePipeline) {
-  // --no-prepass --inv is the one-pass spec `inv`: it is timed like any
-  // pass, and the engine solves the program with the injected labels.
+  // An empty pass list under the default +Inv is the one-pass spec `inv`:
+  // it is timed like any pass, and the engine solves the program with the
+  // injected labels.
   AstContext Ctx;
   Program P = makeChainProgram(Ctx, 3, /*Buggy=*/false);
   VerifierOptions Opts;
   Opts.Bound = 1;
-  Opts.UsePrepass = false;
-  Opts.UseInvariants = true;
+  Opts.Prepass.Passes.clear();
   Opts.Engine.Strategy.Kind = MergeStrategyKind::First;
   VerifierRunResult R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
   EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
@@ -55,7 +56,7 @@ TEST(Verifier, LowerInstanceIsWhatTheEngineSolves) {
     Program P = makeChainProgram(Ctx, 4);
     VerifierOptions Opts;
     Opts.Bound = 1;
-    Opts.UseInvariants = Inv;
+    Opts.Prepass.Invariants = Inv;
     VerifierRunResult Front;
     LoweredInstance L = lowerInstance(Ctx, P, Ctx.sym("main"), Opts, Front);
     ASSERT_TRUE(Front.Prepass.ok());
@@ -76,6 +77,50 @@ TEST(Verifier, LowerInstanceIsWhatTheEngineSolves) {
   EXPECT_FALSE(Front.Prepass.ok());
   EXPECT_EQ(verifyProgram(Ctx, P, Ctx.sym("main"), Opts).Result.Outcome,
             Verdict::Unknown);
+}
+
+TEST(VerifierPrepass, NoPrepassRunsNoPassUnderDefaultInvariants) {
+  // UsePrepass = false leaves the program exactly as lowered, `inv`
+  // included, even though +Inv is the default.
+  AstContext Ctx;
+  Program P = makeChainProgram(Ctx, 3, /*Buggy=*/true);
+  VerifierOptions Opts;
+  Opts.Bound = 1;
+  Opts.UsePrepass = false;
+  ASSERT_TRUE(Opts.Prepass.Invariants);
+  VerifierRunResult R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Bug);
+  EXPECT_EQ(R.NumLabelsSolved, R.NumLabels);
+  EXPECT_EQ(R.Prepass.InvariantConjuncts, 0u);
+  EXPECT_TRUE(R.PrepassStats.counters().empty());
+}
+
+TEST(Verifier, TimeBudgetCoversTheFrontEnd) {
+  // Bounding, lowering and the prepass run on the verdict's clock: a budget
+  // they spend ends the run as a Timeout before any solver check.
+  AstContext Ctx;
+  Program P = makeChainProgram(Ctx, 12);
+  Trace T;
+  T.setEnabled(true);
+  VerifierOptions Opts;
+  Opts.Bound = 1;
+  Opts.Engine.TimeoutSeconds = 1e-9;
+  Opts.Telemetry = &T;
+  VerifierRunResult R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Timeout);
+  EXPECT_EQ(R.Result.Reason, "time budget exhausted");
+  EXPECT_EQ(R.Result.NumSolverChecks, 0u);
+  EXPECT_EQ(R.PrepassStats.get("pass.inv.runs"), 1); // the front end ran
+  EXPECT_GT(R.Result.Seconds, 0.0);
+  // The engine never started: no solver was created.
+  for (size_t I = 0; I < T.numEvents(); ++I)
+    EXPECT_NE(T.event(I).Name, "engine.run");
+
+  // A budget the front end leaves room in reaches a verdict.
+  Opts.Telemetry = nullptr;
+  Opts.Engine.TimeoutSeconds = 60;
+  EXPECT_EQ(verifyProgram(Ctx, P, Ctx.sym("main"), Opts).Result.Outcome,
+            Verdict::Safe);
 }
 
 TEST(Verifier, BoundZeroIsRefusedAsUnknown) {
