@@ -10,16 +10,21 @@
 // baselines for pVC generation, term construction, parsing, and the
 // evaluator, and the fixed costs of the Z3 backend: one incremental check,
 // one solver's whole life, and reading a stratified frontier after a Sat
-// check (from the search's assignment or from a model).
+// check (from the search's assignment or from a model). Plus the query
+// slicer on a perfbench-shaped `loops` program, the front end's largest
+// pass there.
 //
 //===--------------------------------------------------------------------===//
 
+#include "analysis/Slicer.h"
 #include "ast/AstPrinter.h"
 #include "ast/Eval.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
 #include "smt/Z3Solver.h"
+#include "support/Rng.h"
 #include "workload/Chain.h"
+#include "workload/RandomProg.h"
 #include "workload/SdvGen.h"
 
 #include <benchmark/benchmark.h>
@@ -116,6 +121,37 @@ void BM_ConsistencyFullCheck(benchmark::State &State) {
   State.SetLabel(std::to_string(In.vc().numNodes()) + " nodes");
 }
 BENCHMARK(BM_ConsistencyFullCheck);
+
+void BM_SliceForQuery(benchmark::State &State) {
+  // perfbench's first `loops` draw: 30 procedures, nesting 3, loops, arrays
+  // and bitvectors, lowered at bound 2 without the prepass. Each iteration
+  // slices a fresh copy.
+  auto P = std::make_unique<Prepared>();
+  RandomProgParams Params;
+  Params.Seed = Rng(0x100f).next();
+  Params.NumProcs = 30;
+  Params.MaxStmts = 10;
+  Params.MaxNesting = 3;
+  Params.AllowLoops = true;
+  Params.AllowArrays = true;
+  Params.AllowBitvectors = true;
+  Program Prog = makeRandomProgram(P->Ctx, Params);
+  VerifierOptions Opts;
+  Opts.Bound = 2;
+  Opts.UsePrepass = false;
+  VerifierRunResult Front;
+  P->Inst = lowerInstance(P->Ctx, Prog, P->Ctx.sym("main"), Opts, Front);
+  for (auto _ : State) {
+    State.PauseTiming();
+    CfgProgram Copy = P->Inst.Cfg;
+    State.ResumeTiming();
+    SliceReport R =
+        sliceForQuery(P->Ctx, Copy, P->Inst.Entry, P->Inst.ErrVar);
+    benchmark::DoNotOptimize(R);
+  }
+  State.SetLabel(std::to_string(P->Inst.Cfg.Labels.size()) + " labels");
+}
+BENCHMARK(BM_SliceForQuery)->Unit(benchmark::kMicrosecond);
 
 void BM_TermConstruction(benchmark::State &State) {
   AstContext Ctx;

@@ -15,19 +15,41 @@ ProcFlow::ProcFlow(const CfgProgram &Prog, ProcId P)
     : Prog(Prog), P(P), Entry(Prog.proc(P).Entry) {
   Topo = Prog.topoOrder(P);
   size_t N = Topo.size();
-  Index.reserve(N);
+  if (N == 0) {
+    PredOff.assign(1, 0);
+    SuccOff.assign(1, 0);
+    return;
+  }
+  auto [MinIt, MaxIt] = std::minmax_element(Topo.begin(), Topo.end());
+  Lo = *MinIt;
+  Index.assign(*MaxIt - Lo + 1, ~0u);
   for (unsigned I = 0; I < N; ++I)
-    Index.emplace_back(Topo[I], I);
-  std::sort(Index.begin(), Index.end());
-  PredIdx.resize(N);
-  SuccIdx.resize(N);
-  // In Proc.Labels order, so each predecessor list keeps that order.
-  for (LabelId L : Prog.proc(P).Labels) {
+    Index[Topo[I] - Lo] = I;
+
+  // Count, prefix-sum, fill. Sources are visited in Proc.Labels order, so
+  // each predecessor list keeps that order.
+  PredOff.assign(N + 1, 0);
+  SuccOff.assign(N + 1, 0);
+  const std::vector<LabelId> &Labels = Prog.proc(P).Labels;
+  for (LabelId L : Labels) {
+    SuccOff[indexOf(L) + 1] = Prog.label(L).Targets.size();
+    for (LabelId T : Prog.label(L).Targets)
+      ++PredOff[indexOf(T) + 1];
+  }
+  for (size_t I = 0; I < N; ++I) {
+    PredOff[I + 1] += PredOff[I];
+    SuccOff[I + 1] += SuccOff[I];
+  }
+  PredIdx.resize(PredOff[N]);
+  SuccIdx.resize(SuccOff[N]);
+  std::vector<unsigned> PredFill(PredOff.begin(), PredOff.end() - 1);
+  for (LabelId L : Labels) {
     unsigned From = indexOf(L);
+    unsigned *Succ = SuccIdx.data() + SuccOff[From];
     for (LabelId T : Prog.label(L).Targets) {
       unsigned To = indexOf(T);
-      PredIdx[To].push_back(From);
-      SuccIdx[From].push_back(To);
+      PredIdx[PredFill[To]++] = From;
+      *Succ++ = To;
     }
   }
 }
@@ -52,48 +74,153 @@ void rmt::collectExprVars(const Expr *E, std::set<Symbol> &Out) {
   }
 }
 
-std::vector<ProcEffects> rmt::computeProcEffects(const CfgProgram &Prog) {
-  std::unordered_set<Symbol> Globals;
-  for (const VarDecl &G : Prog.Globals)
-    Globals.insert(G.Name);
+VarSlots::VarSlots(const CfgProgram &Prog)
+    : Prog(Prog), NumGlobals(static_cast<unsigned>(Prog.Globals.size())),
+      Procs(Prog.Procs.size()), Labels(Prog.Labels.size()) {
+  // SlotOf[V.id()] is V's slot in the procedure being numbered: globals
+  // keep theirs throughout, a procedure's locals are cleared after it.
+  std::vector<uint32_t> SlotOf;
+  auto SlotRef = [&](Symbol V) -> uint32_t & {
+    if (V.id() >= SlotOf.size())
+      SlotOf.resize(V.id() + 1, NoSlot);
+    return SlotOf[V.id()];
+  };
+  for (unsigned I = 0; I < NumGlobals; ++I) {
+    Symbol G = Prog.Globals[I].Name;
+    GlobalIndex.push_back({G, I});
+    if (SlotRef(G) == NoSlot)
+      SlotRef(G) = I;
+  }
+  std::sort(GlobalIndex.begin(), GlobalIndex.end());
 
+  ExprBegin.push_back(0);
+  std::vector<Symbol> Locals;       // this procedure's non-global slots
+  std::vector<uint32_t> Stamp;      // by slot: last expression that read it
+  std::vector<const Expr *> Stack;  // expression walk
+  for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
+    const CfgProc &Proc = Prog.proc(P);
+    Locals.clear();
+    auto SlotFor = [&](Symbol V) {
+      uint32_t S = SlotRef(V);
+      if (S == NoSlot) {
+        S = NumGlobals + static_cast<uint32_t>(Locals.size());
+        SlotRef(V) = S;
+        Locals.push_back(V);
+      }
+      return S;
+    };
+    auto AddExpr = [&](const Expr *E) {
+      uint32_t Id = static_cast<uint32_t>(ExprBegin.size());
+      if (E)
+        Stack.push_back(E);
+      while (!Stack.empty()) {
+        const Expr *Cur = Stack.back();
+        Stack.pop_back();
+        if (Cur->kind() == ExprKind::Var) {
+          uint32_t S = SlotFor(Cur->var());
+          if (S >= Stamp.size())
+            Stamp.resize(S + 1, 0);
+          if (Stamp[S] != Id) {
+            Stamp[S] = Id;
+            ReadSlots.push_back(S);
+          }
+          continue;
+        }
+        for (unsigned I = 0; I < Cur->numOps(); ++I)
+          Stack.push_back(I == 0 ? Cur->op0() : I == 1 ? Cur->op1()
+                                                       : Cur->op2());
+      }
+      ExprBegin.push_back(static_cast<uint32_t>(ReadSlots.size()));
+    };
+
+    Procs[P].FirstDecl = static_cast<uint32_t>(DeclSlots.size());
+    for (const VarDecl &D : Proc.Returns)
+      DeclSlots.push_back(SlotFor(D.Name));
+    for (const VarDecl &D : Proc.Params)
+      DeclSlots.push_back(SlotFor(D.Name));
+    for (LabelId L : Proc.Labels) {
+      const CfgStmt &S = Prog.label(L).Stmt;
+      LabelSlots &LS = Labels[L];
+      LS.FirstExpr = static_cast<uint32_t>(ExprBegin.size() - 1);
+      LS.FirstWrite = static_cast<uint32_t>(WriteSlots.size());
+      switch (S.Kind) {
+      case CfgStmtKind::Assume:
+        AddExpr(S.E);
+        break;
+      case CfgStmtKind::Assign:
+        AddExpr(S.E);
+        WriteSlots.push_back(SlotFor(S.Target));
+        break;
+      case CfgStmtKind::Havoc:
+      case CfgStmtKind::Call:
+        for (const Expr *A : S.Args)
+          AddExpr(A);
+        for (Symbol V : S.Vars)
+          WriteSlots.push_back(SlotFor(V));
+        break;
+      }
+      LS.NumExprs =
+          static_cast<uint32_t>(ExprBegin.size() - 1) - LS.FirstExpr;
+      LS.NumWrites = static_cast<uint32_t>(WriteSlots.size()) - LS.FirstWrite;
+    }
+
+    Procs[P].NumSlots = NumGlobals + static_cast<uint32_t>(Locals.size());
+    Procs[P].FirstLocal = static_cast<uint32_t>(LocalIndex.size());
+    for (Symbol V : Locals) {
+      LocalIndex.push_back({V, SlotRef(V)});
+      SlotRef(V) = NoSlot;
+    }
+    std::sort(LocalIndex.begin() + Procs[P].FirstLocal, LocalIndex.end());
+  }
+}
+
+namespace {
+
+uint32_t lookupSlot(std::span<const std::pair<Symbol, uint32_t>> Sorted,
+                    Symbol V) {
+  auto It = std::lower_bound(
+      Sorted.begin(), Sorted.end(), V,
+      [](const std::pair<Symbol, uint32_t> &E, Symbol X) {
+        return E.first < X;
+      });
+  return It != Sorted.end() && It->first == V ? It->second : VarSlots::NoSlot;
+}
+
+} // namespace
+
+uint32_t VarSlots::globalSlot(Symbol V) const {
+  return lookupSlot(GlobalIndex, V);
+}
+
+uint32_t VarSlots::slot(ProcId P, Symbol V) const {
+  uint32_t S = globalSlot(V);
+  if (S != NoSlot)
+    return S;
+  const ProcSlots &PS = Procs[P];
+  return lookupSlot({LocalIndex.data() + PS.FirstLocal,
+                     PS.NumSlots - NumGlobals},
+                    V);
+}
+
+std::vector<ProcEffects> rmt::computeProcEffects(const VarSlots &Slots) {
+  const CfgProgram &Prog = Slots.program();
+  unsigned G = Slots.numGlobals();
   std::vector<ProcEffects> FX(Prog.Procs.size());
   for (ProcId P : Prog.bottomUpProcOrder()) {
     ProcEffects &E = FX[P];
-    auto AddUses = [&](const Expr *Ex) {
-      std::set<Symbol> Vars;
-      collectExprVars(Ex, Vars);
-      for (Symbol V : Vars)
-        if (Globals.count(V))
-          E.UseGlobals.insert(V);
-    };
+    E.ModGlobals = Bitset(G);
+    E.UseGlobals = Bitset(G);
     for (LabelId L : Prog.proc(P).Labels) {
+      for (uint32_t V : Slots.allReads(L))
+        if (V < G)
+          E.UseGlobals.set(V);
+      for (uint32_t V : Slots.writes(L))
+        if (V < G)
+          E.ModGlobals.set(V);
       const CfgStmt &S = Prog.label(L).Stmt;
-      switch (S.Kind) {
-      case CfgStmtKind::Assume:
-        AddUses(S.E);
-        break;
-      case CfgStmtKind::Assign:
-        AddUses(S.E);
-        if (Globals.count(S.Target))
-          E.ModGlobals.insert(S.Target);
-        break;
-      case CfgStmtKind::Havoc:
-        for (Symbol V : S.Vars)
-          if (Globals.count(V))
-            E.ModGlobals.insert(V);
-        break;
-      case CfgStmtKind::Call: {
-        for (const Expr *A : S.Args)
-          AddUses(A);
-        for (Symbol V : S.Vars)
-          if (Globals.count(V))
-            E.ModGlobals.insert(V);
-        const ProcEffects &C = FX[S.Callee];
-        E.ModGlobals.insert(C.ModGlobals.begin(), C.ModGlobals.end());
-        E.UseGlobals.insert(C.UseGlobals.begin(), C.UseGlobals.end());
-        break;
-      }
+      if (S.Kind == CfgStmtKind::Call) {
+        E.ModGlobals.orWith(FX[S.Callee].ModGlobals);
+        E.UseGlobals.orWith(FX[S.Callee].UseGlobals);
       }
     }
   }
@@ -135,32 +262,30 @@ unsigned rmt::compactLabels(CfgProgram &Prog,
   if (Next == Before)
     return 0;
 
-  std::vector<CfgLabel> NewLabels;
-  NewLabels.reserve(Next);
+  // Renumber in place: a kept label only moves down.
   for (LabelId L = 0; L < Before; ++L) {
     if (!KeepLabel[L])
       continue;
-    CfgLabel Lbl = std::move(Prog.Labels[L]);
-    std::vector<LabelId> Targets;
-    Targets.reserve(Lbl.Targets.size());
+    CfgLabel &Lbl = Prog.Labels[L];
+    size_t K = 0;
     for (LabelId T : Lbl.Targets)
       if (NewId[T] != InvalidLabel)
-        Targets.push_back(NewId[T]);
-    Lbl.Targets = std::move(Targets);
-    NewLabels.push_back(std::move(Lbl));
+        Lbl.Targets[K++] = NewId[T];
+    Lbl.Targets.resize(K);
+    if (NewId[L] != L)
+      Prog.Labels[NewId[L]] = std::move(Lbl);
   }
-  Prog.Labels = std::move(NewLabels);
+  Prog.Labels.resize(Next);
 
   for (CfgProc &P : Prog.Procs) {
     assert(NewId[P.Entry] != InvalidLabel &&
            "procedure entry labels must be kept");
     P.Entry = NewId[P.Entry];
-    std::vector<LabelId> Kept;
-    Kept.reserve(P.Labels.size());
+    size_t K = 0;
     for (LabelId L : P.Labels)
       if (NewId[L] != InvalidLabel)
-        Kept.push_back(NewId[L]);
-    P.Labels = std::move(Kept);
+        P.Labels[K++] = NewId[L];
+    P.Labels.resize(K);
   }
   return static_cast<unsigned>(Before - Next);
 }
@@ -227,42 +352,54 @@ unsigned rmt::spliceSkips(CfgProgram &Prog) {
   // Resolve each label to the labels that replace it as a jump target:
   // non-skips and skip returns stand for themselves; a skip with successors
   // stands for its resolved successors. Reverse-topological order makes this
-  // a single pass.
-  std::vector<std::vector<LabelId>> Resolved(N);
+  // a single pass. L resolves to Flat[Begin[L] .. Begin[L] + Count[L]).
+  std::vector<uint32_t> Begin(N, 0), Count(N, 0);
+  std::vector<LabelId> Flat;
+  Flat.reserve(N);
+  // Seen[X] == Stamp: X is already in the list being built.
+  std::vector<uint32_t> Seen(N, 0);
+  uint32_t Stamp = 0;
+  auto AppendResolved = [&](LabelId T, std::vector<LabelId> &Out) {
+    for (uint32_t I = Begin[T], E = Begin[T] + Count[T]; I < E; ++I) {
+      LabelId X = Flat[I];
+      if (Seen[X] != Stamp) {
+        Seen[X] = Stamp;
+        Out.push_back(X);
+      }
+    }
+  };
   for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
     std::vector<LabelId> Topo = Prog.topoOrder(P);
     for (auto It = Topo.rbegin(); It != Topo.rend(); ++It) {
       LabelId L = *It;
       const CfgLabel &Lbl = Prog.label(L);
+      Begin[L] = static_cast<uint32_t>(Flat.size());
       if (!Lbl.Stmt.isSkip() || Lbl.Targets.empty()) {
-        Resolved[L] = {L};
-        continue;
+        Flat.push_back(L);
+      } else {
+        ++Stamp;
+        for (LabelId T : Lbl.Targets)
+          AppendResolved(T, Flat);
       }
-      std::vector<LabelId> R;
-      for (LabelId T : Lbl.Targets)
-        for (LabelId X : Resolved[T])
-          if (std::find(R.begin(), R.end(), X) == R.end())
-            R.push_back(X);
-      Resolved[L] = std::move(R);
+      Count[L] = static_cast<uint32_t>(Flat.size()) - Begin[L];
     }
   }
 
   // Rewire every target list through the resolution, and let a label whose
   // only remaining successor is a skip return (a no-op before returning)
   // return directly.
+  std::vector<LabelId> NewTargets;
   for (CfgLabel &Lbl : Prog.Labels) {
-    std::vector<LabelId> NewTargets;
+    NewTargets.clear();
+    ++Stamp;
     for (LabelId T : Lbl.Targets)
-      for (LabelId X : Resolved[T])
-        if (std::find(NewTargets.begin(), NewTargets.end(), X) ==
-            NewTargets.end())
-          NewTargets.push_back(X);
+      AppendResolved(T, NewTargets);
     if (NewTargets.size() == 1) {
       const CfgLabel &T = Prog.label(NewTargets[0]);
       if (T.Stmt.isSkip() && T.Targets.empty())
         NewTargets.clear();
     }
-    Lbl.Targets = std::move(NewTargets);
+    Lbl.Targets.assign(NewTargets.begin(), NewTargets.end());
   }
 
   // Fast-forward entries through straight-line skips.

@@ -31,10 +31,11 @@
 /// transfer rewrites its input state into its output state, so a solver
 /// reused across solves keeps its values' storage and allocates little.
 ///
-/// On top of the framework this header exposes the verification prepass
-/// entry point runPrepass() and the structural passes it shares: skip-chain
-/// compaction and dead-procedure elimination. Cone-of-influence slicing
-/// lives in Slicer.h.
+/// On top of the framework this header exposes the dense variable numbering
+/// with per-label read and write sets (VarSlots) and the global effect
+/// summaries built on it, the verification prepass entry point runPrepass()
+/// and the structural passes it shares: skip-chain compaction and
+/// dead-procedure elimination. Cone-of-influence slicing lives in Slicer.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,14 +44,15 @@
 
 #include "ast/AstContext.h"
 #include "cfg/Cfg.h"
+#include "support/Bitset.h"
 #include "support/Stats.h"
 
 #include <algorithm>
 #include <cassert>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace rmt {
@@ -63,7 +65,8 @@ class Trace;
 
 /// Per-procedure view of the intraprocedural flow graph: a topological order
 /// (entry-first), each label's dense index (its position in that order), and
-/// predecessor and successor lists by index.
+/// predecessor and successor lists by index, kept as flat CSR arrays (one
+/// offsets array and one index array per direction).
 class ProcFlow {
 public:
   ProcFlow(const CfgProgram &Prog, ProcId P);
@@ -75,22 +78,18 @@ public:
   /// Labels in topological order of the flow graph.
   const std::vector<LabelId> &topo() const { return Topo; }
 
-  /// Dense index of \p L (a binary search; solvers work on indices).
+  /// Dense index of \p L (solvers work on indices).
   unsigned indexOf(LabelId L) const {
-    auto It = std::lower_bound(
-        Index.begin(), Index.end(), L,
-        [](const std::pair<LabelId, unsigned> &E, LabelId X) {
-          return E.first < X;
-        });
-    assert(It != Index.end() && It->first == L && "label not in procedure");
-    return It->second;
+    assert(L - Lo < Index.size() && Index[L - Lo] != ~0u &&
+           "label not in procedure");
+    return Index[L - Lo];
   }
   /// Indices of the predecessors / successors of the label at index \p I.
-  const std::vector<unsigned> &predIndices(unsigned I) const {
-    return PredIdx[I];
+  std::span<const unsigned> predIndices(unsigned I) const {
+    return {PredIdx.data() + PredOff[I], PredOff[I + 1] - PredOff[I]};
   }
-  const std::vector<unsigned> &succIndices(unsigned I) const {
-    return SuccIdx[I];
+  std::span<const unsigned> succIndices(unsigned I) const {
+    return {SuccIdx.data() + SuccOff[I], SuccOff[I + 1] - SuccOff[I]};
   }
 
   const CfgProgram &program() const { return Prog; }
@@ -100,9 +99,12 @@ private:
   ProcId P;
   LabelId Entry;
   std::vector<LabelId> Topo;
-  /// (label, index) sorted by label.
-  std::vector<std::pair<LabelId, unsigned>> Index;
-  std::vector<std::vector<unsigned>> PredIdx, SuccIdx;
+  /// Index[L - Lo] is L's index; ~0u for labels of other procedures. A
+  /// procedure's labels need not be contiguous, so this spans [Lo, Hi].
+  LabelId Lo = 0;
+  std::vector<unsigned> Index;
+  /// Edges of index I: PredIdx[PredOff[I] .. PredOff[I + 1]), likewise Succ.
+  std::vector<unsigned> PredOff, PredIdx, SuccOff, SuccIdx;
 };
 
 /// Direction of a dataflow analysis.
@@ -206,15 +208,92 @@ private:
 /// Collects every variable occurring in \p E into \p Out.
 void collectExprVars(const Expr *E, std::set<Symbol> &Out);
 
-/// Transitive may-effect summary of a procedure on the globals.
+/// Dense variable numbering of a program, with every label's expressions
+/// walked once into read sets. Each procedure numbers its variables into
+/// slots: the globals first, at the same slot in every procedure (slot I is
+/// Prog.Globals[I]), then its returns, its parameters, and every other
+/// variable its labels mention. A local named like a global is the global,
+/// as everywhere in the prepass. The read and write sets describe the
+/// statements as they were when the numbering was built.
+class VarSlots {
+public:
+  static constexpr uint32_t NoSlot = ~0u;
+  using Slots = std::span<const uint32_t>;
+
+  explicit VarSlots(const CfgProgram &Prog);
+
+  const CfgProgram &program() const { return Prog; }
+  unsigned numGlobals() const { return NumGlobals; }
+  unsigned numSlots(ProcId P) const { return Procs[P].NumSlots; }
+
+  /// Slot of \p V in \p P; NoSlot when P neither declares nor mentions it.
+  uint32_t slot(ProcId P, Symbol V) const;
+  /// Slot of the global \p V; NoSlot when it is not a global.
+  uint32_t globalSlot(Symbol V) const;
+  /// Slots of \p P's I-th return and parameter.
+  uint32_t returnSlot(ProcId P, unsigned I) const {
+    return DeclSlots[Procs[P].FirstDecl + I];
+  }
+  uint32_t paramSlot(ProcId P, unsigned I) const {
+    return DeclSlots[Procs[P].FirstDecl + Prog.proc(P).Returns.size() + I];
+  }
+
+  /// Each variable read by expression \p I of label \p L, once: the
+  /// condition of an assume or the right-hand side of an assignment (I = 0),
+  /// or argument I of a call. A havoc has no expression.
+  Slots reads(LabelId L, unsigned I = 0) const {
+    return exprRange(Labels[L].FirstExpr + I, 1);
+  }
+  /// The reads of all of \p L's expressions (a variable read by two call
+  /// arguments appears twice).
+  Slots allReads(LabelId L) const {
+    return exprRange(Labels[L].FirstExpr, Labels[L].NumExprs);
+  }
+  /// The variables \p L writes, in statement order: an assignment's target,
+  /// a havoc's variables or a call's result bindings.
+  Slots writes(LabelId L) const {
+    return {WriteSlots.data() + Labels[L].FirstWrite, Labels[L].NumWrites};
+  }
+
+private:
+  struct ProcSlots {
+    uint32_t NumSlots = 0;
+    /// Returns then parameters at DeclSlots[FirstDecl ..].
+    uint32_t FirstDecl = 0;
+    /// (variable, slot) of every non-global slot, sorted by variable, at
+    /// LocalIndex[FirstLocal .. FirstLocal + NumSlots - numGlobals()).
+    uint32_t FirstLocal = 0;
+  };
+  struct LabelSlots {
+    uint32_t FirstExpr = 0, NumExprs = 0, FirstWrite = 0, NumWrites = 0;
+  };
+
+  Slots exprRange(uint32_t First, uint32_t Count) const {
+    return {ReadSlots.data() + ExprBegin[First],
+            ExprBegin[First + Count] - ExprBegin[First]};
+  }
+
+  const CfgProgram &Prog;
+  unsigned NumGlobals = 0;
+  std::vector<ProcSlots> Procs;
+  std::vector<LabelSlots> Labels;
+  std::vector<uint32_t> DeclSlots;
+  /// Expression E reads ReadSlots[ExprBegin[E] .. ExprBegin[E + 1]).
+  std::vector<uint32_t> ExprBegin, ReadSlots;
+  std::vector<uint32_t> WriteSlots;
+  std::vector<std::pair<Symbol, uint32_t>> GlobalIndex, LocalIndex;
+};
+
+/// Transitive may-effect summary of a procedure on the globals, as bitsets
+/// over the global slots of VarSlots (bit I is Prog.Globals[I]).
 struct ProcEffects {
-  std::unordered_set<Symbol> ModGlobals; ///< globals possibly written
-  std::unordered_set<Symbol> UseGlobals; ///< globals possibly read
+  Bitset ModGlobals; ///< globals possibly written
+  Bitset UseGlobals; ///< globals possibly read
 };
 
 /// Bottom-up (callees-first) may-mod/may-use sets over the acyclic call
 /// graph, indexed by ProcId.
-std::vector<ProcEffects> computeProcEffects(const CfgProgram &Prog);
+std::vector<ProcEffects> computeProcEffects(const VarSlots &Slots);
 
 /// Indexed by LabelId: whether the label is reachable from its procedure's
 /// entry in the flow graph.

@@ -518,7 +518,7 @@ InvariantReport rmt::injectInvariants(AstContext &Ctx, CfgProgram &Prog,
     Prog.Labels[L].Targets.assign(1, New);
     Prog.Procs[Owner].Labels.push_back(New);
 
-    ++Report.Conjuncts; // count the site; conjunct detail is secondary
+    Report.Conjuncts += static_cast<unsigned>(Conjuncts.size());
   }
   return Report;
 }

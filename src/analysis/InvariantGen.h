@@ -165,6 +165,7 @@ private:
 /// Result of invariant injection.
 struct InvariantReport {
   unsigned ProcsAnnotated = 0;
+  /// Conjuncts injected, over entry invariants and call-site summaries.
   unsigned Conjuncts = 0;
 };
 

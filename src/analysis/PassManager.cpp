@@ -43,14 +43,15 @@ bool runLintAuditPass(PassContext &PC) {
   // observable at exit, and calls keep their callee's transitive global
   // reads live, so a store flagged dead really is unobservable.
   const CfgProgram &Prog = PC.Prog;
-  std::vector<ProcEffects> FX = computeProcEffects(Prog);
-  Relevance Rel = Relevance::all(Prog);
+  VarSlots Slots(Prog);
+  std::vector<ProcEffects> FX = computeProcEffects(Slots);
+  Relevance Rel = Relevance::all(Slots);
   std::vector<bool> Reached = entryReachableLabels(Prog);
 
   DataflowSolver<QueryLiveness> Solver;
   for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
     ProcFlow Flow(Prog, P);
-    QueryLiveness A(Prog, Rel, FX, P);
+    QueryLiveness A(Slots, Rel, FX, P);
     Solver.solve(Flow, A);
 
     for (LabelId L : Prog.proc(P).Labels) {
@@ -59,7 +60,7 @@ bool runLintAuditPass(PassContext &PC) {
         continue; // don't double-count its statement as a dead store
       }
       const CfgStmt &S = Prog.label(L).Stmt;
-      if (S.Kind == CfgStmtKind::Assign && !Solver.post(L).count(S.Target))
+      if (S.Kind == CfgStmtKind::Assign && !A.live(Solver.post(L), S.Target))
         ++PC.Report.AuditDeadStores;
     }
   }

@@ -8,31 +8,45 @@ using namespace rmt;
 // Relevance closure
 //===----------------------------------------------------------------------===//
 
-Relevance::Relevance(const CfgProgram &Prog, std::optional<Symbol> ErrGlobal) {
-  for (const VarDecl &G : Prog.Globals)
-    GlobalSet.insert(G.Name);
-  RelLocals.resize(Prog.Procs.size());
+Relevance::Relevance(const VarSlots &Slots)
+    : Slots(&Slots), RelGlobals(Slots.numGlobals()) {
+  size_t NumProcs = Slots.program().Procs.size();
+  RelLocals.reserve(NumProcs);
+  for (ProcId P = 0; P < NumProcs; ++P)
+    RelLocals.emplace_back(Slots.numSlots(P));
+}
 
-  auto MarkVar = [&](ProcId P, Symbol V) {
-    if (GlobalSet.count(V))
-      return RelGlobals.insert(V).second;
-    return RelLocals[P].insert(V).second;
-  };
-  auto MarkExpr = [&](ProcId P, const Expr *E) {
-    std::set<Symbol> Vars;
-    collectExprVars(E, Vars);
+bool Relevance::mark(ProcId P, uint32_t S) {
+  Bitset &B = S < Slots->numGlobals() ? RelGlobals : RelLocals[P];
+  if (B.test(S))
+    return false;
+  B.set(S);
+  return true;
+}
+
+Relevance::Relevance(const VarSlots &Slots, std::optional<Symbol> ErrGlobal)
+    : Relevance(Slots) {
+  const CfgProgram &Prog = Slots.program();
+  auto MarkReads = [&](ProcId P, VarSlots::Slots Reads) {
     bool Any = false;
-    for (Symbol V : Vars)
-      Any |= MarkVar(P, V);
+    for (uint32_t S : Reads)
+      Any |= mark(P, S);
     return Any;
   };
 
-  // Seeds: the query variable and everything an assume reads.
+  // Seeds: the query variable and everything an assume reads. The closure
+  // below only visits assignments and calls.
   if (ErrGlobal)
-    RelGlobals.insert(*ErrGlobal);
-  for (const CfgLabel &Lbl : Prog.Labels)
+    if (uint32_t S = Slots.globalSlot(*ErrGlobal); S != VarSlots::NoSlot)
+      RelGlobals.set(S);
+  std::vector<LabelId> Flows;
+  for (LabelId L = 0; L < Prog.Labels.size(); ++L) {
+    const CfgLabel &Lbl = Prog.label(L);
     if (Lbl.Stmt.Kind == CfgStmtKind::Assume)
-      MarkExpr(Lbl.Proc, Lbl.Stmt.E);
+      MarkReads(Lbl.Proc, Slots.reads(L));
+    else if (Lbl.Stmt.Kind != CfgStmtKind::Havoc)
+      Flows.push_back(L);
+  }
 
   // Close under dataflow into relevant variables. The closure crosses call
   // boundaries in both directions (results pull callee returns, parameters
@@ -40,44 +54,36 @@ Relevance::Relevance(const CfgProgram &Prog, std::optional<Symbol> ErrGlobal) {
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (const CfgLabel &Lbl : Prog.Labels) {
-      const CfgStmt &S = Lbl.Stmt;
-      ProcId P = Lbl.Proc;
-      switch (S.Kind) {
-      case CfgStmtKind::Assume:
-      case CfgStmtKind::Havoc:
-        break;
-      case CfgStmtKind::Assign:
-        if (relevant(P, S.Target))
-          Changed |= MarkExpr(P, S.E);
-        break;
-      case CfgStmtKind::Call: {
-        const CfgProc &Q = Prog.proc(S.Callee);
-        for (unsigned I = 0; I < S.Vars.size() && I < Q.Returns.size(); ++I)
-          if (relevant(P, S.Vars[I]))
-            Changed |= MarkVar(S.Callee, Q.Returns[I].Name);
-        for (unsigned I = 0; I < S.Args.size() && I < Q.Params.size(); ++I)
-          if (relevant(S.Callee, Q.Params[I].Name))
-            Changed |= MarkExpr(P, S.Args[I]);
-        break;
+    for (LabelId L : Flows) {
+      const CfgStmt &S = Prog.label(L).Stmt;
+      ProcId P = Prog.label(L).Proc;
+      VarSlots::Slots Writes = Slots.writes(L);
+      if (S.Kind == CfgStmtKind::Assign) {
+        if (relevantSlot(P, Writes[0]))
+          Changed |= MarkReads(P, Slots.reads(L));
+        continue;
       }
-      }
+      const CfgProc &Q = Prog.proc(S.Callee);
+      for (unsigned I = 0; I < Writes.size() && I < Q.Returns.size(); ++I)
+        if (relevantSlot(P, Writes[I]))
+          Changed |= mark(S.Callee, Slots.returnSlot(S.Callee, I));
+      for (unsigned I = 0; I < S.Args.size() && I < Q.Params.size(); ++I)
+        if (relevantSlot(S.Callee, Slots.paramSlot(S.Callee, I)))
+          Changed |= MarkReads(P, Slots.reads(L, I));
     }
   }
 }
 
-Relevance Relevance::all(const CfgProgram &Prog) {
-  Relevance Rel;
-  for (const VarDecl &G : Prog.Globals) {
-    Rel.GlobalSet.insert(G.Name);
-    Rel.RelGlobals.insert(G.Name);
-  }
-  Rel.RelLocals.resize(Prog.Procs.size());
+Relevance Relevance::all(const VarSlots &Slots) {
+  Relevance Rel(Slots);
+  for (unsigned G = 0; G < Slots.numGlobals(); ++G)
+    Rel.RelGlobals.set(G);
+  const CfgProgram &Prog = Slots.program();
   for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
-    for (const VarDecl &V : Prog.proc(P).Params)
-      Rel.RelLocals[P].insert(V.Name);
-    for (const VarDecl &V : Prog.proc(P).Returns)
-      Rel.RelLocals[P].insert(V.Name);
+    for (unsigned I = 0; I < Prog.proc(P).Returns.size(); ++I)
+      Rel.mark(P, Slots.returnSlot(P, I));
+    for (unsigned I = 0; I < Prog.proc(P).Params.size(); ++I)
+      Rel.mark(P, Slots.paramSlot(P, I));
   }
   return Rel;
 }
@@ -86,51 +92,49 @@ Relevance Relevance::all(const CfgProgram &Prog) {
 // Strong liveness
 //===----------------------------------------------------------------------===//
 
-QueryLiveness::QueryLiveness(const CfgProgram &Prog, const Relevance &Rel,
+QueryLiveness::QueryLiveness(const VarSlots &Slots, const Relevance &Rel,
                              const std::vector<ProcEffects> &FX, ProcId P)
-    : Prog(Prog), Rel(Rel), FX(FX) {
-  for (const VarDecl &G : Prog.Globals)
-    if (Rel.relevantGlobal(G.Name))
-      ExitLive.insert(G.Name);
-  for (const VarDecl &R : Prog.proc(P).Returns)
-    if (Rel.relevant(P, R.Name))
-      ExitLive.insert(R.Name);
+    : Slots(Slots), Rel(Rel), FX(FX), P(P), ExitLive(Slots.numSlots(P)) {
+  ExitLive.orWith(Rel.relevantGlobals());
+  for (unsigned I = 0; I < Slots.program().proc(P).Returns.size(); ++I) {
+    uint32_t S = Slots.returnSlot(P, I);
+    if (Rel.relevantSlot(P, S))
+      ExitLive.set(S);
+  }
 }
 
-bool QueryLiveness::join(Value &Into, const Value &From) const {
-  bool Changed = false;
-  for (Symbol V : From)
-    Changed |= Into.insert(V).second;
-  return Changed;
-}
-
-void QueryLiveness::transfer(LabelId, const CfgStmt &S, Value &Pre) const {
-  // Pre holds the post-state and becomes the pre-state.
+void QueryLiveness::transfer(LabelId L, const CfgStmt &S, Value &X) const {
+  // X holds the post-state and becomes the pre-state: (X & ~Kill) | Gen.
   switch (S.Kind) {
   case CfgStmtKind::Assume:
-    collectExprVars(S.E, Pre);
+    for (uint32_t V : Slots.reads(L))
+      X.set(V);
     break;
-  case CfgStmtKind::Assign:
+  case CfgStmtKind::Assign: {
     // Strong: the RHS only matters if the target is live.
-    if (Pre.erase(S.Target))
-      collectExprVars(S.E, Pre);
+    uint32_t Target = Slots.writes(L)[0];
+    if (X.test(Target)) {
+      X.reset(Target);
+      for (uint32_t V : Slots.reads(L))
+        X.set(V);
+    }
     break;
+  }
   case CfgStmtKind::Havoc:
-    for (Symbol V : S.Vars)
-      Pre.erase(V);
+    for (uint32_t V : Slots.writes(L))
+      X.reset(V);
     break;
   case CfgStmtKind::Call: {
     // Result bindings are definitely assigned on return; the callee may
     // read relevant globals and any argument feeding a relevant parameter.
-    for (Symbol V : S.Vars)
-      Pre.erase(V);
-    const CfgProc &Q = Prog.proc(S.Callee);
-    for (unsigned I = 0; I < S.Args.size() && I < Q.Params.size(); ++I)
-      if (Rel.relevant(S.Callee, Q.Params[I].Name))
-        collectExprVars(S.Args[I], Pre);
-    for (Symbol G : FX[S.Callee].UseGlobals)
-      if (Rel.relevantGlobal(G))
-        Pre.insert(G);
+    for (uint32_t V : Slots.writes(L))
+      X.reset(V);
+    size_t NumParams = Slots.program().proc(S.Callee).Params.size();
+    for (unsigned I = 0; I < S.Args.size() && I < NumParams; ++I)
+      if (Rel.relevantSlot(S.Callee, Slots.paramSlot(S.Callee, I)))
+        for (uint32_t V : Slots.reads(L, I))
+          X.set(V);
+    X.orWithAnd(FX[S.Callee].UseGlobals, Rel.relevantGlobals());
     break;
   }
   }
@@ -146,6 +150,18 @@ void toSkip(AstContext &Ctx, CfgStmt &S) {
   S.Callee = InvalidProc;
 }
 
+/// Keeps the variables of S.Vars whose slot is live in \p Post; returns how
+/// many were dropped.
+unsigned keepLive(CfgStmt &S, VarSlots::Slots Writes, const Bitset &Post) {
+  size_t Kept = 0;
+  for (size_t I = 0; I < S.Vars.size(); ++I)
+    if (Post.test(Writes[I]))
+      S.Vars[Kept++] = S.Vars[I];
+  unsigned Dropped = static_cast<unsigned>(S.Vars.size() - Kept);
+  S.Vars.resize(Kept);
+  return Dropped;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -156,8 +172,9 @@ SliceReport rmt::sliceForQuery(AstContext &Ctx, CfgProgram &Prog, ProcId Root,
                                std::optional<Symbol> ErrGlobal) {
   (void)Root; // every procedure's exit feeds some caller; no root special-case
   SliceReport Report;
-  Relevance Rel(Prog, ErrGlobal);
-  std::vector<ProcEffects> FX = computeProcEffects(Prog);
+  VarSlots Slots(Prog);
+  Relevance Rel(Slots, ErrGlobal);
+  std::vector<ProcEffects> FX = computeProcEffects(Slots);
 
   // Procedures whose every label is a skip after slicing: calls to them are
   // equivalent to havocking the live result bindings (the callee always
@@ -169,51 +186,38 @@ SliceReport rmt::sliceForQuery(AstContext &Ctx, CfgProgram &Prog, ProcId Root,
   for (ProcId P : Prog.bottomUpProcOrder()) {
     const CfgProc &Proc = Prog.proc(P);
     ProcFlow Flow(Prog, P);
-    QueryLiveness A(Prog, Rel, FX, P);
+    QueryLiveness A(Slots, Rel, FX, P);
     Solver.solve(Flow, A);
 
     bool AllSkip = true;
     for (LabelId L : Proc.Labels) {
       CfgStmt &S = Prog.Labels[L].Stmt;
-      const std::set<Symbol> &Post = Solver.post(L);
+      const Bitset &Post = Solver.post(L);
       switch (S.Kind) {
       case CfgStmtKind::Assume:
         break;
       case CfgStmtKind::Assign:
-        if (!Post.count(S.Target)) {
+        if (!Post.test(Slots.writes(L)[0])) {
           toSkip(Ctx, S);
           ++Report.StmtsDropped;
         }
         break;
-      case CfgStmtKind::Havoc: {
-        std::vector<Symbol> Live;
-        for (Symbol V : S.Vars)
-          if (Post.count(V))
-            Live.push_back(V);
-        if (Live.empty()) {
-          Report.HavocVarsDropped += S.Vars.size();
+      case CfgStmtKind::Havoc:
+        Report.HavocVarsDropped += keepLive(S, Slots.writes(L), Post);
+        if (S.Vars.empty()) {
           toSkip(Ctx, S);
           ++Report.StmtsDropped;
-        } else {
-          Report.HavocVarsDropped +=
-              static_cast<unsigned>(S.Vars.size() - Live.size());
-          S.Vars = std::move(Live);
         }
         break;
-      }
       case CfgStmtKind::Call:
         if (PureSkip[S.Callee]) {
-          std::vector<Symbol> Live;
-          for (Symbol V : S.Vars)
-            if (Post.count(V))
-              Live.push_back(V);
+          keepLive(S, Slots.writes(L), Post);
           ++Report.CallsElided;
-          if (Live.empty()) {
+          if (S.Vars.empty()) {
             toSkip(Ctx, S);
           } else {
             S.Kind = CfgStmtKind::Havoc;
             S.E = nullptr;
-            S.Vars = std::move(Live);
             S.Args.clear();
             S.Callee = InvalidProc;
           }

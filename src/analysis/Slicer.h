@@ -30,6 +30,15 @@
 /// the sliced and unsliced programs are in a bijection that preserves
 /// termination and the exit value of $err.
 ///
+/// All three steps run over dense indices (Dataflow.h): VarSlots numbers
+/// each procedure's variables into slots once (globals at the same slot in
+/// every procedure) and walks every label's expressions once into read
+/// sets, which the relevance closure, the global effects and liveness's
+/// gen/kill all reuse. Relevance is one bitset over the globals plus one per
+/// procedure; a liveness value is a word bitset over the procedure's slots,
+/// so join is OR and a transfer clears the written bits and sets the read
+/// ones.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RMT_ANALYSIS_SLICER_H
@@ -38,8 +47,6 @@
 #include "analysis/Dataflow.h"
 
 #include <optional>
-#include <set>
-#include <unordered_set>
 #include <vector>
 
 namespace rmt {
@@ -49,28 +56,39 @@ namespace rmt {
 /// locals (incl. params and returns) per procedure.
 class Relevance {
 public:
-  Relevance(const CfgProgram &Prog, std::optional<Symbol> ErrGlobal);
+  /// The closure for the query on $err (\p ErrGlobal; nullopt for plain
+  /// termination reachability). \p Slots must outlive the Relevance.
+  Relevance(const VarSlots &Slots, std::optional<Symbol> ErrGlobal);
 
   /// Every global, parameter and return variable relevant: liveness under
   /// it observes everything a caller or the exit state can see.
-  static Relevance all(const CfgProgram &Prog);
+  static Relevance all(const VarSlots &Slots);
 
   /// Is \p V (seen from procedure \p P) relevant to the query?
   bool relevant(ProcId P, Symbol V) const {
-    if (GlobalSet.count(V))
-      return RelGlobals.count(V) != 0;
-    return RelLocals[P].count(V) != 0;
+    uint32_t S = Slots->slot(P, V);
+    return S != VarSlots::NoSlot && relevantSlot(P, S);
   }
-  bool relevantGlobal(Symbol V) const { return RelGlobals.count(V) != 0; }
-
-  size_t numRelevantGlobals() const { return RelGlobals.size(); }
+  bool relevantGlobal(Symbol V) const {
+    uint32_t S = Slots->globalSlot(V);
+    return S != VarSlots::NoSlot && RelGlobals.test(S);
+  }
+  /// Is slot \p S of procedure \p P relevant?
+  bool relevantSlot(ProcId P, uint32_t S) const {
+    return S < Slots->numGlobals() ? RelGlobals.test(S) : RelLocals[P].test(S);
+  }
+  /// The relevant globals, by global slot.
+  const Bitset &relevantGlobals() const { return RelGlobals; }
 
 private:
-  Relevance() = default;
+  explicit Relevance(const VarSlots &Slots);
 
-  std::unordered_set<Symbol> GlobalSet;
-  std::unordered_set<Symbol> RelGlobals;
-  std::vector<std::unordered_set<Symbol>> RelLocals;
+  /// Marks slot \p S of \p P relevant; true when it was not yet.
+  bool mark(ProcId P, uint32_t S);
+
+  const VarSlots *Slots;
+  Bitset RelGlobals;
+  std::vector<Bitset> RelLocals;
 };
 
 /// Backward strong liveness restricted to relevant variables, a
@@ -81,22 +99,32 @@ private:
 /// whose target is dead is unobservable.
 class QueryLiveness {
 public:
-  using Value = std::set<Symbol>;
+  /// Bit S is slot S of the procedure (VarSlots).
+  using Value = Bitset;
   static constexpr FlowDirection Direction = FlowDirection::Backward;
 
   /// Liveness over procedure \p P; \p FX comes from computeProcEffects().
-  QueryLiveness(const CfgProgram &Prog, const Relevance &Rel,
+  QueryLiveness(const VarSlots &Slots, const Relevance &Rel,
                 const std::vector<ProcEffects> &FX, ProcId P);
 
-  Value bottom() const { return {}; }
+  Value bottom() const { return Bitset(Slots.numSlots(P)); }
   Value boundary() const { return ExitLive; }
-  bool join(Value &Into, const Value &From) const;
-  void transfer(LabelId, const CfgStmt &S, Value &X) const;
+  bool join(Value &Into, const Value &From) const {
+    return Into.orWith(From);
+  }
+  void transfer(LabelId L, const CfgStmt &S, Value &X) const;
+
+  /// Is \p V live in \p X?
+  bool live(const Value &X, Symbol V) const {
+    uint32_t S = Slots.slot(P, V);
+    return S != VarSlots::NoSlot && X.test(S);
+  }
 
 private:
-  const CfgProgram &Prog;
+  const VarSlots &Slots;
   const Relevance &Rel;
   const std::vector<ProcEffects> &FX;
+  ProcId P;
   Value ExitLive;
 };
 

@@ -44,30 +44,34 @@ bool CfgProgram::hasAcyclicCallGraph() const {
 
 std::vector<LabelId> CfgProgram::topoOrder(ProcId P) const {
   const CfgProc &Proc = Procs[P];
-  // Kahn's algorithm restricted to the procedure's labels.
-  std::unordered_map<LabelId, unsigned> InDegree;
-  for (LabelId L : Proc.Labels)
-    InDegree[L]; // ensure presence
-  for (LabelId L : Proc.Labels)
-    for (LabelId T : Labels[L].Targets)
-      ++InDegree[T];
-
-  std::vector<LabelId> Work;
-  // Seed with in-degree-zero labels; iterate Proc.Labels in order for
-  // deterministic output.
-  for (LabelId L : Proc.Labels)
-    if (InDegree[L] == 0)
-      Work.push_back(L);
-
-  std::vector<LabelId> Order;
-  Order.reserve(Proc.Labels.size());
-  for (size_t I = 0; I < Work.size(); ++I) {
-    LabelId L = Work[I];
-    Order.push_back(L);
-    for (LabelId T : Labels[L].Targets)
-      if (--InDegree[T] == 0)
-        Work.push_back(T);
+  // Kahn's algorithm restricted to the procedure's labels. A procedure's
+  // labels need not be contiguous (`inv` appends its assumes at the end of
+  // Labels), so in-degrees live in a dense array over [Lo, Hi].
+  LabelId Lo = InvalidLabel, Hi = 0;
+  for (LabelId L : Proc.Labels) {
+    Lo = std::min(Lo, L);
+    Hi = std::max(Hi, L);
   }
+  std::vector<LabelId> Order;
+  if (Proc.Labels.empty())
+    return Order;
+  std::vector<unsigned> InDegree(Hi - Lo + 1, 0);
+  for (LabelId L : Proc.Labels)
+    for (LabelId T : Labels[L].Targets) {
+      assert(T >= Lo && T <= Hi && "flow edge leaves the procedure");
+      ++InDegree[T - Lo];
+    }
+
+  // Seed with in-degree-zero labels in Proc.Labels order, for deterministic
+  // output; Order doubles as the FIFO work queue.
+  Order.reserve(Proc.Labels.size());
+  for (LabelId L : Proc.Labels)
+    if (InDegree[L - Lo] == 0)
+      Order.push_back(L);
+  for (size_t I = 0; I < Order.size(); ++I)
+    for (LabelId T : Labels[Order[I]].Targets)
+      if (--InDegree[T - Lo] == 0)
+        Order.push_back(T);
   assert(Order.size() == Proc.Labels.size() &&
          "flow graph must be acyclic and closed within the procedure");
   return Order;

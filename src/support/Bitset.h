@@ -6,8 +6,8 @@
 ///
 /// \file
 /// A growable dense bitset with the bulk operations the consistency checker
-/// needs: or-assign, intersection tests, popcount. Out-of-range reads are
-/// zero; writes grow the storage.
+/// and the query slicer's liveness need: or-assign, intersection tests,
+/// popcount. Out-of-range reads are zero; writes grow the storage.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,17 +33,37 @@ public:
     Words[W] |= uint64_t(1) << (I % 64);
   }
 
+  void reset(size_t I) {
+    size_t W = I / 64;
+    if (W < Words.size())
+      Words[W] &= ~(uint64_t(1) << (I % 64));
+  }
+
   bool test(size_t I) const {
     size_t W = I / 64;
     return W < Words.size() && (Words[W] >> (I % 64)) & 1;
   }
 
-  /// this |= Other.
-  void orWith(const Bitset &Other) {
+  /// this |= Other; true when a bit was added.
+  bool orWith(const Bitset &Other) {
     if (Other.Words.size() > Words.size())
       Words.resize(Other.Words.size(), 0);
-    for (size_t I = 0; I < Other.Words.size(); ++I)
+    uint64_t Added = 0;
+    for (size_t I = 0; I < Other.Words.size(); ++I) {
+      Added |= Other.Words[I] & ~Words[I];
       Words[I] |= Other.Words[I];
+    }
+    return Added != 0;
+  }
+
+  /// this |= A & B.
+  void orWithAnd(const Bitset &A, const Bitset &B) {
+    size_t N = A.Words.size() < B.Words.size() ? A.Words.size()
+                                               : B.Words.size();
+    if (N > Words.size())
+      Words.resize(N, 0);
+    for (size_t I = 0; I < N; ++I)
+      Words[I] |= A.Words[I] & B.Words[I];
   }
 
   /// True when this and Other share a set bit.

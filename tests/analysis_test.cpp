@@ -333,6 +333,53 @@ TEST(InjectInvariants, SplicesAssumeLabels) {
   EXPECT_TRUE(Cfg.isHierarchical());
 }
 
+namespace {
+
+/// Conjuncts of a right-nested or left-nested `&&` chain.
+unsigned countConjuncts(const Expr *E) {
+  if (E->kind() == ExprKind::Binary && E->binOp() == BinOp::And)
+    return countConjuncts(E->op0()) + countConjuncts(E->op1());
+  return 1;
+}
+
+} // namespace
+
+TEST(InjectInvariants, ReportCountsEveryInjectedConjunct) {
+  // Entries and call-site summaries alike: the report is the sum of the
+  // conjuncts over the assumes inv appended. On the default pipeline,
+  // chain32_bug at bound 1 gets 99 assumes (33 entries, 66 call sites) of 3
+  // conjuncts each.
+  AstContext Ctx;
+  Program P = makeChainProgram(Ctx, 32, /*Buggy=*/true);
+  VerifierOptions Opts;
+  Opts.Bound = 1;
+  Opts.Prepass.Invariants = false;
+  VerifierRunResult Front;
+  LoweredInstance L = lowerInstance(Ctx, P, Ctx.sym("main"), Opts, Front);
+  ASSERT_TRUE(Front.Prepass.ok());
+  size_t LabelsBefore = L.Cfg.Labels.size();
+  InvariantReport R = injectInvariants(Ctx, L.Cfg, L.Entry);
+
+  unsigned Injected = 0, Assumes = 0;
+  for (LabelId Id = LabelsBefore; Id < L.Cfg.Labels.size(); ++Id) {
+    const CfgStmt &S = L.Cfg.label(Id).Stmt;
+    ASSERT_EQ(S.Kind, CfgStmtKind::Assume);
+    Injected += countConjuncts(S.E);
+    ++Assumes;
+  }
+  EXPECT_EQ(Assumes, 99u);
+  EXPECT_EQ(R.Conjuncts, Injected);
+  EXPECT_EQ(R.Conjuncts, 297u);
+
+  // The pipeline reports the same count.
+  AstContext Ctx2;
+  Program P2 = makeChainProgram(Ctx2, 32, /*Buggy=*/true);
+  Opts.Prepass.Invariants = true;
+  VerifierRunResult Front2;
+  lowerInstance(Ctx2, P2, Ctx2.sym("main"), Opts, Front2);
+  EXPECT_EQ(Front2.Prepass.InvariantConjuncts, 297u);
+}
+
 TEST(InjectInvariants, SoundnessVerdictUnchanged) {
   // Safe and buggy chain instances must keep their verdicts under +Inv.
   for (bool Buggy : {false, true}) {

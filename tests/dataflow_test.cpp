@@ -2,8 +2,11 @@
 
 #include "TestSupport.h"
 #include "analysis/Dataflow.h"
+#include "analysis/InvariantGen.h"
 #include "analysis/Lint.h"
 #include "analysis/Slicer.h"
+#include "ast/AstPrinter.h"
+#include "workload/RandomProg.h"
 
 #include <gtest/gtest.h>
 
@@ -213,13 +216,15 @@ TEST(ProcEffects, TransitiveModAndUse) {
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
 
-  std::vector<ProcEffects> FX = computeProcEffects(Cfg);
+  VarSlots Slots(Cfg);
+  std::vector<ProcEffects> FX = computeProcEffects(Slots);
   ProcId Mid = Cfg.findProc(Ctx.sym("mid"));
   ASSERT_NE(Mid, InvalidProc);
-  EXPECT_TRUE(FX[Mid].ModGlobals.count(Ctx.sym("a"))); // via leaf
-  EXPECT_TRUE(FX[Mid].ModGlobals.count(Ctx.sym("c")));
-  EXPECT_TRUE(FX[Mid].UseGlobals.count(Ctx.sym("b"))); // via leaf
-  EXPECT_FALSE(FX[Mid].ModGlobals.count(Ctx.sym("b")));
+  auto G = [&](const char *Name) { return Slots.globalSlot(Ctx.sym(Name)); };
+  EXPECT_TRUE(FX[Mid].ModGlobals.test(G("a"))); // via leaf
+  EXPECT_TRUE(FX[Mid].ModGlobals.test(G("c")));
+  EXPECT_TRUE(FX[Mid].UseGlobals.test(G("b"))); // via leaf
+  EXPECT_FALSE(FX[Mid].ModGlobals.test(G("b")));
 }
 
 TEST(Relevance, ClosesOverAssignsAndCalls) {
@@ -243,7 +248,8 @@ TEST(Relevance, ClosesOverAssignsAndCalls) {
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
 
-  Relevance Rel(Cfg, Err);
+  VarSlots Slots(Cfg);
+  Relevance Rel(Slots, Err);
   ProcId Main = Cfg.findProc(Ctx.sym("main"));
   ProcId Source = Cfg.findProc(Ctx.sym("source"));
   ASSERT_NE(Main, InvalidProc);
@@ -256,6 +262,206 @@ TEST(Relevance, ClosesOverAssignsAndCalls) {
   EXPECT_TRUE(Rel.relevant(Source, Ctx.sym("seed")));     // feeds r
   EXPECT_FALSE(Rel.relevantGlobal(Ctx.sym("noise")));     // never read
   EXPECT_FALSE(Rel.relevant(Main, Ctx.sym("junk")));      // only feeds noise
+}
+
+//===----------------------------------------------------------------------===//
+// Query liveness against a set-based reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The slicer's liveness as it was written over std::set<Symbol>, with its
+/// own set-based global read effects: the reference the dense bitset
+/// QueryLiveness must agree with label by label.
+class RefLiveness {
+public:
+  using Value = std::set<Symbol>;
+  static constexpr FlowDirection Direction = FlowDirection::Backward;
+
+  RefLiveness(const CfgProgram &Prog, const Relevance &Rel,
+              const std::vector<std::set<Symbol>> &UseGlobals, ProcId P)
+      : Prog(Prog), Rel(Rel), UseGlobals(UseGlobals) {
+    for (const VarDecl &G : Prog.Globals)
+      if (Rel.relevantGlobal(G.Name))
+        ExitLive.insert(G.Name);
+    for (const VarDecl &R : Prog.proc(P).Returns)
+      if (Rel.relevant(P, R.Name))
+        ExitLive.insert(R.Name);
+  }
+
+  Value bottom() const { return {}; }
+  Value boundary() const { return ExitLive; }
+  bool join(Value &Into, const Value &From) const {
+    bool Changed = false;
+    for (Symbol V : From)
+      Changed |= Into.insert(V).second;
+    return Changed;
+  }
+  void transfer(LabelId, const CfgStmt &S, Value &Pre) const {
+    switch (S.Kind) {
+    case CfgStmtKind::Assume:
+      collectExprVars(S.E, Pre);
+      break;
+    case CfgStmtKind::Assign:
+      if (Pre.erase(S.Target))
+        collectExprVars(S.E, Pre);
+      break;
+    case CfgStmtKind::Havoc:
+      for (Symbol V : S.Vars)
+        Pre.erase(V);
+      break;
+    case CfgStmtKind::Call: {
+      for (Symbol V : S.Vars)
+        Pre.erase(V);
+      const CfgProc &Q = Prog.proc(S.Callee);
+      for (unsigned I = 0; I < S.Args.size() && I < Q.Params.size(); ++I)
+        if (Rel.relevant(S.Callee, Q.Params[I].Name))
+          collectExprVars(S.Args[I], Pre);
+      for (Symbol G : UseGlobals[S.Callee])
+        if (Rel.relevantGlobal(G))
+          Pre.insert(G);
+      break;
+    }
+    }
+  }
+
+  /// Transitive global reads per procedure, over sets.
+  static std::vector<std::set<Symbol>> useGlobals(const CfgProgram &Prog) {
+    std::set<Symbol> Globals;
+    for (const VarDecl &G : Prog.Globals)
+      Globals.insert(G.Name);
+    std::vector<std::set<Symbol>> Use(Prog.Procs.size());
+    for (ProcId P : Prog.bottomUpProcOrder())
+      for (LabelId L : Prog.proc(P).Labels) {
+        const CfgStmt &S = Prog.label(L).Stmt;
+        std::set<Symbol> Vars;
+        collectExprVars(S.E, Vars);
+        for (const Expr *A : S.Args)
+          collectExprVars(A, Vars);
+        for (Symbol V : Vars)
+          if (Globals.count(V))
+            Use[P].insert(V);
+        if (S.Kind == CfgStmtKind::Call)
+          Use[P].insert(Use[S.Callee].begin(), Use[S.Callee].end());
+      }
+    return Use;
+  }
+
+private:
+  const CfgProgram &Prog;
+  const Relevance &Rel;
+  const std::vector<std::set<Symbol>> &UseGlobals;
+  Value ExitLive;
+};
+
+/// Solves the dense and the reference liveness on every procedure of
+/// \p Prog, under the query relevance and under Relevance::all, and expects
+/// the same pre- and post-state at every label. Returns the largest
+/// procedure's slot count.
+unsigned expectLivenessAgrees(const AstContext &Ctx, const CfgProgram &Prog,
+                              Symbol Err, const std::string &What) {
+  VarSlots Slots(Prog);
+  std::vector<ProcEffects> FX = computeProcEffects(Slots);
+  std::vector<std::set<Symbol>> Use = RefLiveness::useGlobals(Prog);
+  unsigned MaxSlots = 0;
+  for (bool All : {false, true}) {
+    Relevance Rel = All ? Relevance::all(Slots) : Relevance(Slots, Err);
+    DataflowSolver<QueryLiveness> Dense;
+    DataflowSolver<RefLiveness> Ref;
+    for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
+      MaxSlots = std::max(MaxSlots, Slots.numSlots(P));
+      ProcFlow Flow(Prog, P);
+      QueryLiveness A(Slots, Rel, FX, P);
+      RefLiveness B(Prog, Rel, Use, P);
+      Dense.solve(Flow, A);
+      Ref.solve(Flow, B);
+      auto Same = [&](const Bitset &D, const std::set<Symbol> &R,
+                      LabelId L, const char *Side) {
+        bool Ok = D.count() == R.size();
+        for (Symbol V : R)
+          Ok &= A.live(D, V);
+        EXPECT_TRUE(Ok) << What << (All ? " (all relevant)" : "") << ": "
+                        << Side << "(L" << L << ") in "
+                        << Ctx.name(Prog.proc(P).Name) << " has "
+                        << D.count() << " live, reference " << R.size();
+        return Ok;
+      };
+      for (LabelId L : Prog.proc(P).Labels)
+        if (!Same(Dense.pre(L), Ref.pre(L), L, "pre") ||
+            !Same(Dense.post(L), Ref.post(L), L, "post"))
+          return MaxSlots;
+    }
+  }
+  return MaxSlots;
+}
+
+} // namespace
+
+TEST(QueryLiveness, AgreesWithSetReferenceOnRandomPrograms) {
+  // Loops, arrays and bitvectors at bound 2, as lowered and again after
+  // `inv` appended its assumes (so no procedure's labels are contiguous).
+  unsigned Injected = 0;
+  for (uint64_t Draw = 0; Draw < 20; ++Draw) {
+    RandomProgParams Params;
+    Params.Seed = Draw * 7919 + 3;
+    Params.NumProcs = 8;
+    Params.MaxStmts = 6;
+    Params.MaxNesting = 3;
+    Params.AllowLoops = true;
+    Params.AllowArrays = true;
+    Params.AllowBitvectors = true;
+    AstContext Ctx;
+    Program P = makeRandomProgram(Ctx, Params);
+    ProcId Root;
+    Symbol Err;
+    CfgProgram Cfg = lower(Ctx, P, Root, Err, 2);
+    std::string What = "draw " + std::to_string(Draw);
+    expectLivenessAgrees(Ctx, Cfg, Err, What);
+    size_t Before = Cfg.Labels.size();
+    injectInvariants(Ctx, Cfg, Root);
+    Injected += Cfg.Labels.size() - Before;
+    expectLivenessAgrees(Ctx, Cfg, Err, What + " after inv");
+  }
+  EXPECT_GT(Injected, 0u);
+}
+
+TEST(QueryLiveness, SpansSeveralWords) {
+  // 70 locals in one procedure: slots past 64 live in the second word.
+  std::string Src = "procedure main() {\n";
+  for (unsigned I = 0; I < 70; ++I)
+    Src += "  var v" + std::to_string(I) + ": int;\n";
+  Src += "  havoc v0;\n";
+  for (unsigned I = 1; I < 70; ++I)
+    Src += "  v" + std::to_string(I) + " := v" + std::to_string(I - 1) +
+           (I % 3 ? " + 1" : " - v" + std::to_string(I / 2)) + ";\n";
+  Src += "  if (*) { assert v69 > v40; } else { assert v67 != 0; }\n}\n";
+  AstContext Ctx;
+  auto P = parseOk(Src.c_str(), Ctx);
+  ASSERT_TRUE(P);
+  ProcId Root;
+  Symbol Err;
+  CfgProgram Cfg = lower(Ctx, *P, Root, Err, 1);
+  EXPECT_GT(expectLivenessAgrees(Ctx, Cfg, Err, "70 locals"), 64u);
+
+  // Spot check: v40 is read by the assert, so live after its assignment.
+  VarSlots Slots(Cfg);
+  std::vector<ProcEffects> FX = computeProcEffects(Slots);
+  Relevance Rel(Slots, Err);
+  ASSERT_GE(Slots.slot(Root, Ctx.sym("v69")), 64u);
+  ProcFlow Flow(Cfg, Root);
+  QueryLiveness A(Slots, Rel, FX, Root);
+  DataflowSolver<QueryLiveness> Solver;
+  Solver.solve(Flow, A);
+  bool SawV69Store = false;
+  for (LabelId L : Cfg.proc(Root).Labels) {
+    const CfgStmt &S = Cfg.label(L).Stmt;
+    if (S.Kind == CfgStmtKind::Assign && Ctx.name(S.Target) == "v69") {
+      SawV69Store = true;
+      EXPECT_TRUE(A.live(Solver.post(L), S.Target));
+      EXPECT_TRUE(A.live(Solver.post(L), Ctx.sym("v40")));
+    }
+  }
+  EXPECT_TRUE(SawV69Store);
 }
 
 //===----------------------------------------------------------------------===//
@@ -318,7 +524,8 @@ TEST(Prepass, SlicesDeadMapStores) {
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  Relevance Rel(Cfg, Err);
+  VarSlots Slots(Cfg);
+  Relevance Rel(Slots, Err);
   EXPECT_TRUE(Rel.relevantGlobal(Ctx.sym("data")));
   EXPECT_FALSE(Rel.relevantGlobal(Ctx.sym("log")));
 
@@ -391,7 +598,8 @@ TEST(Prepass, MapRelevanceCrossesCalls) {
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  Relevance Rel(Cfg, Err);
+  VarSlots Slots(Cfg);
+  Relevance Rel(Slots, Err);
   ProcId Put = Cfg.findProc(Ctx.sym("put"));
   ASSERT_NE(Put, InvalidProc);
   EXPECT_TRUE(Rel.relevantGlobal(Ctx.sym("store")));

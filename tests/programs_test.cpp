@@ -6,11 +6,19 @@
 // DI on the paper's literal pVC, and DI+Inv, and checks the expectation —
 // the sample corpus doubles as an end-to-end regression suite.
 //
+// PrepassGolden pins the program the engine solves: for every sample file
+// and two perfbench-shaped random programs, the default prepass's output
+// (CfgProgram::str and PrepassReport::str) is compared byte for byte with
+// tests/golden/prepass/<name>.txt. Regenerate with RMT_UPDATE_GOLDEN=1 after
+// an intended change to a pass.
+//
 //===----------------------------------------------------------------------===//
 
 #include "ast/AstPrinter.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
+#include "support/Rng.h"
+#include "workload/RandomProg.h"
 
 #include <gtest/gtest.h>
 
@@ -154,6 +162,102 @@ INSTANTIATE_TEST_SUITE_P(
     Files, SampleProgram, ::testing::ValuesIn(sampleFiles()),
     [](const ::testing::TestParamInfo<std::filesystem::path> &Info) {
       std::string Name = Info.param.stem().string();
+      for (char &C : Name)
+        if (!std::isalnum(static_cast<unsigned char>(C)))
+          C = '_';
+      return Name;
+    });
+
+//===----------------------------------------------------------------------===//
+// The prepass output, pinned
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct GoldenInput {
+  std::string Name;
+  std::string Source;
+  unsigned Bound = 2;
+};
+
+void PrintTo(const GoldenInput &In, std::ostream *OS) { *OS << In.Name; }
+
+std::vector<GoldenInput> goldenInputs() {
+  std::vector<GoldenInput> Out;
+  for (const std::filesystem::path &File : sampleFiles()) {
+    std::string Source = readFile(File);
+    std::optional<Expectation> Expect = parseExpectation(Source);
+    Out.push_back({File.stem().string(), Source, Expect ? Expect->Bound : 2});
+  }
+  // perfbench's first two `loops` draws: 30 procedures, nesting 3, loops,
+  // arrays and bitvectors, printed and re-parsed, bound 2.
+  Rng R(0x100f);
+  for (unsigned Draw = 0; Draw < 2; ++Draw) {
+    RandomProgParams P;
+    P.Seed = R.next();
+    P.NumProcs = 30;
+    P.MaxStmts = 10;
+    P.MaxNesting = 3;
+    P.AllowLoops = true;
+    P.AllowArrays = true;
+    P.AllowBitvectors = true;
+    AstContext Ctx;
+    Out.push_back({"loops_rand" + std::to_string(Draw),
+                   printProgram(Ctx, makeRandomProgram(Ctx, P)), 2});
+  }
+  return Out;
+}
+
+} // namespace
+
+class PrepassGolden : public ::testing::TestWithParam<GoldenInput> {};
+
+TEST_P(PrepassGolden, OutputPinned) {
+  const GoldenInput &In = GetParam();
+  AstContext Ctx;
+  DiagEngine Diags;
+  auto P = parseAndCheck(In.Source, Ctx, Diags);
+  ASSERT_TRUE(P) << Diags.str();
+  VerifierOptions Opts;
+  Opts.Bound = In.Bound;
+  VerifierRunResult Front;
+  LoweredInstance L = lowerInstance(Ctx, *P, Ctx.sym("main"), Opts, Front);
+  ASSERT_TRUE(Front.Prepass.ok()) << Front.Prepass.str();
+  std::string Got = L.Cfg.str(Ctx) + Front.Prepass.str() + "\n";
+
+  std::filesystem::path Path = std::filesystem::path(RMT_GOLDEN_DIR) /
+                               "prepass" / (In.Name + ".txt");
+  if (std::getenv("RMT_UPDATE_GOLDEN")) {
+    std::filesystem::create_directories(Path.parent_path());
+    std::ofstream(Path) << Got;
+    return;
+  }
+  std::string Expected = readFile(Path);
+  ASSERT_FALSE(Expected.empty()) << "missing golden " << Path;
+  if (Got == Expected)
+    return;
+  // Report the first differing line, not two whole programs.
+  std::istringstream G(Got), E(Expected);
+  std::string GLine, ELine;
+  for (unsigned Line = 1;; ++Line) {
+    bool MoreG = static_cast<bool>(std::getline(G, GLine));
+    bool MoreE = static_cast<bool>(std::getline(E, ELine));
+    if (!MoreG && !MoreE)
+      break;
+    if (!MoreG || !MoreE || GLine != ELine) {
+      ADD_FAILURE() << Path << ":" << Line << " differs\n  expected: "
+                    << (MoreE ? ELine : "<end of file>")
+                    << "\n  got:      " << (MoreG ? GLine : "<end of file>");
+      return;
+    }
+  }
+  ADD_FAILURE() << Path << " differs";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, PrepassGolden, ::testing::ValuesIn(goldenInputs()),
+    [](const ::testing::TestParamInfo<GoldenInput> &Info) {
+      std::string Name = Info.param.Name;
       for (char &C : Name)
         if (!std::isalnum(static_cast<unsigned char>(C)))
           C = '_';

@@ -163,6 +163,39 @@ TEST(Bitset, OrWith) {
   EXPECT_EQ(A.count(), 3u);
 }
 
+TEST(Bitset, OrWithReportsAddedBits) {
+  Bitset A, B;
+  A.set(1);
+  A.set(70);
+  B.set(70);
+  EXPECT_FALSE(A.orWith(B)); // nothing new
+  B.set(2);
+  EXPECT_TRUE(A.orWith(B));
+  EXPECT_FALSE(A.orWith(B));
+}
+
+TEST(Bitset, ResetAndOrWithAnd) {
+  Bitset A(128), B, C;
+  A.set(5);
+  A.set(100);
+  A.reset(5);
+  A.reset(1000); // out of range: a no-op
+  EXPECT_FALSE(A.test(5));
+  EXPECT_TRUE(A.test(100));
+  B.set(3);
+  B.set(65);
+  B.set(66);
+  C.set(65);
+  C.set(66);
+  C.set(7);
+  A.orWithAnd(B, C);
+  EXPECT_TRUE(A.test(65));
+  EXPECT_TRUE(A.test(66));
+  EXPECT_FALSE(A.test(3));
+  EXPECT_FALSE(A.test(7));
+  EXPECT_EQ(A.count(), 3u);
+}
+
 TEST(Bitset, Intersects) {
   Bitset A, B;
   A.set(3);
