@@ -344,6 +344,9 @@ struct PrepassReport {
   unsigned DeadProcs = 0;
   /// Invariant conjuncts injected by the inv pass (0 without +Inv).
   unsigned InvariantConjuncts = 0;
+  /// The inv pass proved the query unreachable (InvariantReport::
+  /// ProvesQuery): the program needs no engine run. Never set without +Inv.
+  bool InvariantsProveQuery = false;
   /// Lint-audit pass: assignments no later statement can observe — residual
   /// dead stores the transforming passes left behind (read-only diagnostic).
   unsigned AuditDeadStores = 0;

@@ -464,9 +464,15 @@ LabelId appendAssume(AstContext &Ctx, CfgProgram &Prog, ProcId Owner,
 } // namespace
 
 InvariantReport rmt::injectInvariants(AstContext &Ctx, CfgProgram &Prog,
-                                      ProcId Entry) {
+                                      ProcId Entry,
+                                      std::optional<Symbol> ErrGlobal) {
   IntervalAnalysis Analysis(Prog, Entry);
   InvariantReport Report;
+
+  const AbsEnv &RootExit = Analysis.contextExitSummary(Entry);
+  Report.ProvesQuery =
+      RootExit.isBottom() ||
+      (ErrGlobal && RootExit.get(*ErrGlobal) == Interval::constant(0));
 
   // --- Entry invariants: `assume inv` spliced before each entry. ----------
   for (ProcId P = 0; P < Prog.Procs.size(); ++P) {

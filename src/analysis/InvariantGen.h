@@ -38,6 +38,7 @@
 #include "analysis/Interval.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -167,12 +168,21 @@ struct InvariantReport {
   unsigned ProcsAnnotated = 0;
   /// Conjuncts injected, over entry invariants and call-site summaries.
   unsigned Conjuncts = 0;
+  /// The analysis alone proves the reachability query: the root's
+  /// contextual exit summary is bottom (no execution of the root
+  /// terminates) or pins the error global to false (no terminating
+  /// execution sets it). The search then concludes trivially (Section 4).
+  bool ProvesQuery = false;
 };
 
-/// Runs the analysis rooted at \p Entry and splices each non-trivial entry
-/// invariant into \p Prog as an assume label before the procedure entry.
+/// Runs the analysis rooted at \p Entry, splices each non-trivial entry
+/// invariant into \p Prog as an assume label before the procedure entry
+/// and each call-site summary after the call, and reports whether the
+/// analysis proves the query on \p ErrGlobal ($err; nullopt for plain
+/// termination reachability).
 InvariantReport injectInvariants(AstContext &Ctx, CfgProgram &Prog,
-                                 ProcId Entry);
+                                 ProcId Entry,
+                                 std::optional<Symbol> ErrGlobal);
 
 } // namespace rmt
 

@@ -68,8 +68,10 @@ bool runLintAuditPass(PassContext &PC) {
 }
 
 bool runInvariantPass(PassContext &PC) {
-  InvariantReport R = injectInvariants(PC.Ctx, PC.Prog, PC.Root);
+  InvariantReport R =
+      injectInvariants(PC.Ctx, PC.Prog, PC.Root, PC.ErrGlobal);
   PC.Report.InvariantConjuncts += R.Conjuncts;
+  PC.Report.InvariantsProveQuery |= R.ProvesQuery;
   return R.Conjuncts != 0;
 }
 

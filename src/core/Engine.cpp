@@ -20,6 +20,8 @@ void VerifyResult::record(Stats &S) const {
   S.add("engine.core_edges", static_cast<int64_t>(NumCoreEdges));
   S.add("engine.frontier.core_only", static_cast<int64_t>(NumCoreOnly));
   S.add("engine.verdict." + std::string(verdictName(Outcome)));
+  if (!Proof.empty())
+    S.add("engine.proof." + Proof);
   S.addTime("engine.seconds", Seconds);
   S.addTime("engine.solver.seconds", SolverSeconds);
   S.addTime("engine.merge_lookup.seconds", MergeLookupSeconds);
@@ -135,7 +137,7 @@ private:
     if (Trace *T = Opts.Telemetry; T && T->enabled())
       T->instant("engine.verdict",
                  {{"verdict", verdictName(Result.Outcome)},
-                  {"proof", SafeProof ? SafeProof : ""},
+                  {"proof", Result.Proof},
                   {"reason", Result.Reason},
                   {"inlined", Result.NumInlined},
                   {"merged", Result.NumMerged},
@@ -313,7 +315,7 @@ private:
   /// Ends the run Safe; \p Proof names the check that proved it.
   void safe(const char *Proof) {
     Result.Outcome = Verdict::Safe;
-    SafeProof = Proof;
+    Result.Proof = Proof;
   }
 
   /// Per-check solver timeout from the remaining wall budget.
@@ -395,8 +397,6 @@ private:
   /// Open edges to inline after a Sat over-approximate check (see
   /// pickFrontier).
   std::vector<EdgeId> Frontier;
-  /// On Safe: "fully_inlined", "empty_core" or "over_unsat".
-  const char *SafeProof = nullptr;
 };
 
 } // namespace

@@ -153,6 +153,11 @@ struct VerifyResult {
   /// exhausted budget or inline limit, the solver's reason for giving up,
   /// or a front-end error). Empty otherwise.
   std::string Reason;
+  /// On Safe: what proved it. "invariants" when the +Inv interval analysis
+  /// proved the query before any engine work (verifyProgram); otherwise the
+  /// engine's last check: "empty_core", "over_unsat" or "fully_inlined".
+  /// Empty otherwise.
+  std::string Proof;
   /// On Bug: an error trace (pre-order over the inlining structure).
   std::vector<TraceStep> Trace;
 
@@ -179,9 +184,8 @@ struct EngineOptions {
   /// under check notes its core size, a Sat over check the number of open
   /// edges its assignment enters), one instant event per inline/merge
   /// decision, and a final verdict event (with the proof behind a Safe
-  /// verdict: "empty_core", "over_unsat" or "fully_inlined", and the
-  /// reason for an undecided one; each empty otherwise). Null or disabled
-  /// costs one branch per site.
+  /// verdict, VerifyResult::Proof, and the reason for an undecided one;
+  /// each empty otherwise). Null or disabled costs one branch per site.
   rmt::Trace *Telemetry = nullptr;
 };
 

@@ -81,6 +81,16 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
     VerifySpan.note({"verdict", verdictName(Out.Result.Outcome)});
     return Out;
   }
+  if (Out.Prepass.InvariantsProveQuery) {
+    // +Inv already proved the query: "in the limit the search can conclude
+    // trivially" (Section 4). No engine, no solver context, no check.
+    Out.Result.Outcome = Verdict::Safe;
+    Out.Result.Proof = "invariants";
+    Out.Result.Seconds = Budget.elapsed();
+    VerifySpan.note({"verdict", verdictName(Out.Result.Outcome)});
+    VerifySpan.note({"proof", Out.Result.Proof});
+    return Out;
+  }
 
   EngineOptions EO = Opts.Engine;
   if (Budget.enabled())
@@ -89,6 +99,7 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
     EO.Telemetry = Opts.Telemetry;
   Out.Result = solveReachability(Ctx, L.Cfg, L.Entry, L.ErrVar, EO);
   VerifySpan.note({"verdict", verdictName(Out.Result.Outcome)});
+  VerifySpan.note({"proof", Out.Result.Proof});
   if (Out.Result.Outcome == Verdict::Bug)
     Out.TraceText = renderTrace(Ctx, L.Cfg, Out.Result.Trace);
   return Out;

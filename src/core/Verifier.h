@@ -97,7 +97,9 @@ LoweredInstance lowerInstance(AstContext &Ctx, const Program &Prog,
 
 /// Verifies \p Prog starting at procedure \p Entry. \p Prog must be
 /// resolved/type-checked (parseAndCheck or the typed builder API). \p Ctx
-/// must be the context owning \p Prog's nodes.
+/// must be the context owning \p Prog's nodes. When the `inv` pass proves
+/// the query (Prepass.InvariantsProveQuery), the verdict is Safe with proof
+/// "invariants" and the engine does not run.
 VerifierRunResult verifyProgram(AstContext &Ctx, const Program &Prog,
                                 Symbol Entry, const VerifierOptions &Opts);
 

@@ -70,6 +70,24 @@ struct Lowered {
   explicit operator bool() const { return !Cfg.Procs.empty(); }
 };
 
+/// The Fig. 1 call structure (examples/programs/fig1_sharing.hbpl): safe,
+/// but not by the intervals alone. They cannot narrow the assert's failure
+/// branch, `!(g >= 1 && g <= 3)`, so the root's exit summary leaves $err
+/// open and the engine runs. +Inv's call-site summaries pin g after bar and
+/// baz, which makes the over-approximate check unsat with main alone
+/// inlined; without them the engine inlines all four procedures.
+inline const char *SummaryOnlySrc = R"(
+  var g: int;
+  procedure main() {
+    g := 0;
+    if (*) { call bar(); } else { call baz(); }
+    assert g >= 1 && g <= 3;
+  }
+  procedure bar() { g := g + 1; call foo(); }
+  procedure baz() { g := g + 2; call foo(); }
+  procedure foo() { g := g + 1; }
+)";
+
 /// Asserts Lit ⇒ ∧ \p Facts into \p S for a fresh boolean literal Lit and
 /// returns Lit: a check assuming Lit sees \p Facts, later checks do not.
 inline TermRef assumptionLiteral(Solver &S, TermArena &Arena,

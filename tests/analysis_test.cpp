@@ -305,7 +305,7 @@ TEST(IntervalAnalysis, DeadBranchCallAddsNoContext) {
   ProcId Callee = A.proc("callee");
   EXPECT_EQ(A.Analysis->entryEnv(Callee).get(A.Ctx.sym("g")),
             Interval::constant(1));
-  injectInvariants(A.Ctx, A.Cfg, A.proc("main"));
+  injectInvariants(A.Ctx, A.Cfg, A.proc("main"), std::nullopt);
   const CfgStmt &Entry = A.Cfg.label(A.Cfg.proc(Callee).Entry).Stmt;
   ASSERT_EQ(Entry.Kind, CfgStmtKind::Assume);
   EXPECT_EQ(printExpr(A.Ctx, Entry.E), "1 <= g && g <= 1");
@@ -322,7 +322,7 @@ TEST(InjectInvariants, SplicesAssumeLabels) {
   Symbol ErrVar;
   CfgProgram Cfg = lower(Ctx, P, Main, ErrVar, 1);
   size_t LabelsBefore = Cfg.Labels.size();
-  InvariantReport R = injectInvariants(Ctx, Cfg, Main);
+  InvariantReport R = injectInvariants(Ctx, Cfg, Main, ErrVar);
   EXPECT_GT(R.ProcsAnnotated, 0u);
   EXPECT_GT(R.Conjuncts, 0u);
   EXPECT_GT(Cfg.Labels.size(), LabelsBefore);
@@ -358,7 +358,7 @@ TEST(InjectInvariants, ReportCountsEveryInjectedConjunct) {
   LoweredInstance L = lowerInstance(Ctx, P, Ctx.sym("main"), Opts, Front);
   ASSERT_TRUE(Front.Prepass.ok());
   size_t LabelsBefore = L.Cfg.Labels.size();
-  InvariantReport R = injectInvariants(Ctx, L.Cfg, L.Entry);
+  InvariantReport R = injectInvariants(Ctx, L.Cfg, L.Entry, L.ErrVar);
 
   unsigned Injected = 0, Assumes = 0;
   for (LabelId Id = LabelsBefore; Id < L.Cfg.Labels.size(); ++Id) {
@@ -401,21 +401,62 @@ TEST(InjectInvariants, SoundnessVerdictUnchanged) {
 }
 
 TEST(InjectInvariants, InvariantsPruneSearch) {
-  // On the safe chain, entry invariants make the over-approximate check
-  // conclude immediately: strictly fewer procedures inlined.
+  // Where the intervals do not prove the root, their call-site summaries
+  // still prune the engine's search: the over-approximate check concludes
+  // with strictly fewer procedures inlined.
   AstContext Ctx;
-  Program P = makeChainProgram(Ctx, 8);
+  std::optional<Program> P = parseOk(SummaryOnlySrc, Ctx);
+  ASSERT_TRUE(P);
   VerifierOptions Opts;
+  Opts.Bound = 1;
   Opts.Engine.Strategy.Kind = MergeStrategyKind::First;
   Opts.Engine.TimeoutSeconds = 60;
   Opts.Prepass.Invariants = false;
-  auto Plain = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+  auto Plain = verifyProgram(Ctx, *P, Ctx.sym("main"), Opts);
   Opts.Prepass.Invariants = true;
-  auto WithInv = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+  auto WithInv = verifyProgram(Ctx, *P, Ctx.sym("main"), Opts);
   ASSERT_EQ(Plain.Result.Outcome, Verdict::Safe);
   ASSERT_EQ(WithInv.Result.Outcome, Verdict::Safe);
-  // The call-site summaries pin $err to false after main's one call, so
-  // the over-approximate check concludes after inlining main alone.
+  EXPECT_FALSE(WithInv.Prepass.InvariantsProveQuery);
+  // The summary after main's one call pins g, so the over-approximate
+  // check concludes after inlining main alone.
+  EXPECT_EQ(WithInv.Result.Proof, "over_unsat");
   EXPECT_EQ(WithInv.Result.NumInlined, 1u);
   EXPECT_LT(WithInv.Result.NumInlined, Plain.Result.NumInlined);
+}
+
+TEST(InjectInvariants, ReportsWhetherTheyProveTheQuery) {
+  // The proof is the root's contextual exit summary: $err pinned to false
+  // on the safe chain, open on the buggy one and on SummaryOnlySrc.
+  for (bool Buggy : {false, true}) {
+    AstContext Ctx;
+    Program P = makeChainProgram(Ctx, 4, Buggy);
+    ProcId Main = InvalidProc;
+    Symbol ErrVar;
+    CfgProgram Cfg = lower(Ctx, P, Main, ErrVar, 1);
+    EXPECT_EQ(injectInvariants(Ctx, Cfg, Main, ErrVar).ProvesQuery, !Buggy)
+        << "buggy=" << Buggy;
+  }
+  Lowered Open(SummaryOnlySrc, 1);
+  ASSERT_TRUE(Open);
+  EXPECT_FALSE(
+      injectInvariants(Open.Ctx, Open.Cfg, Open.Root, Open.ErrVar)
+          .ProvesQuery);
+
+  // With no error global the query is termination: only a bottom root
+  // exit proves it.
+  Lowered Stuck(R"(
+    var g: int;
+    procedure main() { g := 1; assume g > 3; }
+  )");
+  ASSERT_TRUE(Stuck);
+  EXPECT_TRUE(injectInvariants(Stuck.Ctx, Stuck.Cfg, Stuck.Root, std::nullopt)
+                  .ProvesQuery);
+  Lowered Ends(R"(
+    var g: int;
+    procedure main() { g := 1; assume g < 3; }
+  )");
+  ASSERT_TRUE(Ends);
+  EXPECT_FALSE(injectInvariants(Ends.Ctx, Ends.Cfg, Ends.Root, std::nullopt)
+                   .ProvesQuery);
 }

@@ -418,7 +418,7 @@ TEST(QueryLiveness, AgreesWithSetReferenceOnRandomPrograms) {
     std::string What = "draw " + std::to_string(Draw);
     expectLivenessAgrees(Ctx, Cfg, Err, What);
     size_t Before = Cfg.Labels.size();
-    injectInvariants(Ctx, Cfg, Root);
+    injectInvariants(Ctx, Cfg, Root, Err);
     Injected += Cfg.Labels.size() - Before;
     expectLivenessAgrees(Ctx, Cfg, Err, What + " after inv");
   }

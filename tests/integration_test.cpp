@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 #include <z3.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <functional>
 
 using namespace rmt;
@@ -34,6 +36,27 @@ VerifierOptions optsFor(MergeStrategyKind Kind, unsigned Bound) {
   Opts.Engine.Strategy.Seed = 17;
   Opts.Engine.TimeoutSeconds = 90;
   return Opts;
+}
+
+/// perfbench's nine `sdv` drivers, numbered as it names them: 3-4
+/// handlers, 3-6 utilities, 2 calls per handler, two utility layers (three
+/// for every fifth driver), every other driver with an injected rule
+/// violation; driver 4 is not one.
+std::vector<std::pair<unsigned, SdvParams>> perfbenchDrivers() {
+  std::vector<std::pair<unsigned, SdvParams>> Out;
+  Rng R(0x5d5);
+  for (unsigned I = 0; I < 10; ++I) {
+    SdvParams P;
+    P.Seed = R.next();
+    P.NumHandlers = static_cast<unsigned>(R.range(3, 4));
+    P.NumUtils = static_cast<unsigned>(R.range(3, 6));
+    P.UtilDepth = I % 5 == 4 ? 3 : 2;
+    P.CallsPerHandler = 2;
+    P.InjectBug = I % 2 == 1;
+    if (I != 4)
+      Out.emplace_back(I, P);
+  }
+  return Out;
 }
 
 } // namespace
@@ -244,24 +267,10 @@ TEST_P(InvariantDifferential, ChainsAgree) {
 }
 
 TEST_P(InvariantDifferential, SdvDriversAgree) {
-  // The benchmark's nine driver shapes: 3-4 handlers, 3-6 utilities, 2 calls
-  // per handler, two utility layers (three for every fifth driver), every
-  // other driver with an injected rule violation; driver 4 is not one.
-  Rng R(0x5d5);
-  for (unsigned I = 0; I < 10; ++I) {
-    SdvParams P;
-    P.Seed = R.next();
-    P.NumHandlers = static_cast<unsigned>(R.range(3, 4));
-    P.NumUtils = static_cast<unsigned>(R.range(3, 6));
-    P.UtilDepth = I % 5 == 4 ? 3 : 2;
-    P.CallsPerHandler = 2;
-    P.InjectBug = I % 2 == 1;
-    if (I == 4)
-      continue;
+  for (const auto &[I, P] : perfbenchDrivers())
     expectAgree([&](AstContext &C) { return makeSdvProgram(C, P); }, 1,
                 P.InjectBug ? Verdict::Bug : Verdict::Safe,
                 "driver " + std::to_string(I));
-  }
 }
 
 TEST_P(InvariantDifferential, RandomProgramsAgree) {
@@ -295,6 +304,125 @@ TEST_P(InvariantDifferential, RandomProgramsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Z3Seeds, InvariantDifferential,
                          ::testing::Values(1u, 2u));
+
+//===----------------------------------------------------------------------===//
+// +Inv's proof (Safe with no engine run) never fires on a Bug
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Where +Inv's interval analysis proves the query on its own, so that
+/// verifyProgram answers Safe without running the engine. Every program it
+/// proves must be Safe: by construction when the generator knows the answer
+/// (\p Known), else by the reference configuration, which shares no pass
+/// with the proof: no prepass (so no `inv`) and SI tree inlining. (SI is
+/// not the reference for chains: chainN needs 2^N instances.)
+struct ProofTally {
+  unsigned Programs = 0;
+  std::vector<std::string> Fired;
+
+  void check(const std::function<Program(AstContext &)> &Make, unsigned Bound,
+             const std::string &What,
+             std::optional<Verdict> Known = std::nullopt) {
+    ++Programs;
+    AstContext Ctx;
+    Program P = Make(Ctx);
+    VerifierOptions Opts;
+    Opts.Bound = Bound;
+    VerifierRunResult Front;
+    lowerInstance(Ctx, P, Ctx.sym("main"), Opts, Front);
+    ASSERT_TRUE(Front.Prepass.ok()) << What;
+    if (!Front.Prepass.InvariantsProveQuery)
+      return;
+    Fired.push_back(What);
+    if (Known) {
+      EXPECT_EQ(*Known, Verdict::Safe) << "the interval proof fired on " << What;
+      return;
+    }
+    VerifierOptions Ref = optsFor(MergeStrategyKind::None, Bound);
+    Ref.UsePrepass = false;
+    EXPECT_EQ(verifyProgram(Ctx, P, Ctx.sym("main"), Ref).Result.Outcome,
+              Verdict::Safe)
+        << "the interval proof fired on " << What;
+  }
+
+  void print(const char *Family) const {
+    std::printf("[ proof    ] %s: fired on %zu of %u programs\n", Family,
+                Fired.size(), Programs);
+  }
+};
+
+/// perfbench's `loops` program shape (bound 2).
+RandomProgParams loopsShape(uint64_t Seed) {
+  RandomProgParams P;
+  P.Seed = Seed;
+  P.NumProcs = 30;
+  P.MaxStmts = 10;
+  P.MaxNesting = 3;
+  P.AllowLoops = true;
+  P.AllowArrays = true;
+  P.AllowBitvectors = true;
+  return P;
+}
+
+} // namespace
+
+TEST(InvariantProof, NeverFiresOnABug) {
+  // perfbench's `loops` draws come first (the same Rng stream), then more
+  // of the same shape: 240 in all.
+  ProofTally Loops;
+  Rng LoopsSeeds(0x100f);
+  for (unsigned Draw = 0; Draw < 240; ++Draw) {
+    RandomProgParams P = loopsShape(LoopsSeeds.next());
+    Loops.check([&](AstContext &C) { return makeRandomProgram(C, P); }, 2,
+                "rand" + std::to_string(Draw));
+  }
+  Loops.print("loops");
+
+  // perfbench's nine `sdv` drivers, then the stock corpus (capped as for
+  // PrepassDifferentialSdv), whose answers are known by construction.
+  ProofTally Sdv;
+  for (const auto &[I, P] : perfbenchDrivers())
+    Sdv.check([&](AstContext &C) { return makeSdvProgram(C, P); }, 1,
+              "drv" + std::to_string(I));
+  for (SdvInstance I : makeSdvCorpus(42, 40, 128)) {
+    I.Params.NumHandlers = std::min(I.Params.NumHandlers, 4u);
+    I.Params.NumUtils = std::min(I.Params.NumUtils, 5u);
+    I.Params.UtilDepth = std::min(I.Params.UtilDepth, 3u);
+    I.Params.CallsPerHandler = std::min(I.Params.CallsPerHandler, 2u);
+    Sdv.check([&](AstContext &C) { return makeSdvProgram(C, I.Params); }, 1,
+              I.Name, I.Params.InjectBug ? Verdict::Bug : Verdict::Safe);
+  }
+  Sdv.print("sdv");
+
+  ProofTally Chains;
+  for (unsigned N = 4; N <= 32; ++N)
+    for (bool Buggy : {false, true})
+      Chains.check(
+          [&](AstContext &C) { return makeChainProgram(C, N, Buggy); }, 1,
+          "chain" + std::to_string(N) + (Buggy ? "_bug" : "_safe"),
+          Buggy ? Verdict::Bug : Verdict::Safe);
+  Chains.print("chain");
+
+  // On perfbench's own programs it fires on exactly the 7 safe chains,
+  // drivers 0, 2 and 6, and `loops` draws 5 and 11 (draws 0-37 hold
+  // perfbench's 20).
+  auto FiredAmong = [](const ProofTally &T, const std::string &Prefix,
+                       unsigned Count) {
+    std::vector<std::string> Out;
+    for (unsigned I = 0; I < Count; ++I)
+      if (std::count(T.Fired.begin(), T.Fired.end(),
+                     Prefix + std::to_string(I)))
+        Out.push_back(Prefix + std::to_string(I));
+    return Out;
+  };
+  EXPECT_EQ(FiredAmong(Loops, "rand", 38),
+            (std::vector<std::string>{"rand5", "rand11"}));
+  EXPECT_EQ(FiredAmong(Sdv, "drv", 10),
+            (std::vector<std::string>{"drv0", "drv2", "drv6"}));
+  // Every safe chain (a firing on a buggy one fails check() above).
+  EXPECT_EQ(Chains.Fired.size(), 29u);
+}
 
 //===----------------------------------------------------------------------===//
 // End-to-end on a realistic parsed program

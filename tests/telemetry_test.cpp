@@ -481,6 +481,56 @@ TEST(TraceEndToEnd, VerifyProgramEmitsNestedPipelineSpans) {
   EXPECT_EQ(Bag.get("engine.verdict.safe"), 1);
 }
 
+TEST(TraceEndToEnd, ProofIsNamed) {
+  // A Safe verdict names its proof on the verify span and in the stats:
+  // "invariants" when +Inv proved the query before any engine work, else
+  // the engine's own proof, which its verdict event names too.
+  for (bool Inv : {true, false}) {
+    SCOPED_TRACE(Inv ? "+Inv" : "-Inv");
+    AstContext Ctx;
+    Program P = makeChainProgram(Ctx, 8);
+    Trace T;
+    T.setEnabled(true);
+    VerifierOptions Opts;
+    Opts.Bound = 1;
+    Opts.Prepass.Invariants = Inv;
+    Opts.Telemetry = &T;
+    VerifierRunResult R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+    ASSERT_EQ(R.Result.Outcome, Verdict::Safe);
+    EXPECT_FALSE(R.Result.Proof.empty());
+    EXPECT_EQ(R.Result.Proof == "invariants", Inv);
+
+    std::string SpanProof, EngineProof;
+    std::vector<const TraceEvent *> Open;
+    for (size_t I = 0; I < T.numEvents(); ++I) {
+      const TraceEvent &E = T.event(I);
+      if (E.Ph == TraceEvent::Phase::Begin) {
+        Open.push_back(&E);
+      } else if (E.Ph == TraceEvent::Phase::End) {
+        if (Open.back()->Name == "verify")
+          for (const TraceArg &A : E.Args)
+            if (A.Key == "proof")
+              SpanProof = A.Str;
+        Open.pop_back();
+      } else if (E.Name == "engine.verdict") {
+        for (const TraceArg &A : E.Args)
+          if (A.Key == "proof")
+            EngineProof = A.Str;
+      }
+    }
+    EXPECT_EQ(SpanProof, R.Result.Proof);
+    EXPECT_EQ(EngineProof, Inv ? "" : R.Result.Proof);
+
+    Stats Bag;
+    R.Result.record(Bag);
+    EXPECT_EQ(Bag.get("engine.proof." + R.Result.Proof), 1);
+    EXPECT_EQ(Bag.get("engine.proof.invariants"), Inv ? 1 : 0);
+    EXPECT_NE(T.statsJson(&Bag).find("\"engine.proof." + R.Result.Proof +
+                                     "\""),
+              std::string::npos);
+  }
+}
+
 namespace {
 
 /// What a traced run says about its stratified frontier: the proof behind
@@ -600,20 +650,19 @@ TEST(TraceEndToEnd, FrontierExplainsItself) {
   EXPECT_EQ(Dead.Bag.get("engine.core_edges"), 0);
   EXPECT_EQ(Dead.Bag.get("engine.over_checks"), 0);
 
-  // On the +Inv chain the call-site summaries make the over-approximate
-  // check unsat with main alone inlined: SI's early stop.
-  AstContext Ctx;
+  // Under +Inv, where the intervals leave the root open, the call-site
+  // summaries make the over-approximate check unsat with main alone
+  // inlined: SI's early stop.
   VerifierOptions Inv;
   Inv.Engine.Strategy.Kind = MergeStrategyKind::First;
-  Inv.Prepass.Invariants = true;
-  FrontierExplanation Chain = explainRun(Ctx, makeChainProgram(Ctx, 8), Inv);
-  EXPECT_EQ(Chain.Run.Result.Outcome, Verdict::Safe);
-  EXPECT_EQ(Chain.Proof, "over_unsat");
-  EXPECT_EQ(Chain.Run.Result.NumInlined, 1u);
+  FrontierExplanation Summary = explainSource(SummaryOnlySrc, Inv);
+  EXPECT_EQ(Summary.Run.Result.Outcome, Verdict::Safe);
+  EXPECT_EQ(Summary.Proof, "over_unsat");
+  EXPECT_EQ(Summary.Run.Result.NumInlined, 1u);
 
   // Every unsat under-approximate check notes its core size, and the notes
   // add up to engine.core_edges.
-  for (const FrontierExplanation *E : {&Branches, &Dead, &Chain}) {
+  for (const FrontierExplanation *E : {&Branches, &Dead, &Summary}) {
     EXPECT_GE(E->UnsatUnderChecks, 1u);
     EXPECT_EQ(E->CoreNotes, E->UnsatUnderChecks);
     EXPECT_EQ(E->CoreSum, E->Bag.get("engine.core_edges"));

@@ -123,6 +123,54 @@ TEST(Verifier, TimeBudgetCoversTheFrontEnd) {
             Verdict::Safe);
 }
 
+TEST(Verifier, InvariantProofSkipsTheEngine) {
+  // On the safe chain the root's interval exit summary pins $err to false,
+  // so the verdict is Safe with no engine run: no solver context, no check,
+  // no instance. Without +Inv (either way off) the engine decides it.
+  auto Run = [](bool Buggy, bool Inv, bool Prepass, bool &RanEngine) {
+    AstContext Ctx;
+    Program P = makeChainProgram(Ctx, 8, Buggy);
+    Trace T;
+    T.setEnabled(true);
+    VerifierOptions Opts;
+    Opts.Bound = 1;
+    Opts.Prepass.Invariants = Inv;
+    Opts.UsePrepass = Prepass;
+    Opts.Telemetry = &T;
+    VerifierRunResult R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+    RanEngine = false;
+    for (size_t I = 0; I < T.numEvents(); ++I)
+      RanEngine |= T.event(I).Name == "engine.run";
+    return R;
+  };
+  bool RanEngine = true;
+  VerifierRunResult Proved = Run(false, true, true, RanEngine);
+  EXPECT_EQ(Proved.Result.Outcome, Verdict::Safe);
+  EXPECT_EQ(Proved.Result.Proof, "invariants");
+  EXPECT_TRUE(Proved.Prepass.InvariantsProveQuery);
+  EXPECT_EQ(Proved.Result.NumSolverChecks, 0u);
+  EXPECT_EQ(Proved.Result.NumInlined, 0u);
+  EXPECT_EQ(Proved.Result.NumIterations, 0u);
+  EXPECT_FALSE(RanEngine);
+
+  for (auto [Inv, Prepass] : {std::pair{false, true}, std::pair{true, false}}) {
+    SCOPED_TRACE(Inv ? "--no-prepass" : "--no-inv");
+    VerifierRunResult R = Run(false, Inv, Prepass, RanEngine);
+    EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
+    EXPECT_NE(R.Result.Proof, "invariants");
+    EXPECT_FALSE(R.Prepass.InvariantsProveQuery);
+    EXPECT_GT(R.Result.NumSolverChecks, 0u);
+    EXPECT_TRUE(RanEngine);
+  }
+
+  // The buggy chain is not proved: the engine finds the bug.
+  VerifierRunResult Bug = Run(true, true, true, RanEngine);
+  EXPECT_EQ(Bug.Result.Outcome, Verdict::Bug);
+  EXPECT_FALSE(Bug.Prepass.InvariantsProveQuery);
+  EXPECT_TRUE(Bug.Result.Proof.empty());
+  EXPECT_TRUE(RanEngine);
+}
+
 TEST(Verifier, BoundZeroIsRefusedAsUnknown) {
   // Unfolding keeps no copy of a recursive procedure at bound 0, so there is
   // no program to lower: the front end reports an error instead.
@@ -200,21 +248,26 @@ TEST(Deepening, SafeUpToMaxBound) {
 TEST(Deepening, SharedBudgetTimesOut) {
   // Safe at every bound, but at bound R the recursion reaches depth R on
   // 2^R paths, and tree inlining must close every one of them: bound 16
-  // alone needs 65536 instances. So the ladder cannot reach its top within
-  // the one budget on any host, and that budget must end it.
+  // alone needs 65536 instances. g == h is relational, so the intervals
+  // cannot prove it and every bound runs the engine. So the ladder cannot
+  // reach its top within the one budget on any host, and that budget must
+  // end it.
   AstContext Ctx;
   auto P = parseOk(R"(
     var g: int;
-    procedure step(n: int) {
+    var h: int;
+    procedure step() {
       g := g + 1;
-      if (n > 0) {
-        if (*) { call step(n - 1); } else { call step(n - 1); }
+      h := h + 1;
+      if (*) {
+        if (*) { call step(); } else { call step(); }
       }
     }
     procedure main() {
       g := 0;
-      call step(64);
-      assert g > 64;
+      h := 0;
+      call step();
+      assert g == h;
     }
   )",
                    Ctx);
