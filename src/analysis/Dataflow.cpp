@@ -14,44 +14,13 @@ using namespace rmt;
 ProcFlow::ProcFlow(const CfgProgram &Prog, ProcId P)
     : Prog(Prog), P(P), Entry(Prog.proc(P).Entry) {
   Topo = Prog.topoOrder(P);
-  size_t N = Topo.size();
-  if (N == 0) {
-    PredOff.assign(1, 0);
-    SuccOff.assign(1, 0);
+  if (Topo.empty())
     return;
-  }
   auto [MinIt, MaxIt] = std::minmax_element(Topo.begin(), Topo.end());
   Lo = *MinIt;
   Index.assign(*MaxIt - Lo + 1, ~0u);
-  for (unsigned I = 0; I < N; ++I)
+  for (unsigned I = 0; I < Topo.size(); ++I)
     Index[Topo[I] - Lo] = I;
-
-  // Count, prefix-sum, fill. Sources are visited in Proc.Labels order, so
-  // each predecessor list keeps that order.
-  PredOff.assign(N + 1, 0);
-  SuccOff.assign(N + 1, 0);
-  const std::vector<LabelId> &Labels = Prog.proc(P).Labels;
-  for (LabelId L : Labels) {
-    SuccOff[indexOf(L) + 1] = Prog.label(L).Targets.size();
-    for (LabelId T : Prog.label(L).Targets)
-      ++PredOff[indexOf(T) + 1];
-  }
-  for (size_t I = 0; I < N; ++I) {
-    PredOff[I + 1] += PredOff[I];
-    SuccOff[I + 1] += SuccOff[I];
-  }
-  PredIdx.resize(PredOff[N]);
-  SuccIdx.resize(SuccOff[N]);
-  std::vector<unsigned> PredFill(PredOff.begin(), PredOff.end() - 1);
-  for (LabelId L : Labels) {
-    unsigned From = indexOf(L);
-    unsigned *Succ = SuccIdx.data() + SuccOff[From];
-    for (LabelId T : Prog.label(L).Targets) {
-      unsigned To = indexOf(T);
-      PredIdx[PredFill[To]++] = From;
-      *Succ++ = To;
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//

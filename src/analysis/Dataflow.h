@@ -1,4 +1,4 @@
-//===- Dataflow.h - Generic worklist dataflow over CfgProgram ---*- C++ -*-===//
+//===- Dataflow.h - One-sweep dataflow over CfgProgram ---------*- C++ -*-===//
 //
 // Part of the daginline project, a reproduction of "DAG Inlining" (PLDI'15).
 //
@@ -8,11 +8,12 @@
 /// A small generic dataflow framework over the paper's label form, plus the
 /// static-analysis prepass built on top of it.
 ///
-/// Hierarchical programs have acyclic intraprocedural flow graphs, so every
-/// monotone analysis converges in a single pass over a topological order.
-/// The solver is still a worklist algorithm (it re-enqueues on change), which
-/// keeps it correct on any graph and makes the acyclic case exactly one visit
-/// per label.
+/// Bounding makes every program hierarchical, so every intraprocedural flow
+/// graph is acyclic (CfgProgram::topoOrder asserts it) and one sweep over a
+/// topological order reaches the fixpoint: a forward solve visits each label
+/// after all of its predecessors, a backward solve after all of its
+/// successors. There is no worklist and no edge array; the sweep reads each
+/// label's successor list (CfgLabel::Targets) directly.
 ///
 /// Analyses plug in as a type with:
 ///
@@ -20,13 +21,13 @@
 ///   static constexpr FlowDirection Direction;
 ///   Value bottom() const;                    // join identity ("unreachable")
 ///   Value boundary() const;                  // entry (fwd) / exit (bwd) state
-///   bool join(Value &Into, const Value &From) const;  // true if Into grew
+///   void join(Value &Into, const Value &From) const;  // Into ⊔= From
 ///   void transfer(LabelId L, const CfgStmt &S, Value &X) const;  // in place
 ///
 /// For a forward analysis, pre(L) is the join over predecessors' post states
-/// (boundary at the procedure entry) and post(L) = transfer(pre(L)). For a
-/// backward analysis the roles flip: post(L) joins the successors' pre states
-/// (boundary at exit labels, i.e. labels with no successors) and
+/// (and the boundary at the procedure entry) and post(L) = transfer(pre(L)).
+/// For a backward analysis the roles flip: post(L) joins the successors' pre
+/// states (boundary at exit labels, i.e. labels with no successors) and
 /// pre(L) = transfer(post(L)). Pre/post are always named in *program* order.
 /// transfer rewrites its input state into its output state, so a solver
 /// reused across solves keeps its values' storage and allocates little.
@@ -64,9 +65,8 @@ class Trace;
 //===----------------------------------------------------------------------===//
 
 /// Per-procedure view of the intraprocedural flow graph: a topological order
-/// (entry-first), each label's dense index (its position in that order), and
-/// predecessor and successor lists by index, kept as flat CSR arrays (one
-/// offsets array and one index array per direction).
+/// and each label's dense index (its position in that order). The entry need
+/// not come first: an unreachable label with no predecessors can precede it.
 class ProcFlow {
 public:
   ProcFlow(const CfgProgram &Prog, ProcId P);
@@ -84,13 +84,6 @@ public:
            "label not in procedure");
     return Index[L - Lo];
   }
-  /// Indices of the predecessors / successors of the label at index \p I.
-  std::span<const unsigned> predIndices(unsigned I) const {
-    return {PredIdx.data() + PredOff[I], PredOff[I + 1] - PredOff[I]};
-  }
-  std::span<const unsigned> succIndices(unsigned I) const {
-    return {SuccIdx.data() + SuccOff[I], SuccOff[I + 1] - SuccOff[I]};
-  }
 
   const CfgProgram &program() const { return Prog; }
 
@@ -103,15 +96,13 @@ private:
   /// procedure's labels need not be contiguous, so this spans [Lo, Hi].
   LabelId Lo = 0;
   std::vector<unsigned> Index;
-  /// Edges of index I: PredIdx[PredOff[I] .. PredOff[I + 1]), likewise Succ.
-  std::vector<unsigned> PredOff, PredIdx, SuccOff, SuccIdx;
 };
 
 /// Direction of a dataflow analysis.
 enum class FlowDirection { Forward, Backward };
 
 //===----------------------------------------------------------------------===//
-// Worklist solver
+// One-sweep solver
 //===----------------------------------------------------------------------===//
 
 template <typename Analysis> class DataflowSolver {
@@ -122,59 +113,42 @@ public:
   /// kept from one solve to the next, so one solver reused across
   /// procedures and rounds stops allocating once it has seen the largest.
   void solve(const ProcFlow &Flow, const Analysis &A) {
-    constexpr bool Fwd = Analysis::Direction == FlowDirection::Forward;
     this->Flow = &Flow;
-    size_t N = Flow.size();
+    const std::vector<LabelId> &Topo = Flow.topo();
+    const CfgProgram &Prog = Flow.program();
+    size_t N = Topo.size();
     if (Pre.size() < N) {
       Pre.resize(N);
       Post.resize(N);
     }
     const Value Bottom = A.bottom();
-    for (size_t I = 0; I < N; ++I) {
-      Pre[I] = Bottom;
-      Post[I] = Bottom;
-    }
 
-    // Seed in solve order: one visit per label suffices on acyclic graphs.
-    // The worklist is a FIFO of indices; a label is re-enqueued only when an
-    // input changed after its visit, which needs a cycle.
-    Work.resize(N);
-    for (unsigned I = 0; I < N; ++I)
-      Work[I] = Fwd ? I : static_cast<unsigned>(N - 1 - I);
-    Queued.assign(N, 1);
-
-    for (size_t Head = 0; Head < Work.size(); ++Head) {
-      unsigned I = Work[Head];
-      Queued[I] = 0;
-      LabelId L = Flow.topo()[I];
-      const CfgStmt &S = Flow.program().label(L).Stmt;
-
-      if (Fwd) {
-        Value &In = Pre[I];
-        if (L == Flow.entry())
-          In = A.boundary();
-        else
-          In = Bottom;
-        for (unsigned P : Flow.predIndices(I))
-          A.join(In, Post[P]);
-        Scratch = In;
-        A.transfer(L, S, Scratch);
-        if (A.join(Post[I], Scratch))
-          for (unsigned T : Flow.succIndices(I))
-            enqueue(T);
-      } else {
-        Value &Out = Post[I];
-        if (Flow.succIndices(I).empty())
-          Out = A.boundary();
-        else
-          Out = Bottom;
-        for (unsigned T : Flow.succIndices(I))
-          A.join(Out, Pre[T]);
-        Scratch = Out;
-        A.transfer(L, S, Scratch);
-        if (A.join(Pre[I], Scratch))
-          for (unsigned P : Flow.predIndices(I))
-            enqueue(P);
+    if constexpr (Analysis::Direction == FlowDirection::Forward) {
+      // Seed the entry by index, not topo()[0]: an unreachable label with
+      // no predecessors can precede it.
+      for (size_t I = 0; I < N; ++I)
+        Pre[I] = Bottom;
+      if (N != 0)
+        Pre[Flow.indexOf(Flow.entry())] = A.boundary();
+      for (size_t I = 0; I < N; ++I) {
+        const CfgLabel &Lbl = Prog.label(Topo[I]);
+        Post[I] = Pre[I];
+        A.transfer(Topo[I], Lbl.Stmt, Post[I]);
+        for (LabelId T : Lbl.Targets)
+          A.join(Pre[Flow.indexOf(T)], Post[I]);
+      }
+    } else {
+      for (size_t I = N; I-- > 0;) {
+        const CfgLabel &Lbl = Prog.label(Topo[I]);
+        if (Lbl.Targets.empty()) {
+          Post[I] = A.boundary();
+        } else {
+          Post[I] = Bottom;
+          for (LabelId T : Lbl.Targets)
+            A.join(Post[I], Pre[Flow.indexOf(T)]);
+        }
+        Pre[I] = Post[I];
+        A.transfer(Topo[I], Lbl.Stmt, Pre[I]);
       }
     }
   }
@@ -185,20 +159,10 @@ public:
   const Value &post(LabelId L) const { return Post[Flow->indexOf(L)]; }
 
 private:
-  void enqueue(unsigned I) {
-    if (!Queued[I]) {
-      Queued[I] = 1;
-      Work.push_back(I);
-    }
-  }
-
   const ProcFlow *Flow = nullptr;
   /// The first Flow->size() entries belong to the last solve.
   std::vector<Value> Pre;
   std::vector<Value> Post;
-  Value Scratch;
-  std::vector<unsigned> Work;
-  std::vector<char> Queued;
 };
 
 //===----------------------------------------------------------------------===//
@@ -316,8 +280,8 @@ struct PrepassOptions {
   /// (except `inv` under Invariants).
   std::string Passes = DefaultPrepassPasses;
   /// Run the structural CFG verifier (VerifyCfg.h) on the input and after
-  /// every pass; any violation aborts the pipeline. Also enabled by the
-  /// RMT_VERIFY_EACH environment variable (CI runs Debug tests with it).
+  /// every pass; any violation aborts the pipeline. Builds with assertions
+  /// enabled (no NDEBUG) always verify.
   bool VerifyEach = false;
   /// Dump the program to stderr after every pass that changed it.
   bool PrintAfterAll = false;
@@ -387,7 +351,7 @@ unsigned spliceSkips(CfgProgram &Prog);
 ///
 /// executed through the pass manager (PassManager.h), which times each pass
 /// into \p S (when given) and re-verifies the structural invariants after
-/// each pass when Opts.VerifyEach is set.
+/// each pass when Opts.VerifyEach is set or assertions are enabled.
 ///
 /// \p ErrGlobal is the reachability query variable ($err); when nullopt the
 /// query is plain termination reachability and only control-flow-relevant

@@ -6,34 +6,28 @@
 
 using namespace rmt;
 
-bool AbsEnv::joinWith(const AbsEnv &O) {
+void AbsEnv::joinWith(const AbsEnv &O) {
   if (O.Bottom)
-    return false;
+    return;
   if (Bottom) {
     *this = O;
-    return true;
+    return;
   }
   // Missing keys are top; a key survives only if bounded on both sides. One
   // merge over the two sorted vectors, compacting this one in place.
-  bool Grew = false;
   auto OIt = O.Vals.begin(), OEnd = O.Vals.end();
   size_t Kept = 0;
   for (size_t I = 0; I < Vals.size(); ++I) {
     Symbol Var = Vals[I].first;
     while (OIt != OEnd && OIt->first < Var)
       ++OIt;
-    Interval J = OIt == OEnd || OIt->first != Var
-                     ? Interval::top()
-                     : Vals[I].second.join(OIt->second);
-    if (J.isTop()) {
-      Grew = true;
+    if (OIt == OEnd || OIt->first != Var)
       continue;
-    }
-    Grew |= !(J == Vals[I].second);
-    Vals[Kept++] = {Var, J};
+    Interval J = Vals[I].second.join(OIt->second);
+    if (!J.isTop())
+      Vals[Kept++] = {Var, J};
   }
   Vals.resize(Kept);
-  return Grew;
 }
 
 AbsEnv AbsEnv::widen(const AbsEnv &Old, const AbsEnv &New) {
@@ -82,9 +76,7 @@ struct rmt::IntervalFlow {
 
   Value bottom() const { return AbsEnv::bottomEnv(); }
   Value boundary() const { return Entry; }
-  bool join(Value &Into, const Value &From) const {
-    return Into.joinWith(From);
-  }
+  void join(Value &Into, const Value &From) const { Into.joinWith(From); }
 
   void transfer(LabelId, const CfgStmt &S, AbsEnv &X) const {
     if (X.isBottom())
@@ -126,20 +118,14 @@ IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
   for (ProcId P = 0; P < Prog.Procs.size(); ++P)
     Flows.emplace_back(Prog, P);
   EntryEnvs.assign(Prog.Procs.size(), AbsEnv::bottomEnv());
-  ExitSummaries.assign(Prog.Procs.size(), AbsEnv::bottomEnv());
   ContextExitSummaries.assign(Prog.Procs.size(), AbsEnv::bottomEnv());
 
-  // Phase 1: callees-first exit summaries under an unconstrained entry.
+  // Ascending Kleene iteration for entries + contextual exits. Entries
+  // accumulate joins of call contexts; exits are recomputed from entries;
+  // both only grow, and widening after WidenAfter rounds forces convergence
+  // despite the interval domain's infinite ascending chains.
   std::vector<ProcId> BottomUp = Prog.bottomUpProcOrder();
   DataflowSolver<IntervalFlow> Solver;
-  for (ProcId P : BottomUp)
-    ExitSummaries[P] =
-        solveProc(Solver, P, AbsEnv(), ExitSummaries, /*Record=*/false);
-
-  // Phase 2: ascending Kleene iteration for entries + contextual exits.
-  // Entries accumulate joins of call contexts; exits are recomputed from
-  // entries; both only grow, and widening after WidenAfter rounds forces
-  // convergence despite the interval domain's infinite ascending chains.
   EntryEnvs[Entry] = AbsEnv();
   constexpr int WidenAfter = 3;
   constexpr int MaxRounds = 24;
@@ -170,13 +156,11 @@ IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
       return; // post-fixpoint reached: sound to consume
   }
   // Did not stabilize within the round budget (should not happen: widening
-  // collapses every moving bound). Fall back to soundness: drop everything
-  // unreachable-from-phase-1 facts cannot express.
-  for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
-    if (!EntryEnvs[P].isBottom())
-      EntryEnvs[P] = AbsEnv();
-    ContextExitSummaries[P] = ExitSummaries[P];
-  }
+  // collapses every moving bound). Fall back to no facts: every entry and
+  // every contextual exit is top, so nothing is injected and nothing is
+  // proved.
+  EntryEnvs.assign(Prog.Procs.size(), AbsEnv());
+  ContextExitSummaries.assign(Prog.Procs.size(), AbsEnv());
 }
 
 AbsEnv IntervalAnalysis::solveProc(DataflowSolver<IntervalFlow> &Solver,

@@ -7,17 +7,16 @@
 /// \file
 /// The "+Inv" prepass of Section 4. Corral runs invariant generation and
 /// injects every inferred invariant as an assume statement; we reproduce the
-/// mechanism with a two-phase interval analysis over the call DAG:
-///
-///  phase 1 (callees first): context-insensitive exit summaries — intervals
-///           for globals and returns on procedure exit;
-///  phase 2: a least-fixpoint (ascending Kleene) iteration computing, at
-///           once, every procedure's entry invariant (join over all call
-///           contexts reachable from the root) and its *contextual* exit
-///           summary. Entries and summaries are mutually dependent (a later
-///           call's context uses an earlier call's summary), so the
-///           iteration runs to a post-fixpoint with interval widening after
-///           a few rounds to force convergence.
+/// mechanism with an interval analysis over the call DAG: one least-fixpoint
+/// (ascending Kleene) iteration computing, at once, every procedure's entry
+/// invariant (join over all call contexts reachable from the root) and its
+/// *contextual* exit summary (globals and returns on exit under that entry).
+/// Entries and summaries are mutually dependent (a later call's context uses
+/// an earlier call's summary), so the iteration runs to a post-fixpoint with
+/// interval widening after a few rounds to force convergence. Should it not
+/// stabilize within its round budget, the analysis falls back to no facts:
+/// every entry and every exit is top, so nothing is injected and nothing is
+/// proved.
 ///
 /// injectInvariants() materializes the results the way Corral consumes
 /// Houdini output: each procedure's entry invariant becomes an `assume`
@@ -86,8 +85,8 @@ public:
     }
   }
 
-  /// Joins \p O into this env; returns whether this env grew.
-  bool joinWith(const AbsEnv &O);
+  /// Joins \p O into this env.
+  void joinWith(const AbsEnv &O);
 
   /// Abstract value of \p E (booleans as [0,1]); bottom in a bottom env.
   Interval eval(const Expr *E) const;
@@ -127,8 +126,8 @@ private:
 struct IntervalFlow;
 
 /// Whole-program interval analysis results. Each procedure is solved by the
-/// forward DataflowSolver (Dataflow.h) over AbsEnv; the two-phase driver in
-/// the file comment iterates those solves over the call DAG.
+/// forward DataflowSolver (Dataflow.h) over AbsEnv; the fixpoint iteration
+/// in the file comment repeats those solves over the call DAG.
 class IntervalAnalysis {
 public:
   /// Analyzes \p Prog with \p Entry as the root context.
@@ -138,11 +137,8 @@ public:
   /// every entry reachable from the root. Bottom when \p P is unreachable.
   const AbsEnv &entryEnv(ProcId P) const { return EntryEnvs[P]; }
 
-  /// Context-insensitive exit summary of \p P (globals and returns).
-  const AbsEnv &exitSummary(ProcId P) const { return ExitSummaries[P]; }
-
-  /// Exit summary of \p P under its phase-2 entry invariant. Bottom when
-  /// unreachable from the root.
+  /// Exit summary of \p P (globals and returns) under its entry invariant.
+  /// Bottom when unreachable from the root.
   const AbsEnv &contextExitSummary(ProcId P) const {
     return ContextExitSummaries[P];
   }
@@ -159,7 +155,6 @@ private:
   const CfgProgram &Prog;
   std::vector<ProcFlow> Flows;
   std::vector<AbsEnv> EntryEnvs;
-  std::vector<AbsEnv> ExitSummaries;
   std::vector<AbsEnv> ContextExitSummaries;
 };
 

@@ -92,23 +92,15 @@ public:
   Value bottom() const { return {true, {}}; }
   Value boundary() const { return {false, {}}; }
 
-  bool join(Value &Into, const Value &From) const {
+  void join(Value &Into, const Value &From) const {
     if (From.Universe)
-      return false;
+      return;
     if (Into.Universe) {
       Into = From;
-      return true;
+      return;
     }
-    bool Changed = false;
-    for (auto It = Into.Defined.begin(); It != Into.Defined.end();) {
-      if (!From.Defined.count(*It)) {
-        It = Into.Defined.erase(It);
-        Changed = true;
-      } else {
-        ++It;
-      }
-    }
-    return Changed;
+    std::erase_if(Into.Defined,
+                  [&](Symbol V) { return !From.Defined.count(V); });
   }
 
   void transfer(LabelId, const CfgStmt &S, Value &X) const {
@@ -144,11 +136,8 @@ public:
   Value bottom() const { return {}; }
   Value boundary() const { return ExitLive; }
 
-  bool join(Value &Into, const Value &From) const {
-    bool Changed = false;
-    for (Symbol V : From)
-      Changed |= Into.insert(V).second;
-    return Changed;
+  void join(Value &Into, const Value &From) const {
+    Into.insert(From.begin(), From.end());
   }
 
   /// Pre holds the post-state and becomes the pre-state.

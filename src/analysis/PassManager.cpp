@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 using namespace rmt;
 
@@ -206,9 +205,13 @@ PrepassReport rmt::runPrepass(AstContext &Ctx, CfgProgram &Prog, ProcId &Root,
   TraceSpan Span(Opts.Telemetry, "prepass.pipeline",
                  {{"passes", Names}, {"labels", R.LabelsBefore}});
   PassContext PC{Ctx, Prog, Root, ErrGlobal, R};
-  R.PipelineErrors = runPasses(
-      PC, *Pipeline, Opts.VerifyEach || std::getenv("RMT_VERIFY_EACH"),
-      Opts.PrintAfterAll, Opts.Telemetry, S);
+#ifdef NDEBUG
+  bool VerifyEach = Opts.VerifyEach;
+#else
+  bool VerifyEach = true; // builds with assertions verify every pass
+#endif
+  R.PipelineErrors = runPasses(PC, *Pipeline, VerifyEach, Opts.PrintAfterAll,
+                               Opts.Telemetry, S);
   Span.note({"labels_after", Prog.Labels.size()});
   Span.close();
 

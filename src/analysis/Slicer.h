@@ -109,9 +109,7 @@ public:
 
   Value bottom() const { return Bitset(Slots.numSlots(P)); }
   Value boundary() const { return ExitLive; }
-  bool join(Value &Into, const Value &From) const {
-    return Into.orWith(From);
-  }
+  void join(Value &Into, const Value &From) const { Into.orWith(From); }
   void transfer(LabelId L, const CfgStmt &S, Value &X) const;
 
   /// Is \p V live in \p X?

@@ -44,16 +44,12 @@ public:
     return W < Words.size() && (Words[W] >> (I % 64)) & 1;
   }
 
-  /// this |= Other; true when a bit was added.
-  bool orWith(const Bitset &Other) {
+  /// this |= Other.
+  void orWith(const Bitset &Other) {
     if (Other.Words.size() > Words.size())
       Words.resize(Other.Words.size(), 0);
-    uint64_t Added = 0;
-    for (size_t I = 0; I < Other.Words.size(); ++I) {
-      Added |= Other.Words[I] & ~Words[I];
+    for (size_t I = 0; I < Other.Words.size(); ++I)
       Words[I] |= Other.Words[I];
-    }
-    return Added != 0;
   }
 
   /// this |= A & B.

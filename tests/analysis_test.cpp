@@ -80,17 +80,22 @@ TEST(AbsEnvTest, JoinDropsOneSidedKeys) {
   A.set(X, Interval::constant(1));
   A.set(Y, Interval::constant(2));
   B.set(X, Interval::constant(3));
-  EXPECT_TRUE(A.joinWith(B)); // grew
+  A.joinWith(B);
   EXPECT_EQ(A.get(X), Interval::bounded(1, 3));
   EXPECT_TRUE(A.get(Y).isTop()); // missing in B => top
-  EXPECT_FALSE(A.joinWith(B)); // unchanged
-  EXPECT_FALSE(A.joinWith(AbsEnv::bottomEnv()));
+  AbsEnv Before = A;
+  A.joinWith(B); // idempotent
+  EXPECT_EQ(A, Before);
+  A.joinWith(AbsEnv::bottomEnv()); // bottom is the identity
+  EXPECT_EQ(A, Before);
   AbsEnv Bot = AbsEnv::bottomEnv();
-  EXPECT_TRUE(Bot.joinWith(A));
-  EXPECT_EQ(Bot.get(X), Interval::bounded(1, 3));
+  Bot.joinWith(A);
+  EXPECT_FALSE(Bot.isBottom());
+  EXPECT_EQ(Bot, A);
   AbsEnv Top;
-  EXPECT_TRUE(A.joinWith(Top)); // the last key goes to top
-  EXPECT_FALSE(A.joinWith(Top));
+  A.joinWith(Top); // the last key goes to top
+  EXPECT_TRUE(A.get(X).isTop());
+  EXPECT_EQ(A, Top);
 }
 
 TEST(AbsEnvTest, BottomPropagation) {
@@ -180,7 +185,7 @@ TEST(IntervalAnalysis, ExitSummaries) {
     }
     procedure probe() { }
   )");
-  const AbsEnv &Summary = A.Analysis->exitSummary(A.proc("setter"));
+  const AbsEnv &Summary = A.Analysis->contextExitSummary(A.proc("setter"));
   EXPECT_EQ(Summary.get(A.Ctx.sym("g")), Interval::constant(3));
   EXPECT_EQ(Summary.get(A.Ctx.sym("r")), Interval::constant(4));
   // And the caller's post-call state reflects the summary.

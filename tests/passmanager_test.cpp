@@ -523,7 +523,7 @@ TEST(PassPipeline, WithoutVerifyEachCorruptionGoesUnnoticed) {
   // Sanity-check the control: the corrupting pass only trips the pipeline
   // when verification is requested (the verifier's Unknown-on-abort path
   // depends on this distinction). The runner is called directly because
-  // runPrepass also turns verification on under RMT_VERIFY_EACH.
+  // runPrepass always verifies in builds with assertions enabled.
   AstContext Ctx;
   auto P = parseOk(CallDemo, Ctx);
   ProcId Root;

@@ -163,15 +163,22 @@ TEST(Bitset, OrWith) {
   EXPECT_EQ(A.count(), 3u);
 }
 
-TEST(Bitset, OrWithReportsAddedBits) {
+TEST(Bitset, OrWithOverlapIsUnion) {
   Bitset A, B;
   A.set(1);
   A.set(70);
   B.set(70);
-  EXPECT_FALSE(A.orWith(B)); // nothing new
+  A.orWith(B); // nothing new
+  EXPECT_EQ(A.count(), 2u);
   B.set(2);
-  EXPECT_TRUE(A.orWith(B));
-  EXPECT_FALSE(A.orWith(B));
+  A.orWith(B);
+  EXPECT_TRUE(A.test(1));
+  EXPECT_TRUE(A.test(2));
+  EXPECT_TRUE(A.test(70));
+  EXPECT_EQ(A.count(), 3u);
+  A.orWith(B); // idempotent
+  EXPECT_EQ(A.count(), 3u);
+  EXPECT_EQ(B.count(), 2u); // the argument is untouched
 }
 
 TEST(Bitset, ResetAndOrWithAnd) {
