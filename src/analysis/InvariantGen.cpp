@@ -36,9 +36,10 @@ AbsEnv AbsEnv::widen(const AbsEnv &Old, const AbsEnv &New) {
   if (New.isBottom())
     return New;
   AbsEnv Out;
-  // Missing keys are top; only keys present in both can keep bounds, and a
-  // bound survives only if it did not move since the previous iterate. New
-  // is sorted, so Out is built in order.
+  // Missing keys are top; only keys present in both can keep bounds. A
+  // bound that did not move since the previous iterate survives; one that
+  // moved jumps to the threshold 0 if the new bound is still on its side,
+  // else to infinity. New is sorted, so Out is built in order.
   auto OldIt = Old.Vals.begin(), OldEnd = Old.Vals.end();
   for (const auto &[Var, NewI] : New.Vals) {
     while (OldIt != OldEnd && OldIt->first < Var)
@@ -47,10 +48,18 @@ AbsEnv AbsEnv::widen(const AbsEnv &Old, const AbsEnv &New) {
       continue; // absent before, so top then: the bound moved
     const Interval &OldI = OldIt->second;
     Interval W = Interval::top();
-    if (NewI.hasLo() && OldI.hasLo() && NewI.lo() == OldI.lo())
-      W = W.meet(Interval::atLeast(NewI.lo()));
-    if (NewI.hasHi() && OldI.hasHi() && NewI.hi() == OldI.hi())
-      W = W.meet(Interval::atMost(NewI.hi()));
+    if (NewI.hasLo() && OldI.hasLo()) {
+      if (NewI.lo() == OldI.lo())
+        W = W.meet(Interval::atLeast(NewI.lo()));
+      else if (NewI.lo() >= 0)
+        W = W.meet(Interval::atLeast(0));
+    }
+    if (NewI.hasHi() && OldI.hasHi()) {
+      if (NewI.hi() == OldI.hi())
+        W = W.meet(Interval::atMost(NewI.hi()));
+      else if (NewI.hi() <= 0)
+        W = W.meet(Interval::atMost(0));
+    }
     if (!W.isTop())
       Out.Vals.push_back({Var, W});
   }
@@ -155,10 +164,10 @@ IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
     if (EntryEnvs == PrevEntries && ContextExitSummaries == PrevExits)
       return; // post-fixpoint reached: sound to consume
   }
-  // Did not stabilize within the round budget (should not happen: widening
-  // collapses every moving bound). Fall back to no facts: every entry and
-  // every contextual exit is top, so nothing is injected and nothing is
-  // proved.
+  // Did not stabilize within the round budget (should not happen: once
+  // widening starts, each bound moves at most twice). Fall back to no
+  // facts: every entry and every contextual exit is top, so nothing is
+  // injected and nothing is proved.
   EntryEnvs.assign(Prog.Procs.size(), AbsEnv());
   ContextExitSummaries.assign(Prog.Procs.size(), AbsEnv());
 }
@@ -323,6 +332,15 @@ void AbsEnv::assume(const Expr *E, bool Positive) {
   if (Op == BinOp::Or && !Positive) {
     assume(E->op0(), false);
     assume(E->op1(), false);
+    return;
+  }
+  if ((Op == BinOp::And && !Positive) || (Op == BinOp::Or && Positive)) {
+    // One of the two operands takes the value Positive: the join of the two
+    // one-sided narrowings.
+    AbsEnv Other = *this;
+    assume(E->op0(), Positive);
+    Other.assume(E->op1(), Positive);
+    joinWith(Other);
     return;
   }
 

@@ -13,10 +13,11 @@
 /// *contextual* exit summary (globals and returns on exit under that entry).
 /// Entries and summaries are mutually dependent (a later call's context uses
 /// an earlier call's summary), so the iteration runs to a post-fixpoint with
-/// interval widening after a few rounds to force convergence. Should it not
-/// stabilize within its round budget, the analysis falls back to no facts:
-/// every entry and every exit is top, so nothing is injected and nothing is
-/// proved.
+/// interval widening after a few rounds to force convergence. The widening
+/// has one threshold, 0, so a counter that starts at 0 and only grows keeps
+/// its lower bound. Should the iteration not stabilize within its round
+/// budget, the analysis falls back to no facts: every entry and every exit
+/// is top, so nothing is injected and nothing is proved.
 ///
 /// injectInvariants() materializes the results the way Corral consumes
 /// Houdini output: each procedure's entry invariant becomes an `assume`
@@ -100,9 +101,13 @@ public:
     return A.Vals == B.Vals;
   }
 
-  /// Standard interval widening of \p New against the previous iterate
-  /// \p Old (requires New ⊒ Old): any bound that moved is dropped, which
-  /// forces the ascending iteration to converge.
+  /// Interval widening with the one threshold 0 of \p New against the
+  /// previous iterate \p Old (requires New ⊒ Old). A bound that did not
+  /// move is kept. A lower bound that moved goes to 0 if the new one is
+  /// still >= 0, else to -inf; an upper bound that moved goes to 0 if the
+  /// new one is still <= 0, else to +inf. The result contains New, and each
+  /// bound moves at most twice more, which forces the ascending iteration
+  /// to converge.
   static AbsEnv widen(const AbsEnv &Old, const AbsEnv &New);
 
 private:

@@ -77,10 +77,6 @@ public:
   /// must be a TermOp::Const term. Unconstrained constants yield an
   /// arbitrary value of their sort.
   virtual bool modelBool(TermRef ConstTerm) = 0;
-  /// Int or bit-vector value. A bit-vector value of 2^63 or more wraps to
-  /// its two's complement; an Int outside int64 saturates (see
-  /// modelNumeral for the exact value).
-  virtual int64_t modelInt(TermRef ConstTerm) = 0;
   /// Exact decimal numeral of an Int or bit-vector value (bit-vectors
   /// unsigned), whatever its magnitude.
   virtual std::string modelNumeral(TermRef ConstTerm) = 0;

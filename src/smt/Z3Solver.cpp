@@ -61,6 +61,7 @@ class Z3SolverImpl final : public Solver {
 public:
   Z3SolverImpl(const TermArena &Arena, Trace *Telemetry)
       : Arena(Arena), Telemetry(Telemetry) {
+    TraceSpan Span(Telemetry, "z3.context_new");
     Z3_config Config = Z3_mk_config();
     Z3_set_param_value(Config, "model", "true");
     Ctx = Z3_mk_context(Config);
@@ -72,8 +73,11 @@ public:
 
   ~Z3SolverImpl() override {
     dropSat();
-    Z3_solver_dec_ref(Ctx, Sol);
-    Z3_del_context(Ctx);
+    {
+      TraceSpan Span(Telemetry, "z3.context_delete");
+      Z3_solver_dec_ref(Ctx, Sol);
+      Z3_del_context(Ctx);
+    }
     std::lock_guard<std::mutex> Lock(ErrorsMutex);
     Errors.erase(Ctx);
   }
@@ -144,23 +148,6 @@ public:
   bool modelBool(TermRef ConstTerm) override {
     Z3_ast Value = evalInModel(ConstTerm);
     return Value && Z3_get_bool_value(Ctx, Value) == Z3_L_TRUE;
-  }
-
-  int64_t modelInt(TermRef ConstTerm) override {
-    Z3_ast Value = evalInModel(ConstTerm);
-    int64_t Out = 0;
-    if (!Value || Z3_get_numeral_int64(Ctx, Value, &Out))
-      return Out;
-    if (isBvValued(ConstTerm)) {
-      // Bit-vector values of 2^63 or more only fit unsigned extraction.
-      uint64_t U = 0;
-      if (Z3_get_numeral_uint64(Ctx, Value, &U))
-        Out = static_cast<int64_t>(U);
-      return Out;
-    }
-    return modelNumeral(ConstTerm)[0] == '-'
-               ? std::numeric_limits<int64_t>::min()
-               : std::numeric_limits<int64_t>::max();
   }
 
   std::string modelNumeral(TermRef ConstTerm) override {

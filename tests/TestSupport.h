@@ -70,22 +70,24 @@ struct Lowered {
   explicit operator bool() const { return !Cfg.Procs.empty(); }
 };
 
-/// The Fig. 1 call structure (examples/programs/fig1_sharing.hbpl): safe,
-/// but not by the intervals alone. They cannot narrow the assert's failure
-/// branch, `!(g >= 1 && g <= 3)`, so the root's exit summary leaves $err
-/// open and the engine runs. +Inv's call-site summaries pin g after bar and
-/// baz, which makes the over-approximate check unsat with main alone
-/// inlined; without them the engine inlines all four procedures.
+/// Safe by a relation the intervals cannot hold: g == h after either call.
+/// At the root's exit both are [1,2], so the intervals leave $err open and
+/// the engine runs. +Inv's call-site summaries pin g and h after bar (both
+/// 1) and after baz (both 2), which makes the over-approximate check unsat
+/// with main alone inlined; without them the engine inlines all three
+/// procedures. bar and baz share no callee: a shared one would join their
+/// contexts and lose the pinned summaries.
 inline const char *SummaryOnlySrc = R"(
   var g: int;
+  var h: int;
   procedure main() {
     g := 0;
+    h := 0;
     if (*) { call bar(); } else { call baz(); }
-    assert g >= 1 && g <= 3;
+    assert g == h;
   }
-  procedure bar() { g := g + 1; call foo(); }
-  procedure baz() { g := g + 2; call foo(); }
-  procedure foo() { g := g + 1; }
+  procedure bar() { g := g + 1; h := h + 1; }
+  procedure baz() { g := g + 2; h := h + 2; }
 )";
 
 /// Asserts Lit ⇒ ∧ \p Facts into \p S for a fresh boolean literal Lit and

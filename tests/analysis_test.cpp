@@ -106,6 +106,58 @@ TEST(AbsEnvTest, BottomPropagation) {
   EXPECT_TRUE(E.get(I.intern("y")).isBottom());
 }
 
+TEST(AbsEnvTest, WideningStopsAtZero) {
+  // A moved bound jumps to 0 while the new bound is still on its side of 0,
+  // and to infinity past it. A bound that did not move is kept.
+  StringInterner I;
+  Symbol X = I.intern("x");
+  auto Widened = [&](Interval Old, Interval New) {
+    AbsEnv O, N;
+    O.set(X, Old);
+    N.set(X, New);
+    return AbsEnv::widen(O, N).get(X);
+  };
+  EXPECT_EQ(Widened(Interval::bounded(3, 5), Interval::bounded(1, 5)),
+            Interval::bounded(0, 5));
+  EXPECT_EQ(Widened(Interval::bounded(3, 5), Interval::bounded(-1, 5)),
+            Interval::atMost(5));
+  EXPECT_EQ(Widened(Interval::bounded(-5, -3), Interval::bounded(-5, -1)),
+            Interval::bounded(-5, 0));
+  EXPECT_EQ(Widened(Interval::bounded(-5, -3), Interval::bounded(-5, 1)),
+            Interval::atLeast(-5));
+  // A bound already at the threshold is one that did not move.
+  EXPECT_EQ(Widened(Interval::bounded(0, 5), Interval::bounded(0, 7)),
+            Interval::atLeast(0));
+  EXPECT_TRUE(Widened(Interval::atLeast(0), Interval::atLeast(-2)).isTop());
+}
+
+TEST(AbsEnvTest, NegatedConjunctionNarrowsToTheJoin) {
+  // `assume !(a && b)` and `assume a || b` hold where one side does: the
+  // join of the two one-sided narrowings.
+  AstContext Ctx;
+  Symbol X = Ctx.sym("x");
+  const Expr *XRef = Ctx.tVar(X, Ctx.intType());
+  auto Cmp = [&](BinOp Op, int64_t C) {
+    return Ctx.tBinary(Op, XRef, Ctx.tInt(C));
+  };
+  AbsEnv E;
+  E.set(X, Interval::bounded(0, 10));
+  AbsEnv Neg = E;
+  Neg.assume(Ctx.tBinary(BinOp::And, Cmp(BinOp::Ge, 5), Cmp(BinOp::Ge, 3)),
+             /*Positive=*/false);
+  EXPECT_EQ(Neg.get(X), Interval::bounded(0, 4));
+  AbsEnv Or = E;
+  Or.assume(Ctx.tBinary(BinOp::Or, Cmp(BinOp::Le, 2), Cmp(BinOp::Le, 4)));
+  EXPECT_EQ(Or.get(X), Interval::bounded(0, 4));
+  // The failure branch of `assert x >= 1 && x <= 3` with x in [2,3] is
+  // unreachable.
+  AbsEnv Fail;
+  Fail.set(X, Interval::bounded(2, 3));
+  Fail.assume(Ctx.tBinary(BinOp::And, Cmp(BinOp::Ge, 1), Cmp(BinOp::Le, 3)),
+              /*Positive=*/false);
+  EXPECT_TRUE(Fail.isBottom());
+}
+
 //===----------------------------------------------------------------------===//
 // Whole-program analysis
 //===----------------------------------------------------------------------===//
@@ -279,6 +331,43 @@ TEST(IntervalAnalysis, WideningForcesConvergence) {
                         .get(A.Ctx.sym("g"));
   for (int64_t V = 0; V <= 5; ++V)
     EXPECT_TRUE(AtBump.contains(V)) << V; // all six contexts covered
+}
+
+TEST(IntervalAnalysis, WideningKeepsAGrowingCounterNonNegative) {
+  // The SDV drivers' shape: `state` starts at 0 and only grows, and a leaf
+  // asserts it stays non-negative. The leaf's first context (state 3)
+  // arrives in round 0; the one through four sequential calls (state 0-4)
+  // only in round 4, after widening has started. Its lower bound moves
+  // 3 -> 0, and widening stops there instead of at -inf, so the failure
+  // branch is dead and the analysis proves the query.
+  const char *Src = R"(
+    var state: int;
+    procedure main() {
+      state := 0;
+      if (*) {
+        state := state + 3;
+        call check();
+      } else {
+        call s1();
+        call s2();
+        call s3();
+        call s4();
+        call check();
+      }
+    }
+    procedure s1() { if (*) { state := state + 1; } }
+    procedure s2() { if (*) { state := state + 1; } }
+    procedure s3() { if (*) { state := state + 1; } }
+    procedure s4() { if (*) { state := state + 1; } }
+    procedure check() { assert state >= 0; }
+  )";
+  Lowered L(Src, 1);
+  ASSERT_TRUE(L);
+  IntervalAnalysis Analysis(L.Cfg, L.Root);
+  EXPECT_EQ(Analysis.entryEnv(L.Cfg.findProc(L.Ctx.sym("check")))
+                .get(L.Ctx.sym("state")),
+            Interval::atLeast(0));
+  EXPECT_TRUE(injectInvariants(L.Ctx, L.Cfg, L.Root, L.ErrVar).ProvesQuery);
 }
 
 TEST(IntervalAnalysis, DiamondSummariesJoin) {

@@ -158,7 +158,7 @@ TEST(BvSmt, TermsAndZ3Agree) {
   // x + 10 == 4 has the unique solution x == 250 (mod 256).
   S->assertTerm(A.mkEq(A.mkAdd(X, A.bvLit(10, Bv8)), A.bvLit(4, Bv8)));
   ASSERT_EQ(S->check(), SolveResult::Sat);
-  EXPECT_EQ(S->modelInt(X), 250);
+  EXPECT_EQ(S->modelNumeral(X), "250");
   // And unsigned comparison: 250 > 100.
   S->assertTerm(A.mkLt(A.bvLit(100, Bv8), X));
   EXPECT_EQ(S->check(), SolveResult::Sat);

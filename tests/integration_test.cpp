@@ -405,8 +405,8 @@ TEST(InvariantProof, NeverFiresOnABug) {
   Chains.print("chain");
 
   // On perfbench's own programs it fires on exactly the 7 safe chains,
-  // drivers 0, 2 and 6, and `loops` draws 5 and 11 (draws 0-37 hold
-  // perfbench's 20).
+  // drivers 0, 2, 6 and 8 (its four safe drivers), and `loops` draws 5 and
+  // 11 (draws 0-37 hold perfbench's 20).
   auto FiredAmong = [](const ProofTally &T, const std::string &Prefix,
                        unsigned Count) {
     std::vector<std::string> Out;
@@ -419,7 +419,10 @@ TEST(InvariantProof, NeverFiresOnABug) {
   EXPECT_EQ(FiredAmong(Loops, "rand", 38),
             (std::vector<std::string>{"rand5", "rand11"}));
   EXPECT_EQ(FiredAmong(Sdv, "drv", 10),
-            (std::vector<std::string>{"drv0", "drv2", "drv6"}));
+            (std::vector<std::string>{"drv0", "drv2", "drv6", "drv8"}));
+  // It fires on 25 of the 49 SDV programs, which is every safe one: 4
+  // perfbench drivers and 21 corpus drivers.
+  EXPECT_EQ(Sdv.Fired.size(), 25u);
   // Every safe chain (a firing on a buggy one fails check() above).
   EXPECT_EQ(Chains.Fired.size(), 29u);
 }

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <string>
 
 using namespace rmt;
 
@@ -181,7 +182,7 @@ TEST(Z3, SatAndUnsat) {
   TermRef X = A.freshConst(Ctx.intType(), "x");
   S->assertTerm(A.mkLt(A.intLit(0), X));
   EXPECT_EQ(S->check(), SolveResult::Sat);
-  EXPECT_GT(S->modelInt(X), 0);
+  EXPECT_GT(std::stoll(S->modelNumeral(X)), 0);
   S->assertTerm(A.mkLt(X, A.intLit(0)));
   EXPECT_EQ(S->check(), SolveResult::Unsat);
 }
@@ -199,7 +200,7 @@ TEST(Z3, PushPopRestoresState) {
   S->assertTerm(A.mkImplies(P, A.mkEq(X, A.intLit(6))));
   EXPECT_EQ(S->check({P}, 0), SolveResult::Unsat);
   EXPECT_EQ(S->check(), SolveResult::Sat);
-  EXPECT_EQ(S->modelInt(X), 5);
+  EXPECT_EQ(S->modelNumeral(X), "5");
 }
 
 TEST(Z3, ErrorMakesLaterChecksUnknown) {
@@ -224,8 +225,8 @@ TEST(Z3, ErrorMakesLaterChecksUnknown) {
 }
 
 TEST(Z3, WideModelValues) {
-  // Ints outside int64 saturate in modelInt and are exact in modelNumeral;
-  // bit-vector values of 2^63 or more wrap in modelInt.
+  // Ints outside int64 and bit-vector values of 2^63 or more are exact in
+  // modelNumeral (bit-vectors unsigned).
   AstContext Ctx;
   TermArena A;
   auto S = createZ3Solver(A);
@@ -238,11 +239,8 @@ TEST(Z3, WideModelValues) {
   S->assertTerm(A.mkEq(Small, A.mkSub(A.intLit(Min), A.intLit(1))));
   S->assertTerm(A.mkEq(Bv, A.bvLit(~uint64_t(0), Ctx.bvType(64))));
   ASSERT_EQ(S->check(), SolveResult::Sat);
-  EXPECT_EQ(S->modelInt(Big), Max);
   EXPECT_EQ(S->modelNumeral(Big), "9223372036854775808");
-  EXPECT_EQ(S->modelInt(Small), Min);
   EXPECT_EQ(S->modelNumeral(Small), "-9223372036854775809");
-  EXPECT_EQ(S->modelInt(Bv), -1);
   EXPECT_EQ(S->modelNumeral(Bv), "18446744073709551615");
 }
 
@@ -336,7 +334,6 @@ TEST(Z3, ModelAfterAssignmentIsExact) {
   S->assertTerm(A.mkEq(Big, A.mkAdd(A.intLit(Max), A.intLit(1))));
   ASSERT_EQ(S->check({P}, 0), SolveResult::Sat);
   EXPECT_TRUE(S->assignedTrue(P));
-  EXPECT_EQ(S->modelInt(X), -12);
   EXPECT_EQ(S->modelNumeral(X), "-12");
   EXPECT_EQ(S->modelNumeral(Big), "9223372036854775808");
   EXPECT_TRUE(S->modelBool(P));
@@ -358,13 +355,13 @@ TEST(Z3, ModelAndAssignmentFollowTheLastCheck) {
   ASSERT_EQ(S->check({Low}, 0), SolveResult::Sat);
   EXPECT_FALSE(S->assignedTrue(P));
   EXPECT_FALSE(S->modelBool(P));
-  EXPECT_LE(S->modelInt(X), 3);
+  EXPECT_LE(std::stoll(S->modelNumeral(X)), 3);
 
   S->assertTerm(A.mkEq(X, A.intLit(11)));
   ASSERT_EQ(S->check(), SolveResult::Sat);
   EXPECT_TRUE(S->assignedTrue(P));
   EXPECT_TRUE(S->modelBool(P));
-  EXPECT_EQ(S->modelInt(X), 11);
+  EXPECT_EQ(S->modelNumeral(X), "11");
 }
 
 TEST(Z3, UnknownSaysWhy) {
@@ -422,7 +419,7 @@ TEST(Z3, DeepTermTranslationIsIterative) {
     Sum = A.mkAdd(Sum, A.intLit(1));
   S->assertTerm(A.mkEq(Sum, A.intLit(200000)));
   ASSERT_EQ(S->check(), SolveResult::Sat);
-  EXPECT_EQ(S->modelInt(X), 0);
+  EXPECT_EQ(S->modelNumeral(X), "0");
 }
 
 TEST(Z3, TimeoutParameterDoesNotBreakEasyChecks) {
@@ -438,7 +435,7 @@ TEST(Z3, TimeoutParameterDoesNotBreakEasyChecks) {
   TermRef X = A.freshConst(Ctx.intType(), "x");
   S->assertTerm(A.mkEq(X, A.intLit(9)));
   EXPECT_EQ(S->check({}, 5.0), SolveResult::Sat);
-  EXPECT_EQ(S->modelInt(X), 9);
+  EXPECT_EQ(S->modelNumeral(X), "9");
   S->assertTerm(A.mkLt(X, A.intLit(0)));
   EXPECT_EQ(S->check({}, 0), SolveResult::Unsat);
 }

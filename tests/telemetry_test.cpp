@@ -725,6 +725,34 @@ TEST(TraceEndToEnd, SolverSpansNoteTheirOwnSearch) {
   EXPECT_GT(findArg(*Ends[1], "decisions")->Int, 0);
 }
 
+TEST(TraceEndToEnd, Z3ContextHasItsOwnSpans) {
+  // A verdict that reaches the engine creates one Z3 context before
+  // engine.run and deletes it after, each under its own span.
+  AstContext Ctx;
+  DiagEngine Diags;
+  std::optional<Program> Prog = parseAndCheck(PipelineSource, Ctx, Diags);
+  ASSERT_TRUE(Prog) << Diags.str();
+  Trace T;
+  T.setEnabled(true);
+  VerifierOptions Opts;
+  Opts.Bound = 1;
+  Opts.Engine.TimeoutSeconds = 60;
+  Opts.Telemetry = &T;
+  VerifierRunResult R = verifyProgram(Ctx, *Prog, Ctx.sym("main"), Opts);
+  ASSERT_GE(R.Result.NumSolverChecks, 1u);
+  std::vector<std::string> Order;
+  for (size_t I = 0; I < T.numEvents(); ++I) {
+    const TraceEvent &E = T.event(I);
+    if (E.Ph == TraceEvent::Phase::Begin &&
+        (E.Name == "z3.context_new" || E.Name == "engine.run" ||
+         E.Name == "z3.context_delete"))
+      Order.push_back(E.Name);
+  }
+  EXPECT_EQ(Order, (std::vector<std::string>{"z3.context_new", "engine.run",
+                                             "z3.context_delete"}));
+  EXPECT_EQ(T.openSpans(), 0u);
+}
+
 TEST(TraceEndToEnd, DisabledTraceRecordsNothingOnRealRun) {
   AstContext Ctx;
   DiagEngine Diags;
