@@ -11,14 +11,15 @@
 //
 // For each configuration we report the program size the engine sees, the
 // size of the fully inlined VC (hash-consed term count) and the end-to-end
-// DI verify time. A pipeline that fails to run (an unknown pass name, a
-// --verify-each violation) makes the bench exit nonzero instead of measuring
-// an unreduced program, and so does a VC size cut short by the inlining cap.
+// DI verify time. A pipeline that fails to run (a --verify-each violation)
+// makes the bench exit nonzero instead of measuring an unreduced program,
+// and so does a VC size cut short by the inlining cap.
 // Knobs: RMT_BENCH_TIMEOUT, RMT_BENCH_COUNT (see BenchCommon.h).
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "analysis/PassManager.h"
 #include "support/Table.h"
 
 #include <cstdio>
@@ -85,13 +86,16 @@ int main() {
   double Timeout = envTimeout(10);
   unsigned Count = envCount(12);
 
+  // The default configuration is -Inv: the structural passes alone.
+  std::string DefaultPasses = passNames(prepassPipeline(/*Invariants=*/false));
+
   std::vector<SdvInstance> Corpus =
       makeSdvCorpus(/*Seed=*/2015, Count, /*BugFraction=*/110);
 
   std::printf("Prepass ablation — %u SDV-like instances, DI (First), "
               "bound 1, timeout %.0fs\n"
               "default = %s\n\n",
-              Count, Timeout, DefaultPrepassPasses);
+              Count, Timeout, DefaultPasses.c_str());
 
   Table T({"Instance", "Terms off", "Terms default", "Labels off",
            "Labels default", "Time off(s)", "Time default(s)", "Verdict"});
@@ -157,7 +161,7 @@ int main() {
   writeBenchJson("prepass", T,
                  {{"count", std::to_string(Count)},
                   {"timeout_s", std::to_string(Timeout)},
-                  {"default_passes", DefaultPrepassPasses},
+                  {"default_passes", DefaultPasses},
                   {"terms_off", std::to_string(TermsOff)},
                   {"terms_default", std::to_string(TermsDefault)},
                   {"labels_off", std::to_string(LabelsOff)},

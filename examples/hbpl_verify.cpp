@@ -6,17 +6,16 @@
 //
 //   hbpl_verify FILE.hbpl [--entry NAME] [--bound N] [--strategy S]
 //               [--timeout SECS] [--no-inv] [--eager] [--paper-pvc]
-//               [--no-prepass] [--passes LIST] [--verify-each]
-//               [--print-after-all] [--list-passes] [--lint]
-//               [--dump-cfg] [--dump-dag] [--trace-out FILE]
+//               [--no-prepass] [--verify-each] [--print-after-all]
+//               [--lint] [--dump-cfg] [--dump-dag] [--trace-out FILE]
 //               [--stats-json FILE] [--stats]
 //
 // --bound takes an integer >= 1 (default 2) and --timeout a finite number
 // of seconds >= 0 (default 300; 0 turns the limit off); anything else is a
-// usage error. --passes takes a comma-separated list from the prepass pass
-// table (PassManager.h), which --list-passes prints one pass per line.
-// Interval invariants (+Inv, the `inv` pass) run after that pipeline by
-// default; --no-inv turns them off and --no-prepass runs no pass at all.
+// usage error. The prepass is one fixed sequence (PassManager.h): query
+// slicing, skip splicing and dead-procedure elimination, then interval
+// invariants (+Inv, the `inv` pass); --no-inv leaves out `inv` and
+// --no-prepass runs no pass at all.
 //
 // --paper-pvc generates the paper's literal Fig. 8 pVCs instead of the
 // default passified ones (same verdicts; see PvcMode).
@@ -37,13 +36,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Lint.h"
-#include "analysis/PassManager.h"
 #include "core/DotExport.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
 #include "support/Trace.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -52,7 +49,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <string_view>
 
 using namespace rmt;
 
@@ -91,10 +87,9 @@ int usage() {
                "usage: hbpl_verify FILE.hbpl [--entry NAME] [--bound N] "
                "[--strategy none|first|random|randompick|maxc|opt] "
                "[--timeout SECS] [--no-inv] [--eager] [--paper-pvc] "
-               "[--no-prepass] [--passes LIST] [--verify-each] "
-               "[--print-after-all] [--list-passes] [--lint] [--dump-cfg] "
-               "[--dump-dag] [--trace-out FILE] [--stats-json FILE] "
-               "[--stats]\n");
+               "[--no-prepass] [--verify-each] [--print-after-all] [--lint] "
+               "[--dump-cfg] [--dump-dag] [--trace-out FILE] "
+               "[--stats-json FILE] [--stats]\n");
   return 1;
 }
 
@@ -168,25 +163,10 @@ int main(int argc, char **argv) {
       Opts.Engine.Pvc = PvcMode::Paper;
     } else if (Arg == "--no-prepass") {
       Opts.UsePrepass = false;
-    } else if (Arg == "--passes") {
-      const char *V = Value();
-      if (!V)
-        return usage();
-      Opts.Prepass.Passes = V;
-      std::string Error;
-      if (!parsePassSpec(Opts.Prepass.Passes, &Error)) {
-        std::fprintf(stderr, "error: %s\n", Error.c_str());
-        return 1;
-      }
     } else if (Arg == "--verify-each") {
       Opts.Prepass.VerifyEach = true;
     } else if (Arg == "--print-after-all") {
       Opts.Prepass.PrintAfterAll = true;
-    } else if (Arg == "--list-passes") {
-      for (const PassInfo &P : BuiltinPasses)
-        std::printf("%-12s %s\n", std::string(P.Name).c_str(),
-                    std::string(P.Description).c_str());
-      return 0;
     } else if (Arg == "--trace-out") {
       const char *V = Value();
       if (!V)
@@ -328,18 +308,13 @@ int main(int argc, char **argv) {
     std::printf("reason:    %s\n", R.Result.Reason.c_str());
   std::printf("bound:     %u\n", Opts.Bound);
   std::printf("asserts:   %u\n", R.NumAsserts);
-  // A pass ran iff the pipeline counted a run of it.
-  auto Ran = [&](std::string_view Name) {
-    return R.PrepassStats.get("pass." + std::string(Name) + ".runs") > 0;
-  };
-  if (std::any_of(BuiltinPasses.begin(), BuiltinPasses.end(),
-                  [&](const PassInfo &P) { return Ran(P.Name); }))
+  if (Opts.UsePrepass)
     std::printf("prepass:   %s\n", R.Prepass.str().c_str());
   std::printf("inlined:   %zu procedure instances (%zu merged calls)\n",
               R.Result.NumInlined, R.Result.NumMerged);
   std::printf("checks:    %zu solver calls in %zu iterations\n",
               R.Result.NumSolverChecks, R.Result.NumIterations);
-  if (Ran("inv"))
+  if (Opts.UsePrepass && Opts.Prepass.Invariants)
     std::printf("invariants: %u conjuncts injected\n",
                 R.Prepass.InvariantConjuncts);
   std::printf("time:      %.3fs (merge lookups %.4fs, %llu Disj_blk "

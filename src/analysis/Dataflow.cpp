@@ -399,8 +399,6 @@ void PrepassReport::record(Stats &S) const {
   S.add("prepass.calls.elided", ElidedCalls);
   S.add("prepass.procs.dead", DeadProcs);
   S.add("prepass.inv.conjuncts", InvariantConjuncts);
-  S.add("prepass.audit.deadstores", AuditDeadStores);
-  S.add("prepass.audit.unreachable", AuditUnreachableLabels);
 }
 
 std::string PrepassReport::str() const {
@@ -413,10 +411,6 @@ std::string PrepassReport::str() const {
          std::to_string(SplicedLabels) + ", elided calls " +
          std::to_string(ElidedCalls) + ", dead procs " +
          std::to_string(DeadProcs) + ")";
-  if (AuditDeadStores + AuditUnreachableLabels != 0)
-    Out += " [lint audit: " + std::to_string(AuditDeadStores) +
-           " dead stores, " + std::to_string(AuditUnreachableLabels) +
-           " unreachable labels]";
   if (!PipelineErrors.empty())
     Out += " PIPELINE ABORTED: " + PipelineErrors.front();
   return Out;

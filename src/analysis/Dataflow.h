@@ -267,18 +267,13 @@ std::vector<bool> entryReachableLabels(const CfgProgram &Prog);
 // The verification prepass
 //===----------------------------------------------------------------------===//
 
-/// The default prepass pipeline (see PassManager.h for the passes).
-inline constexpr const char *DefaultPrepassPasses = "slice,splice,deadproc";
-
-/// Prepass configuration: one pipeline spec plus pipeline-level knobs.
+/// Prepass configuration. The passes are fixed (PassManager.h); these are
+/// the pipeline-level knobs.
 struct PrepassOptions {
-  /// Append interval-invariant injection (the paper's +Inv, the best row of
-  /// Fig. 12) as the last pass. On by default; a -Inv configuration sets it
-  /// to false.
+  /// Run interval-invariant injection (the paper's +Inv, the best row of
+  /// Fig. 12) after the structural passes. On by default; a -Inv
+  /// configuration sets it to false.
   bool Invariants = true;
-  /// Comma-separated pipeline spec, e.g. "slice,splice". Empty runs no pass
-  /// (except `inv` under Invariants).
-  std::string Passes = DefaultPrepassPasses;
   /// Run the structural CFG verifier (VerifyCfg.h) on the input and after
   /// every pass; any violation aborts the pipeline. Builds with assertions
   /// enabled (no NDEBUG) always verify.
@@ -288,10 +283,6 @@ struct PrepassOptions {
   /// Optional event recorder (support/Trace.h): the pipeline runs under a
   /// "prepass.pipeline" span with per-pass child spans.
   Trace *Telemetry = nullptr;
-
-  /// The pipeline this configuration runs: Passes, then `inv` under
-  /// Invariants unless Passes already runs it.
-  std::string spec() const;
 };
 
 /// What the prepass did, for Stats and reporting.
@@ -311,13 +302,8 @@ struct PrepassReport {
   /// The inv pass proved the query unreachable (InvariantReport::
   /// ProvesQuery): the program needs no engine run. Never set without +Inv.
   bool InvariantsProveQuery = false;
-  /// Lint-audit pass: assignments no later statement can observe — residual
-  /// dead stores the transforming passes left behind (read-only diagnostic).
-  unsigned AuditDeadStores = 0;
-  /// Lint-audit pass: labels unreachable from their procedure's entry.
-  unsigned AuditUnreachableLabels = 0;
-  /// Structural-verifier diagnostics (--verify-each) or a pipeline
-  /// configuration error; nonempty means the pipeline aborted early and the
+  /// Structural-verifier diagnostics (--verify-each) or a front-end refusal
+  /// (lowerInstance); nonempty means the pipeline aborted early and the
   /// program must not be trusted.
   std::vector<std::string> PipelineErrors;
 
@@ -344,10 +330,10 @@ unsigned dropDeadProcs(CfgProgram &Prog, ProcId &Root);
 /// Returns the number of labels removed.
 unsigned spliceSkips(CfgProgram &Prog);
 
-/// Runs the prepass pipeline Opts.spec() on \p Prog rooted at \p Root. The
-/// default is
+/// Runs the prepass on \p Prog rooted at \p Root:
 ///
 ///   query slicing  →  skip splicing  →  dead-procedure elimination
+///   [→ interval-invariant injection, under Opts.Invariants]
 ///
 /// executed through the pass manager (PassManager.h), which times each pass
 /// into \p S (when given) and re-verifies the structural invariants after
@@ -359,8 +345,8 @@ unsigned spliceSkips(CfgProgram &Prog);
 /// Every transformation is verdict-preserving: the pruned program has a
 /// terminating $err-execution iff the original does, and every surviving
 /// counterexample is a counterexample of the original. Check
-/// PrepassReport::ok() — a pipeline configuration error or verifier failure
-/// leaves diagnostics in PipelineErrors.
+/// PrepassReport::ok() — a verifier failure leaves diagnostics in
+/// PipelineErrors.
 PrepassReport runPrepass(AstContext &Ctx, CfgProgram &Prog, ProcId &Root,
                          std::optional<Symbol> ErrGlobal,
                          const PrepassOptions &Opts = {},

@@ -6,33 +6,24 @@
 ///
 /// \file
 /// The pass layer over the lowered label form. Every prepass transformation
-/// is one entry of a constant table (BuiltinPasses) with a stable name, so
-/// pipelines can be assembled from CLI strings (`--passes slice,splice`)
-/// by parsePassSpec() and run by one loop, runPasses(), which times and
-/// counts each pass, prints the program after every step
-/// (`--print-after-all`), and re-verifies it against the Fig. 7 structural
-/// invariants after every step (`--verify-each`, see VerifyCfg.h) — the
-/// discipline LLVM's pass manager and Boogie's `/trace` stack apply to their
-/// own IRs.
+/// is one entry of a constant table (BuiltinPasses) with a stable name, and
+/// one loop, runPasses(), runs a list of them: it times and counts each
+/// pass, prints the program after every step (`--print-after-all`), and
+/// re-verifies it against the Fig. 7 structural invariants after every step
+/// (`--verify-each`, see VerifyCfg.h) — the discipline LLVM's pass manager
+/// and Boogie's `/trace` stack apply to their own IRs.
 ///
-/// Builtin passes (table order; the first three, in this order, are the
-/// default pipeline DefaultPrepassPasses):
+/// Builtin passes, in table order, which is the one prepass sequence:
 ///
 ///   slice    — cone-of-influence query slicing (Slicer.h)
 ///   splice   — splice `assume true` skip labels out of the flow graph and
 ///              sweep labels unreachable from their procedure's entry
 ///   deadproc — drop procedures unreachable from the root
-///   lint     — read-only audit of residual dead stores and unreachable
-///              labels; not part of the default pipeline (the AST-level
-///              `--lint` hygiene checks live in Lint.h — this pass audits
-///              what the transforming passes left behind)
-///   inv      — interval-invariant injection (InvariantGen.h); not part of
-///              the default pipeline, appended by +Inv configurations
+///   inv      — interval-invariant injection (InvariantGen.h), the paper's
+///              +Inv; runs only under PrepassOptions::Invariants
 ///
-/// The prepass is configured by one spec string (PrepassOptions::Passes):
-/// `--no-prepass` is the empty spec, and +Inv appends `inv`. runPrepass()
-/// (Dataflow.h) parses that spec against the table and runs it; tests run a
-/// fake pass by parsing against a table of their own.
+/// runPrepass() (Dataflow.h) runs prepassPipeline(); tests run other lists,
+/// and fake passes, through runPasses() directly.
 ///
 /// Passes mutate the program through a PassContext and accumulate their
 /// reduction counters into the shared PrepassReport (Dataflow.h), which keeps
@@ -69,23 +60,22 @@ struct PassContext {
 
 /// A verdict-preserving transformation over the lowered program.
 struct PassInfo {
-  /// CLI spelling.
+  /// Name in spans and "pass.<name>.*" stats keys.
   std::string_view Name;
-  /// One-line description for --list-passes.
-  std::string_view Description;
   /// Runs the pass; returns true when the program changed.
   bool (*Run)(PassContext &PC);
 };
 
-/// The builtin passes, in default-pipeline order (see the file comment).
+/// The builtin passes, in pipeline order with `inv` last (see the file
+/// comment).
 extern const std::span<const PassInfo> BuiltinPasses;
 
-/// Parses a comma-separated pass list against \p Table; blanks around names
-/// and empty items are ignored. Returns nullopt and sets \p Error to
-/// "unknown pass 'X' (available: ...)" on a name not in the table.
-std::optional<std::vector<const PassInfo *>>
-parsePassSpec(std::string_view Spec, std::string *Error = nullptr,
-              std::span<const PassInfo> Table = BuiltinPasses);
+/// The passes runPrepass runs: the structural passes, then `inv` when
+/// \p Invariants is set.
+std::span<const PassInfo> prepassPipeline(bool Invariants);
+
+/// The names of \p Passes, comma-separated ("slice,splice,deadproc").
+std::string passNames(std::span<const PassInfo> Passes);
 
 /// Runs \p Pipeline in order, each pass under a "pass.<name>" span of
 /// \p Telemetry. Per-pass wall time and change counters land in \p S (when
@@ -95,7 +85,7 @@ parsePassSpec(std::string_view Spec, std::string *Error = nullptr,
 /// the first violation stops the pipeline. Returns those diagnostics (empty
 /// on success).
 std::vector<std::string> runPasses(PassContext &PC,
-                                   std::span<const PassInfo *const> Pipeline,
+                                   std::span<const PassInfo> Pipeline,
                                    bool VerifyEach, bool PrintAfterAll,
                                    Trace *Telemetry, Stats *S);
 

@@ -8,14 +8,6 @@ using namespace rmt;
 // Relevance closure
 //===----------------------------------------------------------------------===//
 
-Relevance::Relevance(const VarSlots &Slots)
-    : Slots(&Slots), RelGlobals(Slots.numGlobals()) {
-  size_t NumProcs = Slots.program().Procs.size();
-  RelLocals.reserve(NumProcs);
-  for (ProcId P = 0; P < NumProcs; ++P)
-    RelLocals.emplace_back(Slots.numSlots(P));
-}
-
 bool Relevance::mark(ProcId P, uint32_t S) {
   Bitset &B = S < Slots->numGlobals() ? RelGlobals : RelLocals[P];
   if (B.test(S))
@@ -25,8 +17,12 @@ bool Relevance::mark(ProcId P, uint32_t S) {
 }
 
 Relevance::Relevance(const VarSlots &Slots, std::optional<Symbol> ErrGlobal)
-    : Relevance(Slots) {
+    : Slots(&Slots), RelGlobals(Slots.numGlobals()) {
   const CfgProgram &Prog = Slots.program();
+  RelLocals.reserve(Prog.Procs.size());
+  for (ProcId P = 0; P < Prog.Procs.size(); ++P)
+    RelLocals.emplace_back(Slots.numSlots(P));
+
   auto MarkReads = [&](ProcId P, VarSlots::Slots Reads) {
     bool Any = false;
     for (uint32_t S : Reads)
@@ -72,20 +68,6 @@ Relevance::Relevance(const VarSlots &Slots, std::optional<Symbol> ErrGlobal)
           Changed |= MarkReads(P, Slots.reads(L, I));
     }
   }
-}
-
-Relevance Relevance::all(const VarSlots &Slots) {
-  Relevance Rel(Slots);
-  for (unsigned G = 0; G < Slots.numGlobals(); ++G)
-    Rel.RelGlobals.set(G);
-  const CfgProgram &Prog = Slots.program();
-  for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
-    for (unsigned I = 0; I < Prog.proc(P).Returns.size(); ++I)
-      Rel.mark(P, Slots.returnSlot(P, I));
-    for (unsigned I = 0; I < Prog.proc(P).Params.size(); ++I)
-      Rel.mark(P, Slots.paramSlot(P, I));
-  }
-  return Rel;
 }
 
 //===----------------------------------------------------------------------===//

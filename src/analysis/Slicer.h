@@ -60,10 +60,6 @@ public:
   /// termination reachability). \p Slots must outlive the Relevance.
   Relevance(const VarSlots &Slots, std::optional<Symbol> ErrGlobal);
 
-  /// Every global, parameter and return variable relevant: liveness under
-  /// it observes everything a caller or the exit state can see.
-  static Relevance all(const VarSlots &Slots);
-
   /// Is \p V (seen from procedure \p P) relevant to the query?
   bool relevant(ProcId P, Symbol V) const {
     uint32_t S = Slots->slot(P, V);
@@ -81,8 +77,6 @@ public:
   const Bitset &relevantGlobals() const { return RelGlobals; }
 
 private:
-  explicit Relevance(const VarSlots &Slots);
-
   /// Marks slot \p S of \p P relevant; true when it was not yet.
   bool mark(ProcId P, uint32_t S);
 

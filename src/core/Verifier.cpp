@@ -18,6 +18,11 @@ LoweredInstance rmt::lowerInstance(AstContext &Ctx, const Program &Prog,
     Out.Prepass.PipelineErrors.push_back("bound must be at least 1");
     return {};
   }
+  if (!Prog.findProc(Entry)) {
+    Out.Prepass.PipelineErrors.push_back("no procedure named '" +
+                                         Ctx.name(Entry) + "'");
+    return {};
+  }
   TraceSpan BoundSpan(Opts.Telemetry, "verify.bound");
   BoundedInstance Instance = prepareBounded(Ctx, Prog, Entry, Opts.Bound);
   BoundSpan.close();
@@ -36,13 +41,9 @@ LoweredInstance rmt::lowerInstance(AstContext &Ctx, const Program &Prog,
   L.Entry = L.Cfg.findProc(Instance.Entry);
   assert(L.Entry != InvalidProc && "entry lost during lowering");
 
-  // One pipeline spec: --no-prepass runs no pass unless +Inv is forced.
-  PrepassOptions PO = Opts.Prepass;
-  if (!Opts.UsePrepass)
-    PO.Passes.clear();
-  PO.Invariants =
-      (Opts.UsePrepass && PO.Invariants) || Opts.UseInvariants;
-  if (!PO.spec().empty()) {
+  if (Opts.UsePrepass) {
+    PrepassOptions PO = Opts.Prepass;
+    PO.Invariants = PO.Invariants || Opts.UseInvariants;
     if (!PO.Telemetry)
       PO.Telemetry = Opts.Telemetry;
     Out.Prepass =
@@ -65,9 +66,9 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
                        {{"entry", Ctx.name(Entry)}, {"bound", Opts.Bound}});
   LoweredInstance L = lowerInstance(Ctx, Prog, Entry, Opts, Out);
   if (!Out.Prepass.ok()) {
-    // A pass broke a structural invariant (--verify-each) or the pipeline
-    // spec did not parse: the rewritten program cannot be trusted, so
-    // refuse to solve it rather than risk a wrong verdict.
+    // The front end refused the instance (bound 0, unknown entry) or a pass
+    // broke a structural invariant (--verify-each): the program cannot be
+    // trusted, so refuse to solve it rather than risk a wrong verdict.
     Out.Result.Outcome = Verdict::Unknown;
     Out.Result.Reason = "prepass: " + Out.Prepass.PipelineErrors.front();
     return Out;

@@ -34,20 +34,20 @@ struct VerifierOptions {
   /// Loop-iteration / recursion-depth bound R; at least 1 (lowerInstance
   /// refuses 0).
   unsigned Bound = 2;
-  /// Force the interval-invariant pass ("+Inv" of Section 4) on, even
-  /// without the prepass. Prepass.Invariants already runs it by default;
-  /// a -Inv configuration clears that instead.
+  /// Force the interval-invariant pass ("+Inv" of Section 4) on: ORed into
+  /// Prepass.Invariants, which already runs it by default (a -Inv
+  /// configuration clears that instead). No effect under !UsePrepass.
   bool UseInvariants = false;
-  /// Run the prepass pipeline (Prepass.spec(): by default query slicing,
-  /// skip splicing, dead-procedure elimination and invariant injection) on
-  /// the lowered program before the engine. On by default; false (the
-  /// CLI's --no-prepass) runs no pass at all unless +Inv is forced above,
-  /// so the engine sees the program exactly as it was lowered. A pipeline
-  /// failure (--verify-each violation or a bad --passes spec) makes the run
-  /// return Verdict::Unknown with diagnostics in Prepass.PipelineErrors
-  /// rather than solve a possibly-miscompiled program.
+  /// Run the prepass (query slicing, skip splicing, dead-procedure
+  /// elimination, then invariant injection under +Inv) on the lowered
+  /// program before the engine. On by default; false (the CLI's
+  /// --no-prepass) runs no pass at all, so the engine sees the program
+  /// exactly as it was lowered. A pipeline failure (a --verify-each
+  /// violation) makes the run return Verdict::Unknown with diagnostics in
+  /// Prepass.PipelineErrors rather than solve a possibly-miscompiled
+  /// program.
   bool UsePrepass = true;
-  /// Pipeline spec and knobs (ignored when !UsePrepass).
+  /// Prepass knobs (ignored when !UsePrepass).
   PrepassOptions Prepass;
   /// Engine configuration (strategy, timeout, eager mode, limits).
   EngineOptions Engine;
@@ -86,11 +86,11 @@ struct LoweredInstance {
 };
 
 /// The front end of verifyProgram: bounds \p Prog at Opts.Bound, lowers it
-/// and runs the prepass pipeline Opts asks for (Prepass.spec(); nothing,
-/// or only `inv` when forced, under !UsePrepass). Fills the front-end
-/// fields of \p Out (sizes and the prepass report). When Out.Prepass is not
-/// ok the returned program may be miscompiled and must not be solved; a
-/// bound of 0 is refused that way, with an empty program.
+/// and, under Opts.UsePrepass, runs the prepass. Fills the front-end fields
+/// of \p Out (sizes and the prepass report). When Out.Prepass is not ok the
+/// returned program may be miscompiled and must not be solved; a bound of 0
+/// and an \p Entry that \p Prog does not define are refused that way, with
+/// an empty program.
 LoweredInstance lowerInstance(AstContext &Ctx, const Program &Prog,
                               Symbol Entry, const VerifierOptions &Opts,
                               VerifierRunResult &Out);

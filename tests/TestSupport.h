@@ -8,18 +8,24 @@
 /// Parsing and lowering helpers shared by the test files. Bounded lowering
 /// goes through the verifier's own front end (lowerInstance) with the
 /// prepass off, so a test sees the program the prepass and engine start
-/// from.
+/// from; passList() builds other pass orders for runPasses().
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RMT_TESTS_TESTSUPPORT_H
 #define RMT_TESTS_TESTSUPPORT_H
 
+#include "analysis/PassManager.h"
 #include "cfg/Lower.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <initializer_list>
+#include <string_view>
+#include <vector>
 
 namespace rmt {
 
@@ -44,6 +50,22 @@ inline CfgProgram lower(AstContext &Ctx, const Program &P, ProcId &Root,
   ErrVar = L.ErrVar;
   EXPECT_NE(Root, InvalidProc);
   return std::move(L.Cfg);
+}
+
+/// The builtin passes named by \p Names, in that order and with repeats, for
+/// runPasses(). A name not in BuiltinPasses fails the test.
+inline std::vector<PassInfo>
+passList(std::initializer_list<std::string_view> Names) {
+  std::vector<PassInfo> Out;
+  for (std::string_view Name : Names) {
+    auto It = std::find_if(BuiltinPasses.begin(), BuiltinPasses.end(),
+                           [&](const PassInfo &P) { return P.Name == Name; });
+    if (It == BuiltinPasses.end())
+      ADD_FAILURE() << "no builtin pass '" << Name << "'";
+    else
+      Out.push_back(*It);
+  }
+  return Out;
 }
 
 /// A parsed and lowered source program: bounded from `main` at \p Bound, or

@@ -405,42 +405,38 @@ private:
 };
 
 /// Solves the dense and the reference liveness on every procedure of
-/// \p Prog, under the query relevance and under Relevance::all, and expects
-/// the same pre- and post-state at every label. Returns the largest
-/// procedure's slot count.
+/// \p Prog under the query relevance, and expects the same pre- and
+/// post-state at every label. Returns the largest procedure's slot count.
 unsigned expectLivenessAgrees(const AstContext &Ctx, const CfgProgram &Prog,
                               Symbol Err, const std::string &What) {
   VarSlots Slots(Prog);
   std::vector<ProcEffects> FX = computeProcEffects(Slots);
   std::vector<std::set<Symbol>> Use = RefLiveness::useGlobals(Prog);
+  Relevance Rel(Slots, Err);
+  DataflowSolver<QueryLiveness> Dense;
+  DataflowSolver<RefLiveness> Ref;
   unsigned MaxSlots = 0;
-  for (bool All : {false, true}) {
-    Relevance Rel = All ? Relevance::all(Slots) : Relevance(Slots, Err);
-    DataflowSolver<QueryLiveness> Dense;
-    DataflowSolver<RefLiveness> Ref;
-    for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
-      MaxSlots = std::max(MaxSlots, Slots.numSlots(P));
-      ProcFlow Flow(Prog, P);
-      QueryLiveness A(Slots, Rel, FX, P);
-      RefLiveness B(Prog, Rel, Use, P);
-      Dense.solve(Flow, A);
-      Ref.solve(Flow, B);
-      auto Same = [&](const Bitset &D, const std::set<Symbol> &R,
-                      LabelId L, const char *Side) {
-        bool Ok = D.count() == R.size();
-        for (Symbol V : R)
-          Ok &= A.live(D, V);
-        EXPECT_TRUE(Ok) << What << (All ? " (all relevant)" : "") << ": "
-                        << Side << "(L" << L << ") in "
-                        << Ctx.name(Prog.proc(P).Name) << " has "
-                        << D.count() << " live, reference " << R.size();
-        return Ok;
-      };
-      for (LabelId L : Prog.proc(P).Labels)
-        if (!Same(Dense.pre(L), Ref.pre(L), L, "pre") ||
-            !Same(Dense.post(L), Ref.post(L), L, "post"))
-          return MaxSlots;
-    }
+  for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
+    MaxSlots = std::max(MaxSlots, Slots.numSlots(P));
+    ProcFlow Flow(Prog, P);
+    QueryLiveness A(Slots, Rel, FX, P);
+    RefLiveness B(Prog, Rel, Use, P);
+    Dense.solve(Flow, A);
+    Ref.solve(Flow, B);
+    auto Same = [&](const Bitset &D, const std::set<Symbol> &R, LabelId L,
+                    const char *Side) {
+      bool Ok = D.count() == R.size();
+      for (Symbol V : R)
+        Ok &= A.live(D, V);
+      EXPECT_TRUE(Ok) << What << ": " << Side << "(L" << L << ") in "
+                      << Ctx.name(Prog.proc(P).Name) << " has " << D.count()
+                      << " live, reference " << R.size();
+      return Ok;
+    };
+    for (LabelId L : Prog.proc(P).Labels)
+      if (!Same(Dense.pre(L), Ref.pre(L), L, "pre") ||
+          !Same(Dense.post(L), Ref.post(L), L, "post"))
+        return MaxSlots;
   }
   return MaxSlots;
 }
@@ -580,9 +576,11 @@ TEST(Prepass, SlicesDeadMapStores) {
   EXPECT_FALSE(Rel.relevantGlobal(Ctx.sym("log")));
 
   // Slice in isolation: the dead log store goes, the live data store stays.
-  PrepassOptions SliceOnly;
-  SliceOnly.Passes = "slice";
-  PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, SliceOnly);
+  PrepassReport R;
+  PassContext PC{Ctx, Cfg, Root, Err, R};
+  EXPECT_TRUE(runPasses(PC, passList({"slice"}), /*VerifyEach=*/true, false,
+                        nullptr, nullptr)
+                  .empty());
   EXPECT_GT(R.SlicedStmts, 0u);
   bool SawDataStore = false, SawLogStore = false;
   for (const CfgLabel &L : Cfg.Labels)

@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestSupport.h"
 #include "ast/Eval.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
@@ -512,37 +513,42 @@ TEST(EndToEnd, AccountDoubleOpenBug) {
 
 namespace {
 
-void expectPrepassAgrees(AstContext &Ctx, const Program &P, unsigned Bound,
-                         const std::string &What,
-                         const std::string &Passes = DefaultPrepassPasses) {
-  VerifierOptions On = optsFor(MergeStrategyKind::First, Bound);
-  // The structural passes alone (-Inv): `inv` adds labels, and the
-  // InvariantSoundness/InvariantDifferential suites check it.
-  On.Prepass.Invariants = false;
-  // Re-check the Fig. 7 structural invariants after every pass: any pipeline
-  // configuration that corrupts the label form fails here, not downstream.
-  On.Prepass.VerifyEach = true;
-  On.Prepass.Passes = Passes;
-  VerifierOptions Off = On;
-  Off.UsePrepass = false;
-  auto ROn = verifyProgram(Ctx, P, Ctx.sym("main"), On);
-  auto ROff = verifyProgram(Ctx, P, Ctx.sym("main"), Off);
-  ASSERT_TRUE(ROn.Prepass.ok())
-      << "pipeline aborted on " << What << ": "
-      << (ROn.Prepass.PipelineErrors.empty()
-              ? std::string("<no diagnostics>")
-              : ROn.Prepass.PipelineErrors.front());
+/// Runs \p Passes (by default the structural prepass, -Inv: `inv` adds
+/// labels, and the InvariantSoundness/InvariantDifferential suites check it)
+/// on the bounded program and expects the engine's verdict on the result to
+/// equal its verdict with no prepass.
+void expectPrepassAgrees(
+    AstContext &Ctx, const Program &P, unsigned Bound, const std::string &What,
+    std::span<const PassInfo> Passes = prepassPipeline(false)) {
+  VerifierOptions Opts = optsFor(MergeStrategyKind::First, Bound);
+  Opts.UsePrepass = false;
+  auto ROff = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
   ASSERT_TRUE(ROff.Result.Outcome == Verdict::Safe ||
               ROff.Result.Outcome == Verdict::Bug)
       << "unexpected baseline verdict on " << What;
-  EXPECT_EQ(ROn.Result.Outcome, ROff.Result.Outcome)
+
+  VerifierRunResult Front;
+  LoweredInstance L = lowerInstance(Ctx, P, Ctx.sym("main"), Opts, Front);
+  size_t Labels = L.Cfg.Labels.size(), Procs = L.Cfg.Procs.size();
+  // Re-check the Fig. 7 structural invariants after every pass: any pass
+  // order that corrupts the label form fails here, not downstream.
+  PrepassReport Report;
+  PassContext PC{Ctx, L.Cfg, L.Entry, L.ErrVar, Report};
+  std::vector<std::string> Errors =
+      runPasses(PC, Passes, /*VerifyEach=*/true, false, nullptr, nullptr);
+  ASSERT_TRUE(Errors.empty())
+      << "pipeline aborted on " << What << ": " << Errors.front();
+  // The prepass never grows the program.
+  EXPECT_LE(L.Cfg.Labels.size(), Labels);
+  EXPECT_LE(L.Cfg.Procs.size(), Procs);
+
+  VerifyResult ROn =
+      solveReachability(Ctx, L.Cfg, L.Entry, L.ErrVar, Opts.Engine);
+  EXPECT_EQ(ROn.Outcome, ROff.Result.Outcome)
       << "prepass changed the verdict on " << What;
-  // The prepass never grows the program, and a Bug verdict still comes with
-  // a feasible rendered counterexample.
-  EXPECT_LE(ROn.NumLabelsSolved, ROn.NumLabels);
-  EXPECT_LE(ROn.NumProcsSolved, ROn.NumProcs);
-  if (ROn.Result.Outcome == Verdict::Bug) {
-    EXPECT_FALSE(ROn.TraceText.empty()) << What;
+  // A Bug verdict still comes with a feasible rendered counterexample.
+  if (ROn.Outcome == Verdict::Bug) {
+    EXPECT_FALSE(renderTrace(Ctx, L.Cfg, ROn.Trace).empty()) << What;
   }
 }
 
@@ -600,15 +606,22 @@ TEST(PrepassDifferentialPipelines, PermutationsAgreeUnderVerifyEach) {
   // Every pass is individually verdict-preserving, so any ordering (and any
   // repetition) must agree with the no-prepass baseline; --verify-each keeps
   // each step honest about the label-form invariants along the way.
-  const char *Specs[] = {
-      "splice,slice,deadproc",           // splice before slice
-      "deadproc,slice,splice",           // deadproc first
-      "splice,slice,splice,deadproc",    // splice around slice
-      "slice,slice,splice,splice",       // idempotence
-      "deadproc,splice,deadproc,splice", // reductions only, repeated
-      "slice",                           // a single pass, skips left in place
+  const std::vector<PassInfo> Orders[] = {
+      // splice before slice
+      passList({"splice", "slice", "deadproc"}),
+      // deadproc first
+      passList({"deadproc", "slice", "splice"}),
+      // splice around slice
+      passList({"splice", "slice", "splice", "deadproc"}),
+      // idempotence
+      passList({"slice", "slice", "splice", "splice"}),
+      // reductions only, repeated
+      passList({"deadproc", "splice", "deadproc", "splice"}),
+      // a single pass, skips left in place
+      passList({"slice"}),
   };
-  for (const char *Spec : Specs) {
+  for (const std::vector<PassInfo> &Order : Orders) {
+    std::string Spec = passNames(Order);
     for (unsigned N : {1u, 4u, 8u})
       for (bool Buggy : {false, true}) {
         AstContext Ctx;
@@ -617,7 +630,7 @@ TEST(PrepassDifferentialPipelines, PermutationsAgreeUnderVerifyEach) {
                             "chain N=" + std::to_string(N) +
                                 (Buggy ? " buggy" : " safe") + " passes=" +
                                 Spec,
-                            Spec);
+                            Order);
       }
     for (uint64_t Seed : {11u, 29u, 53u}) {
       RandomProgParams Params;
@@ -631,7 +644,7 @@ TEST(PrepassDifferentialPipelines, PermutationsAgreeUnderVerifyEach) {
       expectPrepassAgrees(Ctx, P, 3,
                           "random seed " + std::to_string(Seed) +
                               " passes=" + Spec,
-                          Spec);
+                          Order);
     }
   }
 }

@@ -252,75 +252,56 @@ TEST(VerifyCfg, DetectsRootOutOfRange) {
 
 TEST(PassRegistry, ListsBuiltinsInDefaultPipelineOrder) {
   std::vector<std::string_view> Builtins = {"slice", "splice", "deadproc",
-                                            "lint",  "inv"};
+                                            "inv"};
   ASSERT_EQ(BuiltinPasses.size(), Builtins.size());
   for (size_t I = 0; I < Builtins.size(); ++I) {
     EXPECT_EQ(BuiltinPasses[I].Name, Builtins[I]);
-    EXPECT_FALSE(BuiltinPasses[I].Description.empty());
     EXPECT_NE(BuiltinPasses[I].Run, nullptr);
   }
-  EXPECT_FALSE(parsePassSpec("nope"));
-}
-
-TEST(PassPipeline, ParsesSpecsAndRoundTrips) {
-  auto PL = parsePassSpec(" slice , splice ,");
-  ASSERT_TRUE(PL);
-  ASSERT_EQ(PL->size(), 2u);
-  EXPECT_EQ((*PL)[0]->Name, "slice");
-  EXPECT_EQ((*PL)[1]->Name, "splice");
-  EXPECT_EQ((*PL)[0], &BuiltinPasses[0]);
-
-  std::string Error;
-  EXPECT_FALSE(parsePassSpec("slice,bogus", &Error));
-  EXPECT_EQ(Error, "unknown pass 'bogus' (available: slice splice deadproc "
-                   "lint inv)");
-
-  EXPECT_TRUE(parsePassSpec("")->empty());
+  // The prepass is the whole table under +Inv and all but `inv` without.
+  EXPECT_EQ(prepassPipeline(true).data(), BuiltinPasses.data());
+  EXPECT_EQ(prepassPipeline(true).size(), Builtins.size());
+  EXPECT_EQ(prepassPipeline(false).data(), BuiltinPasses.data());
+  EXPECT_EQ(prepassPipeline(false).size(), Builtins.size() - 1);
 }
 
 TEST(PassPipeline, SpecIsPassesThenInv) {
-  // +Inv is the default: the structural passes, then `inv`.
-  PrepassOptions Opts;
-  EXPECT_TRUE(Opts.Invariants);
-  EXPECT_EQ(Opts.spec(), "slice,splice,deadproc,inv");
-  auto PL = parsePassSpec(Opts.spec());
-  ASSERT_TRUE(PL);
-  ASSERT_EQ(PL->size(), 4u);
-  for (size_t I = 0; I < 3; ++I)
-    EXPECT_EQ((*PL)[I], &BuiltinPasses[I]);
-  EXPECT_EQ((*PL)[3]->Name, "inv");
-  Opts.Invariants = false;
-  EXPECT_EQ(Opts.spec(), "slice,splice,deadproc");
-  // The empty spec is "no prepass"; +Inv still runs alone.
-  Opts.Invariants = true;
-  Opts.Passes.clear();
-  EXPECT_EQ(Opts.spec(), "inv");
-  Opts.Invariants = false;
-  EXPECT_TRUE(Opts.spec().empty());
-}
-
-TEST(PassPipeline, SpecNeverRunsInvTwice) {
-  // A spec that already names `inv` runs it where it stands, once.
-  PrepassOptions Opts;
-  Opts.Passes = "slice,inv";
-  EXPECT_EQ(Opts.spec(), "slice,inv");
-  Opts.Passes = "inv, splice";
-  EXPECT_EQ(Opts.spec(), "inv, splice");
-  Opts.Passes = "slice,invx";
-  EXPECT_EQ(Opts.spec(), "slice,invx,inv"); // an unknown name stays an error
-  EXPECT_FALSE(parsePassSpec(Opts.spec()));
-
-  AstContext Ctx;
-  auto P = parseOk(CallDemo, Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  Stats S;
-  Opts.Passes = "slice,inv,splice";
-  PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts, &S);
-  EXPECT_TRUE(R.ok());
-  EXPECT_EQ(S.get("pass.inv.runs"), 1);
-  EXPECT_EQ(S.get("pass.splice.runs"), 1);
+  // runPrepass runs the structural passes, then `inv` under +Inv (the
+  // default), each once and in that order.
+  for (bool Inv : {true, false}) {
+    AstContext Ctx;
+    auto P = parseOk(CallDemo, Ctx);
+    ProcId Root;
+    Symbol Err;
+    CfgProgram Cfg = lower(Ctx, *P, Root, Err);
+    Trace T;
+    T.setEnabled(true);
+    PrepassOptions Opts;
+    EXPECT_TRUE(Opts.Invariants);
+    Opts.Invariants = Inv;
+    Opts.Telemetry = &T;
+    ASSERT_TRUE(runPrepass(Ctx, Cfg, Root, Err, Opts).ok());
+    std::vector<std::string> Ran;
+    std::string Passes;
+    for (size_t I = 0; I < T.numEvents(); ++I) {
+      const TraceEvent &E = T.event(I);
+      if (E.Ph != TraceEvent::Phase::Begin)
+        continue;
+      if (E.Name.rfind("pass.", 0) == 0)
+        Ran.push_back(E.Name);
+      if (E.Name == "prepass.pipeline")
+        for (const TraceArg &A : E.Args)
+          if (A.Key == "passes")
+            Passes = A.Str;
+    }
+    std::vector<std::string> Expected = {"pass.slice", "pass.splice",
+                                         "pass.deadproc"};
+    if (Inv)
+      Expected.push_back("pass.inv");
+    EXPECT_EQ(Ran, Expected) << "inv=" << Inv;
+    EXPECT_EQ(Passes, Inv ? "slice,splice,deadproc,inv"
+                          : "slice,splice,deadproc");
+  }
 }
 
 TEST(PassPipeline, RecordsPerPassStats) {
@@ -339,7 +320,6 @@ TEST(PassPipeline, RecordsPerPassStats) {
   // The demo program has skip labels to splice, so at least one pass reports
   // a change.
   EXPECT_GE(S.get("pass.splice.changed"), 1);
-  EXPECT_EQ(S.get("pass.lint.runs"), 0);
 
   // -Inv runs the structural passes only.
   CfgProgram Cfg2 = lower(Ctx, *P, Root, Err);
@@ -350,77 +330,6 @@ TEST(PassPipeline, RecordsPerPassStats) {
   EXPECT_EQ(S2.get("pass.inv.runs"), 0);
 }
 
-TEST(PassPipeline, LintAuditCountsResidualDeadStores) {
-  const char *Src = R"(
-    var g: int;
-    procedure main() {
-      var dead: int;
-      var x: int;
-      x := 1;
-      dead := x + 41;
-      g := x;
-      assert g == 1;
-    }
-  )";
-  // The lint audit alone sees the store to `dead` (no later statement reads
-  // it)...
-  {
-    AstContext Ctx;
-    auto P = parseOk(Src, Ctx);
-    ProcId Root;
-    Symbol Err;
-    CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-    PrepassOptions Opts;
-    Opts.Passes = "lint";
-    Opts.VerifyEach = true;
-    size_t LabelsBefore = Cfg.Labels.size();
-    PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts);
-    ASSERT_TRUE(R.ok()) << joined(R.PipelineErrors);
-    EXPECT_GE(R.AuditDeadStores, 1u);
-    EXPECT_EQ(R.AuditUnreachableLabels, 0u);
-    // Read-only: the program itself is untouched.
-    EXPECT_EQ(Cfg.Labels.size(), LabelsBefore);
-    EXPECT_NE(R.str().find("lint audit"), std::string::npos);
-  }
-  // ...and running it after the default pipeline finds nothing left to flag.
-  {
-    AstContext Ctx;
-    auto P = parseOk(Src, Ctx);
-    ProcId Root;
-    Symbol Err;
-    CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-    PrepassOptions Opts;
-    Opts.Passes = "slice,splice,deadproc,lint";
-    Opts.VerifyEach = true;
-    PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts);
-    ASSERT_TRUE(R.ok()) << joined(R.PipelineErrors);
-    EXPECT_EQ(R.AuditDeadStores, 0u);
-    EXPECT_EQ(R.AuditUnreachableLabels, 0u);
-  }
-}
-
-TEST(PassPipeline, LintAuditFlagsUnreachableLabels) {
-  AstContext Ctx;
-  auto P = parseOk(CallDemo, Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  // Graft a structurally valid but entry-unreachable label onto the root.
-  CfgLabel Orphan;
-  Orphan.Stmt.Kind = CfgStmtKind::Assume;
-  Orphan.Stmt.E = Ctx.tBool(true);
-  Orphan.Proc = Root;
-  LabelId L = static_cast<LabelId>(Cfg.Labels.size());
-  Cfg.Labels.push_back(Orphan);
-  Cfg.Procs[Root].Labels.push_back(L);
-  PrepassOptions Opts;
-  Opts.Passes = "lint";
-  Opts.VerifyEach = true;
-  PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts);
-  ASSERT_TRUE(R.ok()) << joined(R.PipelineErrors);
-  EXPECT_EQ(R.AuditUnreachableLabels, 1u);
-}
-
 TEST(PassPipeline, PassesOverrideRunsOnlyTheListedPasses) {
   AstContext Ctx;
   auto P = parseOk(CallDemo, Ctx);
@@ -428,32 +337,14 @@ TEST(PassPipeline, PassesOverrideRunsOnlyTheListedPasses) {
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
   Stats S;
-  PrepassOptions Opts;
-  Opts.Passes = "splice,splice";
-  PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts, &S);
-  EXPECT_TRUE(R.ok());
+  PrepassReport R;
+  PassContext PC{Ctx, Cfg, Root, Err, R};
+  EXPECT_TRUE(runPasses(PC, passList({"splice", "splice"}),
+                        /*VerifyEach=*/true, false, nullptr, &S)
+                  .empty());
   EXPECT_EQ(S.get("pass.splice.runs"), 2);
   EXPECT_EQ(S.get("pass.slice.runs"), 0);
   EXPECT_EQ(S.get("pass.deadproc.runs"), 0);
-}
-
-TEST(PassPipeline, UnknownPassNameAbortsBeforeRunningAnything) {
-  AstContext Ctx;
-  auto P = parseOk(CallDemo, Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  size_t LabelsBefore = Cfg.Labels.size();
-  PrepassOptions Opts;
-  Opts.Passes = "slice,bogus";
-  PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts);
-  EXPECT_FALSE(R.ok());
-  ASSERT_EQ(R.PipelineErrors.size(), 1u);
-  EXPECT_NE(R.PipelineErrors[0].find("unknown pass 'bogus'"),
-            std::string::npos);
-  EXPECT_EQ(Cfg.Labels.size(), LabelsBefore);
-  // The summary line surfaces the abort.
-  EXPECT_NE(R.str().find("PIPELINE ABORTED"), std::string::npos);
 }
 
 namespace {
@@ -465,13 +356,7 @@ bool plantDanglingSuccessor(PassContext &PC) {
   return true;
 }
 
-/// The builtin table plus the corrupting pass.
-std::vector<PassInfo> tableWithCorruptingPass() {
-  std::vector<PassInfo> Table(BuiltinPasses.begin(), BuiltinPasses.end());
-  Table.push_back({"corrupt", "test pass that plants a dangling successor",
-                   plantDanglingSuccessor});
-  return Table;
-}
+constexpr PassInfo CorruptPass = {"corrupt", plantDanglingSuccessor};
 
 } // namespace
 
@@ -482,14 +367,13 @@ TEST(PassPipeline, VerifyEachCatchesACorruptingPass) {
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
 
-  std::vector<PassInfo> Table = tableWithCorruptingPass();
-  auto PL = parsePassSpec("slice,corrupt,splice", nullptr, Table);
-  ASSERT_TRUE(PL);
+  std::vector<PassInfo> Table = passList({"slice", "splice"});
+  Table.insert(Table.begin() + 1, CorruptPass);
   PrepassReport R;
   PassContext PC{Ctx, Cfg, Root, Err, R};
   Stats S;
   std::vector<std::string> Errors =
-      runPasses(PC, *PL, /*VerifyEach=*/true, false, nullptr, &S);
+      runPasses(PC, Table, /*VerifyEach=*/true, false, nullptr, &S);
   ASSERT_FALSE(Errors.empty());
   EXPECT_NE(Errors[0].find("VerifyCfg after pass 'corrupt'"),
             std::string::npos)
@@ -517,6 +401,8 @@ TEST(PassPipeline, VerifyEachChecksThePipelineInputToo) {
             std::string::npos)
       << R.PipelineErrors[0];
   EXPECT_EQ(S.get("pass.slice.runs"), 0);
+  // The summary line surfaces the abort.
+  EXPECT_NE(R.str().find("PIPELINE ABORTED"), std::string::npos);
 }
 
 TEST(PassPipeline, WithoutVerifyEachCorruptionGoesUnnoticed) {
@@ -529,12 +415,10 @@ TEST(PassPipeline, WithoutVerifyEachCorruptionGoesUnnoticed) {
   ProcId Root;
   Symbol Err;
   CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  std::vector<PassInfo> Table = tableWithCorruptingPass();
-  auto PL = parsePassSpec("corrupt", nullptr, Table);
-  ASSERT_TRUE(PL);
   PrepassReport R;
   PassContext PC{Ctx, Cfg, Root, Err, R};
-  EXPECT_TRUE(runPasses(PC, *PL, /*VerifyEach=*/false, false, nullptr, nullptr)
+  EXPECT_TRUE(runPasses(PC, {&CorruptPass, 1}, /*VerifyEach=*/false, false,
+                        nullptr, nullptr)
                   .empty());
   EXPECT_FALSE(verifyCfg(Ctx, Cfg, Root, Err).empty());
 }

@@ -28,26 +28,6 @@ const char *DeepBugSrc = R"(
 // Prepass configuration
 //===----------------------------------------------------------------------===//
 
-TEST(VerifierPrepass, InvariantsWithoutPrepassRunThroughThePipeline) {
-  // An empty pass list under the default +Inv is the one-pass spec `inv`:
-  // it is timed like any pass, and the engine solves the program with the
-  // injected labels.
-  AstContext Ctx;
-  Program P = makeChainProgram(Ctx, 3, /*Buggy=*/false);
-  VerifierOptions Opts;
-  Opts.Bound = 1;
-  Opts.Prepass.Passes.clear();
-  Opts.Engine.Strategy.Kind = MergeStrategyKind::First;
-  VerifierRunResult R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
-  EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
-  EXPECT_TRUE(R.Prepass.ok());
-  EXPECT_GT(R.Prepass.InvariantConjuncts, 0u);
-  EXPECT_GT(R.NumLabelsSolved, R.NumLabels);
-  EXPECT_EQ(R.Prepass.LabelsAfter, R.NumLabelsSolved);
-  EXPECT_EQ(R.PrepassStats.get("pass.inv.runs"), 1);
-  EXPECT_EQ(R.PrepassStats.get("pass.slice.runs"), 0);
-}
-
 TEST(Verifier, LowerInstanceIsWhatTheEngineSolves) {
   // The front end alone yields the program verifyProgram hands the engine,
   // with the default prepass and with +Inv.
@@ -66,16 +46,15 @@ TEST(Verifier, LowerInstanceIsWhatTheEngineSolves) {
     EXPECT_EQ(Front.NumLabelsSolved, R.NumLabelsSolved) << "inv=" << Inv;
   }
 
-  // A pipeline error leaves a program that must not be solved.
+  // A front-end refusal leaves a program that must not be solved.
   AstContext Ctx;
   Program P = makeChainProgram(Ctx, 4);
   VerifierOptions Opts;
   Opts.Bound = 1;
-  Opts.Prepass.Passes = "nope";
   VerifierRunResult Front;
-  lowerInstance(Ctx, P, Ctx.sym("main"), Opts, Front);
+  lowerInstance(Ctx, P, Ctx.sym("nosuch"), Opts, Front);
   EXPECT_FALSE(Front.Prepass.ok());
-  EXPECT_EQ(verifyProgram(Ctx, P, Ctx.sym("main"), Opts).Result.Outcome,
+  EXPECT_EQ(verifyProgram(Ctx, P, Ctx.sym("nosuch"), Opts).Result.Outcome,
             Verdict::Unknown);
 }
 
@@ -92,6 +71,13 @@ TEST(VerifierPrepass, NoPrepassRunsNoPassUnderDefaultInvariants) {
   EXPECT_EQ(R.Result.Outcome, Verdict::Bug);
   EXPECT_EQ(R.NumLabelsSolved, R.NumLabels);
   EXPECT_EQ(R.Prepass.InvariantConjuncts, 0u);
+  EXPECT_TRUE(R.PrepassStats.counters().empty());
+
+  // Forcing +Inv does not bring back a prepass that is off.
+  Opts.UseInvariants = true;
+  R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Bug);
+  EXPECT_EQ(R.NumLabelsSolved, R.NumLabels);
   EXPECT_TRUE(R.PrepassStats.counters().empty());
 }
 
@@ -197,6 +183,27 @@ TEST(Verifier, BoundZeroIsRefusedAsUnknown) {
   EXPECT_EQ(Refused.Outcome, Verdict::Unknown);
   EXPECT_EQ(Refused.Reason, "prepass: bound must be at least 1");
   Opts.Bound = 1;
+  EXPECT_EQ(verifyProgram(Ctx, *P, Ctx.sym("main"), Opts).Result.Outcome,
+            Verdict::Safe);
+}
+
+TEST(Verifier, UnknownEntryIsRefusedAsUnknown) {
+  // An entry the program does not define has nothing to bound or lower:
+  // the front end refuses it like bound 0, before any pass runs.
+  AstContext Ctx;
+  auto P = parseOk("procedure main() { assert true; }", Ctx);
+  ASSERT_TRUE(P);
+  VerifierOptions Opts;
+  VerifierRunResult Front;
+  LoweredInstance L = lowerInstance(Ctx, *P, Ctx.sym("nosuch"), Opts, Front);
+  ASSERT_EQ(Front.Prepass.PipelineErrors.size(), 1u);
+  EXPECT_EQ(Front.Prepass.PipelineErrors[0], "no procedure named 'nosuch'");
+  EXPECT_TRUE(L.Cfg.Procs.empty());
+  EXPECT_EQ(L.Entry, InvalidProc);
+  VerifierRunResult R = verifyProgram(Ctx, *P, Ctx.sym("nosuch"), Opts);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Unknown);
+  EXPECT_EQ(R.Result.Reason, "prepass: no procedure named 'nosuch'");
+  EXPECT_TRUE(R.PrepassStats.counters().empty());
   EXPECT_EQ(verifyProgram(Ctx, *P, Ctx.sym("main"), Opts).Result.Outcome,
             Verdict::Safe);
 }
