@@ -275,6 +275,8 @@ int main(int argc, char **argv) {
   R.Result.record(RunStats);
   RunStats.add("verify.asserts", R.NumAsserts);
   RunStats.add("verify.bound", Opts.Bound);
+  RunStats.add("verify.procs_unreached",
+               static_cast<int64_t>(R.NumProcsUnreached));
   RunStats.add("verify.procs", static_cast<int64_t>(R.NumProcs));
   RunStats.add("verify.labels", static_cast<int64_t>(R.NumLabels));
   RunStats.add("verify.procs_solved", static_cast<int64_t>(R.NumProcsSolved));

@@ -19,7 +19,7 @@ using namespace rmt;
 namespace {
 
 bool runSlicePass(PassContext &PC) {
-  SliceReport R = sliceForQuery(PC.Ctx, PC.Prog, PC.Root, PC.ErrGlobal);
+  SliceReport R = sliceForQuery(PC.Ctx, PC.Prog, PC.ErrGlobal);
   PC.Report.SlicedStmts += R.StmtsDropped;
   PC.Report.ElidedCalls += R.CallsElided;
   return R.StmtsDropped + R.HavocVarsDropped + R.CallsElided != 0;

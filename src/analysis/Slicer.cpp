@@ -150,9 +150,8 @@ unsigned keepLive(CfgStmt &S, VarSlots::Slots Writes, const Bitset &Post) {
 // The slicing pass
 //===----------------------------------------------------------------------===//
 
-SliceReport rmt::sliceForQuery(AstContext &Ctx, CfgProgram &Prog, ProcId Root,
+SliceReport rmt::sliceForQuery(AstContext &Ctx, CfgProgram &Prog,
                                std::optional<Symbol> ErrGlobal) {
-  (void)Root; // every procedure's exit feeds some caller; no root special-case
   SliceReport Report;
   VarSlots Slots(Prog);
   Relevance Rel(Slots, ErrGlobal);

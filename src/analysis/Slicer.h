@@ -130,11 +130,17 @@ struct SliceReport {
   unsigned CallsElided = 0;
 };
 
-/// Slices \p Prog in place against the reachability query of \p Root.
+/// Slices \p Prog in place against the reachability query of its root.
 /// \p ErrGlobal is the $err query variable; nullopt for plain termination
 /// reachability. Statements are rewritten to skips rather than deleted —
 /// run spliceSkips() afterwards to compact the flow graph.
-SliceReport sliceForQuery(AstContext &Ctx, CfgProgram &Prog, ProcId Root,
+///
+/// The root needs no special case: every procedure is assumed to be reached
+/// from it, so each exit feeds some caller. prepareBounded() establishes
+/// this. On a program with unreached procedures the slice stays sound, only
+/// less precise: their assumes still seed relevance, so it keeps stores the
+/// query cannot observe.
+SliceReport sliceForQuery(AstContext &Ctx, CfgProgram &Prog,
                           std::optional<Symbol> ErrGlobal);
 
 } // namespace rmt

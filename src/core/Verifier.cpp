@@ -25,8 +25,12 @@ LoweredInstance rmt::lowerInstance(AstContext &Ctx, const Program &Prog,
   }
   TraceSpan BoundSpan(Opts.Telemetry, "verify.bound");
   BoundedInstance Instance = prepareBounded(Ctx, Prog, Entry, Opts.Bound);
+  size_t Declared = Prog.Procedures.size();
+  BoundSpan.note({"procs", Declared});
+  BoundSpan.note({"procs_reached", Declared - Instance.NumProcsUnreached});
   BoundSpan.close();
   Out.NumAsserts = Instance.NumAsserts;
+  Out.NumProcsUnreached = Instance.NumProcsUnreached;
 
   TraceSpan LowerSpan(Opts.Telemetry, "verify.lower");
   LoweredInstance L{lowerToCfg(Ctx, Instance.Prog), InvalidProc,

@@ -62,6 +62,8 @@ struct VerifierRunResult {
   VerifyResult Result;
   /// Assert statements found and instrumented.
   unsigned NumAsserts = 0;
+  /// Declared procedures the entry never calls (dropped before bounding).
+  size_t NumProcsUnreached = 0;
   /// Procedures after bounding (hierarchical program size).
   size_t NumProcs = 0;
   /// Labels after bounding.

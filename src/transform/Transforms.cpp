@@ -2,6 +2,7 @@
 
 #include "transform/Transforms.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <optional>
@@ -133,6 +134,43 @@ private:
   RenameFn Rename;
 };
 
+/// The procedure call graph, from one scan of every body: per procedure
+/// index, its callees by index in body order (with repeats).
+struct CallGraph {
+  std::unordered_map<Symbol, unsigned> IndexOf;
+  std::vector<std::vector<unsigned>> Callees;
+
+  explicit CallGraph(const Program &Prog) : Callees(Prog.Procedures.size()) {
+    for (unsigned I = 0; I < Prog.Procedures.size(); ++I)
+      IndexOf[Prog.Procedures[I].Name] = I;
+    for (unsigned P = 0; P < Prog.Procedures.size(); ++P)
+      scan(P, Prog.Procedures[P].Body);
+  }
+
+private:
+  void scan(unsigned P, const std::vector<const Stmt *> &Block) {
+    for (const Stmt *S : Block) {
+      switch (S->kind()) {
+      case StmtKind::Call: {
+        auto It = IndexOf.find(S->callee());
+        assert(It != IndexOf.end() && "unresolved callee (checked)");
+        Callees[P].push_back(It->second);
+        break;
+      }
+      case StmtKind::If:
+        scan(P, S->thenBlock());
+        scan(P, S->elseBlock());
+        break;
+      case StmtKind::While:
+        scan(P, S->loopBody());
+        break;
+      default:
+        break;
+      }
+    }
+  }
+};
+
 /// Iterative Tarjan SCC over the procedure call graph. Returns, per
 /// procedure index, its SCC id, plus the set of SCC ids that are cycles
 /// (size > 1 or a self-loop).
@@ -141,41 +179,13 @@ struct SccResult {
   std::unordered_set<unsigned> CyclicSccs;
 };
 
-SccResult computeSccs(const Program &Prog) {
-  size_t N = Prog.Procedures.size();
-  std::unordered_map<Symbol, unsigned> IndexOf;
-  for (unsigned I = 0; I < N; ++I)
-    IndexOf[Prog.Procedures[I].Name] = I;
-
-  // Collect callees per procedure, as indices.
-  std::vector<std::vector<unsigned>> Callees(N);
+SccResult computeSccs(const CallGraph &G) {
+  const std::vector<std::vector<unsigned>> &Callees = G.Callees;
+  size_t N = Callees.size();
   std::vector<bool> SelfLoop(N, false);
-  std::function<void(unsigned, const std::vector<const Stmt *> &)> Scan =
-      [&](unsigned P, const std::vector<const Stmt *> &Block) {
-        for (const Stmt *S : Block) {
-          switch (S->kind()) {
-          case StmtKind::Call: {
-            auto It = IndexOf.find(S->callee());
-            assert(It != IndexOf.end() && "unresolved callee (checked)");
-            Callees[P].push_back(It->second);
-            if (It->second == P)
-              SelfLoop[P] = true;
-            break;
-          }
-          case StmtKind::If:
-            Scan(P, S->thenBlock());
-            Scan(P, S->elseBlock());
-            break;
-          case StmtKind::While:
-            Scan(P, S->loopBody());
-            break;
-          default:
-            break;
-          }
-        }
-      };
   for (unsigned P = 0; P < N; ++P)
-    Scan(P, Prog.Procedures[P].Body);
+    SelfLoop[P] = std::find(Callees[P].begin(), Callees[P].end(), P) !=
+                  Callees[P].end();
 
   SccResult Result;
   Result.SccOf.assign(N, ~0u);
@@ -243,7 +253,8 @@ SccResult computeSccs(const Program &Prog) {
 Program rmt::unfoldRecursion(AstContext &Ctx, const Program &Prog,
                              unsigned Bound) {
   assert(Bound >= 1 && "recursion bound must allow at least one frame");
-  SccResult Sccs = computeSccs(Prog);
+  CallGraph G(Prog);
+  SccResult Sccs = computeSccs(G);
   if (Sccs.CyclicSccs.empty()) {
     // Already acyclic; share everything.
     return Prog;
@@ -253,9 +264,6 @@ Program rmt::unfoldRecursion(AstContext &Ctx, const Program &Prog,
   auto InCycle = [&](unsigned I) {
     return Sccs.CyclicSccs.count(Sccs.SccOf[I]) != 0;
   };
-  std::unordered_map<Symbol, unsigned> IndexOf;
-  for (unsigned I = 0; I < N; ++I)
-    IndexOf[Prog.Procedures[I].Name] = I;
 
   // Depth-k name of a cyclic procedure; depth 1 keeps the original name so
   // external callers and the entry point are unaffected.
@@ -280,7 +288,7 @@ Program rmt::unfoldRecursion(AstContext &Ctx, const Program &Prog,
       Procedure Copy = P;
       Copy.Name = DepthName(P.Name, Depth);
       CallRewriter RW(Ctx, [&](Symbol Callee) -> std::optional<Symbol> {
-        unsigned CalleeIdx = IndexOf.at(Callee);
+        unsigned CalleeIdx = G.IndexOf.at(Callee);
         if (!InCycle(CalleeIdx) || Sccs.SccOf[CalleeIdx] != MyScc)
           return Callee; // leaves this SCC: depth restarts there
         if (Depth == Bound)
@@ -293,6 +301,46 @@ Program rmt::unfoldRecursion(AstContext &Ctx, const Program &Prog,
   }
   return Out;
 }
+
+//===----------------------------------------------------------------------===//
+// Call-graph reachability
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The procedures of \p Prog that \p Entry reaches in the call graph (itself
+/// included), in declaration order; nullopt when that is all of them, so the
+/// caller can keep sharing \p Prog.
+std::optional<Program> reachedFrom(const Program &Prog, Symbol Entry) {
+  CallGraph G(Prog);
+  auto Root = G.IndexOf.find(Entry);
+  if (Root == G.IndexOf.end())
+    return std::nullopt; // instrumentAsserts reports the missing entry
+  std::vector<char> Reach(Prog.Procedures.size(), 0);
+  std::vector<unsigned> Work{Root->second};
+  Reach[Root->second] = 1;
+  size_t NumReached = 1;
+  while (!Work.empty()) {
+    unsigned P = Work.back();
+    Work.pop_back();
+    for (unsigned C : G.Callees[P])
+      if (!Reach[C]) {
+        Reach[C] = 1;
+        ++NumReached;
+        Work.push_back(C);
+      }
+  }
+  if (NumReached == Prog.Procedures.size())
+    return std::nullopt;
+  Program Out;
+  Out.Globals = Prog.Globals;
+  for (unsigned I = 0; I < Prog.Procedures.size(); ++I)
+    if (Reach[I])
+      Out.Procedures.push_back(Prog.Procedures[I]);
+  return Out;
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Assertion instrumentation
@@ -394,7 +442,12 @@ BoundedInstance rmt::instrumentAsserts(AstContext &Ctx, const Program &Prog,
 
 BoundedInstance rmt::prepareBounded(AstContext &Ctx, const Program &Prog,
                                     Symbol Entry, unsigned Bound) {
-  Program Unrolled = unrollLoops(Ctx, Prog, Bound);
+  std::optional<Program> Reached = reachedFrom(Prog, Entry);
+  const Program &Source = Reached ? *Reached : Prog;
+  Program Unrolled = unrollLoops(Ctx, Source, Bound);
   Program Unfolded = unfoldRecursion(Ctx, Unrolled, Bound);
-  return instrumentAsserts(Ctx, Unfolded, Entry);
+  BoundedInstance Result = instrumentAsserts(Ctx, Unfolded, Entry);
+  Result.NumProcsUnreached =
+      static_cast<unsigned>(Prog.Procedures.size() - Source.Procedures.size());
+  return Result;
 }

@@ -10,6 +10,11 @@
 /// been unrolled and recursion unfolded up to a bound, the resulting program
 /// is hierarchical"):
 ///
+///  0. reachability        — only the procedures the entry reaches in the
+///                           call graph are kept, in declaration order.
+///                           Reachability is asked of the root (Def. 1), so
+///                           a procedure it never calls cannot change the
+///                           verdict; steps 1-3 run on what is left.
 ///  1. unrollLoops(R)      — every `while` becomes R nested guarded copies;
 ///                           a deterministic guard still true after R
 ///                           iterations blocks (assume false), so bounding is
@@ -24,7 +29,7 @@
 ///                           `$err` on entry. The query becomes "is there a
 ///                           terminating execution of the root with $err".
 ///
-/// prepareBounded() composes all three.
+/// prepareBounded() composes all four.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,6 +61,9 @@ struct BoundedInstance {
   Symbol Entry;
   /// Number of assert statements instrumented.
   unsigned NumAsserts = 0;
+  /// Declared procedures prepareBounded() dropped because the entry never
+  /// calls them (0 from instrumentAsserts, which keeps every procedure).
+  unsigned NumProcsUnreached = 0;
 };
 
 /// Error-bit instrumentation (see file comment). \p Entry must name a
@@ -63,7 +71,9 @@ struct BoundedInstance {
 BoundedInstance instrumentAsserts(AstContext &Ctx, const Program &Prog,
                                   Symbol Entry);
 
-/// unrollLoops(R) ∘ unfoldRecursion(R) ∘ instrumentAsserts.
+/// Drops the procedures \p Entry does not reach, then unrollLoops(R) ∘
+/// unfoldRecursion(R) ∘ instrumentAsserts. When \p Entry reaches every
+/// procedure, \p Prog is bounded as is, with no copy.
 BoundedInstance prepareBounded(AstContext &Ctx, const Program &Prog,
                                Symbol Entry, unsigned Bound);
 

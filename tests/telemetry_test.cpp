@@ -771,3 +771,51 @@ TEST(TraceEndToEnd, DisabledTraceRecordsNothingOnRealRun) {
   EXPECT_EQ(R.Result.NumUnderChecks + R.Result.NumOverChecks,
             R.Result.NumSolverChecks);
 }
+
+TEST(TraceEndToEnd, BoundSpanCountsReachedProcedures) {
+  // The verify.bound span notes the declared procedures and those the entry
+  // reaches; the run result carries the difference, which hbpl_verify
+  // --stats prints as verify.procs_unreached.
+  AstContext Ctx;
+  DiagEngine Diags;
+  std::optional<Program> Prog = parseAndCheck(R"(
+    procedure leaf() { }
+    procedure unused() { call leaf(); assert false; }
+    procedure main() { call leaf(); }
+  )",
+                                              Ctx, Diags);
+  ASSERT_TRUE(Prog) << Diags.str();
+  struct Case {
+    const char *Entry;
+    int64_t Reached;
+  };
+  for (auto [Entry, Reached] : {Case{"main", 2}, Case{"unused", 2},
+                                Case{"leaf", 1}}) {
+    SCOPED_TRACE(Entry);
+    Trace T;
+    T.setEnabled(true);
+    VerifierOptions Opts;
+    Opts.Telemetry = &T;
+    VerifierRunResult R = verifyProgram(Ctx, *Prog, Ctx.sym(Entry), Opts);
+    EXPECT_EQ(R.NumProcsUnreached, static_cast<size_t>(3 - Reached));
+    EXPECT_EQ(R.NumProcs, static_cast<size_t>(Reached));
+
+    const TraceArg *Procs = nullptr, *ProcsReached = nullptr;
+    std::vector<const TraceEvent *> Open;
+    for (size_t I = 0; I < T.numEvents(); ++I) {
+      const TraceEvent &E = T.event(I);
+      if (E.Ph == TraceEvent::Phase::Begin) {
+        Open.push_back(&E);
+      } else if (E.Ph == TraceEvent::Phase::End) {
+        if (Open.back()->Name == "verify.bound") {
+          Procs = findArg(E, "procs");
+          ProcsReached = findArg(E, "procs_reached");
+        }
+        Open.pop_back();
+      }
+    }
+    ASSERT_TRUE(Procs && ProcsReached);
+    EXPECT_EQ(Procs->Int, 3);
+    EXPECT_EQ(ProcsReached->Int, Reached);
+  }
+}

@@ -298,10 +298,59 @@ TEST(PrepareBounded, FullPipeline) {
   ASSERT_TRUE(P);
   BoundedInstance B = prepareBounded(Ctx, *P, Ctx.sym("main"), 3);
   EXPECT_EQ(B.NumAsserts, 1u);
+  EXPECT_EQ(B.NumProcsUnreached, 0u);
   for (const Procedure &Proc : B.Prog.Procedures) {
     EXPECT_FALSE(hasLoops(Proc.Body));
     EXPECT_FALSE(hasAsserts(Proc.Body));
   }
   // rec cloned 3 times + main = 4 procedures.
   EXPECT_EQ(B.Prog.Procedures.size(), 4u);
+}
+
+TEST(PrepareBounded, DropsProceduresTheEntryDoesNotCall) {
+  AstContext Ctx;
+  auto P = parseOk(R"(
+    procedure leaf() { assert true; }
+    procedure spin(d: int) {
+      if (d > 0) { call spin(d - 1); }
+      assert d >= 0;
+    }
+    procedure only() { assert false; }
+    procedure orphan() { call leaf(); call only(); assert false; }
+    procedure mid() { call leaf(); }
+    procedure main() { call mid(); assert true; }
+  )",
+                   Ctx);
+  ASSERT_TRUE(P);
+  auto Names = [&](const BoundedInstance &B) {
+    std::vector<std::string> Out;
+    for (const Procedure &Proc : B.Prog.Procedures)
+      Out.push_back(Ctx.name(Proc.Name));
+    return Out;
+  };
+
+  // From main: the recursive spin is not cloned; orphan calls leaf, which
+  // main reaches through mid, and only, which nothing reached calls; the
+  // asserts of spin, only and orphan are not instrumented.
+  BoundedInstance Main = prepareBounded(Ctx, *P, Ctx.sym("main"), 3);
+  EXPECT_EQ(Names(Main), (std::vector<std::string>{"leaf", "mid", "main"}));
+  EXPECT_EQ(Main.NumAsserts, 2u);
+  EXPECT_EQ(Main.NumProcsUnreached, 3u);
+
+  // Another entry keeps its own reach, in declaration order.
+  BoundedInstance Orphan = prepareBounded(Ctx, *P, Ctx.sym("orphan"), 3);
+  EXPECT_EQ(Names(Orphan),
+            (std::vector<std::string>{"leaf", "only", "orphan"}));
+  EXPECT_EQ(Orphan.NumAsserts, 3u);
+  EXPECT_EQ(Orphan.NumProcsUnreached, 3u);
+  BoundedInstance Spin = prepareBounded(Ctx, *P, Ctx.sym("spin"), 3);
+  EXPECT_EQ(Names(Spin),
+            (std::vector<std::string>{"spin", "spin.d2", "spin.d3"}));
+  EXPECT_EQ(Spin.NumAsserts, 3u);
+  EXPECT_EQ(Spin.NumProcsUnreached, 5u);
+
+  // A leaf entry reaches only itself; instrumentAsserts alone drops nothing.
+  EXPECT_EQ(Names(prepareBounded(Ctx, *P, Ctx.sym("leaf"), 1)),
+            (std::vector<std::string>{"leaf"}));
+  EXPECT_EQ(instrumentAsserts(Ctx, *P, Ctx.sym("main")).NumProcsUnreached, 0u);
 }

@@ -208,6 +208,30 @@ TEST(Verifier, UnknownEntryIsRefusedAsUnknown) {
             Verdict::Safe);
 }
 
+TEST(Verifier, UnreachedFailingAssertIsSafe) {
+  // Reachability is asked of the entry: a failing assert in a procedure it
+  // never calls is no bug, and is one when that procedure is the entry.
+  AstContext Ctx;
+  auto P = parseOk(R"(
+    procedure unused() { assert false; }
+    procedure main() { assert true; }
+  )",
+                   Ctx);
+  ASSERT_TRUE(P);
+  VerifierOptions Opts;
+  VerifierRunResult Main = verifyProgram(Ctx, *P, Ctx.sym("main"), Opts);
+  EXPECT_EQ(Main.Result.Outcome, Verdict::Safe);
+  EXPECT_EQ(Main.NumAsserts, 1u);
+  EXPECT_EQ(Main.NumProcsUnreached, 1u);
+  EXPECT_EQ(Main.NumProcs, 1u);
+  VerifierRunResult Unused = verifyProgram(Ctx, *P, Ctx.sym("unused"), Opts);
+  EXPECT_EQ(Unused.Result.Outcome, Verdict::Bug);
+  EXPECT_EQ(Unused.NumProcsUnreached, 1u);
+  Opts.UsePrepass = false;
+  EXPECT_EQ(verifyProgram(Ctx, *P, Ctx.sym("main"), Opts).Result.Outcome,
+            Verdict::Safe);
+}
+
 //===----------------------------------------------------------------------===//
 // Iterative deepening
 //===----------------------------------------------------------------------===//
